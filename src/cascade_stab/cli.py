@@ -228,7 +228,6 @@ def cmd_verify(args) -> int:
                     float(np.max(np.abs(G))))
         checks.append((f"mode cancellation n={n}", cancel / scale,
                        cancel / scale <= 1e-9))
-        G = transform.coupling_row(plant, family, lam, mt)
         other = (controller.K_Q - G) @ mt.matrix
         gain_err = _relative(controller.Kbar[n - 1], other)
         checks.append((f"gain route equality n={n}", gain_err, gain_err <= 1e-9))

@@ -50,7 +50,11 @@ class RootBracketingFailure(InternalError):
 
 
 class QuadratureNonConvergence(InternalError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Projection of a callable failed.
+
+    The callable returned a non-finite value, or adaptive panel refinement
+    did not reach the tolerance within its level cap.
+    """
 
 
 class ResidualNonzero(InternalError):

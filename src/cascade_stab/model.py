@@ -85,6 +85,10 @@ class ShapeFunction:
                 raise BadShape("samples grid must cover [0, L]")
         else:
             raise BadShape(f"unknown shape kind {self.kind!r}")
+        values = (tuple(self.params[0]) + tuple(self.params[1])
+                  if self.kind == "samples" else self.params)
+        if not all(map(math.isfinite, values)):
+            raise BadShape(f"{self.kind} shape parameters must be finite")
 
     def __call__(self, x):
         """Evaluate pointwise; x may be a scalar or ndarray."""
@@ -205,6 +209,11 @@ def validate_plant(spec: PlantSpec, diffusion_tol: float = 0.0) -> ValidatedPlan
         raise PlantInputError(f"D must hold exactly m={m} coefficients")
     if Q.shape != (m, m):
         raise PlantInputError(f"Q must be {m}x{m}")
+    if not (np.isfinite(D).all() and np.isfinite(Q).all()):
+        raise PlantInputError("D and Q must be finite")
+    for name in ("L", "gamma1", "gamma2"):
+        if not math.isfinite(getattr(spec, name)):
+            raise PlantInputError(f"{name} must be finite")
     if np.any(D <= 0.0):
         raise NonPositiveDiffusion("all diffusion coefficients must be positive")
     if not (float(spec.L) > 0.0):

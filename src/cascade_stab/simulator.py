@@ -18,8 +18,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ZeroNorm
-from .model import ValidatedPlant
-from .spectral import SpectralBasis, extend_basis, input_projection_row, project
+from .model import ShapeFunction, ValidatedPlant
+from .spectral import (
+    SpectralBasis,
+    extend_basis,
+    input_projection_row,
+    project,
+    project_callable,
+)
 from .synthesis import Controller, closed_block
 from .transform import TransformFamily, mode_transform
 
@@ -65,18 +71,21 @@ class Trajectory:
     def m(self) -> int:
         return self.modal.shape[2]
 
-    def flat(self, idx: int) -> np.ndarray:
-        return self.modal[idx].reshape(-1)
-
 
 def project_initial(z0_funcs, basis: SpectralBasis, M_modes: int) -> np.ndarray:
-    """Modal coefficients of the m initial profiles, shape (M_modes, m)."""
+    """Modal coefficients of the m initial profiles, shape (M_modes, m).
+
+    Shape functions use their closed forms; each callable profile is
+    projected onto all M_modes modes by one `project_callable` pass.
+    """
     basis = extend_basis(basis, M_modes)
-    m = len(z0_funcs)
-    coeffs = np.empty((M_modes, m))
+    modes = range(1, M_modes + 1)
+    coeffs = np.empty((M_modes, len(z0_funcs)))
     for i, f in enumerate(z0_funcs):
-        for n in range(1, M_modes + 1):
-            coeffs[n - 1, i] = project(f, basis, n)
+        if isinstance(f, ShapeFunction):
+            coeffs[:, i] = [project(f, basis, n) for n in modes]
+        else:
+            coeffs[:, i] = project_callable(f, basis, modes)
     return coeffs
 
 
@@ -233,44 +242,44 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # ---------------------------------------------------------------------------
 # CSV export.  Full-precision reals (repr), deterministic layout.
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the header, then one line per row of Python floats, as repr."""
+    lines = [header]
+    lines += [",".join(map(repr, row)) for row in rows]
+    lines.append("")  # trailing newline without copying the joined text
+    _atomic_write(path, "\n".join(lines))
 
+
+# The writers below convert one time step at a time with .tolist(): turning
+# a whole trajectory into Python floats at once raises the peak memory.
 
 def export_modal_csv(traj: Trajectory, path: str) -> None:
     """Header t, z_{i}_{n} for component i of mode n."""
-    import io as _io
-
-    buf = _io.StringIO()
     cols = ["t"] + [f"z_{i + 1}_{n + 1}" for n in range(traj.n_modes)
                     for i in range(traj.m)]
-    buf.write(",".join(cols) + "\n")
-    for k, t in enumerate(traj.times):
-        row = [_fmt(t)] + [_fmt(v) for v in traj.flat(k)]
-        buf.write(",".join(row) + "\n")
-    _atomic_write(path, buf.getvalue())
+    rows = ([t, *z.reshape(-1).tolist()]
+            for t, z in zip(traj.times.tolist(), traj.modal))
+    _write_csv(path, ",".join(cols), rows)
 
 
 def export_field_csv(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> None:
     """Long format: t, x, z1..zm."""
     fields = reconstruct_field(traj, basis, grid)
-    x = np.asarray(grid, dtype=float)
-    lines = ["t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))]
-    for k, t in enumerate(traj.times):
-        for p, xp in enumerate(x):
-            vals = ",".join(_fmt(fields[k, i, p]) for i in range(traj.m))
-            lines.append(f"{_fmt(t)},{_fmt(xp)},{vals}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    x = np.asarray(grid, dtype=float).tolist()
+    rows = ([t, xp, *values]
+            for t, field in zip(traj.times.tolist(), fields)
+            for xp, values in zip(x, field.T.tolist()))
+    _write_csv(path, "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m)), rows)
 
 
 def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -> None:
     """Columns t, l2norm, bound with bound = M_cert exp(-delta t) ||z(0)||."""
-    lines = ["t,l2norm,bound"]
     z0 = traj.l2_norm[0]
-    for t, nrm in zip(traj.times, traj.l2_norm):
-        bound = M_cert * np.exp(-delta * t) * z0
-        lines.append(f"{_fmt(t)},{_fmt(nrm)},{_fmt(bound)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # One scalar exp per sample: a vectorized exp may round differently, and
+    # the file's bytes must not depend on that.
+    bound = [float(M_cert * np.exp(-delta * t) * z0) for t in traj.times]
+    rows = zip(traj.times.tolist(), traj.l2_norm.tolist(), bound)
+    _write_csv(path, "t,l2norm,bound", rows)
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -149,7 +149,7 @@ def _check_boundary_residuals(basis: SpectralBasis) -> None:
             basis.gamma1 * basis.phi(n, basis.L)
             + basis.gamma2 * basis.phi_prime(n, basis.L)
         )
-        if res > _BOUNDARY_RESIDUAL_TOL:
+        if not res <= _BOUNDARY_RESIDUAL_TOL:  # NaN fails too
             raise RootBracketingFailure(
                 f"eigenfunction {n} violates the x=L boundary condition "
                 f"(residual {res:.3e})"
@@ -165,6 +165,108 @@ def extend_basis(basis: SpectralBasis, count: int) -> SpectralBasis:
 
 # ---------------------------------------------------------------------------
 # Quadrature
+#
+# A callable f is projected onto many modes at once by composite 10-point
+# Gauss-Lobatto-Legendre quadrature (Trefethen, Spectral Methods in MATLAB,
+# ch. 12):
+#
+# - Panels: the first grid has max(8, int(s_max L / pi) + 1) equal panels,
+#   about one per half-period of the fastest requested mode.
+# - Error test: each panel's value is compared with the sum over its two
+#   halves.  The panel's error is the largest change over the modes and over
+#   int f itself; the int f row still sees a jump of f where every phi_n
+#   vanishes, such as a Dirichlet end.
+# - Acceptance: a panel of width h passes when its error is <= tol * h / L,
+#   or when the errors of all open panels together fit in what the accepted
+#   panels left of tol.  So `tol` is an absolute error per projection.
+# - Refinement: only failing panels are halved, at most _MAX_LEVELS times.
+# - The rule is closed (panel ends are nodes).  With an open Gauss rule, a
+#   jump between a panel end and the first node changes neither the panel
+#   nor its halves, so the error test passes a wrong value.
+#
+# adaptive_simpson, below, is the scalar rule this replaced; no projection
+# calls it.
+
+def _lobatto_rule(points: int):
+    """Nodes and weights of the Gauss-Lobatto-Legendre rule on [-1, 1]."""
+    p = np.polynomial.legendre.Legendre.basis(points - 1)
+    nodes = np.concatenate([[-1.0], np.sort(p.deriv().roots()), [1.0]])
+    return nodes, 2.0 / (points * (points - 1) * p(nodes) ** 2)
+
+
+_RULE_NODES, _RULE_WEIGHTS = _lobatto_rule(10)
+_MAX_LEVELS = 48
+
+
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    """f on the 1-D point array x: one call, or pointwise if f is scalar-only."""
+    try:
+        y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    except (TypeError, ValueError):
+        y = np.array([f(float(xi)) for xi in x], dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise QuadratureNonConvergence("callable returned a non-finite value")
+    return y
+
+
+def _panel_integrals(f, s, c, lo, width: float) -> np.ndarray:
+    """Rule values of int f(x) c_k cos(s_k x) dx over [lo_p, lo_p + width].
+
+    Returns shape (len(s), len(lo)).  All panels share one width, so
+    cos(s (mid + h t)) splits into per-panel and per-node factors and the
+    node sums become two small matrix products.
+    """
+    half = 0.5 * width
+    mid = lo + half
+    fw = _sample(f, (mid[:, None] + half * _RULE_NODES).ravel())
+    fw = fw.reshape(len(lo), -1) * (half * _RULE_WEIGHTS)
+    phase = s[:, None] * (half * _RULE_NODES)
+    at_mid = s[:, None] * mid
+    return c[:, None] * (np.cos(at_mid) * (np.cos(phase) @ fw.T)
+                         - np.sin(at_mid) * (np.sin(phase) @ fw.T))
+
+
+def project_callable(f, basis: SpectralBasis, modes, tol: float = 1e-10) -> np.ndarray:
+    """Projections <f, phi_n> over (0, L) of a callable f, for each n in `modes`.
+
+    f is called once per refinement level on a 1-D array of points; if it
+    raises TypeError/ValueError or its result does not broadcast to the
+    points, it is called once per point with a float instead.  Raises
+    QuadratureNonConvergence on a non-finite sample or after _MAX_LEVELS
+    levels of refinement.
+    """
+    idx = np.asarray(modes, dtype=int).reshape(-1) - 1
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= basis.size:
+        raise ValueError(f"modes must lie in 1..{basis.size}")
+    L = basis.L
+    # Row 0 is int f itself (s = 0, c = 1); it only feeds the error test.
+    s = np.concatenate([[0.0], basis.s[idx]])
+    c = np.concatenate([[1.0], basis.c[idx]])
+    count = max(8, int(s.max() * L / math.pi) + 1)
+    width = L / count
+    lo = width * np.arange(count)
+    whole = _panel_integrals(f, s, c, lo, width)
+    total = np.zeros(len(s))
+    budget = tol
+    for _ in range(_MAX_LEVELS + 1):
+        width *= 0.5
+        halves = _panel_integrals(f, s, c, np.concatenate([lo, lo + width]), width)
+        left, right = np.split(halves, 2, axis=1)
+        refined = left + right
+        err = np.max(np.abs(refined - whole), axis=0)
+        ok = (err <= tol * 2.0 * width / L) | (err.sum() <= budget)
+        budget -= err[ok].sum()
+        total += refined[:, ok].sum(axis=1)
+        if ok.all():
+            return total[1:]
+        fail = ~ok
+        lo = np.concatenate([lo[fail], lo[fail] + width])
+        whole = np.concatenate([left[:, fail], right[:, fail]], axis=1)
+    raise QuadratureNonConvergence(
+        f"projection did not reach tol={tol} after {_MAX_LEVELS} levels; "
+        f"{len(lo)} panels left near x={lo[0]!r}"
+    )
+
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
                      max_depth: int = 48, initial_panels: int = 8) -> float:
@@ -270,23 +372,14 @@ def shape_projection(shape: ShapeFunction, basis: SpectralBasis, n: int) -> floa
 def project(f, basis: SpectralBasis, n: int, tol: float = 1e-10) -> float:
     """L2 projection <f, phi_n> over (0, L).
 
-    `f` is either a ShapeFunction (exact closed forms) or a plain callable
-    (adaptive Simpson quadrature at absolute tolerance `tol`).
+    `f` is either a ShapeFunction (exact closed forms) or a plain callable,
+    projected by `project_callable` to absolute error `tol`.
     """
     if n > basis.size:
         raise ValueError(f"mode {n} exceeds basis size {basis.size}")
     if isinstance(f, ShapeFunction):
         return shape_projection(f, basis, n)
-    sn = float(basis.s[n - 1])
-    cn = float(basis.c[n - 1])
-
-    def integrand(x):
-        return f(x) * cn * math.cos(sn * x)
-
-    # Resolve every oscillation of phi_n before the error test can fire.
-    panels = max(8, 4 * (int(sn * basis.L / math.pi) + 1))
-    return adaptive_simpson(integrand, 0.0, basis.L, tol=tol,
-                            initial_panels=panels)
+    return float(project_callable(f, basis, [n], tol=tol)[0])
 
 
 def input_projection_row(shapes, basis: SpectralBasis, n: int) -> np.ndarray:

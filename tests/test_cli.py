@@ -100,6 +100,32 @@ class TestSynthesize:
         np.testing.assert_allclose(sorted(np.linalg.eigvals(closed).real),
                                    expected, rtol=1e-7)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma2", math.nan),
+        ("gamma1", math.inf),
+        ("L", math.inf),
+        ("D", math.nan),
+        ("Q", math.nan),
+        ("shapes", math.nan),
+    ])
+    def test_non_finite_plant_input_exit_code(self, tmp_path, field, value,
+                                              capsys):
+        obj = example_plant_dict()
+        if field == "D":
+            obj["D"][1] = value
+        elif field == "Q":
+            obj["Q"][0][2] = value
+        elif field == "shapes":
+            obj["shapes"][0] = {"kind": "polynomial", "params": [1.0, value]}
+        else:
+            obj[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_simulate_with_gains_file(self, tmp_path, plant_file, initial_file,
@@ -184,6 +210,18 @@ class TestSimulate:
                    "--M-modes", "2", "--initial", initial_file,
                    "--out-dir", str(tmp_path)])
         assert rc == 1
+
+    def test_non_finite_initial_profile_exit_code(self, tmp_path, plant_file,
+                                                  capsys):
+        init = tmp_path / "nan.json"
+        init.write_text(json.dumps([{"kind": "cosine", "params": [math.nan, 1, 0]},
+                                    {"kind": "cosine", "params": [1, 1, 0]},
+                                    {"kind": "cosine", "params": [1, 1, 0]}]))
+        rc = main(["simulate", "--plant", plant_file, "--delta", "9", "--N", "3",
+                   "--initial", str(init), "--t-final", "0.2",
+                   "--out-dir", str(tmp_path / "sim")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestUsageErrors:

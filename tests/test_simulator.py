@@ -57,6 +57,26 @@ class TestProjectInitial:
         coeffs = project_initial([lambda x: 0.0, lambda x: 0.0], demo_basis, 5)
         assert np.all(coeffs == 0.0)
 
+    def test_evaluation_budget(self, demo_initial):
+        # Deterministic stand-in for a timing test: points at which each
+        # callable profile is evaluated grow linearly in M.
+        for M, limit in ((30, 2000), (200, 60 * 200)):
+            basis = build_basis(math.pi, 1.0, 0.0, M)
+            for f in demo_initial:
+                seen = []
+
+                def counted(x, f=f, seen=seen):
+                    seen.append(np.size(x))
+                    return f(x)
+
+                project_initial([counted], basis, M)
+                assert sum(seen) <= limit
+
+    def test_matches_shape_closed_forms(self, demo_basis):
+        shape = ShapeFunction.polynomial(1.0, -0.3)
+        coeffs = project_initial([shape, lambda x: shape(x)], demo_basis, 12)
+        np.testing.assert_allclose(coeffs[:, 1], coeffs[:, 0], rtol=0.0, atol=1e-10)
+
 
 class TestAssembleClosedLoop:
     def test_zero_gain_is_block_diagonal(self, demo_plant, demo_basis):
@@ -281,3 +301,31 @@ class TestCsvExport:
         field_lines = field_path.read_text().splitlines()
         assert field_lines[0] == "t,x,z1,z2,z3"
         assert len(field_lines) == 1 + len(traj.times) * 5
+
+    def test_exact_bytes(self, tmp_path, demo_basis):
+        from cascade_stab.simulator import Trajectory
+
+        times = np.array([0.0, 0.5])
+        modal = np.array([[[1.0, -2.5e-7], [1.0 / 3.0, -0.0]],
+                          [[0.1, 2.0e300], [-1.0 / 7.0, 5e-324]]])
+        traj = Trajectory(times=times, modal=modal, l2_norm=np.array([2.0, 0.25]))
+        grid = np.array([0.0, 1.5])
+        export_modal_csv(traj, str(tmp_path / "modal.csv"))
+        export_field_csv(traj, demo_basis, grid, str(tmp_path / "field.csv"))
+        export_norms_csv(traj, 1.5, 3.0, str(tmp_path / "norms.csv"))
+
+        def line(*values):
+            return ",".join(repr(float(v)) for v in values) + "\n"
+
+        expected_modal = "t,z_1_1,z_2_1,z_1_2,z_2_2\n" + "".join(
+            line(times[k], *modal[k].reshape(-1)) for k in range(2))
+        fields = reconstruct_field(traj, demo_basis, grid)
+        expected_field = "t,x,z1,z2\n" + "".join(
+            line(times[k], grid[p], fields[k, 0, p], fields[k, 1, p])
+            for k in range(2) for p in range(2))
+        expected_norms = "t,l2norm,bound\n" + "".join(
+            line(t, n, 1.5 * np.exp(-3.0 * t) * 2.0)
+            for t, n in zip(times, traj.l2_norm))
+        assert (tmp_path / "modal.csv").read_text() == expected_modal
+        assert (tmp_path / "field.csv").read_text() == expected_field
+        assert (tmp_path / "norms.csv").read_text() == expected_norms

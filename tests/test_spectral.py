@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cascade_stab.errors import QuadratureNonConvergence
 from cascade_stab.model import ShapeFunction
 from cascade_stab.spectral import (
     adaptive_simpson,
@@ -10,6 +11,8 @@ from cascade_stab.spectral import (
     expand,
     input_projection_row,
     project,
+    project_callable,
+    shape_projection,
 )
 
 
@@ -116,6 +119,57 @@ class TestProject:
             exact = project(shape, demo_basis, n)
             quad = project(lambda x: shape(float(x)), demo_basis, n, tol=1e-12)
             assert exact == pytest.approx(quad, abs=1e-8)
+
+
+class TestProjectCallable:
+    def test_gram_matrix_is_identity(self):
+        basis = build_basis(math.pi, 1.0, 1.0, 10)
+        modes = range(1, 11)
+        G = np.array([project_callable(lambda x, i=i: basis.phi(i, x), basis, modes)
+                      for i in modes])
+        assert np.max(np.abs(G - np.eye(10))) <= 1e-8
+
+    def test_scalar_only_callable(self, demo_basis):
+        shape = ShapeFunction.polynomial(0.3, -0.2, 0.05, 0.01)
+        got = project_callable(lambda x: shape(float(x)), demo_basis, range(1, 9))
+        exact = [shape_projection(shape, demo_basis, n) for n in range(1, 9)]
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-10)
+
+    def test_constant_callables(self, demo_basis):
+        assert np.all(project_callable(lambda x: 0.0, demo_basis, range(1, 6)) == 0.0)
+        got = project_callable(lambda x: 2.5, demo_basis, range(1, 6))
+        exact = [2.5 * shape_projection(ShapeFunction.polynomial(1.0), demo_basis, n)
+                 for n in range(1, 6)]
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-10)
+
+    def test_discontinuous_callable_matches_closed_form(self, demo_basis):
+        shape = ShapeFunction.indicator(0.7, 1.9)
+        got = project_callable(lambda x: shape(x), demo_basis, range(1, 31))
+        exact = [shape_projection(shape, demo_basis, n) for n in range(1, 31)]
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-9)
+
+    def test_band_limited_data_at_high_mode(self):
+        basis = build_basis(math.pi, 1.0, 0.0, 200)
+
+        def f(x):
+            return 0.5 * basis.phi(3, x) - 2.0 * basis.phi(150, x)
+
+        got = project_callable(f, basis, range(1, 201))
+        expected = np.zeros(200)
+        expected[2], expected[149] = 0.5, -2.0
+        assert np.max(np.abs(got - expected)) <= 1e-9
+
+    def test_nan_callable_raises(self, demo_basis):
+        with pytest.raises(QuadratureNonConvergence):
+            project_callable(lambda x: np.full_like(x, np.nan), demo_basis, [1, 2])
+        with pytest.raises(QuadratureNonConvergence):
+            project(lambda x: float("nan"), demo_basis, 1)
+
+    def test_modes_out_of_range(self, demo_basis):
+        with pytest.raises(ValueError):
+            project_callable(lambda x: x, demo_basis, [0])
+        with pytest.raises(ValueError):
+            project_callable(lambda x: x, demo_basis, [demo_basis.size + 1])
 
 
 class TestInputProjectionRow:
