@@ -169,7 +169,7 @@ def cmd_simulate(args) -> int:
         )
     z0_funcs = load_initial(args.initial, plant.m)
     config = simulator.SimConfig(M_modes=args.M_modes, t_final=args.t_final,
-                                 dt_out=args.dt_out, grid_points=args.grid_points)
+                                 dt_out=args.dt_out)
     # the certificate bound is a closed-loop statement; skip it open loop
     traj = simulator.run_closed_loop(plant, controller, basis, z0_funcs, config,
                                      open_loop=args.open_loop,

@@ -27,7 +27,7 @@ class NonPositiveDiffusion(PlantInputError):
 
 
 class DegenerateBoundary(PlantInputError):
-    """Both boundary coefficients at x=L vanish."""
+    """The boundary coefficients at x=L both vanish or have opposite signs."""
 
 
 class BadShape(PlantInputError):

@@ -220,6 +220,10 @@ def validate_plant(spec: PlantSpec, diffusion_tol: float = 0.0) -> ValidatedPlan
         raise PlantInputError("domain length L must be positive")
     if spec.gamma1 == 0.0 and spec.gamma2 == 0.0:
         raise DegenerateBoundary("gamma1 and gamma2 cannot both vanish")
+    if spec.gamma1 * spec.gamma2 < 0.0:
+        # The problem then has a negative eigenvalue with a cosh
+        # eigenfunction, which the cosine basis cannot represent.
+        raise DegenerateBoundary("gamma1 and gamma2 must not have opposite signs")
 
     # Cascade form: zeros strictly below the first subdiagonal.
     for i in range(m):

@@ -5,9 +5,19 @@ The closed loop truncated at M modes is the LTI system
     zdot_n = (-lambda_n D + Q) z_n + B * Brow_n * K * z^N,   n = 1..M,
 
 with Brow_n the mode-n projections of the shape functions.  Modes couple
-only through z^N, so the truncation is exact for the retained block.  Time
-stepping applies the matrix exponential of (dt * system) repeatedly, which
-is exact for the LTI dynamics up to the exponential evaluation error.
+only through z^N, so the truncation is exact for the retained block, and
+the generator is block lower triangular:
+
+    [[A_NN, 0], [A_TN, blockdiag(A_n, n > N)]].
+
+`integrate` propagates it exactly on the output grid without forming the
+dense exponential.  The retained modes R together with any group g of tail
+modes are a closed set (z_R depends on z_R only, z_g on z_g and z_R), so
+expm(dt * system) restricted to R and g is expm of the system restricted to
+R and g.  The tail is cut into groups of k modes, with k minimizing the
+exponential flop count ceil((M - N)/k) * (mN + mk)^3 over k = 1..M-N; k =
+M - N is the dense exponential, so the choice never costs more flops than
+it.  One stacked expm serves all groups.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from .errors import ZeroNorm
 from .model import ShapeFunction, ValidatedPlant
 from .spectral import (
     SpectralBasis,
+    expand,
     extend_basis,
     input_projection_row,
     project,
@@ -39,7 +50,6 @@ class SimConfig:
     M_modes: int = 30
     t_final: float = 1.0
     dt_out: float | None = None  # defaults to t_final / 400
-    grid_points: int = 101
     fit_window: tuple[float, float] = (0.2, 1.0)
 
     def resolved_dt(self) -> float:
@@ -109,34 +119,94 @@ def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
     return A
 
 
+def _retained_width(system: np.ndarray, M: int, m: int) -> int:
+    """Number R of leading (retained) modes that other modes may depend on.
+
+    Mode blocks are m x m.  R is one past the last block column holding an
+    entry off the block diagonal, so every tail mode depends only on itself
+    and the retained modes, and no retained mode depends on the tail.
+    """
+    off = system != 0.0
+    diag = np.arange(M)
+    off.reshape(M, m, M, m)[diag, :, diag, :] = False
+    coupled = np.flatnonzero(off.any(axis=0))
+    return int(coupled[-1]) // m + 1 if coupled.size else 0
+
+
+def _group_size(R: int, M: int, m: int) -> int:
+    """Tail modes k per exponentiated group, k = 1..M-R; 0 without a tail.
+
+    k minimizes ceil((M-R)/k) * (mR + mk)^3, the flops of one (mR + mk)^2
+    exponential per group; k = M - R is the single dense exponential.
+    """
+    k = np.arange(1, M - R + 1)
+    cost = -(-(M - R) // k) * (m * R + m * k).astype(float) ** 3
+    return int(np.argmin(cost)) + 1 if k.size else 0
+
+
 def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
               dt_out: float) -> Trajectory:
     """Propagate zdot = system z exactly on the output grid.
 
-    z0 may be (M, m) modal coefficients or an already-flat vector; the
-    trajectory records every dt_out from 0 through t_final.
+    z0 may be (M, m) modal coefficients or an already-flat vector (m = 1);
+    the trajectory records every dt_out from 0 through t_final.
+
+    The retained width R is read off the matrix (`_retained_width`), so any
+    matrix is handled; one with no block structure has R = M and is a
+    single group, the dense exponential.  The tail modes go into groups of
+    k (`_group_size`); the last group overlaps its neighbour when k does
+    not divide M - R.  From the one stacked expm: the retained block steps
+    with its own propagator F_RR, the drive F_TR z_R on every tail mode is
+    one product over all steps, and the tail recurrence is summed by a
+    doubling scan over the steps with powers of the m x m blocks F_nn.
     """
     z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 2:
-        M, m = z0.shape
-        state = z0.reshape(-1).copy()
-    else:
-        state = z0.copy()
-        M, m = len(state), 1
+    M, m = z0.shape if z0.ndim == 2 else (len(z0), 1)
     steps = int(round(t_final / dt_out))
     if abs(steps * dt_out - t_final) > 1e-9 * max(t_final, 1.0):
         steps = int(np.ceil(t_final / dt_out))
-    propagator = scipy.linalg.expm(system * dt_out)
+    A = np.asarray(system, dtype=float)
 
-    times = np.empty(steps + 1)
+    R = _retained_width(A, M, m)
+    r, tail = m * R, M - R
+    k = _group_size(R, M, m)
+    groups = -(-tail // k) if k else 1
+    starts = np.minimum(np.arange(groups) * k, tail - k) + R
+    idx = np.concatenate(
+        [np.broadcast_to(np.arange(r), (groups, r)),
+         m * starts[:, None] + np.arange(m * k)], axis=1)
+    F = scipy.linalg.expm(A[idx[:, :, None], idx[:, None, :]] * dt_out)
+
+    # Tail mode t is read from group g[t], at rows rows[t] of F[g[t]].
+    t = np.arange(tail)
+    g = np.minimum(t // max(k, 1), groups - 1)
+    rows = r + m * (t + R - starts[g])[:, None] + np.arange(m)
+    F_TR = F[g[:, None], rows, :r].reshape(tail * m, r)
+    F_TT = F[g[:, None, None], rows[:, :, None], rows[:, None, :]]
+
+    Z_R = np.empty((steps + 1, r))
+    Z_R[0] = z0.reshape(-1)[:r]
+    F_RR_T = np.ascontiguousarray(F[0, :r, :r].T)
+    for j in range(steps):
+        np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
+
+    # Tail modes obey x_{j+1} = F_TT x_j + F_TR z_R(j).  Load X[..., j]
+    # with what enters at sample j, then sum the recurrence as a doubling
+    # scan: after the pass with shift s, X[..., j] holds the terms of the
+    # last 2s samples, each carried forward by the matching power of F_TT.
+    X = np.empty((tail, m, steps + 1))
+    X[:, :, 0] = z0.reshape(M, m)[R:]
+    X[:, :, 1:] = (F_TR @ Z_R[:-1].T).reshape(tail, m, steps)
+    power, shift = F_TT, 1
+    while shift <= steps:
+        X[:, :, shift:] += power @ X[:, :, :-shift]
+        power, shift = power @ power, 2 * shift
+
     modal = np.empty((steps + 1, M, m))
-    norms = np.empty(steps + 1)
-    for k in range(steps + 1):
-        times[k] = k * dt_out
-        modal[k] = state.reshape(M, m)
-        norms[k] = float(np.linalg.norm(state))
-        if k < steps:
-            state = propagator @ state
+    modal[:, :R] = Z_R.reshape(steps + 1, R, m)
+    modal[:, R:] = X.transpose(2, 0, 1)
+    times = np.arange(steps + 1) * dt_out
+    norms = np.linalg.norm(modal.reshape(steps + 1, -1), axis=1)
     return Trajectory(times=times, modal=modal, l2_norm=norms)
 
 
@@ -193,25 +263,15 @@ def target_residual(traj: Trajectory, plant: ValidatedPlant,
     A_cl = scipy.linalg.block_diag(*A_blocks)
 
     defect = T @ A_cl - H @ T
-    worst = 0.0
-    scale = _NORM_FLOOR
-    for k in range(len(traj.times)):
-        zN = traj.modal[k, :N, :].reshape(-1)
-        y = T @ zN
-        worst = max(worst, float(np.linalg.norm(defect @ zN)))
-        scale = max(scale, float(np.linalg.norm(H @ y)))
+    ZN = traj.modal[:, :N, :].reshape(len(traj.times), m * N).T  # one column per sample
+    worst = float(np.max(np.linalg.norm(defect @ ZN, axis=0)))
+    scale = max(_NORM_FLOOR, float(np.max(np.linalg.norm(H @ (T @ ZN), axis=0))))
     return worst / scale
 
 
 def reconstruct_field(traj: Trajectory, basis: SpectralBasis, grid) -> np.ndarray:
     """Partial-sum fields z_i(t, x), shape (T, m, len(grid))."""
-    from .spectral import expand
-
-    x = np.asarray(grid, dtype=float)
-    out = np.empty((len(traj.times), traj.m, len(x)))
-    for k in range(len(traj.times)):
-        out[k] = expand(traj.modal[k], basis, x)
-    return out
+    return expand(traj.modal, basis, grid)
 
 
 def run_closed_loop(plant: ValidatedPlant, controller: Controller,

@@ -392,17 +392,18 @@ def input_projection_row(shapes, basis: SpectralBasis, n: int) -> np.ndarray:
 def expand(coeffs, basis: SpectralBasis, grid) -> np.ndarray:
     """Partial eigenfunction sum on a spatial grid.
 
-    coeffs has one m-vector per mode (shape n_modes x m); the result has
-    shape m x len(grid), component i evaluated as sum_n coeffs[n, i] phi_n(x).
+    coeffs has one m-vector per mode (shape n_modes x m), optionally stacked
+    (shape ... x n_modes x m); the result has shape ... x m x len(grid),
+    component i evaluated as sum_n coeffs[..., n, i] phi_n(x).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     x = np.asarray(grid, dtype=float)
-    n_modes = coeffs.shape[0]
+    n_modes = coeffs.shape[-2]
     if n_modes > basis.size:
         raise ValueError("more coefficient rows than basis functions")
     # phi_matrix[n, p] = phi_{n+1}(x_p)
     phi_matrix = basis.c[:n_modes, None] * np.cos(basis.s[:n_modes, None] * x[None, :])
-    return coeffs.T @ phi_matrix
+    return np.swapaxes(coeffs, -1, -2) @ phi_matrix
 
 
 def basis_to_dict(basis: SpectralBasis) -> dict:

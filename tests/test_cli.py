@@ -126,6 +126,17 @@ class TestSynthesize:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_opposite_sign_robin_exit_code(self, tmp_path, capsys):
+        obj = example_plant_dict()
+        obj["gamma2"] = -1.0
+        path = tmp_path / "robin.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "opposite signs" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "gains.json").exists()
+
 
 class TestSimulate:
     def test_simulate_with_gains_file(self, tmp_path, plant_file, initial_file,

@@ -75,6 +75,14 @@ class TestValidation:
         with pytest.raises(DegenerateBoundary):
             validate_plant(make_spec(gamma1=0.0, gamma2=0.0))
 
+    def test_opposite_sign_robin_rejected(self):
+        # gamma1 * gamma2 < 0 adds a negative eigenvalue with a cosh
+        # eigenfunction (lambda ~ -1.007 for L = pi, gamma = (1, -1)).
+        for g1, g2 in ((1.0, -1.0), (-2.0, 0.5)):
+            with pytest.raises(DegenerateBoundary):
+                validate_plant(make_spec(gamma1=g1, gamma2=g2))
+        validate_plant(make_spec(gamma1=-1.0, gamma2=-1.0))
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(BadShape):
             validate_plant(make_spec(shapes=(ShapeFunction.indicator(0.5, 0.2),)))

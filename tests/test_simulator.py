@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cascade_stab.errors import ZeroNorm
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
@@ -19,9 +20,10 @@ from cascade_stab.simulator import (
     run_closed_loop,
     target_residual,
 )
-from cascade_stab.spectral import adaptive_simpson, build_basis
-from cascade_stab.synthesis import Controller, build_controller, certificate
-from cascade_stab.transform import solve_transform_family
+from cascade_stab.simulator import _group_size, _retained_width
+from cascade_stab.spectral import adaptive_simpson, build_basis, expand
+from cascade_stab.synthesis import Controller, build_controller, certificate, closed_block
+from cascade_stab.transform import mode_transform, solve_transform_family
 
 DEMO_OFFSETS = (4.0, 6.0, 9.0)
 
@@ -143,6 +145,83 @@ class TestIntegrate:
         assert certificate_bound_holds(traj, cert.M, 9.0)
 
 
+def dense_integrate(system, z0, t_final, dt_out):
+    """Reference propagator: the dense expm(system dt) applied step by step."""
+    steps = int(round(t_final / dt_out))
+    propagator = scipy.linalg.expm(system * dt_out)
+    states = [np.asarray(z0, dtype=float).reshape(-1)]
+    for _ in range(steps):
+        states.append(propagator @ states[-1])
+    return np.array(states)
+
+
+def worst_relative_gap(traj, reference):
+    flat = traj.modal.reshape(len(traj.times), -1)
+    return float(np.max(np.linalg.norm(flat - reference, axis=1)
+                        / np.linalg.norm(reference, axis=1)))
+
+
+class TestBlockIntegrator:
+    """Block propagation against the dense oracle, per sample."""
+
+    def _demo_system(self, plant, ctl, M):
+        basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
+        return basis, assemble_closed_loop(plant, ctl, basis, M)
+
+    @pytest.mark.parametrize("M, tol", [(30, 1e-10), (200, 1e-9)])
+    def test_demo_closed_loop(self, demo_plant, demo_initial, demo_closed_loop,
+                              M, tol):
+        _family, ctl, _cert = demo_closed_loop
+        basis, A = self._demo_system(demo_plant, ctl, M)
+        assert _retained_width(A, M, 3) == 3
+        z0 = project_initial(demo_initial, basis, M)
+        traj = integrate(A, z0, 1.0, 1.0 / 400.0)
+        assert worst_relative_gap(traj, dense_integrate(A, z0, 1.0, 1.0 / 400.0)) <= tol
+
+    def test_open_loop_has_no_retained_block(self, demo_plant, demo_basis,
+                                             demo_initial):
+        zero = Controller(delta=9.0, N=0, N_min=0, K_Q=np.zeros(3), P=np.eye(3),
+                          Kbar=np.zeros((0, 3)), Bmat=np.zeros((0, 0)),
+                          cond_B=1.0, K=np.zeros((0, 0)))
+        A = assemble_closed_loop(demo_plant, zero, demo_basis, 20)
+        assert _retained_width(A, 20, 3) == 0
+        z0 = project_initial(demo_initial, demo_basis, 20)
+        traj = integrate(A, z0, 0.5, 0.5 / 200.0)
+        assert worst_relative_gap(traj, dense_integrate(A, z0, 0.5, 0.5 / 200.0)) <= 1e-10
+
+    def test_overlapping_last_group(self, demo_plant):
+        shapes = tuple(ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1)
+                       for j in range(1, 6))
+        plant = validate_plant(PlantSpec(
+            m=3, D=demo_plant.D, Q=demo_plant.Q, L=demo_plant.L,
+            gamma1=1.0, gamma2=0.0, shapes=shapes))
+        basis = build_basis(plant.L, 1.0, 0.0, 12)
+        ctl = build_controller(plant, 9.0, N=5, basis=basis)
+        A = assemble_closed_loop(plant, ctl, basis, 12)
+        # 7 tail modes in groups of 2: the fourth group overlaps the third.
+        assert _retained_width(A, 12, 3) == 5
+        assert _group_size(5, 12, 3) == 2
+        z0 = np.linspace(1.0, -0.5, 36).reshape(12, 3)
+        traj = integrate(A, z0, 1.0, 1.0 / 400.0)
+        assert worst_relative_gap(traj, dense_integrate(A, z0, 1.0, 1.0 / 400.0)) <= 1e-10
+
+    def test_unstructured_matrix_is_one_group(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((6, 6))
+        z0 = rng.standard_normal(6)
+        assert _retained_width(A, 6, 1) == 6
+        traj = integrate(A, z0, 1.0, 0.01)
+        assert worst_relative_gap(traj, dense_integrate(A, z0, 1.0, 0.01)) <= 1e-10
+
+    def test_norm_matches_coefficients(self, demo_plant, demo_initial,
+                                       demo_closed_loop):
+        _family, ctl, _cert = demo_closed_loop
+        basis, A = self._demo_system(demo_plant, ctl, 30)
+        traj = integrate(A, project_initial(demo_initial, basis, 30), 1.0, 1.0 / 400.0)
+        recomputed = np.array([np.linalg.norm(z) for z in traj.modal])
+        np.testing.assert_allclose(traj.l2_norm, recomputed, rtol=1e-12, atol=0.0)
+
+
 class TestEstimateDecay:
     def test_synthetic_exponential(self):
         times = np.linspace(0.0, 1.0, 401)
@@ -212,6 +291,31 @@ class TestTargetResidual:
         dirty = target_residual(traj, demo_plant, bad, family, demo_basis)
         assert dirty > max(clean * 10.0, 1e-4)
 
+    def test_matches_per_sample_loop(self, demo_plant, demo_basis, demo_initial,
+                                     demo_closed_loop):
+        # Reference: the defect and the scale taken one sample at a time.
+        family, ctl, _cert = demo_closed_loop
+        bad = Controller(delta=ctl.delta, N=ctl.N, N_min=ctl.N_min, K_Q=ctl.K_Q,
+                         P=ctl.P, Kbar=ctl.Kbar * 1.1, Bmat=ctl.Bmat,
+                         cond_B=ctl.cond_B, K=ctl.K)
+        cfg = SimConfig(M_modes=30, t_final=1.0)
+        traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
+        lams = demo_basis.lam[:3]
+        T = scipy.linalg.block_diag(*[mode_transform(family, float(lam), n, 3).matrix
+                                      for n, lam in enumerate(lams, start=1)])
+        H = scipy.linalg.block_diag(*[closed_block(demo_plant, bad.K_Q, float(lam))
+                                      for lam in lams])
+        blocks = []
+        for n, lam in enumerate(lams):
+            block = -float(lam) * np.diag(demo_plant.D) + demo_plant.Q
+            block[0, :] += bad.Kbar[n]
+            blocks.append(block)
+        defect = T @ scipy.linalg.block_diag(*blocks) - H @ T
+        worst = max(np.linalg.norm(defect @ z[:3].reshape(-1)) for z in traj.modal)
+        scale = max(np.linalg.norm(H @ (T @ z[:3].reshape(-1))) for z in traj.modal)
+        res = target_residual(traj, demo_plant, bad, family, demo_basis)
+        assert res == pytest.approx(worst / scale, rel=1e-12)
+
 
 class TestReconstructField:
     def test_zero_data(self, demo_basis):
@@ -232,6 +336,18 @@ class TestReconstructField:
         fields = reconstruct_field(traj, demo_basis, grid)
         np.testing.assert_allclose(fields[0, 0], 2.0 * demo_basis.phi(1, grid),
                                    atol=1e-13)
+
+    def test_matches_per_sample_expand(self, demo_basis):
+        # Same floats, hence the same field.csv bytes, as expanding each
+        # time sample on its own.
+        from cascade_stab.simulator import Trajectory
+
+        modal = np.random.default_rng(41).standard_normal((41, 40, 3))
+        traj = Trajectory(times=np.arange(41) * 0.025, modal=modal,
+                          l2_norm=np.ones(41))
+        grid = np.linspace(0.0, math.pi, 101)
+        per_sample = np.stack([expand(z, demo_basis, grid) for z in modal])
+        assert np.array_equal(reconstruct_field(traj, demo_basis, grid), per_sample)
 
     def test_parseval_consistency(self, demo_plant, demo_basis):
         # band-limited initial data: modal norm equals the quadrature L2 norm
