@@ -32,21 +32,6 @@ EXIT_INTERNAL = 3
 EXIT_VERIFY = 4
 
 
-def _atomic_json(path: str, obj) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _atomic_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _load_validated(args) -> model.ValidatedPlant:
     spec = model.load_plant(args.plant)
     return model.validate_plant(spec, diffusion_tol=getattr(args, "diffusion_tol", 0.0))
@@ -127,13 +112,14 @@ def cmd_synthesize(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     gains_path = os.path.join(args.out_dir, "gains.json")
-    _atomic_json(gains_path, synthesis.gains_to_dict(controller, cert))
+    model.write_json(gains_path, synthesis.gains_to_dict(controller, cert))
     report = _report_text(plant, controller, cert, basis)
-    _atomic_text(os.path.join(args.out_dir, "report.txt"), report)
+    with model.atomic_write(os.path.join(args.out_dir, "report.txt")) as fh:
+        fh.write(report)
     sys.stdout.write(report)
     if args.dump_basis:
-        _atomic_json(os.path.join(args.out_dir, "basis.json"),
-                     spectral.basis_to_dict(basis))
+        model.write_json(os.path.join(args.out_dir, "basis.json"),
+                         spectral.basis_to_dict(basis))
     if args.dump_transform:
         dump = transform.family_to_dict(family)
         dump["modes"] = [
@@ -142,7 +128,7 @@ def cmd_synthesize(args) -> int:
                                                  n, controller.N).matrix]
             for n in range(1, controller.N + 1)
         ]
-        _atomic_json(os.path.join(args.out_dir, "transform.json"), dump)
+        model.write_json(os.path.join(args.out_dir, "transform.json"), dump)
     return 0
 
 
@@ -336,7 +322,8 @@ def cmd_bench(args) -> int:
         lines.append(f"{N},{tm!r},{td!r},{ratio!r}")
     text = "\n".join(lines) + "\n"
     os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_text(os.path.join(args.out_dir, "bench.csv"), text)
+    with model.atomic_write(os.path.join(args.out_dir, "bench.csv")) as fh:
+        fh.write(text)
     sys.stdout.write(text)
     return 0
 
@@ -418,7 +405,7 @@ def main(argv=None) -> int:
     except HypothesisHViolated as exc:
         sys.stderr.write(f"hypothesis (H) violated: {exc}\n")
         return EXIT_HYPOTHESIS
-    except (PlantInputError, FileNotFoundError, ValueError) as exc:
+    except (PlantInputError, OSError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except InternalError as exc:

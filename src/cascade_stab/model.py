@@ -13,6 +13,7 @@ B = e_1.  B is implicit everywhere and never stored.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -309,12 +310,33 @@ def load_plant(path: str) -> PlantSpec:
     return plant_from_dict(obj)
 
 
-def save_plant(plant, path: str) -> None:
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Yield a text file that replaces `path` when the block completes.
+
+    The text goes to `<path>.tmp.<pid>` first.  If the block raises, the tmp
+    file is deleted and `path` is left as it was.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(plant_to_dict(plant), fh, indent=2)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json(path: str, obj) -> None:
+    """Atomically write `obj` as indented JSON plus a trailing newline."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
+
+
+def save_plant(plant, path: str) -> None:
+    write_json(path, plant_to_dict(plant))
 
 
 def example_plant_dict() -> dict:

@@ -22,13 +22,17 @@ it.  One stacked expm serves all groups.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ZeroNorm
-from .model import ShapeFunction, ValidatedPlant
+from .model import ShapeFunction, ValidatedPlant, atomic_write
 from .spectral import (
     SpectralBasis,
     expand,
@@ -37,7 +41,7 @@ from .spectral import (
     project,
     project_callable,
 )
-from .synthesis import Controller, closed_block
+from .synthesis import Controller, closed_block, zero_controller
 from .transform import TransformFamily, mode_transform
 
 _NORM_FLOOR = 1e-300
@@ -283,10 +287,7 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
     basis = extend_basis(basis, config.M_modes)
     ctl = controller
     if open_loop:
-        ctl = Controller(delta=controller.delta, N=0, N_min=controller.N_min,
-                         K_Q=np.zeros(plant.m), P=np.eye(plant.m),
-                         Kbar=np.zeros((0, plant.m)), Bmat=np.zeros((0, 0)),
-                         cond_B=1.0, K=np.zeros((0, 0)))
+        ctl = zero_controller(controller.delta, controller.N_min, plant.m)
     system = assemble_closed_loop(plant, ctl, basis, config.M_modes)
     z0 = project_initial(z0_funcs, basis, config.M_modes)
     traj = integrate(system, z0, config.t_final, config.resolved_dt())
@@ -301,35 +302,136 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 
 # ---------------------------------------------------------------------------
 # CSV export.  Full-precision reals (repr), deterministic layout.
+#
+# Formatting is the cost: every value goes through float repr (shortest
+# round trip), which no other formatter here matches byte for byte at lower
+# cost.  So the writers cut it down where they can and spread the rest over
+# processors:
+#
+# - The text streams into the file one time step at a time; neither the
+#   whole text nor a whole-table `.tolist()` is ever built, so the peak
+#   memory stays near that of the arrays being written.
+# - Repeated prefixes are formatted once: the t column (T reprs) and, in
+#   field.csv, the x column (G reprs) instead of 2*T*G.
+# - The time steps are cut into P contiguous blocks.  Blocks 2..P are
+#   formatted by forked child processes, each into an unnamed temporary file
+#   in the output directory; the parent writes block 1, then appends each
+#   child's file in order.  Processes, not threads: repr holds the
+#   interpreter lock, so threads would take turns.
+# - The bytes must not depend on P: identical inputs give identical files on
+#   any host, whatever its CPU count, load or process limit.  So every block
+#   holds the same text whichever process formats it, and a block whose
+#   fork fails or whose child exits non-zero is formatted by the parent.
+# - P = min(CPUs this process may run on, _MAX_WORKERS,
+#   values // _VALUES_PER_WORKER, time steps); P = 1 forks nothing.  On a
+#   2-CPU host with a 160 MB parent, fork + exit + wait took about 6 ms and
+#   repr about 1.15 us per value, so a fork costs about 5000 values;
+#   _VALUES_PER_WORKER is three times that.  The parent itself is held up
+#   about 2 ms per fork before it starts block 1; _MAX_WORKERS keeps that
+#   under about 15 ms.
+# - The child is safe to fork: it only formats Python floats and writes its
+#   own file, so it runs no BLAS and takes no lock another thread could have
+#   held at the fork, and it leaves through os._exit, so no cleanup or
+#   buffered output of the parent's runs twice.  (Python 3.12+ raises a
+#   DeprecationWarning on fork when the process has threads, e.g. those of
+#   a multi-threaded BLAS; for this child that warning does not apply.)
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write the header, then one line per row of Python floats, as repr."""
-    lines = [header]
-    lines += [",".join(map(repr, row)) for row in rows]
-    lines.append("")  # trailing newline without copying the joined text
-    _atomic_write(path, "\n".join(lines))
+_MAX_WORKERS = 8
+_VALUES_PER_WORKER = 15_000
 
 
-# The writers below convert one time step at a time with .tolist(): turning
-# a whole trajectory into Python floats at once raises the peak memory.
+def _worker_count(values: int, steps: int) -> int:
+    """Processes that format a table of `values` numbers over `steps` steps."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, _MAX_WORKERS, values // _VALUES_PER_WORKER, steps))
+
+
+def _fork_block(part, chunks, start: int, stop: int) -> int | None:
+    """Fork a child writing chunks(start, stop) to `part`; its pid, or None."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            part.writelines(chunks(start, stop))
+            part.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _join(children: list, k: int) -> bool:
+    """Wait for child k if it was forked; True when it exited with status 0."""
+    pid, children[k] = children[k], None
+    return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def _write_csv(path: str, header: str, steps: int, values: int, chunks) -> None:
+    """Atomically write the header line, then the text of every time step.
+
+    chunks(start, stop) yields the text of time steps start..stop-1, each
+    row ending in a newline; `values` is the number of values it formats.
+    """
+    workers = _worker_count(values, steps)
+    bounds = [steps * i // workers for i in range(workers + 1)]
+    blocks = list(zip(bounds[1:-1], bounds[2:]))
+    directory = os.path.dirname(os.path.abspath(path))
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", dir=directory)) for _ in blocks]
+        children = [_fork_block(part, chunks, *block)
+                    for part, block in zip(parts, blocks)]
+        try:
+            with atomic_write(path) as fh:
+                fh.write(header + "\n")
+                fh.writelines(chunks(0, bounds[1]))
+                for k, (part, block) in enumerate(zip(parts, blocks)):
+                    if _join(children, k):
+                        part.seek(0)
+                        shutil.copyfileobj(part, fh)
+                    else:
+                        fh.writelines(chunks(*block))
+        finally:
+            # After an error, still wait for the children that are left.
+            for k in range(len(children)):
+                _join(children, k)
+
+
+def _prefixes(values) -> list[str]:
+    """repr(v) + "," for each value, to start the rows that share it."""
+    return [f"{v!r}," for v in np.asarray(values, dtype=float).tolist()]
+
 
 def export_modal_csv(traj: Trajectory, path: str) -> None:
     """Header t, z_{i}_{n} for component i of mode n."""
     cols = ["t"] + [f"z_{i + 1}_{n + 1}" for n in range(traj.n_modes)
                     for i in range(traj.m)]
-    rows = ([t, *z.reshape(-1).tolist()]
-            for t, z in zip(traj.times.tolist(), traj.modal))
-    _write_csv(path, ",".join(cols), rows)
+    t = _prefixes(traj.times)
+    Z = traj.modal.reshape(len(t), -1)
+
+    def chunks(start, stop):
+        for k in range(start, stop):
+            yield t[k] + ",".join(map(repr, Z[k].tolist())) + "\n"
+
+    _write_csv(path, ",".join(cols), len(t), Z.size, chunks)
 
 
 def export_field_csv(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> None:
     """Long format: t, x, z1..zm."""
     fields = reconstruct_field(traj, basis, grid)
-    x = np.asarray(grid, dtype=float).tolist()
-    rows = ([t, xp, *values]
-            for t, field in zip(traj.times.tolist(), fields)
-            for xp, values in zip(x, field.T.tolist()))
-    _write_csv(path, "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m)), rows)
+    t = _prefixes(traj.times)
+    x = _prefixes(grid)
+
+    def chunks(start, stop):
+        for k in range(start, stop):
+            yield "".join([t[k] + xp + ",".join(map(repr, values)) + "\n"
+                           for xp, values in zip(x, fields[k].T.tolist())])
+
+    header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
+    _write_csv(path, header, len(t), fields.size, chunks)
 
 
 def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -> None:
@@ -338,14 +440,11 @@ def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -
     # One scalar exp per sample: a vectorized exp may round differently, and
     # the file's bytes must not depend on that.
     bound = [float(M_cert * np.exp(-delta * t) * z0) for t in traj.times]
-    rows = zip(traj.times.tolist(), traj.l2_norm.tolist(), bound)
-    _write_csv(path, "t,l2norm,bound", rows)
+    t = _prefixes(traj.times)
+    norms = traj.l2_norm.tolist()
 
+    def chunks(start, stop):
+        for k in range(start, stop):
+            yield f"{t[k]}{norms[k]!r},{bound[k]!r}\n"
 
-def _atomic_write(path: str, text: str) -> None:
-    import os
-
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _write_csv(path, "t,l2norm,bound", len(t), 3 * len(t), chunks)

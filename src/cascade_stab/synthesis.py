@@ -230,6 +230,14 @@ def _block_diag_rows(Kbar: np.ndarray) -> np.ndarray:
     return out
 
 
+def zero_controller(delta: float, N_min: int, m: int) -> Controller:
+    """The N = 0 controller, u = 0: no channels and no gains."""
+    return Controller(delta=float(delta), N=0, N_min=N_min,
+                      K_Q=np.zeros(m), P=np.eye(m),
+                      Kbar=np.zeros((0, m)), Bmat=np.zeros((0, 0)),
+                      cond_B=1.0, K=np.zeros((0, 0)))
+
+
 def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
                      pole_offsets=None, basis: SpectralBasis | None = None,
                      family: TransformFamily | None = None) -> Controller:
@@ -247,11 +255,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     elif N < N_min:
         raise PlantInputError(f"N={N} is below the minimal mode count {N_min}")
     if N == 0:
-        m = plant.m
-        return Controller(delta=float(delta), N=0, N_min=N_min,
-                          K_Q=np.zeros(m), P=np.eye(m),
-                          Kbar=np.zeros((0, m)), Bmat=np.zeros((0, 0)),
-                          cond_B=1.0, K=np.zeros((0, 0)))
+        return zero_controller(delta, N_min, plant.m)
     if len(plant.shapes) < N:
         raise HypothesisHViolated(
             f"N={N} control channels need {N} shape functions, plant has "

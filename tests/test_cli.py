@@ -282,3 +282,22 @@ class TestBench:
             assert int(parts[0]) in (2, 3)
             assert float(parts[1]) > 0.0
             assert float(parts[2]) > 0.0
+
+
+class TestUnwritableOutput:
+    """An --out-dir beneath a regular file is an input error, exit 1."""
+
+    def test_synthesize(self, tmp_path, plant_file, capsys):
+        (tmp_path / "file").write_text("")
+        rc = main(["synthesize", "--plant", plant_file, "--delta", "9",
+                   "--out-dir", str(tmp_path / "file" / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_simulate(self, tmp_path, plant_file, initial_file, capsys):
+        (tmp_path / "file").write_text("")
+        rc = main(["simulate", "--plant", plant_file, "--delta", "9",
+                   "--initial", initial_file, "--t-final", "0.2",
+                   "--out-dir", str(tmp_path / "file" / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("input error:")

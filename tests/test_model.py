@@ -14,6 +14,7 @@ from cascade_stab.errors import (
 )
 from cascade_stab.model import (
     PlantSpec,
+    atomic_write,
     ShapeFunction,
     diffusion_indices,
     example_plant_dict,
@@ -230,3 +231,24 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps({"m": 2}))
         with pytest.raises(PlantInputError):
             load_plant(str(path))
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_target_and_no_tmp(self, tmp_path):
+        target = tmp_path / "gains.json"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(target)) as fh:
+                fh.write("new, partly written")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
+
+    def test_completed_write_replaces_target(self, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("old\n")
+        with atomic_write(str(target)) as fh:
+            fh.write("new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cascade_stab.simulator import (
     run_closed_loop,
     target_residual,
 )
-from cascade_stab.simulator import _group_size, _retained_width
+from cascade_stab.simulator import _VALUES_PER_WORKER, _group_size, _retained_width
 from cascade_stab.spectral import adaptive_simpson, build_basis, expand
 from cascade_stab.synthesis import Controller, build_controller, certificate, closed_block
 from cascade_stab.transform import mode_transform, solve_transform_family
@@ -445,3 +446,110 @@ class TestCsvExport:
         assert (tmp_path / "modal.csv").read_text() == expected_modal
         assert (tmp_path / "field.csv").read_text() == expected_field
         assert (tmp_path / "norms.csv").read_text() == expected_norms
+
+
+# The serial CSV writers the parallel ones replaced, kept as the byte oracle.
+
+def _serial_csv(header, rows) -> str:
+    lines = [header]
+    lines += [",".join(map(repr, row)) for row in rows]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _serial_modal(traj) -> str:
+    cols = ["t"] + [f"z_{i + 1}_{n + 1}" for n in range(traj.n_modes)
+                    for i in range(traj.m)]
+    rows = ([t, *z.reshape(-1).tolist()]
+            for t, z in zip(traj.times.tolist(), traj.modal))
+    return _serial_csv(",".join(cols), rows)
+
+
+def _serial_field(traj, basis, grid) -> str:
+    fields = reconstruct_field(traj, basis, grid)
+    x = np.asarray(grid, dtype=float).tolist()
+    rows = ([t, xp, *values]
+            for t, field in zip(traj.times.tolist(), fields)
+            for xp, values in zip(x, field.T.tolist()))
+    return _serial_csv("t,x," + ",".join(f"z{i + 1}" for i in range(traj.m)), rows)
+
+
+def _serial_norms(traj, M_cert, delta) -> str:
+    z0 = traj.l2_norm[0]
+    bound = [float(M_cert * np.exp(-delta * t) * z0) for t in traj.times]
+    rows = zip(traj.times.tolist(), traj.l2_norm.tolist(), bound)
+    return _serial_csv("t,l2norm,bound", rows)
+
+
+class TestParallelCsvWriter:
+    """The forked writers give the serial oracle's bytes whatever happens to
+    the children, and leave nothing but the CSVs behind."""
+
+    CPUS = 4
+    STEPS = 203  # four blocks of 50, 50, 51, 52 steps
+
+    @pytest.fixture()
+    def big(self):
+        from cascade_stab.simulator import Trajectory
+
+        gen = np.random.default_rng(20240611)
+        M, m, G = 101, 3, 103
+        times = np.arange(self.STEPS) * 0.0123
+        modal = gen.standard_normal((self.STEPS, M, m)) * 10.0 ** gen.integers(
+            -300, 300, size=(self.STEPS, M, m))
+        modal[0, :4, 0] = [-0.0, 5e-324, 1e300, 1.0 / 3.0]
+        traj = Trajectory(times=times, modal=modal,
+                          l2_norm=np.abs(gen.standard_normal(self.STEPS)))
+        basis = build_basis(math.pi, 1.0, 0.0, M)
+        grid = np.linspace(0.0, math.pi, G)
+        # The modal and field tables are large enough for every CPU.
+        assert modal.size >= self.CPUS * _VALUES_PER_WORKER
+        assert self.STEPS * m * G >= self.CPUS * _VALUES_PER_WORKER
+        return traj, basis, grid
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """Pretend CPUS processors; record each fork the writers attempt."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(self.CPUS)))
+        calls = []
+        real_fork = os.fork
+
+        def fork(how="ok"):
+            calls.append(how)
+            if how == "raise":
+                raise OSError("fork refused")
+            pid = real_fork()
+            if pid == 0 and how == "fail":
+                os._exit(3)
+            return pid
+
+        return calls, fork
+
+    def _export_and_check(self, tmp_path, traj, basis, grid):
+        export_modal_csv(traj, str(tmp_path / "modal.csv"))
+        export_field_csv(traj, basis, grid, str(tmp_path / "field.csv"))
+        export_norms_csv(traj, 1.5, 3.0, str(tmp_path / "norms.csv"))
+        assert (tmp_path / "modal.csv").read_text() == _serial_modal(traj)
+        assert (tmp_path / "field.csv").read_text() == _serial_field(traj, basis, grid)
+        assert (tmp_path / "norms.csv").read_text() == _serial_norms(traj, 1.5, 3.0)
+        assert sorted(os.listdir(tmp_path)) == ["field.csv", "modal.csv", "norms.csv"]
+
+    @pytest.mark.parametrize("how", ["ok", "raise", "fail"])
+    def test_matches_serial_oracle(self, tmp_path, monkeypatch, big, forks, how):
+        calls, fork = forks
+        monkeypatch.setattr(os, "fork", lambda: fork(how))
+        self._export_and_check(tmp_path, *big)
+        # Blocks 2..4 of modal.csv and of field.csv; norms.csv is too small.
+        assert calls == [how] * 2 * (self.CPUS - 1)
+
+    def test_small_tables_fork_nothing(self, tmp_path, monkeypatch, demo_basis, forks):
+        from cascade_stab.simulator import Trajectory
+
+        calls, fork = forks
+        monkeypatch.setattr(os, "fork", fork)
+        traj = Trajectory(times=np.array([0.0, 0.5]),
+                          modal=np.array([[[1.0, -2.5e-7], [1.0 / 3.0, -0.0]],
+                                          [[0.1, 2.0e300], [-1.0 / 7.0, 5e-324]]]),
+                          l2_norm=np.array([2.0, 0.25]))
+        self._export_and_check(tmp_path, traj, demo_basis, np.array([0.0, 1.5]))
+        assert calls == []
