@@ -16,7 +16,14 @@ from .model import (
     save_plant,
     validate_plant,
 )
-from .spectral import SpectralBasis, build_basis, expand, input_projection_row, project
+from .spectral import (
+    SpectralBasis,
+    build_basis,
+    expand,
+    input_projection_row,
+    project,
+    shape_projection_matrix,
+)
 from .synthesis import (
     Certificate,
     Controller,
@@ -84,6 +91,7 @@ __all__ = [
     "run_closed_loop",
     "save_plant",
     "select_mode_count",
+    "shape_projection_matrix",
     "solve_transform_family",
     "stabilize_coupling",
     "target_residual",

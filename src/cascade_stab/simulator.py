@@ -37,11 +37,10 @@ from .spectral import (
     SpectralBasis,
     expand,
     extend_basis,
-    input_projection_row,
-    project,
     project_callable,
+    shape_projection_matrix,
 )
-from .synthesis import Controller, closed_block, zero_controller
+from .synthesis import Controller, closed_block, mode_blocks, zero_controller
 from .transform import TransformFamily, mode_transform
 
 _NORM_FLOOR = 1e-300
@@ -97,7 +96,7 @@ def project_initial(z0_funcs, basis: SpectralBasis, M_modes: int) -> np.ndarray:
     coeffs = np.empty((M_modes, len(z0_funcs)))
     for i, f in enumerate(z0_funcs):
         if isinstance(f, ShapeFunction):
-            coeffs[:, i] = [project(f, basis, n) for n in modes]
+            coeffs[:, i] = shape_projection_matrix([f], basis, M_modes)[:, 0]
         else:
             coeffs[:, i] = project_callable(f, basis, modes)
     return coeffs
@@ -112,14 +111,13 @@ def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
         raise ValueError(f"M_modes={M_modes} cannot be below N={N}")
     basis = extend_basis(basis, M_modes)
     A = np.zeros((m * M_modes, m * M_modes))
-    D = np.diag(plant.D)
-    shapes = plant.shapes[:N]
-    for n in range(1, M_modes + 1):
-        sl = slice((n - 1) * m, n * m)
-        A[sl, sl] += -float(basis.lam[n - 1]) * D + plant.Q
-        if N > 0:
-            row = input_projection_row(shapes, basis, n) @ controller.K  # 1 x mN
-            A[(n - 1) * m, : m * N] += row
+    diag = np.arange(M_modes)
+    A.reshape(M_modes, m, M_modes, m)[diag, :, diag, :] += mode_blocks(
+        plant, basis.lam[:M_modes])
+    if N > 0:
+        P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
+        # One P[n] @ K per mode, stacked: P @ K would round differently.
+        A[::m, : m * N] += np.matmul(P[:, None, :], controller.K)[:, 0]
     return A
 
 

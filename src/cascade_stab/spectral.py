@@ -144,16 +144,23 @@ def build_basis(L: float, gamma1: float, gamma2: float, count: int) -> SpectralB
 
 
 def _check_boundary_residuals(basis: SpectralBasis) -> None:
-    for n in range(1, basis.size + 1):
-        res = abs(
-            basis.gamma1 * basis.phi(n, basis.L)
-            + basis.gamma2 * basis.phi_prime(n, basis.L)
+    """Check gamma1 phi_n(L) + gamma2 phi_n'(L) = 0 for every mode at once.
+
+    The residual is judged against the size of its two terms,
+    (|gamma1| + |gamma2| s_n) c_n: an accurate root leaves a residual that
+    grows with s_n, so an absolute bound rejects valid high modes.
+    """
+    sL = basis.s * basis.L
+    res = np.abs(basis.c * (basis.gamma1 * np.cos(sL)
+                            - basis.gamma2 * basis.s * np.sin(sL)))
+    scale = (abs(basis.gamma1) + abs(basis.gamma2) * basis.s) * basis.c
+    bad = np.flatnonzero(~(res <= _BOUNDARY_RESIDUAL_TOL * scale))  # NaN fails too
+    if bad.size:
+        n = int(bad[0])
+        raise RootBracketingFailure(
+            f"eigenfunction {n + 1} violates the x=L boundary condition "
+            f"(residual {res[n]:.3e})"
         )
-        if not res <= _BOUNDARY_RESIDUAL_TOL:  # NaN fails too
-            raise RootBracketingFailure(
-                f"eigenfunction {n} violates the x=L boundary condition "
-                f"(residual {res:.3e})"
-            )
 
 
 def extend_basis(basis: SpectralBasis, count: int) -> SpectralBasis:
@@ -311,62 +318,83 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 # ---------------------------------------------------------------------------
 # Projections
 
-def _indicator_projection(a: float, b: float, s: float, c: float) -> float:
-    # integral of c cos(sx) over [a, b]
-    if s == 0.0:
-        return c * (b - a)
-    return c * (math.sin(s * b) - math.sin(s * a)) / s
+# Each closed form is evaluated for an array of modes (s_k, c_k) at once.
+# Modes with s_k = 0 (the constant Neumann mode) take their own branch; the
+# other branch divides by 1 there instead of 0.
+
+def _indicator_column(a: float, b: float, s, c) -> np.ndarray:
+    """int_a^b c cos(s x) dx."""
+    zero = s == 0.0
+    safe = np.where(zero, 1.0, s)
+    return np.where(zero, c * (b - a), c * (np.sin(s * b) - np.sin(s * a)) / safe)
 
 
-def _cos_moments(L: float, s: float, degree: int):
-    """Definite moments C_k = int_0^L x^k cos(sx) dx for k = 0..degree."""
-    C = np.empty(degree + 1)
-    if s == 0.0:
-        for k in range(degree + 1):
-            C[k] = L ** (k + 1) / (k + 1)
-        return C
-    sinL = math.sin(s * L)
-    cosL = math.cos(s * L)
-    C[0] = sinL / s
-    S_prev = (1.0 - cosL) / s  # S_0
+def _polynomial_column(coeffs, L: float, s, c) -> np.ndarray:
+    """int_0^L p(x) c cos(s x) dx from the moments C_k = int_0^L x^k cos(s x) dx."""
+    degree = len(coeffs) - 1
+    zero = s == 0.0
+    safe = np.where(zero, 1.0, s)
+    sinL = np.sin(s * L)
+    cosL = np.cos(s * L)
+    C = np.empty((len(s), degree + 1))
+    C[:, 0] = sinL / safe
+    S_prev = (1.0 - cosL) / safe  # S_k = int_0^L x^k sin(s x) dx
     for k in range(1, degree + 1):
-        C[k] = (L**k) * sinL / s - k / s * S_prev
-        S_prev = -(L**k) * cosL / s + k / s * C[k - 1]
-    return C
+        C[:, k] = (L**k) * sinL / safe - k / safe * S_prev
+        S_prev = -(L**k) * cosL / safe + k / safe * C[:, k - 1]
+    C[zero] = [L ** (k + 1) / (k + 1) for k in range(degree + 1)]
+    # One row-vector product per mode, stacked: C @ coeffs would round
+    # differently from the per-mode dot product.
+    return c * np.matmul(C[:, None, :], np.asarray(coeffs, dtype=float))[:, 0]
 
 
-def _polynomial_projection(coeffs, L: float, s: float, c: float) -> float:
-    moments = _cos_moments(L, s, len(coeffs) - 1)
-    return c * float(np.dot(coeffs, moments))
+def _samples_column(grid, values, s, c) -> np.ndarray:
+    """int_0^L c cos(s x) times the piecewise-linear interpolant, segment by segment."""
+    zero = s == 0.0
+    safe = np.where(zero, 1.0, s)
+    total = np.zeros(len(s))
+    for x0, x1, y0, y1 in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        sin0, sin1 = np.sin(s * x0), np.sin(s * x1)
+        cos0, cos1 = np.cos(s * x0), np.cos(s * x1)
+        # int cos(sx) dx and int (x - x0) cos(sx) dx on the segment
+        i0 = (sin1 - sin0) / safe
+        i1 = ((x1 - x0) * sin1) / safe + (cos1 - cos0) / (safe * safe)
+        total += np.where(zero, c * 0.5 * (y0 + y1) * (x1 - x0),
+                          c * (y0 * i0 + slope * i1))
+    return total
 
 
-def _segment_linear_projection(x0, x1, y0, y1, s, c):
-    # integral of c * cos(sx) * (linear through (x0,y0),(x1,y1)) over [x0, x1]
-    if s == 0.0:
-        return c * 0.5 * (y0 + y1) * (x1 - x0)
-    slope = (y1 - y0) / (x1 - x0)
-    sin0, sin1 = math.sin(s * x0), math.sin(s * x1)
-    cos0, cos1 = math.cos(s * x0), math.cos(s * x1)
-    # int cos(sx) dx and int (x - x0) cos(sx) dx on the segment
-    i0 = (sin1 - sin0) / s
-    i1 = ((x1 - x0) * sin1) / s + (cos1 - cos0) / (s * s)
-    return c * (y0 * i0 + slope * i1)
+def _shape_columns(shapes, L: float, s, c) -> np.ndarray:
+    """(len(s), len(shapes)) closed-form projections <b_j, c_k cos(s_k x)>."""
+    out = np.empty((len(s), len(shapes)))
+    for j, shape in enumerate(shapes):
+        if shape.kind == "indicator":
+            out[:, j] = _indicator_column(*shape.params, s, c)
+        elif shape.kind == "polynomial":
+            out[:, j] = _polynomial_column(shape.params, L, s, c)
+        else:
+            out[:, j] = _samples_column(*shape.params, s, c)
+    return out
+
+
+def shape_projection_matrix(shapes, basis: SpectralBasis, count: int) -> np.ndarray:
+    """(count, len(shapes)) array of the exact projections <b_j, phi_n>, n = 1..count."""
+    if not 0 <= count <= basis.size:
+        raise ValueError(f"count {count} must lie in 0..{basis.size}")
+    return _shape_columns(shapes, basis.L, basis.s[:count], basis.c[:count])
+
+
+def _mode_slice(basis: SpectralBasis, n: int) -> slice:
+    if not 1 <= n <= basis.size:
+        raise ValueError(f"mode {n} exceeds basis size {basis.size}")
+    return slice(n - 1, n)
 
 
 def shape_projection(shape: ShapeFunction, basis: SpectralBasis, n: int) -> float:
     """Exact projection <b_j, phi_n> for the supported shape kinds."""
-    s = float(basis.s[n - 1])
-    c = float(basis.c[n - 1])
-    if shape.kind == "indicator":
-        a, b = shape.params
-        return _indicator_projection(a, b, s, c)
-    if shape.kind == "polynomial":
-        return _polynomial_projection(np.asarray(shape.params), basis.L, s, c)
-    grid, values = shape.params
-    total = 0.0
-    for x0, x1, y0, y1 in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        total += _segment_linear_projection(x0, x1, y0, y1, s, c)
-    return total
+    k = _mode_slice(basis, n)
+    return float(_shape_columns([shape], basis.L, basis.s[k], basis.c[k])[0, 0])
 
 
 def project(f, basis: SpectralBasis, n: int, tol: float = 1e-10) -> float:
@@ -386,7 +414,8 @@ def input_projection_row(shapes, basis: SpectralBasis, n: int) -> np.ndarray:
     """Row of mode-n projections of all shape functions: (b_{1,n} ... b_{N,n})."""
     if len(shapes) == 0:
         raise ValueError("need at least one shape function")
-    return np.array([project(shape, basis, n) for shape in shapes])
+    k = _mode_slice(basis, n)
+    return _shape_columns(shapes, basis.L, basis.s[k], basis.c[k])[0]
 
 
 def expand(coeffs, basis: SpectralBasis, grid) -> np.ndarray:

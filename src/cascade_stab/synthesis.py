@@ -38,7 +38,7 @@ from .errors import (
     RiccatiFailure,
 )
 from .model import ValidatedPlant
-from .spectral import SpectralBasis, extend_basis, input_projection_row
+from .spectral import SpectralBasis, extend_basis, shape_projection_matrix
 from .transform import TransformFamily, mode_transform, solve_transform_family
 
 HYPOTHESIS_COND_LIMIT = 1e12
@@ -83,10 +83,16 @@ class Certificate:
     omega_margins: tuple  # max eigenvalue of each checked residual mode, all < 0
 
 
+def selection_margins(plant: ValidatedPlant, lambdas, delta: float) -> np.ndarray:
+    """Largest eigenvalue of -lam*D + Sym(Q) + delta*I for each lam (negative once stable)."""
+    lam = np.asarray(lambdas, dtype=float)
+    M = -lam[:, None, None] * np.diag(plant.D) + sym(plant.Q) + delta * np.eye(plant.m)
+    return np.linalg.eigvalsh(M)[:, -1]
+
+
 def selection_margin(plant: ValidatedPlant, lam: float, delta: float) -> float:
-    """Largest eigenvalue of -lam*D + Sym(Q) + delta*I (negative once stable)."""
-    M = -lam * np.diag(plant.D) + sym(plant.Q) + delta * np.eye(plant.m)
-    return float(np.linalg.eigvalsh(M)[-1])
+    """`selection_margins` at one eigenvalue lam."""
+    return float(selection_margins(plant, [lam], delta)[0])
 
 
 def select_mode_count(plant: ValidatedPlant, basis: SpectralBasis, delta: float) -> int:
@@ -211,15 +217,19 @@ def input_matrix(shapes, basis: SpectralBasis, N: int) -> tuple[np.ndarray, floa
     """
     if len(shapes) != N:
         raise HypothesisHViolated(f"need exactly N={N} shapes, got {len(shapes)}")
-    B = np.empty((N, N))
-    for n in range(1, N + 1):
-        B[n - 1, :] = input_projection_row(shapes, basis, n)
+    B = shape_projection_matrix(shapes, basis, N)
     cond = float(np.linalg.cond(B))
     if not np.isfinite(cond) or cond > HYPOTHESIS_COND_LIMIT:
         raise HypothesisHViolated(
             f"input-projection matrix is numerically singular (cond={cond:.3e})"
         )
     return B, cond
+
+
+def mode_blocks(plant: ValidatedPlant, lambdas) -> np.ndarray:
+    """Open-loop mode blocks -lambda_n D + Q, stacked: shape (len(lambdas), m, m)."""
+    lam = np.asarray(lambdas, dtype=float)
+    return -lam[:, None, None] * np.diag(plant.D) + plant.Q
 
 
 def _block_diag_rows(Kbar: np.ndarray) -> np.ndarray:
@@ -348,11 +358,9 @@ def certificate(plant: ValidatedPlant, controller: Controller,
 
 
 def _omega_margins(plant, basis, rho, delta, N, M_modes):
-    margins = []
-    for n in range(N + 1, M_modes + 1):
-        lam = float(basis.lam[n - 1])
-        margins.append(selection_margin(plant, lam, delta + 1.0 / (2.0 * rho)))
-    return tuple(margins)
+    """Residual-mode margins at the rate delta + 1/(2 rho), modes N+1..M_modes."""
+    lam = basis.lam[N:M_modes]
+    return tuple(selection_margins(plant, lam, delta + 1.0 / (2.0 * rho)).tolist())
 
 
 def _check_margins(cert: Certificate) -> None:
@@ -370,14 +378,9 @@ def _check_margins(cert: Certificate) -> None:
 def assemble_direct_pair(plant: ValidatedPlant, basis: SpectralBasis,
                          shapes, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked pair (A, Btil): A = blockdiag{-lambda_n D + Q}, Btil = col{B Bmat_n}."""
-    m = plant.m
-    A = np.zeros((m * N, m * N))
-    Btil = np.zeros((m * N, N))
-    for n in range(1, N + 1):
-        lam = float(basis.lam[n - 1])
-        sl = slice((n - 1) * m, n * m)
-        A[sl, sl] = -lam * np.diag(plant.D) + plant.Q
-        Btil[(n - 1) * m, :] = input_projection_row(shapes, basis, n)
+    A = scipy.linalg.block_diag(*mode_blocks(plant, basis.lam[:N]))
+    Btil = np.zeros((plant.m * N, N))
+    Btil[::plant.m] = shape_projection_matrix(shapes, basis, N)
     return A, Btil
 
 

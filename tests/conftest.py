@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cascade_stab.model import (
     PlantSpec,
@@ -11,6 +12,13 @@ from cascade_stab.model import (
     validate_plant,
 )
 from cascade_stab.spectral import build_basis
+
+
+# Property tests draw a fixed, bounded set of examples, so the suite stays
+# deterministic and fast, and they write no example database.
+settings.register_profile("cascade-stab", max_examples=25, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("cascade-stab")
 
 
 def base_seed() -> int:

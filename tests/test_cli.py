@@ -258,6 +258,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_stable_plant_retains_no_modes(self, tmp_path, capsys):
+        obj = example_plant_dict()
+        obj["Q"] = [[-1.0, 0.5, 0.0], [1.0, -1.0, 0.5], [0.0, 1.0, -1.0]]
+        path = tmp_path / "stable.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["verify", "--plant", str(path), "--delta", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "gain factorization" not in out  # N = 0: no gains to check
+        assert "target-coordinate residual   0.000e+00  PASS" in out
+        assert "verification PASSED" in out
+
     def test_sigma_one_plant_passes(self, tmp_path, capsys):
         obj = example_plant_dict()
         obj["D"] = [5.0, 5.0, 5.0]
@@ -282,6 +294,30 @@ class TestBench:
             assert int(parts[0]) in (2, 3)
             assert float(parts[1]) > 0.0
             assert float(parts[2]) > 0.0
+
+
+class TestRobinBoundary:
+    def test_high_modes_pass_boundary_check(self, tmp_path, capsys):
+        obj = example_plant_dict()
+        obj["gamma2"] = 1.0
+        path = tmp_path / "robin.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--M-modes", "500", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+
+
+class TestStrayLinAlgError:
+    def test_reported_as_internal_error(self, plant_file, capsys, monkeypatch):
+        from cascade_stab import synthesis
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(synthesis, "build_controller", singular)
+        rc = main(["synthesize", "--plant", plant_file, "--delta", "9"])
+        assert rc == 3
+        assert capsys.readouterr().err == "internal error: Singular matrix\n"
 
 
 class TestUnwritableOutput:

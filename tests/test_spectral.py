@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cascade_stab.errors import QuadratureNonConvergence
+from cascade_stab.errors import QuadratureNonConvergence, RootBracketingFailure
 from cascade_stab.model import ShapeFunction
 from cascade_stab.spectral import (
+    SpectralBasis,
+    _check_boundary_residuals,
     adaptive_simpson,
     build_basis,
     expand,
@@ -66,6 +68,21 @@ class TestBuildBasis:
                     g1 * basis.phi(n, basis.L) + g2 * basis.phi_prime(n, basis.L)
                 )
                 assert res <= 1e-10
+
+    def test_robin_high_modes_build(self):
+        # An accurate root's residual grows with s_n; the tolerance does too.
+        basis = build_basis(math.pi, 1.0, 1.0, 1000)
+        assert basis.size == 1000
+        assert np.all(np.diff(basis.s) > 0.0)
+
+    def test_perturbed_root_raises(self):
+        basis = build_basis(math.pi, 1.0, 1.0, 50)
+        s = basis.s.copy()
+        s[30] += 1e-6
+        bad = SpectralBasis(L=basis.L, gamma1=basis.gamma1, gamma2=basis.gamma2,
+                            s=s, lam=s * s, c=basis.c.copy())
+        with pytest.raises(RootBracketingFailure, match="eigenfunction 31 "):
+            _check_boundary_residuals(bad)
 
     def test_gram_matrix_is_identity(self):
         basis = build_basis(math.pi, 1.0, 1.0, 10)
