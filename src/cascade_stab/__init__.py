@@ -47,7 +47,6 @@ from .simulator import (
     target_residual,
 )
 from .transform import (
-    ModalTransform,
     TransformFamily,
     closed_form_coeff,
     coupling_row,
@@ -61,7 +60,6 @@ __all__ = [
     "Certificate",
     "Controller",
     "DiffusionIndices",
-    "ModalTransform",
     "PlantSpec",
     "ShapeFunction",
     "SimConfig",

@@ -71,6 +71,8 @@ def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
                                             pole_offsets=pole_offsets,
                                             basis=basis, family=family)
     cert = synthesis.certificate(plant, controller, family, basis, M_modes=M_modes)
+    # The report and verify read lambda_1..lambda_N from the returned basis.
+    basis = spectral.extend_basis(basis, controller.N + 1)
     return basis, family, controller, cert
 
 
@@ -85,10 +87,10 @@ def _report_text(plant, controller, cert, basis) -> str:
         f"  N (chosen)           : {controller.N}",
         f"  cond(Bmat)           : {controller.cond_B:.6e}",
     ]
-    for n in range(1, controller.N + 1):
-        H = synthesis.closed_block(plant, controller.K_Q, float(basis.lam[n - 1]))
-        absc = float(np.max(np.linalg.eigvals(H).real))
-        lines.append(f"  block abscissa n={n}   : {absc:.6f}")
+    H = synthesis.closed_blocks(plant, controller.K_Q, basis.lam[:controller.N])
+    abscissae = np.max(np.linalg.eigvals(H).real, axis=1)
+    lines += [f"  block abscissa n={n}   : {absc:.6f}"
+              for n, absc in enumerate(abscissae.tolist(), start=1)]
     lines += [
         f"  certificate rho      : {cert.rho!r}",
         f"  certificate rho_bar  : {cert.rho_bar!r}",
@@ -122,12 +124,8 @@ def cmd_synthesize(args) -> int:
                          spectral.basis_to_dict(basis))
     if args.dump_transform:
         dump = transform.family_to_dict(family)
-        dump["modes"] = [
-            [[float(v) for v in row]
-             for row in transform.mode_transform(family, float(basis.lam[n - 1]),
-                                                 n, controller.N).matrix]
-            for n in range(1, controller.N + 1)
-        ]
+        T, _ = transform.mode_transform(family, basis.lam[:controller.N])
+        dump["modes"] = T.tolist()
         model.write_json(os.path.join(args.out_dir, "transform.json"), dump)
     return 0
 
@@ -178,9 +176,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _relative(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / scale
+def _relative(a: np.ndarray, b: np.ndarray, axis=None):
+    """Max-abs difference over max(1, max|a|, max|b|), over `axis` (all by default)."""
+    scale = np.maximum(np.maximum(1.0, np.max(np.abs(a), axis=axis)),
+                       np.max(np.abs(b), axis=axis))
+    return np.max(np.abs(a - b), axis=axis) / scale
 
 
 def cmd_verify(args) -> int:
@@ -200,30 +200,28 @@ def cmd_verify(args) -> int:
         checks.append(("sylvester residual (empty family)", 0.0, True))
 
     N = controller.N
-    for n in range(1, N + 1):
-        lam = float(basis.lam[n - 1])
-        mt = transform.mode_transform(family, lam, n, N)
-        det_err = abs(float(np.linalg.det(mt.matrix)) - 1.0)
-        checks.append((f"det T_{n} = 1", det_err, det_err <= 1e-10))
-        inv_err = float(np.max(np.abs(mt.matrix @ mt.inverse - np.eye(plant.m))))
-        checks.append((f"T_{n} inverse", inv_err, inv_err <= 1e-12))
-        cancel = transform.cancellation_residual(plant, family, lam, mt)
-        G = transform.coupling_row(plant, family, lam, mt)
-        scale = max(1.0,
-                    float(np.max(np.abs(plant.Q)) * np.max(np.abs(mt.matrix))),
-                    float(np.max(np.abs(G))))
-        checks.append((f"mode cancellation n={n}", cancel / scale,
-                       cancel / scale <= 1e-9))
-        other = (controller.K_Q - G) @ mt.matrix
-        gain_err = _relative(controller.Kbar[n - 1], other)
-        checks.append((f"gain route equality n={n}", gain_err, gain_err <= 1e-9))
+    lam = basis.lam[:N]
+    T, T_inv = transform.mode_transform(family, lam)
+    G = transform.coupling_row(plant, lam, T, T_inv)
+    det_err = np.abs(np.linalg.det(T) - 1.0)
+    inv_err = np.max(np.abs(T @ T_inv - np.eye(plant.m)), axis=(1, 2))
+    scale = np.maximum(
+        np.maximum(1.0, np.max(np.abs(plant.Q)) * np.max(np.abs(T), axis=(1, 2))),
+        np.max(np.abs(G), axis=1))
+    cancel = transform.cancellation_residual(plant, lam, T, G) / scale
+    # Kbar_n = (K_Q - G_n) T_n, the second route to the same gains.
+    other = np.matmul((controller.K_Q - G)[:, None, :], T)[:, 0]
+    gain_err = _relative(controller.Kbar, other, axis=1)
+    for n, d, i, c, g in zip(range(1, N + 1), det_err.tolist(), inv_err.tolist(),
+                             cancel.tolist(), gain_err.tolist()):
+        checks += [(f"det T_{n} = 1", d, d <= 1e-10),
+                   (f"T_{n} inverse", i, i <= 1e-12),
+                   (f"mode cancellation n={n}", c, c <= 1e-9),
+                   (f"gain route equality n={n}", g, g <= 1e-9)]
 
     if N > 0:
         recon = controller.Bmat @ controller.K
-        target = np.zeros_like(recon)
-        for n in range(N):
-            target[n, n * plant.m:(n + 1) * plant.m] = controller.Kbar[n]
-        fact_err = _relative(recon, target)
+        fact_err = float(_relative(recon, synthesis.block_diag_rows(controller.Kbar)))
         checks.append(("gain factorization", fact_err, fact_err <= 1e-9))
 
     gmax = max(cert.gamma_margins) if cert.gamma_margins else -math.inf
@@ -282,38 +280,51 @@ def _with_shapes(plant: model.ValidatedPlant, shapes) -> model.ValidatedPlant:
                                 shapes=shapes, indices=plant.indices)
 
 
-def _time_modal(plant, basis, delta, N, Bmat):
-    start = time.perf_counter()
-    family = transform.solve_transform_family(plant)
-    K_Q, _P = synthesis.stabilize_coupling(plant, delta, float(basis.lam[0]))
-    Kbar = synthesis.modal_gains(plant, family, basis.lam, K_Q, N)
-    blk = np.zeros((N, plant.m * N))
-    for n in range(N):
-        blk[n, n * plant.m:(n + 1) * plant.m] = Kbar[n]
-    np.linalg.solve(Bmat, blk)
-    return time.perf_counter() - start
+# Calls of each route per timed pair (timeit's `number`).  The routes take
+# turns, so both see the same host speed, and the mean of a few calls varies
+# less than one call of about a millisecond.
+_BENCH_LOOPS = 3
+
+
+def _time_pair(plant, basis, family, delta, N) -> tuple[float, float]:
+    """Mean wall time per call of the modal and the direct synthesis.
+
+    Modal: the shipped `synthesis.build_controller`, given the basis and
+    transform family as `synthesize` does.  Direct: the Riccati solve of
+    `synthesis.direct_baseline`, without its assembly.
+    """
+    t_modal = t_direct = 0.0
+    for _ in range(_BENCH_LOOPS):
+        start = time.perf_counter()
+        synthesis.build_controller(plant, delta, N=N, basis=basis, family=family)
+        t_modal += time.perf_counter() - start
+        t_direct += synthesis.direct_baseline(plant, basis, delta, N)[1]
+    return t_modal / _BENCH_LOOPS, t_direct / _BENCH_LOOPS
 
 
 def bench_rows(plant, delta, N_values, repeats):
-    """One (N, t_modal, t_direct, ratio) row per N, medians over `repeats`."""
+    """One (N, t_modal, t_direct, ratio) row per N over `repeats` timed pairs.
+
+    Each repeat sweeps every N; an untimed pair of the same N precedes each
+    timed one, so no timed pair pays for what ran before it.  The times are
+    minima over the repeats (as `timeit` advises for a fixed cost); the
+    ratio is the median of t_direct / t_modal within each pair, from which
+    a change in host speed between pairs cancels.
+    """
+    base = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
+                                max(N_values) + 1)
+    family = transform.solve_transform_family(plant)
+    plants = [_with_shapes(plant, _bench_shapes(plant.L, N)) for N in N_values]
+    pairs = [[] for _ in N_values]
+    for _ in range(repeats):
+        for N, p, timed in zip(N_values, plants, pairs):
+            _time_pair(p, base, family, delta, N)  # warm-up
+            timed.append(_time_pair(p, base, family, delta, N))
     rows = []
-    top = max(N_values)
-    base = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2, top + 1)
-    for N in N_values:
-        shapes = _bench_shapes(plant.L, N)
-        p = _with_shapes(plant, shapes)
-        Bmat, _ = synthesis.input_matrix(shapes, base, N)
-        _time_modal(p, base, delta, N, Bmat)           # warm-up
-        synthesis.direct_baseline(p, base, delta, N)   # warm-up
-        modal_times = []
-        direct_times = []
-        for _ in range(repeats):
-            modal_times.append(_time_modal(p, base, delta, N, Bmat))
-            _K, wall = synthesis.direct_baseline(p, base, delta, N)
-            direct_times.append(wall)
-        t_modal = statistics.median(modal_times)
-        t_direct = statistics.median(direct_times)
-        rows.append((N, t_modal, t_direct, t_direct / t_modal))
+    for N, timed in zip(N_values, pairs):
+        modal, direct = zip(*timed)
+        ratio = statistics.median(d / m for m, d in timed)
+        rows.append((N, min(modal), min(direct), ratio))
     return rows
 
 

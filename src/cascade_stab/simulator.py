@@ -40,7 +40,7 @@ from .spectral import (
     project_callable,
     shape_projection_matrix,
 )
-from .synthesis import Controller, closed_block, mode_blocks, zero_controller
+from .synthesis import Controller, closed_blocks, mode_blocks, zero_controller
 from .transform import TransformFamily, mode_transform
 
 _NORM_FLOOR = 1e-300
@@ -248,26 +248,20 @@ def target_residual(traj: Trajectory, plant: ValidatedPlant,
     N = controller.N
     if N == 0:
         return 0.0
-    m = plant.m
-    basis = extend_basis(basis, N)
-    T_blocks = []
-    H_blocks = []
-    A_blocks = []
-    for n in range(1, N + 1):
-        lam = float(basis.lam[n - 1])
-        T_blocks.append(mode_transform(family, lam, n, N).matrix)
-        H_blocks.append(closed_block(plant, controller.K_Q, lam))
-        A_n = -lam * np.diag(plant.D) + plant.Q
-        A_n[0, :] += controller.Kbar[n - 1]
-        A_blocks.append(A_n)
-    T = scipy.linalg.block_diag(*T_blocks)
-    H = scipy.linalg.block_diag(*H_blocks)
-    A_cl = scipy.linalg.block_diag(*A_blocks)
+    lam = extend_basis(basis, N).lam[:N]
+    T, _ = mode_transform(family, lam)
+    H = closed_blocks(plant, controller.K_Q, lam)
+    A_cl = mode_blocks(plant, lam)  # mode-n closed-loop blocks, -lam_n D + Q + B Kbar_n
+    A_cl[:, 0, :] += controller.Kbar[:N]
 
-    defect = T @ A_cl - H @ T
-    ZN = traj.modal[:, :N, :].reshape(len(traj.times), m * N).T  # one column per sample
-    worst = float(np.max(np.linalg.norm(defect @ ZN, axis=0)))
-    scale = max(_NORM_FLOOR, float(np.max(np.linalg.norm(H @ (T @ ZN), axis=0))))
+    # Block n of every product acts on z_n alone: (N, m, samples) stacks.
+    Z = traj.modal[:, :N, :].transpose(1, 2, 0)
+    samples = len(traj.times)
+    defect = (T @ A_cl - H @ T) @ Z
+    target = H @ (T @ Z)
+    worst = float(np.max(np.linalg.norm(defect.reshape(-1, samples), axis=0)))
+    scale = max(_NORM_FLOOR,
+                float(np.max(np.linalg.norm(target.reshape(-1, samples), axis=0))))
     return worst / scale
 
 

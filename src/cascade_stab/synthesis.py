@@ -39,7 +39,12 @@ from .errors import (
 )
 from .model import ValidatedPlant
 from .spectral import SpectralBasis, extend_basis, shape_projection_matrix
-from .transform import TransformFamily, mode_transform, solve_transform_family
+from .transform import (
+    TransformFamily,
+    mode_transform,
+    solve_transform_family,
+    sylvester_map,
+)
 
 HYPOTHESIS_COND_LIMIT = 1e12
 LYAPUNOV_RESIDUAL_TOL = 1e-8
@@ -50,7 +55,8 @@ RHO_BAR = 4.0
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -188,25 +194,14 @@ def _solve_lyapunov_identity(Abar: np.ndarray) -> np.ndarray:
     return sym(P)
 
 
-def closed_block(plant: ValidatedPlant, K_Q: np.ndarray, lam: float) -> np.ndarray:
-    """Target block H_n = -lam d_m I + Q + B K_Q."""
-    m = plant.m
-    return -lam * plant.d_last * np.eye(m) + plant.Q + np.outer(_e1(m), K_Q)
-
-
 def modal_gains(plant: ValidatedPlant, family: TransformFamily, lambdas,
                 K_Q: np.ndarray, N: int) -> np.ndarray:
-    """Row gains Kbar_n, n = 1..N, one per retained mode."""
-    m = plant.m
-    Q = plant.Q
-    D = np.diag(plant.D)
-    rows = np.empty((N, m))
-    for n in range(1, N + 1):
-        lam = float(lambdas[n - 1])
-        T = mode_transform(family, lam, n, N).matrix
-        M = (Q - lam * plant.d_last * np.eye(m)) @ T + T @ (lam * D - Q)
-        rows[n - 1] = M[0, :] + K_Q @ T
-    return rows
+    """Row gains Kbar_n, n = 1..N, one per retained mode: shape (N, m)."""
+    lam = np.asarray(lambdas, dtype=float)[:N]
+    if lam.size < N:
+        raise ValueError(f"{N} modal gains need {N} eigenvalues, got {lam.size}")
+    T, _ = mode_transform(family, lam)
+    return sylvester_map(plant, lam, T)[:, 0, :] + np.matmul(K_Q, T)
 
 
 def input_matrix(shapes, basis: SpectralBasis, N: int) -> tuple[np.ndarray, float]:
@@ -232,11 +227,19 @@ def mode_blocks(plant: ValidatedPlant, lambdas) -> np.ndarray:
     return -lam[:, None, None] * np.diag(plant.D) + plant.Q
 
 
-def _block_diag_rows(Kbar: np.ndarray) -> np.ndarray:
+def closed_blocks(plant: ValidatedPlant, K_Q: np.ndarray, lambdas) -> np.ndarray:
+    """Target blocks H_n = -lambda_n d_m I + Q + B K_Q, stacked: (len(lambdas), m, m)."""
+    lam = np.asarray(lambdas, dtype=float)
+    m = plant.m
+    return (-lam[:, None, None] * plant.d_last * np.eye(m) + plant.Q
+            + np.outer(_e1(m), K_Q))
+
+
+def block_diag_rows(Kbar: np.ndarray) -> np.ndarray:
+    """The N x (m N) matrix whose row n holds Kbar_n in block column n."""
     N, m = Kbar.shape
     out = np.zeros((N, m * N))
-    for n in range(N):
-        out[n, n * m:(n + 1) * m] = Kbar[n]
+    out.reshape(N, N, m)[np.arange(N), np.arange(N)] = Kbar
     return out
 
 
@@ -277,7 +280,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
         family = solve_transform_family(plant)
     Kbar = modal_gains(plant, family, basis.lam, K_Q, N)
     Bmat, cond_B = input_matrix(plant.shapes[:N], basis, N)
-    K = np.linalg.solve(Bmat, _block_diag_rows(Kbar))
+    K = np.linalg.solve(Bmat, block_diag_rows(Kbar))
     return Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
                       Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
 
@@ -323,10 +326,10 @@ def certificate(plant: ValidatedPlant, controller: Controller,
         _check_margins(cert)
         return cert
 
-    transforms = [mode_transform(family, float(basis.lam[n - 1]), n, N)
-                  for n in range(1, N + 1)]
-    inv_sq = max(float(np.linalg.norm(t.inverse, 2)) ** 2 for t in transforms)
-    fwd_sq = max(float(np.linalg.norm(t.matrix, 2)) ** 2 for t in transforms)
+    lam = basis.lam[:N]
+    T, T_inv = mode_transform(family, lam)
+    inv_sq = float(np.max(np.linalg.norm(T_inv, 2, axis=(1, 2)))) ** 2
+    fwd_sq = float(np.max(np.linalg.norm(T, 2, axis=(1, 2)))) ** 2
     # T_n = I for n > N contributes norm 1 to both envelopes.
     c_lower = 1.0 / max(1.0, inv_sq)
     c_upper = max(1.0, fwd_sq)
@@ -342,11 +345,9 @@ def certificate(plant: ValidatedPlant, controller: Controller,
         c_upper * max(eig_P[-1], rho0) / (c_lower * min(eig_P[0], rho0))
     ))
 
-    gamma_margins = []
-    for n in range(1, N + 1):
-        H_n = closed_block(plant, controller.K_Q, float(basis.lam[n - 1]))
-        G = sym(controller.P @ H_n) + np.eye(m) / rho_bar + delta * controller.P
-        gamma_margins.append(float(np.linalg.eigvalsh(G)[-1]))
+    H = closed_blocks(plant, controller.K_Q, lam)
+    G = sym(controller.P @ H) + np.eye(m) / rho_bar + delta * controller.P
+    gamma_margins = np.linalg.eigvalsh(G)[:, -1].tolist()
 
     cert = Certificate(rho=rho, rho_bar=rho_bar, beta=beta, rho0=rho0,
                        c_lower=c_lower, c_upper=c_upper, M=M_over,

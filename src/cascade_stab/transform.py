@@ -3,11 +3,11 @@
 For a validated plant with diffusion indices (sigma, sigma_bar), the mode-n
 transform is the unit upper-triangular matrix
 
-    T_n = I + sum_{i=1..sigma_bar} lambda_n**i * Tbar_i      (n <= N),
-    T_n = I                                                  (n >= N+1),
+    T_n = I + sum_{i=1..sigma_bar} lambda_n**i * Tbar_i,
 
-where the nilpotent coefficient matrices Tbar_i solve the masked recursive
-Sylvester equations (with B = e_1, Tbar_0 = I, d_m the last diffusion)
+a polynomial in lambda_n whose nilpotent coefficient matrices Tbar_i solve
+the masked recursive Sylvester equations (with B = e_1, Tbar_0 = I, d_m the
+last diffusion)
 
     (I - B B^T) (Q Tbar_i - Tbar_i Q + Tbar_{i-1} (D - d_m I)) = 0.
 
@@ -17,6 +17,12 @@ entry (j+1, k) of the masked residual, sweeping j downward and k rightmost
 first; the pivot is the subdiagonal entry q_{j+1,j}, nonzero by the
 controllability condition.  The elimination is the authoritative solver;
 the closed-form recursion `closed_form_coeff` is an independent cross-check.
+
+The family is solved once, independently of the number N of retained
+modes.  `mode_transform` then evaluates it on all N retained eigenvalues at
+once, as (N, m, m) stacks of T_n and T_n^{-1}; `coupling_row` and
+`cancellation_residual` take those stacks and return one row or residual
+per mode.  Modes past N are not transformed (T_n = I there).
 """
 
 from __future__ import annotations
@@ -61,15 +67,6 @@ class TransformFamily:
     @property
     def is_empty(self) -> bool:
         return self.sigma_bar == 0
-
-
-@dataclass(frozen=True)
-class ModalTransform:
-    """T_n together with its exact polynomial inverse."""
-
-    n: int
-    matrix: np.ndarray
-    inverse: np.ndarray
 
 
 def _masked_residual(Q: np.ndarray, Ti: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -180,65 +177,62 @@ def closed_form_family(plant: ValidatedPlant) -> TransformFamily:
     return TransformFamily(m=m, sigma_bar=sigma_bar, coeffs=tuple(coeffs))
 
 
-def _nilpotent_part(family: TransformFamily, lam: float) -> np.ndarray:
-    S = np.zeros((family.m, family.m))
-    power = 1.0
-    for Ti in family.coeffs:
-        power *= lam
-        S += power * Ti
-    return S
+def mode_transform(family: TransformFamily, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked T_n and T_n^{-1} for the retained eigenvalues lam.
 
-
-def mode_transform(family: TransformFamily, lam: float, n: int, N: int) -> ModalTransform:
-    """Assemble T_n and its inverse; T_n = I for n >= N+1.
-
-    The inverse is the terminating Neumann series of the strictly upper
-    triangular part, hence exact up to roundoff; det(T_n) = 1 always.
+    Both have shape (len(lam), m, m).  The powers of lambda come from a
+    running product, so every slice holds the same bits as the mode-n
+    polynomial evaluated on its own.  The inverse is the terminating
+    Neumann series of the strictly upper triangular part S (S^m = 0),
+    hence exact up to roundoff; det(T_n) = 1 always.
     """
-    m = family.m
-    eye = np.eye(m)
-    if n >= N + 1 or family.is_empty or lam == 0.0:
-        return ModalTransform(n=n, matrix=eye.copy(), inverse=eye.copy())
-    S = _nilpotent_part(family, lam)
-    matrix = eye + S
-    inverse = eye.copy()
-    term = eye
-    for _ in range(m - 1):
+    lam = np.asarray(lam, dtype=float)
+    eye = np.eye(family.m)
+    S = np.zeros((lam.size, family.m, family.m))
+    power = np.ones(lam.size)
+    for Ti in family.coeffs:
+        power = power * lam
+        S += power[:, None, None] * Ti
+    inverse = eye + np.zeros_like(S)
+    term = np.broadcast_to(eye, S.shape)
+    for _ in range(family.m - 1):
         term = term @ (-S)
-        if not term.any():
-            break
         inverse = inverse + term
-    return ModalTransform(n=n, matrix=matrix, inverse=inverse)
+    return eye + S, inverse
 
 
-def coupling_row(plant: ValidatedPlant, family: TransformFamily, lam: float,
-                 transform: ModalTransform) -> np.ndarray:
-    """Row G_n of the feedback term B G_n appearing in the target dynamics.
+def sylvester_map(plant: ValidatedPlant, lam, X: np.ndarray) -> np.ndarray:
+    """(Q - lam_n d_m I) X_n + X_n (lam_n D - Q) for each X_n of the stack X."""
+    lam = np.asarray(lam, dtype=float)[:, None, None]
+    return ((plant.Q - lam * plant.d_last * np.eye(plant.m)) @ X
+            + X @ (lam * np.diag(plant.D) - plant.Q))
+
+
+def coupling_row(plant: ValidatedPlant, lam, T: np.ndarray,
+                 T_inv: np.ndarray) -> np.ndarray:
+    """Rows G_n of the feedback term B G_n in the target dynamics, shape (N, m).
 
     G_n = -B^T ((Q - lam d_m I) S + S (lam D - Q) + lam (D - d_m I)) T_n^{-1}
-    with S the nilpotent part of T_n.  The modal gains cancel exactly this
-    term; for identical diffusions it vanishes.
+    with S = T_n - I the nilpotent part of T_n, for the stacked transforms
+    of `mode_transform`.  The modal gains cancel exactly this term; for
+    identical diffusions it vanishes.
     """
-    m = plant.m
-    Q = plant.Q
-    D = np.diag(plant.D)
-    d_last = plant.d_last
-    S = _nilpotent_part(family, lam)
-    M = (Q - lam * d_last * np.eye(m)) @ S + S @ (lam * D - Q) + lam * (D - d_last * np.eye(m))
-    return -(M[0, :] @ transform.inverse)
+    eye = np.eye(plant.m)
+    lam = np.asarray(lam, dtype=float)
+    M = (sylvester_map(plant, lam, T - eye)
+         + lam[:, None, None] * (np.diag(plant.D) - plant.d_last * eye))
+    return -np.matmul(M[:, :1, :], T_inv)[:, 0]
 
 
-def cancellation_residual(plant: ValidatedPlant, family: TransformFamily,
-                          lam: float, transform: ModalTransform) -> float:
-    """Max-abs residual of (Q - lam d_m I) T_n + T_n (lam D - Q) + B G_n T_n."""
-    m = plant.m
-    Q = plant.Q
-    D = np.diag(plant.D)
-    G = coupling_row(plant, family, lam, transform)
-    T = transform.matrix
-    R = (Q - lam * plant.d_last * np.eye(m)) @ T + T @ (lam * D - Q)
-    R[0, :] += G @ T
-    return float(np.max(np.abs(R)))
+def cancellation_residual(plant: ValidatedPlant, lam, T: np.ndarray,
+                          G: np.ndarray) -> np.ndarray:
+    """Max-abs residual of (Q - lam d_m I) T_n + T_n (lam D - Q) + B G_n T_n.
+
+    One residual per stacked T_n and row G_n: shape (N,).
+    """
+    R = sylvester_map(plant, lam, T)
+    R[:, 0, :] += np.matmul(G[:, None, :], T)[:, 0]
+    return np.max(np.abs(R), axis=(1, 2))
 
 
 def family_to_dict(family: TransformFamily) -> dict:

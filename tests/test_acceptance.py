@@ -123,14 +123,14 @@ class TestCriterion3GainIdentities:
             family = solve_transform_family(plant)
             K_Q = rng.uniform(-1.0, 1.0, plant.m)
             rows = modal_gains(plant, family, lambdas, K_Q, len(lambdas))
-            for n, lam in enumerate(lambdas, start=1):
-                mt = mode_transform(family, lam, n, len(lambdas))
-                assert abs(np.linalg.det(mt.matrix) - 1.0) <= 1e-10
-                G = coupling_row(plant, family, lam, mt)
-                other = (K_Q - G) @ mt.matrix
-                scale = max(1.0, float(np.max(np.abs(rows[n - 1]))),
+            T, T_inv = mode_transform(family, lambdas)
+            G = coupling_row(plant, lambdas, T, T_inv)
+            for n in range(len(lambdas)):
+                assert abs(np.linalg.det(T[n]) - 1.0) <= 1e-10
+                other = (K_Q - G[n]) @ T[n]
+                scale = max(1.0, float(np.max(np.abs(rows[n]))),
                             float(np.max(np.abs(other))))
-                assert np.max(np.abs(rows[n - 1] - other)) / scale <= 1e-9
+                assert np.max(np.abs(rows[n] - other)) / scale <= 1e-9
         assert elapsed_under(start, 30.0)
         report(3, "gain-route equality and unit determinants on 100 random plants")
 
@@ -164,16 +164,11 @@ class TestCriterion5TargetEquivalence:
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
 
-        from cascade_stab.synthesis import closed_block
+        from cascade_stab.synthesis import closed_blocks
 
-        T = scipy.linalg.block_diag(*[
-            mode_transform(family, float(demo_basis.lam[n - 1]), n, 3).matrix
-            for n in (1, 2, 3)
-        ])
-        H = scipy.linalg.block_diag(*[
-            closed_block(demo_plant, ctl.K_Q, float(demo_basis.lam[n - 1]))
-            for n in (1, 2, 3)
-        ])
+        lams = demo_basis.lam[:3]
+        T = scipy.linalg.block_diag(*mode_transform(family, lams)[0])
+        H = scipy.linalg.block_diag(*closed_blocks(demo_plant, ctl.K_Q, lams))
         dt = cfg.resolved_dt()
         prop = scipy.linalg.expm(H * dt)
         y = T @ traj.modal[0, :3, :].reshape(-1)

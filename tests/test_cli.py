@@ -235,6 +235,35 @@ class TestSimulate:
         assert "non-finite" in capsys.readouterr().err
 
 
+class TestManyRetainedModes:
+    """N above --M-modes and the 8-mode default basis: the report and verify
+    read lambda_1..lambda_N past the basis built for the truncation."""
+
+    @pytest.fixture()
+    def wide_plant(self, tmp_path):
+        obj = example_plant_dict()
+        obj["shapes"] = [{"kind": "indicator", "params": [0.1 * j, 0.1 * j + 0.1]}
+                         for j in range(1, 11)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_synthesize_reports_every_block(self, tmp_path, wide_plant, capsys):
+        out = tmp_path / "syn"
+        rc = main(["synthesize", "--plant", wide_plant, "--delta", "9", "--N", "10",
+                   "--M-modes", "5", "--dump-transform", "--out-dir", str(out)])
+        assert rc == 0
+        report = capsys.readouterr().out
+        assert report.count("block abscissa") == 10
+        assert len(json.loads((out / "transform.json").read_text())["modes"]) == 10
+
+    def test_verify_rejects_truncation_below_N(self, wide_plant, capsys):
+        rc = main(["verify", "--plant", wide_plant, "--delta", "9", "--N", "10",
+                   "--M-modes", "5"])
+        assert rc == 1
+        assert "must exceed N=10" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -3,11 +3,16 @@
 The vectorized layers are checked against the per-mode forms they replace,
 kept here as oracles: shape projections against the scalar closed forms,
 the stacked residual-mode margins against one eigvalsh per mode, the
-closed-loop assembly against the per-mode loop, and the retained-only run
-`verify` makes against the first N modes of the full run.  Example counts
-come from the hypothesis profile in conftest.py.
+closed-loop assembly against the per-mode loop, the retained-only run
+`verify` makes against the first N modes of the full run, and the stacked
+modal transform (T_n, T_n^{-1}, G_n, H_n, the gains and the certificate)
+against its evaluation one mode at a time.  The paper's gain identities,
+Kbar_n = (K_Q - G_n) T_n and Bmat K = block-rows(Kbar), are checked on
+synthesized controllers.  Example counts come from the hypothesis profile
+in conftest.py.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +20,30 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import scipy.linalg
+
+from cascade_stab.cli import _corrupt_family
 from cascade_stab.errors import HypothesisHViolated
 from cascade_stab.model import ShapeFunction
-from cascade_stab.simulator import assemble_closed_loop, integrate
+from cascade_stab.simulator import assemble_closed_loop, integrate, target_residual
 from cascade_stab.spectral import build_basis, shape_projection, shape_projection_matrix
-from cascade_stab.synthesis import _omega_margins, build_controller, selection_margin
+from cascade_stab.synthesis import (
+    RHO_BAR,
+    _omega_margins,
+    block_diag_rows,
+    build_controller,
+    certificate,
+    closed_blocks,
+    modal_gains,
+    selection_margin,
+    sym,
+)
+from cascade_stab.transform import (
+    cancellation_residual,
+    coupling_row,
+    mode_transform,
+    solve_transform_family,
+)
 
 from conftest import random_plant
 
@@ -88,10 +112,15 @@ def shapes(draw, L):
 
 
 @st.composite
-def cascades(draw):
-    """A random valid cascade (conftest.random_plant) from a drawn seed."""
+def cascades(draw, max_m=None):
+    """A random valid cascade (conftest.random_plant) from a drawn seed.
+
+    With max_m the size m is drawn from 2..max_m; without it, the seed
+    picks it (2..6).
+    """
+    m = None if max_m is None else draw(st.integers(2, max_m))
     seed = draw(st.integers(0, 2**32 - 1))
-    return random_plant(np.random.default_rng(seed))
+    return random_plant(np.random.default_rng(seed), m=m)
 
 
 @given(basis=bases(), data=st.data())
@@ -193,3 +222,165 @@ def test_neumann_zero_frequency_column():
     for n in range(1, 6):
         expected = [scalar_shape_projection(b, basis, n) for b in group]
         assert P[n - 1].tolist() == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The modal transform, one mode at a time (the oracles)
+
+def per_mode_transform(family, lam):
+    """(T_n, T_n^{-1}, S) for one eigenvalue lam, S the nilpotent part of T_n."""
+    m = family.m
+    eye = np.eye(m)
+    S = np.zeros((m, m))
+    if family.is_empty or lam == 0.0:
+        return eye.copy(), eye.copy(), S
+    power = 1.0
+    for Ti in family.coeffs:
+        power *= lam
+        S += power * Ti
+    inverse, term = eye.copy(), eye
+    for _ in range(m - 1):
+        term = term @ (-S)
+        if not term.any():
+            break
+        inverse = inverse + term
+    return eye + S, inverse, S
+
+
+def per_mode_coupling_row(plant, lam, S, inverse):
+    """G_n = -B^T ((Q - lam d_m I) S + S (lam D - Q) + lam (D - d_m I)) T_n^{-1}."""
+    eye, D, Q = np.eye(plant.m), np.diag(plant.D), plant.Q
+    left, right = Q - lam * plant.d_last * eye, lam * D - Q
+    M = left @ S + S @ right + lam * (D - plant.d_last * eye)
+    return -(M[0, :] @ inverse)
+
+
+def per_mode_cancellation(plant, lam, T, G):
+    """Max-abs residual of (Q - lam d_m I) T_n + T_n (lam D - Q) + B G_n T_n."""
+    left = plant.Q - lam * plant.d_last * np.eye(plant.m)
+    R = left @ T + T @ (lam * np.diag(plant.D) - plant.Q)
+    R[0, :] += G @ T
+    return float(np.max(np.abs(R)))
+
+
+def per_mode_gain(plant, lam, T, K_Q):
+    """Kbar_n = B^T ((Q - lam d_m I) T_n + T_n (lam D - Q)) + K_Q T_n."""
+    left = plant.Q - lam * plant.d_last * np.eye(plant.m)
+    M = left @ T + T @ (lam * np.diag(plant.D) - plant.Q)
+    return M[0, :] + K_Q @ T
+
+
+def per_mode_closed_block(plant, K_Q, lam):
+    """H_n = -lam d_m I + Q + B K_Q."""
+    m = plant.m
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    return -lam * plant.d_last * np.eye(m) + plant.Q + np.outer(e1, K_Q)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(plant=cascades(max_m=5), basis=bases(max_modes=40), data=st.data())
+def test_stacked_transform_matches_per_mode(plant, basis, data):
+    family = solve_transform_family(plant)
+    if data.draw(st.booleans(), label="corrupt"):
+        family = _corrupt_family(plant, family)  # verify's debug hook
+    N = data.draw(st.integers(0, basis.size), label="N")
+    lam = basis.lam[:N]
+    K_Q = np.asarray(data.draw(st.lists(st.floats(-50.0, 50.0, **finite),
+                                        min_size=plant.m, max_size=plant.m)))
+    T, T_inv = mode_transform(family, lam)
+    G = coupling_row(plant, lam, T, T_inv)
+    cancel = cancellation_residual(plant, lam, T, G)
+    gains = modal_gains(plant, family, lam, K_Q, N)
+    H = closed_blocks(plant, K_Q, lam)
+    assert T.shape == T_inv.shape == H.shape == (N, plant.m, plant.m)
+    assert G.shape == gains.shape == (N, plant.m) and cancel.shape == (N,)
+    abscissae = np.max(np.linalg.eigvals(H).real, axis=1)  # the report's
+    for n, l in enumerate(lam.tolist()):
+        T_n, inverse, S = per_mode_transform(family, l)
+        G_n = per_mode_coupling_row(plant, l, S, inverse)
+        H_n = per_mode_closed_block(plant, K_Q, l)
+        assert same_bits(T[n], T_n) and same_bits(T_inv[n], inverse)
+        assert same_bits(G[n], G_n)
+        assert cancel[n] == per_mode_cancellation(plant, l, T_n, G_n)
+        assert same_bits(gains[n], per_mode_gain(plant, l, T_n, K_Q))
+        assert same_bits(H[n], H_n)
+        assert abscissae[n] == np.max(np.linalg.eigvals(H_n).real)
+
+
+@given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
+def test_certificate_matches_per_mode(plant, delta):
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
+    ctl = synthesized(plant, delta, basis)
+    assume(ctl is not None)
+    family = solve_transform_family(plant)
+    cert = certificate(plant, ctl, family, basis, M_modes=30)
+    lam = basis.lam[:ctl.N].tolist()
+    forms = [per_mode_transform(family, l) for l in lam]
+    inv_sq = max(float(np.linalg.norm(inverse, 2)) ** 2 for _T, inverse, _S in forms)
+    fwd_sq = max(float(np.linalg.norm(T_n, 2)) ** 2 for T_n, _inv, _S in forms)
+    assert cert.c_lower == 1.0 / max(1.0, inv_sq)
+    assert cert.c_upper == max(1.0, fwd_sq)
+    eye = np.eye(plant.m)
+    gamma = tuple(
+        float(np.linalg.eigvalsh(sym(ctl.P @ per_mode_closed_block(plant, ctl.K_Q, l))
+                                 + eye / RHO_BAR + ctl.delta * ctl.P)[-1])
+        for l in lam)
+    assert cert.gamma_margins == gamma  # bitwise
+
+
+def relative(a, b):
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) / scale
+
+
+@given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
+def test_gain_route_and_factorization(plant, delta):
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
+    ctl = synthesized(plant, delta, basis)
+    assume(ctl is not None)
+    N, m = ctl.N, plant.m
+    lam = basis.lam[:N]
+    T, T_inv = mode_transform(solve_transform_family(plant), lam)
+    G = coupling_row(plant, lam, T, T_inv)
+    # Kbar_n = (K_Q - G_n) T_n: the direct and the coupling route agree.
+    for n in range(N):
+        assert relative(ctl.Kbar[n], (ctl.K_Q - G[n]) @ T[n]) <= 1e-9
+    # Bmat K = block-rows(Kbar), row n holding Kbar_n in block column n.
+    rows = block_diag_rows(ctl.Kbar)
+    assert rows.shape == (N, m * N)
+    for n in range(N):
+        assert same_bits(rows[n, n * m:(n + 1) * m], ctl.Kbar[n])
+        assert not np.delete(rows[n], np.s_[n * m:(n + 1) * m]).any()
+    assert relative(ctl.Bmat @ ctl.K, rows) <= 1e-9
+
+
+@given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite),
+       scale=st.floats(0.5, 1.5, **finite))
+def test_target_residual_matches_block_diagonal_form(plant, delta, scale):
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
+    ctl = synthesized(plant, delta, basis)
+    assume(ctl is not None)
+    ctl = dataclasses.replace(ctl, Kbar=ctl.Kbar * scale)  # a nonzero defect too
+    N, m = ctl.N, plant.m
+    family = solve_transform_family(plant)
+    z0 = np.array([[1.0 / n] * m for n in range(1, N + 1)])
+    traj = integrate(assemble_closed_loop(plant, ctl, basis, N), z0, 0.1, 0.1 / 50)
+    lam = basis.lam[:N].tolist()
+    T = scipy.linalg.block_diag(*[per_mode_transform(family, l)[0] for l in lam])
+    H = scipy.linalg.block_diag(*[per_mode_closed_block(plant, ctl.K_Q, l) for l in lam])
+    blocks = []
+    for n, l in enumerate(lam):
+        block = -l * np.diag(plant.D) + plant.Q
+        block[0, :] += ctl.Kbar[n]
+        blocks.append(block)
+    Z = traj.modal.reshape(len(traj.times), m * N).T
+    defect = (T @ scipy.linalg.block_diag(*blocks) - H @ T) @ Z
+    expected = (np.max(np.linalg.norm(defect, axis=0))
+                / np.max(np.linalg.norm(H @ (T @ Z), axis=0)))
+    res = target_residual(traj, plant, ctl, family, basis)
+    assert res == pytest.approx(expected, rel=1e-9, abs=1e-12)

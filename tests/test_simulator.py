@@ -23,7 +23,12 @@ from cascade_stab.simulator import (
 )
 from cascade_stab.simulator import _VALUES_PER_WORKER, _group_size, _retained_width
 from cascade_stab.spectral import adaptive_simpson, build_basis, expand
-from cascade_stab.synthesis import Controller, build_controller, certificate, closed_block
+from cascade_stab.synthesis import (
+    Controller,
+    build_controller,
+    certificate,
+    closed_blocks,
+)
 from cascade_stab.transform import mode_transform, solve_transform_family
 
 DEMO_OFFSETS = (4.0, 6.0, 9.0)
@@ -302,10 +307,8 @@ class TestTargetResidual:
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         lams = demo_basis.lam[:3]
-        T = scipy.linalg.block_diag(*[mode_transform(family, float(lam), n, 3).matrix
-                                      for n, lam in enumerate(lams, start=1)])
-        H = scipy.linalg.block_diag(*[closed_block(demo_plant, bad.K_Q, float(lam))
-                                      for lam in lams])
+        T = scipy.linalg.block_diag(*mode_transform(family, lams)[0])
+        H = scipy.linalg.block_diag(*closed_blocks(demo_plant, bad.K_Q, lams))
         blocks = []
         for n, lam in enumerate(lams):
             block = -float(lam) * np.diag(demo_plant.D) + demo_plant.Q

@@ -11,7 +11,7 @@ from cascade_stab.synthesis import (
     build_controller,
     certificate,
     certificate_from_dict,
-    closed_block,
+    closed_blocks,
     controller_from_dict,
     direct_baseline,
     gains_to_dict,
@@ -174,6 +174,11 @@ class TestModalGains:
         M = (Q - 1.5 * np.eye(3)) @ T1 + T1 @ (0.25 * D - Q)
         np.testing.assert_allclose(rows[0], M[0, :] + K_Q @ T1, atol=1e-12)
 
+    def test_too_few_eigenvalues_rejected(self, demo_plant):
+        family = solve_transform_family(demo_plant)
+        with pytest.raises(ValueError):
+            modal_gains(demo_plant, family, [0.25, 2.25], np.zeros(3), 3)
+
     def test_gain_route_equality_random(self, rng):
         lambdas = [0.25, 2.25, 6.25, 12.25]
         for _ in range(100):
@@ -181,12 +186,12 @@ class TestModalGains:
             family = solve_transform_family(plant)
             K_Q = rng.uniform(-2.0, 2.0, plant.m)
             rows = modal_gains(plant, family, lambdas, K_Q, len(lambdas))
-            for n, lam in enumerate(lambdas, start=1):
-                mt = mode_transform(family, lam, n, len(lambdas))
-                G = coupling_row(plant, family, lam, mt)
-                other = (K_Q - G) @ mt.matrix
-                scale = max(1.0, np.max(np.abs(rows[n - 1])), np.max(np.abs(other)))
-                assert np.max(np.abs(rows[n - 1] - other)) / scale <= 1e-9
+            T, T_inv = mode_transform(family, lambdas)
+            G = coupling_row(plant, lambdas, T, T_inv)
+            for n in range(len(lambdas)):
+                other = (K_Q - G[n]) @ T[n]
+                scale = max(1.0, np.max(np.abs(rows[n])), np.max(np.abs(other)))
+                assert np.max(np.abs(rows[n] - other)) / scale <= 1e-9
 
 
 class TestInputMatrix:
@@ -220,9 +225,8 @@ class TestBuildController:
         assert ctl.N == 3
         assert ctl.N_min == 2
         assert ctl.K.shape == (3, 9)
-        for n in (1, 2, 3):
-            H = closed_block(demo_plant, ctl.K_Q, float(demo_basis.lam[n - 1]))
-            assert np.max(np.linalg.eigvals(H).real) <= -9.0
+        H = closed_blocks(demo_plant, ctl.K_Q, demo_basis.lam[:3])
+        assert np.max(np.linalg.eigvals(H).real) <= -9.0
         # factorization: Bmat K = blockdiag rows of Kbar
         recon = ctl.Bmat @ ctl.K
         target = np.zeros_like(recon)
@@ -294,12 +298,8 @@ class TestCertificate:
         family = solve_transform_family(demo_plant)
         ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
         cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
-        infl = max(
-            np.linalg.norm(
-                mode_transform(family, float(demo_basis.lam[n - 1]), n, 3).inverse, 2
-            ) ** 2
-            for n in (1, 2, 3)
-        )
+        _T, T_inv = mode_transform(family, demo_basis.lam[:3])
+        infl = max(np.linalg.norm(inverse, 2) ** 2 for inverse in T_inv)
         total = sum(s.l2_norm_sq(demo_plant.L) for s in demo_plant.shapes)
         assert cert.beta == pytest.approx(infl * total, rel=1e-12)
         assert total == pytest.approx(0.3, rel=1e-12)

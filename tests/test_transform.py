@@ -151,31 +151,32 @@ class TestClosedForm:
 class TestModeTransform:
     def test_demo_mode_one(self, demo_plant):
         family = solve_transform_family(demo_plant)
-        mt = mode_transform(family, 0.25, 1, 3)
+        T, T_inv = mode_transform(family, [0.25])
         expected = np.array([[1.0, 0.25, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(mt.matrix, expected, atol=1e-14)
-        np.testing.assert_allclose(mt.matrix @ mt.inverse, np.eye(3), atol=1e-14)
-
-    def test_identity_past_cutoff(self, demo_plant):
-        family = solve_transform_family(demo_plant)
-        mt = mode_transform(family, 12.25, 4, 3)
-        np.testing.assert_array_equal(mt.matrix, np.eye(3))
+        assert T.shape == T_inv.shape == (1, 3, 3)
+        np.testing.assert_allclose(T[0], expected, atol=1e-14)
+        np.testing.assert_allclose(T[0] @ T_inv[0], np.eye(3), atol=1e-14)
 
     def test_zero_eigenvalue_is_identity(self, demo_plant):
         family = solve_transform_family(demo_plant)
-        mt = mode_transform(family, 0.0, 1, 3)
-        np.testing.assert_array_equal(mt.matrix, np.eye(3))
+        T, T_inv = mode_transform(family, [0.0, 0.25])
+        np.testing.assert_array_equal(T[0], np.eye(3))
+        np.testing.assert_array_equal(T_inv[0], np.eye(3))
+
+    def test_no_eigenvalues_empty_stack(self, demo_plant):
+        family = solve_transform_family(demo_plant)
+        T, T_inv = mode_transform(family, [])
+        assert T.shape == T_inv.shape == (0, 3, 3)
 
     def test_determinant_and_inverse_random(self, rng):
         for _ in range(100):
             plant = random_plant(rng)
             family = solve_transform_family(plant)
-            for n, lam in enumerate(LAMBDAS, start=1):
-                mt = mode_transform(family, lam, n, len(LAMBDAS))
-                assert abs(np.linalg.det(mt.matrix) - 1.0) <= 1e-10
-                err = np.max(np.abs(mt.matrix @ mt.inverse - np.eye(plant.m)))
-                scale = max(1.0, np.max(np.abs(mt.matrix)) ** 2)
-                assert err <= 1e-12 * scale
+            T, T_inv = mode_transform(family, LAMBDAS)
+            assert np.max(np.abs(np.linalg.det(T) - 1.0)) <= 1e-10
+            err = np.max(np.abs(T @ T_inv - np.eye(plant.m)), axis=(1, 2))
+            scale = np.maximum(1.0, np.max(np.abs(T), axis=(1, 2)) ** 2)
+            assert np.all(err <= 1e-12 * scale)
 
 
 class TestCouplingRow:
@@ -183,42 +184,42 @@ class TestCouplingRow:
         # d1 != d2 = ... = dm: G_n = lam (d_m - d1) e1^T
         plant = simple_plant([2.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
         family = solve_transform_family(plant)
-        for lam in LAMBDAS:
-            mt = mode_transform(family, lam, 1, 4)
-            G = coupling_row(plant, family, lam, mt)
-            np.testing.assert_allclose(G, [lam * (1.0 - 2.0), 0.0], atol=1e-12)
+        G = coupling_row(plant, LAMBDAS, *mode_transform(family, LAMBDAS))
+        expected = [[lam * (1.0 - 2.0), 0.0] for lam in LAMBDAS]
+        np.testing.assert_allclose(G, expected, atol=1e-12)
 
     def test_sigma_two_three_equations(self):
         plant = simple_plant([3.0, 1.0, 1.0],
                              [[1.0, 0.5, 0.2], [1.0, -1.0, 0.3], [0.0, 0.7, 2.0]])
         family = solve_transform_family(plant)
-        for lam in LAMBDAS[:2]:
-            mt = mode_transform(family, lam, 1, 4)
-            G = coupling_row(plant, family, lam, mt)
-            np.testing.assert_allclose(G, [lam * (1.0 - 3.0), 0.0, 0.0], atol=1e-12)
+        lams = LAMBDAS[:2]
+        G = coupling_row(plant, lams, *mode_transform(family, lams))
+        expected = [[lam * (1.0 - 3.0), 0.0, 0.0] for lam in lams]
+        np.testing.assert_allclose(G, expected, atol=1e-12)
 
     def test_equal_diffusions_zero_row(self):
         plant = simple_plant([2.0, 2.0, 2.0],
                              [[1.0, 0.5, 0.2], [1.0, -1.0, 0.3], [0.0, 0.7, 2.0]])
         family = solve_transform_family(plant)
-        mt = mode_transform(family, 6.25, 1, 3)
-        G = coupling_row(plant, family, 6.25, mt)
-        np.testing.assert_allclose(G, np.zeros(3), atol=1e-14)
+        G = coupling_row(plant, [6.25], *mode_transform(family, [6.25]))
+        np.testing.assert_allclose(G, np.zeros((1, 3)), atol=1e-14)
 
     def test_demo_full_cancellation(self, demo_plant, demo_basis):
         family = solve_transform_family(demo_plant)
-        for n in (1, 2, 3):
-            lam = float(demo_basis.lam[n - 1])
-            mt = mode_transform(family, lam, n, 3)
-            assert cancellation_residual(demo_plant, family, lam, mt) <= 1e-9
+        lams = demo_basis.lam[:3]
+        T, T_inv = mode_transform(family, lams)
+        G = coupling_row(demo_plant, lams, T, T_inv)
+        res = cancellation_residual(demo_plant, lams, T, G)
+        assert res.shape == (3,)
+        assert np.all(res <= 1e-9)
 
     def test_random_full_cancellation(self, rng):
         for _ in range(100):
             plant = random_plant(rng)
             family = solve_transform_family(plant)
-            for n, lam in enumerate(LAMBDAS, start=1):
-                mt = mode_transform(family, lam, n, len(LAMBDAS))
-                res = cancellation_residual(plant, family, lam, mt)
-                G = coupling_row(plant, family, lam, mt)
-                scale = max(1.0, np.max(np.abs(G)), np.max(np.abs(mt.matrix)))
-                assert res / scale <= 1e-9
+            T, T_inv = mode_transform(family, LAMBDAS)
+            G = coupling_row(plant, LAMBDAS, T, T_inv)
+            res = cancellation_residual(plant, LAMBDAS, T, G)
+            scale = np.maximum.reduce([np.ones(len(LAMBDAS)), np.max(np.abs(G), axis=1),
+                                       np.max(np.abs(T), axis=(1, 2))])
+            assert np.all(res / scale <= 1e-9)
