@@ -22,13 +22,10 @@ it.  One stacked expm serves all groups.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 import scipy.linalg
 
 from .errors import ZeroNorm
@@ -293,137 +290,94 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 
 
 # ---------------------------------------------------------------------------
-# CSV export.  Full-precision reals (repr), deterministic layout.
+# CSV export.  Full-precision reals, byte for byte ",".join(map(repr, row)).
 #
-# Formatting is the cost: every value goes through float repr (shortest
-# round trip), which no other formatter here matches byte for byte at lower
-# cost.  So the writers cut it down where they can and spread the rest over
-# processors:
+# orjson writes the same shortest round-trip digits as repr (Ryu), in a
+# different layout; _csv_lines fixes up the three differences on the bytes:
 #
-# - The text streams into the file one time step at a time; neither the
-#   whole text nor a whole-table `.tolist()` is ever built, so the peak
-#   memory stays near that of the arrays being written.
-# - Repeated prefixes are formatted once: the t column (T reprs) and, in
-#   field.csv, the x column (G reprs) instead of 2*T*G.
-# - The time steps are cut into P contiguous blocks.  Blocks 2..P are
-#   formatted by forked child processes, each into an unnamed temporary file
-#   in the output directory; the parent writes block 1, then appends each
-#   child's file in order.  Processes, not threads: repr holds the
-#   interpreter lock, so threads would take turns.
-# - The bytes must not depend on P: identical inputs give identical files on
-#   any host, whatever its CPU count, load or process limit.  So every block
-#   holds the same text whichever process formats it, and a block whose
-#   fork fails or whose child exits non-zero is formatted by the parent.
-# - P = min(CPUs this process may run on, _MAX_WORKERS,
-#   values // _VALUES_PER_WORKER, time steps); P = 1 forks nothing.  On a
-#   2-CPU host with a 160 MB parent, fork + exit + wait took about 6 ms and
-#   repr about 1.15 us per value, so a fork costs about 5000 values;
-#   _VALUES_PER_WORKER is three times that.  The parent itself is held up
-#   about 2 ms per fork before it starts block 1; _MAX_WORKERS keeps that
-#   under about 15 ms.
-# - The child is safe to fork: it only formats Python floats and writes its
-#   own file, so it runs no BLAS and takes no lock another thread could have
-#   held at the fork, and it leaves through os._exit, so no cleanup or
-#   buffered output of the parent's runs twice.  (Python 3.12+ raises a
-#   DeprecationWarning on fork when the process has threads, e.g. those of
-#   a multi-threaded BLAS; for this child that warning does not apply.)
+# - exponents: e-6 becomes e-06 and e16 becomes e+16;
+# - magnitudes in [1e-5, 1e-4) come out positional, 0.000015 for 1.5e-05;
+# - it writes the block as one list, [v1,v2,...], so the comma after the
+#   last value of each row becomes a newline.
+#
+# orjson writes NaN and +-inf as null, so a block holding any of them is
+# formatted by repr instead.  Blocks hold about _VALUES_PER_BLOCK values, which
+# keeps the memory of the byte buffers small next to the arrays being written.
 
-_MAX_WORKERS = 8
-_VALUES_PER_WORKER = 15_000
+_VALUES_PER_BLOCK = 8192
 
 
-def _worker_count(values: int, steps: int) -> int:
-    """Processes that format a table of `values` numbers over `steps` steps."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, _MAX_WORKERS, values // _VALUES_PER_WORKER, steps))
+def _csv_lines(block: np.ndarray) -> str:
+    """The rows of a 2-D float block as CSV lines, each ending in a newline."""
+    block = np.ascontiguousarray(block, dtype=float)
+    if not block.size:
+        return ""
+    if not np.isfinite(block).all():
+        return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+    raw = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    b = np.frombuffer(raw, dtype=np.uint8)[1:].copy()  # v1,v2,...,vn]
+    ends = np.append(np.flatnonzero(b == ord(",")), b.size - 1)  # after each value
+    cols = block.shape[1]
+    b[ends[cols - 1::cols]] = ord("\n")
+    e = np.flatnonzero(b == ord("e"))
+    neg = b[e + 1] == ord("-")
+    short = neg & (b[e + 3] < ord("0"))  # e-d, then a comma or newline
+    # A value 0.0000d1d2...dk becomes d1.d2...dke-05 (k >= 1).
+    d = np.flatnonzero(b == ord("."))
+    d = d[d + 5 < b.size]
+    # A value starts at d - 1 when b[d - 2] is a separator or a minus sign
+    # (b[-1] is the last newline).
+    small = (b[d - 1] == ord("0")) & (b[d - 2] < ord("0"))
+    for k in range(1, 5):
+        small &= b[d + k] == ord("0")
+    d = d[small]
+    end = ends[np.searchsorted(ends, d)]
+    frac = end - d > 6
+    drop = (d[:, None] + np.arange(-1, 5)).reshape(-1)
+    # Bytes to insert before positions of b; np.insert keeps the order of
+    # equal positions.
+    at = np.concatenate([e[short] + 2, e[~neg] + 1, d[frac] + 6, np.repeat(end, 4)])
+    put = np.concatenate([np.full(short.sum(), ord("0")), np.full((~neg).sum(), ord("+")),
+                          np.full(frac.sum(), ord(".")), np.tile(list(b"e-05"), end.size)])
+    at -= np.searchsorted(drop, at)
+    return np.insert(np.delete(b, drop), at, put.astype(np.uint8)).tobytes().decode("ascii")
 
 
-def _fork_block(part, chunks, start: int, stop: int) -> int | None:
-    """Fork a child writing chunks(start, stop) to `part`; its pid, or None."""
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            part.writelines(chunks(start, stop))
-            part.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
+def _write_csv(path: str, header: str, steps: int, width: int, table) -> None:
+    """Atomically write the header line, then the lines of table(start, stop).
 
-
-def _join(children: list, k: int) -> bool:
-    """Wait for child k if it was forked; True when it exited with status 0."""
-    pid, children[k] = children[k], None
-    return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-
-
-def _write_csv(path: str, header: str, steps: int, values: int, chunks) -> None:
-    """Atomically write the header line, then the text of every time step.
-
-    chunks(start, stop) yields the text of time steps start..stop-1, each
-    row ending in a newline; `values` is the number of values it formats.
+    table(start, stop) is the 2-D float table of time steps start..stop-1,
+    `width` values per step.
     """
-    workers = _worker_count(values, steps)
-    bounds = [steps * i // workers for i in range(workers + 1)]
-    blocks = list(zip(bounds[1:-1], bounds[2:]))
-    directory = os.path.dirname(os.path.abspath(path))
-    with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile(
-            "w+", encoding="utf-8", dir=directory)) for _ in blocks]
-        children = [_fork_block(part, chunks, *block)
-                    for part, block in zip(parts, blocks)]
-        try:
-            with atomic_write(path) as fh:
-                fh.write(header + "\n")
-                fh.writelines(chunks(0, bounds[1]))
-                for k, (part, block) in enumerate(zip(parts, blocks)):
-                    if _join(children, k):
-                        part.seek(0)
-                        shutil.copyfileobj(part, fh)
-                    else:
-                        fh.writelines(chunks(*block))
-        finally:
-            # After an error, still wait for the children that are left.
-            for k in range(len(children)):
-                _join(children, k)
-
-
-def _prefixes(values) -> list[str]:
-    """repr(v) + "," for each value, to start the rows that share it."""
-    return [f"{v!r}," for v in np.asarray(values, dtype=float).tolist()]
+    block = max(1, _VALUES_PER_BLOCK // max(1, width))
+    with atomic_write(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, steps, block):
+            fh.write(_csv_lines(table(start, min(start + block, steps))))
 
 
 def export_modal_csv(traj: Trajectory, path: str) -> None:
     """Header t, z_{i}_{n} for component i of mode n."""
     cols = ["t"] + [f"z_{i + 1}_{n + 1}" for n in range(traj.n_modes)
                     for i in range(traj.m)]
-    t = _prefixes(traj.times)
+    t = traj.times
     Z = traj.modal.reshape(len(t), -1)
-
-    def chunks(start, stop):
-        for k in range(start, stop):
-            yield t[k] + ",".join(map(repr, Z[k].tolist())) + "\n"
-
-    _write_csv(path, ",".join(cols), len(t), Z.size, chunks)
+    _write_csv(path, ",".join(cols), len(t), 1 + Z.shape[1],
+               lambda a, b: np.column_stack([t[a:b], Z[a:b]]))
 
 
 def export_field_csv(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> None:
     """Long format: t, x, z1..zm."""
     fields = reconstruct_field(traj, basis, grid)
-    t = _prefixes(traj.times)
-    x = _prefixes(grid)
+    t = traj.times
+    x = np.asarray(grid, dtype=float)
 
-    def chunks(start, stop):
-        for k in range(start, stop):
-            yield "".join([t[k] + xp + ",".join(map(repr, values)) + "\n"
-                           for xp, values in zip(x, fields[k].T.tolist())])
+    def table(a, b):
+        return np.column_stack([np.repeat(t[a:b], x.size), np.tile(x, b - a),
+                                fields[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
 
     header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
-    _write_csv(path, header, len(t), fields.size, chunks)
+    _write_csv(path, header, len(t), x.size * (2 + traj.m), table)
 
 
 def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -> None:
@@ -432,11 +386,5 @@ def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -
     # One scalar exp per sample: a vectorized exp may round differently, and
     # the file's bytes must not depend on that.
     bound = [float(M_cert * np.exp(-delta * t) * z0) for t in traj.times]
-    t = _prefixes(traj.times)
-    norms = traj.l2_norm.tolist()
-
-    def chunks(start, stop):
-        for k in range(start, stop):
-            yield f"{t[k]}{norms[k]!r},{bound[k]!r}\n"
-
-    _write_csv(path, "t,l2norm,bound", len(t), 3 * len(t), chunks)
+    table = np.column_stack([traj.times, traj.l2_norm, bound])
+    _write_csv(path, "t,l2norm,bound", len(table), 3, lambda a, b: table[a:b])

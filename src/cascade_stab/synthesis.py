@@ -183,15 +183,11 @@ def _e1(m: int) -> np.ndarray:
 
 
 def _solve_lyapunov_identity(Abar: np.ndarray) -> np.ndarray:
-    """P solving Abar^T P + P Abar = -I (Kronecker for small m)."""
+    """P solving Abar^T P + P Abar = -I, by the m^2 x m^2 Kronecker system."""
     m = Abar.shape[0]
-    if m <= 8:
-        lhs = np.kron(Abar.T, np.eye(m)) + np.kron(np.eye(m), Abar.T)
-        vec = np.linalg.solve(lhs, (-np.eye(m)).reshape(-1))
-        P = vec.reshape(m, m)
-    else:
-        P = scipy.linalg.solve_continuous_lyapunov(Abar.T, -np.eye(m))
-    return sym(P)
+    lhs = np.kron(Abar.T, np.eye(m)) + np.kron(np.eye(m), Abar.T)
+    vec = np.linalg.solve(lhs, (-np.eye(m)).reshape(-1))
+    return sym(vec.reshape(m, m))
 
 
 def modal_gains(plant: ValidatedPlant, family: TransformFamily, lambdas,

@@ -4,6 +4,9 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from cascade_stab.errors import ZeroNorm
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
@@ -21,7 +24,12 @@ from cascade_stab.simulator import (
     run_closed_loop,
     target_residual,
 )
-from cascade_stab.simulator import _VALUES_PER_WORKER, _group_size, _retained_width
+from cascade_stab.simulator import (
+    _VALUES_PER_BLOCK,
+    _csv_lines,
+    _group_size,
+    _retained_width,
+)
 from cascade_stab.spectral import adaptive_simpson, build_basis, expand
 from cascade_stab.synthesis import (
     Controller,
@@ -451,7 +459,8 @@ class TestCsvExport:
         assert (tmp_path / "norms.csv").read_text() == expected_norms
 
 
-# The serial CSV writers the parallel ones replaced, kept as the byte oracle.
+# Serial repr writers, one line per row, kept as the byte oracle for the
+# exports.
 
 def _serial_csv(header, rows) -> str:
     lines = [header]
@@ -484,15 +493,37 @@ def _serial_norms(traj, M_cert, delta) -> str:
     return _serial_csv("t,l2norm,bound", rows)
 
 
-class TestParallelCsvWriter:
-    """The forked writers give the serial oracle's bytes whatever happens to
-    the children, and leave nothing but the CSVs behind."""
+def _assert_same_text(text: str, expected: str) -> None:
+    """Compared as lists of lines of values, so that a mismatch reports where
+    it is at once; a diff of megabytes of text could take minutes."""
+    assert text.endswith("\n") and expected.endswith("\n")
+    assert ([line.split(",") for line in text.split("\n")]
+            == [line.split(",") for line in expected.split("\n")])
 
-    CPUS = 4
-    STEPS = 203  # four blocks of 50, 50, 51, 52 steps
 
-    @pytest.fixture()
-    def big(self):
+def _export_and_check(tmp_path, traj, basis, grid):
+    """The three exports give the oracle's bytes and leave no other file."""
+    export_modal_csv(traj, str(tmp_path / "modal.csv"))
+    export_field_csv(traj, basis, grid, str(tmp_path / "field.csv"))
+    export_norms_csv(traj, 1.5, 3.0, str(tmp_path / "norms.csv"))
+    _assert_same_text((tmp_path / "modal.csv").read_text(), _serial_modal(traj))
+    _assert_same_text((tmp_path / "field.csv").read_text(), _serial_field(traj, basis, grid))
+    _assert_same_text((tmp_path / "norms.csv").read_text(), _serial_norms(traj, 1.5, 3.0))
+    assert sorted(os.listdir(tmp_path)) == ["field.csv", "modal.csv", "norms.csv"]
+
+
+def _repr_lines(block) -> str:
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in np.asarray(block, dtype=float).tolist())
+
+
+class TestCsvWriter:
+    """The block writers give the serial oracle's bytes on tables of many
+    blocks, with magnitudes from 1e-300 to 1e300."""
+
+    STEPS = 203
+
+    def test_matches_serial_oracle(self, tmp_path):
         from cascade_stab.simulator import Trajectory
 
         gen = np.random.default_rng(20240611)
@@ -503,56 +534,90 @@ class TestParallelCsvWriter:
         modal[0, :4, 0] = [-0.0, 5e-324, 1e300, 1.0 / 3.0]
         traj = Trajectory(times=times, modal=modal,
                           l2_norm=np.abs(gen.standard_normal(self.STEPS)))
-        basis = build_basis(math.pi, 1.0, 0.0, M)
-        grid = np.linspace(0.0, math.pi, G)
-        # The modal and field tables are large enough for every CPU.
-        assert modal.size >= self.CPUS * _VALUES_PER_WORKER
-        assert self.STEPS * m * G >= self.CPUS * _VALUES_PER_WORKER
-        return traj, basis, grid
+        # The modal and field tables span several blocks each.
+        assert modal.size >= 4 * _VALUES_PER_BLOCK
+        assert self.STEPS * m * G >= 4 * _VALUES_PER_BLOCK
+        _export_and_check(tmp_path, traj, build_basis(math.pi, 1.0, 0.0, M),
+                          np.linspace(0.0, math.pi, G))
 
-    @pytest.fixture()
-    def forks(self, monkeypatch):
-        """Pretend CPUS processors; record each fork the writers attempt."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(self.CPUS)))
-        calls = []
-        real_fork = os.fork
-
-        def fork(how="ok"):
-            calls.append(how)
-            if how == "raise":
-                raise OSError("fork refused")
-            pid = real_fork()
-            if pid == 0 and how == "fail":
-                os._exit(3)
-            return pid
-
-        return calls, fork
-
-    def _export_and_check(self, tmp_path, traj, basis, grid):
-        export_modal_csv(traj, str(tmp_path / "modal.csv"))
-        export_field_csv(traj, basis, grid, str(tmp_path / "field.csv"))
-        export_norms_csv(traj, 1.5, 3.0, str(tmp_path / "norms.csv"))
-        assert (tmp_path / "modal.csv").read_text() == _serial_modal(traj)
-        assert (tmp_path / "field.csv").read_text() == _serial_field(traj, basis, grid)
-        assert (tmp_path / "norms.csv").read_text() == _serial_norms(traj, 1.5, 3.0)
-        assert sorted(os.listdir(tmp_path)) == ["field.csv", "modal.csv", "norms.csv"]
-
-    @pytest.mark.parametrize("how", ["ok", "raise", "fail"])
-    def test_matches_serial_oracle(self, tmp_path, monkeypatch, big, forks, how):
-        calls, fork = forks
-        monkeypatch.setattr(os, "fork", lambda: fork(how))
-        self._export_and_check(tmp_path, *big)
-        # Blocks 2..4 of modal.csv and of field.csv; norms.csv is too small.
-        assert calls == [how] * 2 * (self.CPUS - 1)
-
-    def test_small_tables_fork_nothing(self, tmp_path, monkeypatch, demo_basis, forks):
+    def test_decaying_trajectory(self, tmp_path):
+        """Magnitudes around 1e-5, where the layouts of orjson and repr part."""
         from cascade_stab.simulator import Trajectory
 
-        calls, fork = forks
-        monkeypatch.setattr(os, "fork", fork)
-        traj = Trajectory(times=np.array([0.0, 0.5]),
-                          modal=np.array([[[1.0, -2.5e-7], [1.0 / 3.0, -0.0]],
-                                          [[0.1, 2.0e300], [-1.0 / 7.0, 5e-324]]]),
-                          l2_norm=np.array([2.0, 0.25]))
-        self._export_and_check(tmp_path, traj, demo_basis, np.array([0.0, 1.5]))
-        assert calls == []
+        gen = np.random.default_rng(7)
+        T, M, m = 60, 40, 3
+        modal = gen.standard_normal((T, M, m)) * 10.0 ** gen.uniform(-9.0, 1.0, (T, M, m))
+        traj = Trajectory(times=np.linspace(0.0, 1.0, T), modal=modal,
+                          l2_norm=10.0 ** np.linspace(-3.0, -7.0, T))
+        _export_and_check(tmp_path, traj, build_basis(math.pi, 1.0, 0.0, M),
+                          np.linspace(0.0, math.pi, 11))
+
+
+class TestCsvEdgeTables:
+    """Tables at the edges of the CLI's options give the oracle's bytes."""
+
+    @staticmethod
+    def _traj(T):
+        from cascade_stab.simulator import Trajectory
+
+        modal = np.random.default_rng(3).standard_normal((T, 4, 2))
+        return Trajectory(times=np.arange(T) * 0.25, modal=modal,
+                          l2_norm=np.linalg.norm(modal.reshape(T, -1), axis=1))
+
+    def test_no_grid_points(self, tmp_path, demo_basis):
+        # --grid-points 0: field.csv holds the header only.
+        _export_and_check(tmp_path, self._traj(5), demo_basis,
+                          np.linspace(0.0, math.pi, 0))
+        assert (tmp_path / "field.csv").read_text() == "t,x,z1,z2\n"
+
+    def test_one_grid_point(self, tmp_path, demo_basis):
+        _export_and_check(tmp_path, self._traj(5), demo_basis,
+                          np.linspace(0.0, math.pi, 1))
+
+    def test_one_sample(self, tmp_path, demo_basis):
+        _export_and_check(tmp_path, self._traj(1), demo_basis,
+                          np.linspace(0.0, math.pi, 3))
+
+    def test_non_finite_values(self, tmp_path, demo_basis):
+        traj = self._traj(6)
+        traj.modal[1, 0, 0] = np.nan
+        traj.modal[3, 2, 1] = np.inf
+        traj.modal[4, 1, 0] = -np.inf
+        traj.l2_norm[1:5] = [np.nan, 1.0, np.inf, -np.inf]
+        _export_and_check(tmp_path, traj, demo_basis, np.linspace(0.0, math.pi, 4))
+        text = (tmp_path / "modal.csv").read_text()
+        assert "nan" in text and ",inf" in text and "-inf" in text
+
+
+_table_shapes = array_shapes(min_dims=2, max_dims=2, max_side=12)
+
+
+class TestCsvLines:
+    """_csv_lines is the repr join of every row, whatever the float."""
+
+    EDGES = [1e-5, -1e-5, 1.5e-5, 9.999999999999999e-05, 1e-4, -1e-4, 10.00001,
+             1e16, 9999999999999998.0, 5e-324, -0.0, 2.5e-7]
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edge_value(self, value):
+        for block in ([[value]], [[value, 1.0], [-2.0, value]],
+                      [[0.5, value, -value, 1e-6]]):
+            assert _csv_lines(np.array(block)) == _repr_lines(block)
+
+    def test_edges_in_one_row_and_column(self):
+        row = np.array([self.EDGES])
+        assert _csv_lines(row) == _repr_lines(row)
+        assert _csv_lines(row.T) == _repr_lines(row.T)
+
+    def test_random_bit_patterns(self):
+        gen = np.random.default_rng(11)
+        block = gen.integers(0, 2**64, size=(200, 1000),
+                             dtype=np.uint64).view(np.float64)
+        block[~np.isfinite(block)] = 0.0  # keep every block on the orjson path
+        _assert_same_text(_csv_lines(block), _repr_lines(block))
+
+    @settings(max_examples=300)
+    @given(st.one_of(arrays(np.uint64, _table_shapes).map(lambda a: a.view(np.float64)),
+                     arrays(np.float64, _table_shapes)))
+    def test_matches_repr_join(self, block):
+        assert _csv_lines(block) == _repr_lines(block)

@@ -138,6 +138,17 @@ class TestStabilizeCoupling:
         with pytest.raises(PlantInputError):
             stabilize_coupling(demo_plant, 9.0, 0.25, pole_offsets=(1, 1, 2))
 
+    @pytest.mark.parametrize("m, seed", [(9, 0), (9, 3), (10, 0), (10, 2)])
+    def test_lyapunov_solve_beyond_eight_equations(self, m, seed):
+        # The Kronecker solve serves every m; scipy's Bartels-Stewart solve
+        # missed the residual tolerance on most of these cascades.
+        plant = random_plant(np.random.default_rng(seed), m=m)
+        K_Q, P = stabilize_coupling(plant, 2.0, 0.25)
+        Abar = plant.Q + np.outer(np.eye(m)[0], K_Q) + (2.0 - 0.25 * plant.d_last) * np.eye(m)
+        residual = np.max(np.abs(Abar.T @ P + P @ Abar + np.eye(m)))
+        assert residual <= 1e-12 * np.max(np.abs(P))
+        np.testing.assert_array_equal(P, P.T)
+
 
 class TestModalGains:
     def test_two_equations_shifted_gain(self):
