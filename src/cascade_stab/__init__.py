@@ -48,7 +48,6 @@ from .simulator import (
 )
 from .transform import (
     TransformFamily,
-    closed_form_coeff,
     coupling_row,
     mode_transform,
     solve_transform_family,
@@ -71,7 +70,6 @@ __all__ = [
     "build_basis",
     "build_controller",
     "certificate",
-    "closed_form_coeff",
     "coupling_row",
     "diffusion_indices",
     "direct_baseline",

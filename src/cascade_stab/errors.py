@@ -71,10 +71,6 @@ class ResidualNonzero(InternalError):
         )
 
 
-class IndexOutOfSupport(InternalError):
-    """Requested transform coefficient lies outside the structural support set."""
-
-
 class PolePlacementSingular(InternalError):
     """Controllability matrix is singular; cannot occur for validated plants."""
 

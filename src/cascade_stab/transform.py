@@ -15,8 +15,8 @@ Tbar_i is supported on rows j = 1..m-1-ceil(i/2) and columns
 k = j+ceil(i/2)..m.  Each unknown entry (j, k) is obtained by eliminating
 entry (j+1, k) of the masked residual, sweeping j downward and k rightmost
 first; the pivot is the subdiagonal entry q_{j+1,j}, nonzero by the
-controllability condition.  The elimination is the authoritative solver;
-the closed-form recursion `closed_form_coeff` is an independent cross-check.
+controllability condition.  The elimination is the only solver; the
+closed-form recursion in tests/test_transform.py cross-checks it.
 
 The family is solved once, independently of the number N of retained
 modes.  `mode_transform` then evaluates it on all N retained eigenvalues at
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfSupport, ResidualNonzero
+from .errors import ResidualNonzero
 from .model import ValidatedPlant
 
 RESIDUAL_TOL = 1e-9
@@ -46,10 +46,6 @@ def support_rows(m: int, i: int) -> range:
 def support_cols(m: int, i: int, j: int) -> range:
     """1-based column indices k of row j inside the support of Tbar_i."""
     return range(j + math.ceil(i / 2), m + 1)
-
-
-def in_support(m: int, i: int, j: int, k: int) -> bool:
-    return j in support_rows(m, i) and k in support_cols(m, i, j)
 
 
 @dataclass(frozen=True)
@@ -127,54 +123,6 @@ def sylvester_residuals(plant: ValidatedPlant, family: TransformFamily):
         out.append(float(np.max(np.abs(R))) / _residual_scale(Q, Ti))
         prev = Ti
     return out
-
-
-def closed_form_coeff(plant: ValidatedPlant, i: int, j: int, k: int,
-                      Ti_partial: np.ndarray, prev: np.ndarray) -> float:
-    """Coefficient (j, k) of Tbar_i by the explicit recursion.
-
-    `Ti_partial` must already hold every entry of Tbar_i in rows > j, and
-    `prev` is Tbar_{i-1} (the identity for i = 1).  Indices are 1-based.
-    This path is an independent cross-check of the elimination: it sums only
-    over the structural support ranges instead of forming residual matrices.
-    """
-    m = plant.m
-    if not in_support(m, i, j, k):
-        raise IndexOutOfSupport(f"({j},{k}) outside support of Tbar_{i}")
-    Q = plant.Q
-    D = plant.D
-    half = math.ceil(i / 2)
-
-    acc = 0.0
-    # Row j+1 of Tbar_i against column k of Q, over that row's support.
-    for l in range(j + 1 + half, m + 1):
-        acc += Ti_partial[j, l - 1] * Q[l - 1, k - 1]
-    # Row j+1 of Q against column k of Tbar_i, over the support rows below j.
-    for r in range(j + 1, m - half + 1):
-        acc -= Q[j, r - 1] * Ti_partial[r - 1, k - 1]
-    # Forcing from the previous family member (Kronecker delta for i = 1).
-    if i == 1:
-        prev_entry = 1.0 if (j + 1) == k else 0.0
-    else:
-        prev_entry = prev[j, k - 1]
-    acc += prev_entry * (D[-1] - D[k - 1])
-    return acc / Q[j, j - 1]
-
-
-def closed_form_family(plant: ValidatedPlant) -> TransformFamily:
-    """Build the whole family from the closed-form recursion alone."""
-    m = plant.m
-    sigma_bar = plant.indices.sigma_bar
-    coeffs = []
-    prev = np.eye(m)
-    for i in range(1, sigma_bar + 1):
-        Ti = np.zeros((m, m))
-        for j in reversed(support_rows(m, i)):
-            for k in reversed(support_cols(m, i, j)):
-                Ti[j - 1, k - 1] = closed_form_coeff(plant, i, j, k, Ti, prev)
-        coeffs.append(Ti)
-        prev = Ti
-    return TransformFamily(m=m, sigma_bar=sigma_bar, coeffs=tuple(coeffs))
 
 
 def mode_transform(family: TransformFamily, lam) -> tuple[np.ndarray, np.ndarray]:

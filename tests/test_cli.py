@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import cascade_stab
 from cascade_stab.cli import main
 from cascade_stab.model import example_plant_dict
 
@@ -366,3 +371,59 @@ class TestUnwritableOutput:
                    "--out-dir", str(tmp_path / "file" / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("input error:")
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    """Run `code` in a fresh interpreter that imports this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cascade_stab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestNoScipyOnCommandPath:
+    """synthesize, simulate and verify never load scipy; only bench does."""
+
+    def test_pipeline_loads_no_scipy(self, tmp_path, plant_file, initial_file):
+        out = _run_fresh("""
+            import contextlib, io, sys
+            import cascade_stab.cli
+            plant, initial, out = sys.argv[1:]
+            common = ["--plant", plant, "--N", "3"]
+            runs = (["synthesize", *common, "--delta", "9", "--out-dir", out],
+                    ["simulate", *common, "--gains", out + "/gains.json",
+                     "--initial", initial, "--out-dir", out],
+                    ["verify", *common, "--delta", "9"])
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cascade_stab.cli.main(argv) == 0, argv
+            print(sorted(k for k in sys.modules
+                         if k == "scipy" or k.startswith("scipy.")))
+        """, plant_file, initial_file, str(tmp_path / "out"))
+        assert out.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "modal.csv").exists()
+
+    def test_bench_imports_scipy_outside_its_timing(self, tmp_path, plant_file):
+        out = _run_fresh("""
+            import contextlib, io, sys, time
+            from cascade_stab import cli, model, spectral, synthesis
+            plant = model.validate_plant(model.load_plant(sys.argv[1]))
+            basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2, 4)
+            assert "scipy" not in sys.modules
+            start = time.perf_counter()
+            _, timed = synthesis.direct_baseline(plant, basis, 9.0, 2)
+            print(timed, time.perf_counter() - start, "scipy.linalg" in sys.modules)
+            argv = ["bench", "--plant", sys.argv[1], "--delta", "9",
+                    "--N-list", "2,3", "--repeats", "1", "--out-dir", sys.argv[2]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+            print(rc)
+        """, plant_file, str(tmp_path / "bench"))
+        first, rc = out.splitlines()[-2:]
+        timed, whole, loaded = first.split()
+        assert loaded == "True" and rc == "0"
+        # The first call pays the scipy import (hundreds of ms); the time it
+        # reports is the Riccati solve alone.
+        assert float(timed) < 0.5 * float(whole)
+        assert len((tmp_path / "bench" / "bench.csv").read_text().splitlines()) == 3

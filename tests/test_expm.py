@@ -1,0 +1,235 @@
+"""The stacked matrix exponential `simulator.expm` against oracles.
+
+The oracle is mpmath's expm at 40 digits.  `expm` must come within twice
+the error of `scipy.linalg.expm` on the same oracle.  Relative errors below
+n u (u = 2^-53, n the matrix order), the rounding level of a single n x n
+product, count as n u: below it the ratio of two errors is rounding noise.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+import scipy.linalg
+
+from cascade_stab import simulator
+from cascade_stab.model import plant_from_dict, validate_plant
+from cascade_stab.simulator import SimConfig, assemble_closed_loop, expm, integrate
+from cascade_stab.spectral import build_basis
+from cascade_stab.synthesis import build_controller
+from cascade_stab.transform import solve_transform_family
+
+DEMO_OFFSETS = (4.0, 6.0, 9.0)
+U = 2.0 ** -53
+
+
+def mp_expm(A: np.ndarray) -> np.ndarray:
+    with mpmath.workdps(40):
+        E = mpmath.expm(mpmath.matrix(A.tolist()))
+        return np.array(E.tolist(), dtype=float)
+
+
+def rel_err(X: np.ndarray, R: np.ndarray) -> float:
+    """1-norm error of X relative to the reference R."""
+    return float(np.abs(X - R).sum(axis=0).max() / np.abs(R).sum(axis=0).max())
+
+
+def assert_as_accurate_as_scipy(A: np.ndarray) -> None:
+    R = mp_expm(A)
+    mine = rel_err(expm(A[None])[0], R)
+    ref = rel_err(scipy.linalg.expm(A), R)
+    assert mine <= 2.0 * max(ref, A.shape[0] * U), (mine, ref)
+
+
+def captured_stacks(monkeypatch, run) -> list:
+    """Every stack that `integrate` hands to `expm` while `run()` executes."""
+    stacks = []
+
+    def recording(A):
+        stacks.append(np.array(A))
+        return expm(A)
+
+    monkeypatch.setattr(simulator, "expm", recording)
+    run()
+    monkeypatch.undo()
+    return stacks
+
+
+@pytest.fixture(scope="module")
+def demo_controller(demo_plant, demo_basis):
+    family = solve_transform_family(demo_plant)
+    return build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family,
+                            pole_offsets=DEMO_OFFSETS)
+
+
+class TestMpmathOracle:
+    def test_demo_simulate_groups(self, monkeypatch, demo_plant, demo_basis,
+                                  demo_controller):
+        config = SimConfig(M_modes=30, t_final=1.0)
+        system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30)
+        z0 = np.ones((30, 3))
+        (stack,) = captured_stacks(monkeypatch, lambda: integrate(
+            system, z0, config.t_final, config.resolved_dt()))
+        assert stack.shape == (27, 12, 12)
+        # Every third group keeps the 40-digit references to about a second;
+        # they span 1-norms from about 1e3 to 7e4.
+        for A in stack[::3]:
+            assert_as_accurate_as_scipy(A)
+
+    def test_demo_retained_block(self, monkeypatch, demo_plant, demo_basis,
+                                 demo_controller):
+        system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 3)
+        (stack,) = captured_stacks(monkeypatch, lambda: integrate(
+            system, np.ones((3, 3)), 1.0, 1.0 / 800))
+        assert stack.shape == (1, 9, 9)
+        assert_as_accurate_as_scipy(stack[0])
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_triangular(self, lower):
+        rng = np.random.default_rng(1)
+        T = np.triu(20.0 * rng.standard_normal((8, 8))) + np.diag(np.linspace(-30, 2, 8))
+        assert_as_accurate_as_scipy(T.T if lower else T)
+
+    def test_diagonal_is_exact(self):
+        lam = np.array([-40.0, -3.0, 0.0, 0.5, 2.0])
+        np.testing.assert_array_equal(expm(np.diag(lam)[None])[0], np.diag(np.exp(lam)))
+
+    def test_nilpotent(self):
+        rng = np.random.default_rng(2)
+        A = np.triu(5.0 * rng.standard_normal((8, 8)), 1)
+        assert_as_accurate_as_scipy(A)
+        # A dense nilpotent matrix: a similarity of the strictly upper one.
+        S = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
+        assert_as_accurate_as_scipy(np.linalg.solve(S, A @ S))
+
+    def test_zero(self):
+        np.testing.assert_array_equal(expm(np.zeros((3, 4, 4))),
+                                      np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    def test_one_by_one_stack(self):
+        A = np.array([[[-2.5]], [[0.0]], [[3.0]]])
+        np.testing.assert_array_equal(expm(A), np.exp(A))
+
+    def test_empty_stack(self):
+        assert expm(np.zeros((0, 5, 5))).shape == (0, 5, 5)
+        assert expm(np.zeros((2, 0, 0))).shape == (2, 0, 0)
+
+    def test_mixed_stack_matches_slices(self):
+        """A stack gives each slice what that slice gives alone."""
+        rng = np.random.default_rng(3)
+        slices = [1e-3 * rng.standard_normal((6, 6)),
+                  rng.standard_normal((6, 6)),
+                  np.triu(50.0 * rng.standard_normal((6, 6))),
+                  np.tril(50.0 * rng.standard_normal((6, 6))),
+                  np.zeros((6, 6)),
+                  30.0 * rng.standard_normal((6, 6))]
+        stack = expm(np.array(slices))
+        for A, X in zip(slices, stack):
+            np.testing.assert_allclose(X, expm(A[None])[0], rtol=1e-13, atol=0.0)
+
+
+def wide_plant(N: int):
+    """The wide-actuation workload's plant with N indicator actuators."""
+    shapes = [{"kind": "indicator", "params": [0.1 * j, 0.1 * j + 0.1]}
+              for j in range(1, N + 1)]
+    return validate_plant(plant_from_dict({
+        "m": 3, "D": [4.0, 5.0, 6.0],
+        "Q": [[10.0, 4.0, 8.0], [1.0, 10.0, 2.0], [0.0, 1.0, 20.0]],
+        "L": 0.1 * N + 0.5, "gamma1": 1.0, "gamma2": 0.0, "shapes": shapes}))
+
+
+class TestBalancing:
+    @pytest.mark.parametrize("N", [10, 12, 15])
+    def test_wide_actuation_groups_match_scipy(self, monkeypatch, N):
+        """The simulate groups of a wide-actuation plant are far from normal.
+
+        Their 1-norms run to about 1e5-1e6 from the feedback rows.  Without
+        balancing the result differs from scipy's by 2e-12 to 5e-11; with it,
+        by under 1e-14.
+        """
+        plant = wide_plant(N)
+        M = 2 * N
+        basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
+        ctl = build_controller(plant, 9.0, N=N, basis=basis,
+                               family=solve_transform_family(plant),
+                               pole_offsets=DEMO_OFFSETS)
+        system = assemble_closed_loop(plant, ctl, basis, M)
+        (stack,) = captured_stacks(monkeypatch, lambda: integrate(
+            system, np.ones((M, 3)), 2.0, 2.0 / 400))
+        assert 45 <= stack.shape[1] <= 60
+        assert np.abs(stack).sum(axis=1).max() > 1e4
+        X, R = expm(stack), scipy.linalg.expm(stack)
+        err = (np.abs(X - R).sum(axis=1).max(axis=1)
+               / np.abs(R).sum(axis=1).max(axis=1))
+        assert err.max() <= 1e-13, err
+
+    def test_scaling_is_exact(self):
+        """Balancing only rescales by powers of two, so it adds no rounding."""
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, 7, 7)) * np.exp2(rng.integers(-30, 30, (3, 7, 1)))
+        B = A.copy()
+        d, _ = simulator._balance(B, np.empty_like(B))
+        assert np.all(np.log2(d) == np.round(np.log2(d)))
+        np.testing.assert_array_equal(B * d[:, :, None] / d[:, None, :], A)
+        # It lowers the 1-norm of these badly scaled slices.
+        assert np.all(np.abs(B).sum(axis=1).max(axis=1)
+                      < np.abs(A).sum(axis=1).max(axis=1))
+
+
+def test_bounded_choice_matches_exact_norms(monkeypatch, demo_plant, demo_basis,
+                                            demo_controller):
+    """expm forms A^8 and A^10 only where bounds on their norms leave (m, s)
+    open; every slice must get the (m, s) that the exact norms give."""
+    system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30)
+    (demo,) = captured_stacks(monkeypatch, lambda: integrate(
+        system, np.ones((30, 3)), 1.0, 1.0 / 400))
+    # Badly scaled 6 x 6 slices, for some of which either bound alone would
+    # give another (m, s).
+    rng = np.random.default_rng(32)
+    scaled = (rng.standard_normal((200, 6, 6)) * np.exp2(rng.integers(-6, 6, (200, 1, 1)))
+              * np.exp2(rng.integers(-4, 4, (200, 6, 1))))
+
+    def d(X, p):
+        return np.abs(X).sum(axis=1).max(axis=1) ** (1 / p)
+
+    def choice(A, norm, A4, A6, d8, d10):
+        """Al-Mohy and Higham's (m, s) from the given d8 and d10."""
+        deg, s = np.full(len(A), 13), np.zeros(len(A), dtype=int)
+        eta = np.maximum(d(A4, 4), d(A6, 6))
+        for m in (3, 5):
+            cand = np.flatnonzero((deg == 13) & (eta < simulator._PADE_THETA[m]))
+            deg[cand[simulator._ell(A, cand, norm, m, 0) == 0]] = m
+        i = np.flatnonzero(deg == 13)
+        deg[i], s[i] = simulator._choose(A, i, norm, d(A6, 6)[i], d8[i], d10[i])
+        return deg, s
+
+    for stack in (demo, scaled):
+        chosen = []
+        pade = simulator._pade
+        monkeypatch.setattr(simulator, "_pade", lambda m, P, s, work: (
+            chosen.extend((m, int(k)) for k in s), pade(m, P, s, work))[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expm(stack)
+        monkeypatch.undo()
+        A = stack.copy()
+        _, norm = simulator._balance(A, np.empty_like(A))
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        exact = choice(A, norm, A4, A6, d(A4 @ A4, 8), d(A4 @ A6, 10))
+        assert sorted(chosen) == sorted(zip(*(v.tolist() for v in exact)))
+        if stack is scaled:
+            x = A4[np.arange(len(A)), :, np.abs(A4).sum(axis=1).argmax(axis=1)][:, :, None]
+            low = choice(A, norm, A4, A6, d(A4 @ x, 8), d(A6 @ x, 10))
+            high = choice(A, norm, A4, A6, d(A4, 4), (d(A4, 4) ** 4 * d(A6, 6) ** 6) ** 0.1)
+            for bound in (low, high):
+                assert any((a != b).any() for a, b in zip(bound, exact))
+
+
+def test_no_overflow_in_error_bound():
+    """ell's power of abs(A) is renormalized, so huge norms stay finite."""
+    A = np.array([[[-1e8, 1e8], [0.0, -2e8]], [[0.0, 1e150], [-1e-150, 0.0]]])
+    X = expm(A)
+    assert np.all(np.isfinite(X))
+    assert math.isclose(X[1, 0, 0], math.cos(1.0), rel_tol=1e-12)

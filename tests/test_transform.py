@@ -3,23 +3,79 @@ import math
 import numpy as np
 import pytest
 
-from cascade_stab.errors import IndexOutOfSupport, ResidualNonzero
+from cascade_stab.errors import ResidualNonzero
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.transform import (
     RESIDUAL_TOL,
+    TransformFamily,
     cancellation_residual,
-    closed_form_coeff,
-    closed_form_family,
     coupling_row,
-    in_support,
     mode_transform,
     solve_transform_family,
+    support_cols,
+    support_rows,
     sylvester_residuals,
 )
 
 from conftest import random_plant
 
 LAMBDAS = (0.25, 2.25, 6.25, 12.25)
+
+
+# Closed-form recursion for the family coefficients, the test oracle of the
+# structured elimination.
+
+def in_support(m: int, i: int, j: int, k: int) -> bool:
+    return j in support_rows(m, i) and k in support_cols(m, i, j)
+
+
+def closed_form_coeff(plant, i: int, j: int, k: int,
+                      Ti_partial: np.ndarray, prev: np.ndarray) -> float:
+    """Coefficient (j, k) of Tbar_i by the explicit recursion.
+
+    `Ti_partial` must already hold every entry of Tbar_i in rows > j, and
+    `prev` is Tbar_{i-1} (the identity for i = 1).  Indices are 1-based.
+    An oracle for the elimination in `solve_transform_family`: it sums only
+    over the structural support ranges instead of forming residual matrices.
+    """
+    m = plant.m
+    if not in_support(m, i, j, k):
+        raise ValueError(f"({j},{k}) outside support of Tbar_{i}")
+    Q = plant.Q
+    D = plant.D
+    half = math.ceil(i / 2)
+
+    acc = 0.0
+    # Row j+1 of Tbar_i against column k of Q, over that row's support.
+    for l in range(j + 1 + half, m + 1):
+        acc += Ti_partial[j, l - 1] * Q[l - 1, k - 1]
+    # Row j+1 of Q against column k of Tbar_i, over the support rows below j.
+    for r in range(j + 1, m - half + 1):
+        acc -= Q[j, r - 1] * Ti_partial[r - 1, k - 1]
+    # Forcing from the previous family member (Kronecker delta for i = 1).
+    if i == 1:
+        prev_entry = 1.0 if (j + 1) == k else 0.0
+    else:
+        prev_entry = prev[j, k - 1]
+    acc += prev_entry * (D[-1] - D[k - 1])
+    return acc / Q[j, j - 1]
+
+
+def closed_form_family(plant) -> TransformFamily:
+    """Build the whole family from the closed-form recursion alone."""
+    m = plant.m
+    sigma_bar = plant.indices.sigma_bar
+    coeffs = []
+    prev = np.eye(m)
+    for i in range(1, sigma_bar + 1):
+        Ti = np.zeros((m, m))
+        for j in reversed(support_rows(m, i)):
+            for k in reversed(support_cols(m, i, j)):
+                Ti[j - 1, k - 1] = closed_form_coeff(plant, i, j, k, Ti, prev)
+        coeffs.append(Ti)
+        prev = Ti
+    return TransformFamily(m=m, sigma_bar=sigma_bar, coeffs=tuple(coeffs))
+
 
 
 def masked_residual(plant, Ti, prev):
@@ -122,9 +178,9 @@ class TestClosedForm:
         assert val == 0.0
 
     def test_out_of_support_raises(self, demo_plant):
-        with pytest.raises(IndexOutOfSupport):
+        with pytest.raises(ValueError, match="outside support"):
             closed_form_coeff(demo_plant, 1, 3, 3, np.zeros((3, 3)), np.eye(3))
-        with pytest.raises(IndexOutOfSupport):
+        with pytest.raises(ValueError, match="outside support"):
             closed_form_coeff(demo_plant, 2, 1, 1, np.zeros((3, 3)), np.eye(3))
 
     def test_random_m4_families_agree(self, rng):
