@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 input problem, 2 hypothesis-(H) violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -380,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, help="comma-separated distinct offsets")
     p_syn.add_argument("--dump-basis", action="store_true")
     p_syn.add_argument("--dump-transform", action="store_true")
-    p_syn.set_defaults(func=cmd_synthesize, requires_delta=True)
 
     p_sim = sub.add_parser("simulate", help="closed-loop simulation to CSV")
     common(p_sim)
@@ -392,31 +392,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid-points", dest="grid_points", type=int, default=101)
     p_sim.add_argument("--open-loop", dest="open_loop", action="store_true",
                        help="force u = 0")
-    p_sim.set_defaults(func=cmd_simulate, requires_delta=False)
 
     p_ver = sub.add_parser("verify", help="identity and certificate suite")
     common(p_ver)
     p_ver.add_argument("--t-final", dest="t_final", type=float, default=0.5)
     p_ver.add_argument("--inject-corrupt-transform", action="store_true",
                        help="debug: corrupt the transform and expect failure")
-    p_ver.set_defaults(func=cmd_verify, requires_delta=True)
 
     p_bench = sub.add_parser("bench", help="modal vs direct baseline timings")
     common(p_bench)
     p_bench.add_argument("--N-list", dest="N_list", default="2,3,5,10,15")
     p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.set_defaults(func=cmd_bench, requires_delta=True)
 
     return parser
 
 
+# Building the parser costs about 1 ms, mostly argparse's formatter set-up,
+# so one process builds it once.  It names no handler: main looks up
+# cmd_<command> when it runs, so a replaced cmd_* function is the one called.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "requires_delta", False) and args.delta is None:
+    if args.command != "simulate" and args.delta is None:
         parser.error(f"{args.command} requires --delta")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except HypothesisHViolated as exc:
         sys.stderr.write(f"hypothesis (H) violated: {exc}\n")
         return EXIT_HYPOTHESIS

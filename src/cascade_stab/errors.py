@@ -87,5 +87,14 @@ class CertificateViolation(InternalError):
     """A Lyapunov certificate sign condition failed; indicates an upstream bug."""
 
 
+class CertificateAtRoundingLevel(InternalError):
+    """The coupling certificate's margins lie within rounding of zero.
+
+    lambda_min(P), or minus the largest eigenvalue of the decay LMI, is at
+    most m * eps * ||P||, so its sign is not certain.  Large gains (many
+    equations, a fast decay rate) drive P this far.
+    """
+
+
 class ZeroNorm(CascadeStabError):
     """Trajectory norm reached numerical zero over the whole fit window."""

@@ -41,10 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import orjson
 
 from .errors import ZeroNorm
-from .model import ShapeFunction, ValidatedPlant, atomic_write
+from .model import ShapeFunction, ValidatedPlant, _csv_lines, atomic_write
 from .spectral import (
     SpectralBasis,
     expand,
@@ -628,57 +627,12 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 
 
 # ---------------------------------------------------------------------------
-# CSV export.  Full-precision reals, byte for byte ",".join(map(repr, row)).
-#
-# orjson writes the same shortest round-trip digits as repr (Ryu), in a
-# different layout; _csv_lines fixes up the three differences on the bytes:
-#
-# - exponents: e-6 becomes e-06 and e16 becomes e+16;
-# - magnitudes in [1e-5, 1e-4) come out positional, 0.000015 for 1.5e-05;
-# - it writes the block as one list, [v1,v2,...], so the comma after the
-#   last value of each row becomes a newline.
-#
-# orjson writes NaN and +-inf as null, so a block holding any of them is
-# formatted by repr instead.  Blocks hold about _VALUES_PER_BLOCK values, which
-# keeps the memory of the byte buffers small next to the arrays being written.
+# CSV export.  Full-precision reals, byte for byte ",".join(map(repr, row)),
+# formatted by model._csv_lines.  Blocks hold about _VALUES_PER_BLOCK values,
+# which keeps the memory of the byte buffers small next to the arrays being
+# written.
 
 _VALUES_PER_BLOCK = 8192
-
-
-def _csv_lines(block: np.ndarray) -> str:
-    """The rows of a 2-D float block as CSV lines, each ending in a newline."""
-    block = np.ascontiguousarray(block, dtype=float)
-    if not block.size:
-        return ""
-    if not np.isfinite(block).all():
-        return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
-    raw = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
-    b = np.frombuffer(raw, dtype=np.uint8)[1:].copy()  # v1,v2,...,vn]
-    ends = np.append(np.flatnonzero(b == ord(",")), b.size - 1)  # after each value
-    cols = block.shape[1]
-    b[ends[cols - 1::cols]] = ord("\n")
-    e = np.flatnonzero(b == ord("e"))
-    neg = b[e + 1] == ord("-")
-    short = neg & (b[e + 3] < ord("0"))  # e-d, then a comma or newline
-    # A value 0.0000d1d2...dk becomes d1.d2...dke-05 (k >= 1).
-    d = np.flatnonzero(b == ord("."))
-    d = d[d + 5 < b.size]
-    # A value starts at d - 1 when b[d - 2] is a separator or a minus sign
-    # (b[-1] is the last newline).
-    small = (b[d - 1] == ord("0")) & (b[d - 2] < ord("0"))
-    for k in range(1, 5):
-        small &= b[d + k] == ord("0")
-    d = d[small]
-    end = ends[np.searchsorted(ends, d)]
-    frac = end - d > 6
-    drop = (d[:, None] + np.arange(-1, 5)).reshape(-1)
-    # Bytes to insert before positions of b; np.insert keeps the order of
-    # equal positions.
-    at = np.concatenate([e[short] + 2, e[~neg] + 1, d[frac] + 6, np.repeat(end, 4)])
-    put = np.concatenate([np.full(short.sum(), ord("0")), np.full((~neg).sum(), ord("+")),
-                          np.full(frac.sum(), ord(".")), np.tile(list(b"e-05"), end.size)])
-    at -= np.searchsorted(drop, at)
-    return np.insert(np.delete(b, drop), at, put.astype(np.uint8)).tobytes().decode("ascii")
 
 
 def _write_csv(path: str, header: str, steps: int, width: int, table) -> None:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BasisExhausted,
+    CertificateAtRoundingLevel,
     CertificateViolation,
     HypothesisHViolated,
     InternalError,
@@ -138,7 +139,8 @@ def stabilize_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
     the given offsets k (default 1..m, distinct reals required), then solves
     Abar^T P + P Abar = -I for Abar = Q + B K_Q + (delta - lambda1*d_m) I.
     P > 0 together with the pole locations certifies
-    Sym(P (Q + B K_Q)) + (delta - lambda1*d_m) P < 0.
+    Sym(P (Q + B K_Q)) + (delta - lambda1*d_m) P < 0; `check_coupling`
+    tells whether the computed P does so beyond rounding.
     """
     m = plant.m
     Q = np.asarray(plant.Q, dtype=float)
@@ -173,6 +175,31 @@ def stabilize_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
     if np.max(np.linalg.eigvals(Q + np.outer(_e1(m), K_Q)).real) > -shift:
         raise InternalError("pole placement failed to reach the required abscissa")
     return K_Q, P
+
+
+def check_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
+                   K_Q: np.ndarray, P: np.ndarray) -> None:
+    """Refuse a coupling certificate whose margins are at the rounding level.
+
+    The margins are lambda_min(P) and -lambda_max of
+    Sym(P (Q + B K_Q)) + (delta - lambda1*d_m) P.  Unless each exceeds
+    m * eps * ||P||, CertificateAtRoundingLevel is raised: on random
+    cascades both came out within about eps * ||P|| of their 50-digit
+    values, so a smaller margin has no certain sign.  `stabilize_coupling`
+    meets its residual test on cascades whose gains are this large (most
+    with m >= 9 at delta = 2, a few with m = 6 at delta = 7).
+    """
+    m = plant.m
+    shift = delta - lambda1 * plant.d_last
+    lmi = sym(P @ (plant.Q + np.outer(_e1(m), K_Q))) + shift * P
+    p_eig = np.linalg.eigvalsh(P)
+    floor = m * np.finfo(float).eps * float(np.max(np.abs(p_eig)))
+    p_min = float(p_eig[0])
+    lmi_max = float(np.linalg.eigvalsh(lmi)[-1])
+    if p_min <= floor or -lmi_max <= floor:
+        raise CertificateAtRoundingLevel(
+            f"coupling certificate at rounding level: lambda_min(P) = {p_min:.3e}, "
+            f"LMI max eigenvalue = {lmi_max:.3e}, rounding floor {floor:.3e}")
 
 
 def _e1(m: int) -> np.ndarray:
@@ -271,6 +298,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
         )
     basis = extend_basis(basis, N + 1)
     K_Q, P = stabilize_coupling(plant, delta, float(basis.lam[0]), pole_offsets)
+    check_coupling(plant, delta, float(basis.lam[0]), K_Q, P)
     if family is None:
         family = solve_transform_family(plant)
     Kbar = modal_gains(plant, family, basis.lam, K_Q, N)

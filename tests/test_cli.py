@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import cascade_stab
+from cascade_stab import cli
 from cascade_stab.cli import main
-from cascade_stab.model import example_plant_dict
+from cascade_stab.model import example_plant_dict, save_plant
+
+from conftest import random_plant
 
 
 @pytest.fixture()
@@ -85,6 +88,38 @@ class TestSynthesize:
         path.write_text(json.dumps(obj))
         rc = main(["synthesize", "--plant", str(path), "--delta", "9", "--N", "2"])
         assert rc == 2
+
+    def test_rounding_level_certificate_exit_code(self, tmp_path, capsys):
+        # m = 10 cascade whose Lyapunov matrix P has margins at its rounding
+        # level: an internal error, and no gains file.
+        path = tmp_path / "m10.json"
+        save_plant(random_plant(np.random.default_rng(0), m=10), str(path))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "2",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "rounding level" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("N", [None, 20])
+    def test_json_files_match_json_dump(self, tmp_path, plant_file, N):
+        # The demo plant (repr path of the formatter) and a wide-actuation
+        # style plant with N = 20 indicator shapes on L = 0.1 N + 0.5.
+        args = ["--plant", plant_file, "--N", "3"]
+        if N is not None:
+            obj = example_plant_dict()
+            obj["L"] = 0.1 * N + 0.5
+            obj["shapes"] = [{"kind": "indicator", "params": [0.1 * j, 0.1 * j + 0.1]}
+                             for j in range(1, N + 1)]
+            (tmp_path / "wide.json").write_text(json.dumps(obj))
+            args = ["--plant", str(tmp_path / "wide.json"), "--N", str(N),
+                    "--M-modes", "40", "--pole-offsets", "4,6,9"]
+        out = tmp_path / "out"
+        rc = main(["synthesize", *args, "--delta", "9", "--dump-basis",
+                   "--dump-transform", "--out-dir", str(out)])
+        assert rc == 0
+        for name in ("gains.json", "basis.json", "transform.json"):
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
     def test_missing_plant_file(self, tmp_path):
         rc = main(["synthesize", "--plant", str(tmp_path / "nope.json"),
@@ -275,6 +310,48 @@ class TestUsageErrors:
             main(["synthesize", "--delta", "9"])
         assert exc_info.value.code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main() builds its parser once; each call still behaves as on a fresh one."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"exit {exc.code}"
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_calls_in_a_row_match_fresh_parser(self, tmp_path, plant_file,
+                                               initial_file, capsys):
+        out = str(tmp_path / "out")
+        calls = [
+            ["synthesize", "--plant", plant_file, "--delta", "9", "--N", "3",
+             "--out-dir", out],
+            ["synthesize", "--delta", "9"],        # usage error: no --plant
+            ["verify", "--plant", plant_file, "--N", "3"],   # no --delta
+            ["simulate", "--plant", plant_file, "--gains", out + "/gains.json",
+             "--initial", initial_file, "--t-final", "0.2", "--out-dir", out],
+            ["verify", "--plant", plant_file, "--delta", "9", "--N", "3"],
+        ]
+        reused = [self._run(argv, capsys) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [0, "exit 1", "exit 1", 0, 0]
+        assert reused[1][2].startswith("usage: cascade-stab synthesize")
+        assert reused[2][2].startswith("usage: cascade-stab [-h]")
+        assert reused[2][2].endswith("error: verify requires --delta\n")
+
+    def test_handler_looked_up_per_call(self, plant_file, monkeypatch):
+        main(["verify", "--plant", plant_file, "--N", "3", "--delta", "9"])
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert main(["verify", "--plant", plant_file, "--delta", "9"]) == 7
+        assert cli._parser() is cli._parser()
 
 
 class TestVerify:

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascade_stab import model
 
 from cascade_stab.errors import (
     BadShape,
@@ -23,6 +27,7 @@ from cascade_stab.model import (
     plant_to_dict,
     save_plant,
     validate_plant,
+    write_json,
 )
 
 from conftest import random_plant
@@ -252,3 +257,97 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert target.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+# Floats at every edge of the formatter's byte fix-up, and the non-finite
+# values json writes as NaN and Infinity.
+EDGE_FLOATS = [0.0, -0.0, 1e-05, 1.5e-05, -9.99e-05, 1e-04, 1e-06, 1e16, 5e-324,
+               1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+_finite = st.one_of(st.sampled_from([x for x in EDGE_FLOATS if math.isfinite(x)]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_leaves = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(), st.integers(), st.booleans(),
+    st.none(), st.text(), st.floats().map(np.float64),
+    st.lists(_finite, max_size=8),
+    # Float-only lists long enough for the formatter's orjson path.
+    st.lists(_finite, min_size=4, max_size=8).map(lambda xs: xs * 32),
+)
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(_keys, inner, max_size=5)),
+    max_leaves=12)
+
+
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+class TestWriteJson:
+    """write_json writes json.dump(obj, fh, indent=2) plus a newline, byte for byte."""
+
+    @settings(max_examples=80)
+    @given(_documents)
+    def test_matches_json_dump(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "doc.json"
+        write_json(str(path), obj)
+        assert path.read_bytes() == _json_bytes(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), "", 0, None,
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        [1.0, 2, 3.0], [True, 1.0], [[1.0, 2.0], [3.0], []],
+        EDGE_FLOATS, [x for x in EDGE_FLOATS if math.isfinite(x)] * 20,
+        {1: 1.5, 2.5: "x", True: [np.float64(0.1)], None: -0.0, math.nan: "\x00\u00e9\U0001f600"},
+    ])
+    def test_edge_documents(self, tmp_path, obj):
+        path = tmp_path / "doc.json"
+        write_json(str(path), obj)
+        assert path.read_bytes() == _json_bytes(obj)
+
+    @pytest.mark.parametrize("obj", [{"K": [1.0, object()]}, [{1, 2}],
+                                     {(1, 2): 0.5}, np.zeros(3)])
+    def test_unserializable_leaves_target_untouched(self, tmp_path, obj):
+        target = tmp_path / "gains.json"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            write_json(str(target), obj)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
+
+    def test_one_formatter_call_and_one_write(self, tmp_path, monkeypatch):
+        calls, writes = [], []
+        real_lines, real_write = model._csv_lines, model.atomic_write
+
+        def counted_lines(block):
+            calls.append(block.shape)
+            return real_lines(block)
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                writes.append(len(text))
+                return self.fh.write(text)
+
+        class counted_write:
+            def __init__(self, path):
+                self.inner = real_write(path)
+
+            def __enter__(self):
+                return Counted(self.inner.__enter__())
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        monkeypatch.setattr(model, "_csv_lines", counted_lines)
+        monkeypatch.setattr(model, "atomic_write", counted_write)
+        obj = {"K": [[float(i + j) for j in range(300)] for i in range(3)],
+               "delta": 9.0, "N": 3, "cert": {"rho": 0.5, "margins": [-1.0, -2.0]}}
+        write_json(str(tmp_path / "gains.json"), obj)
+        assert calls == [(1, 904)] and len(writes) == 1
+        assert (tmp_path / "gains.json").read_bytes() == _json_bytes(obj)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 
 from cascade_stab.cli import _corrupt_family
-from cascade_stab.errors import HypothesisHViolated
+from cascade_stab.errors import CertificateAtRoundingLevel, HypothesisHViolated
 from cascade_stab.model import ShapeFunction
 from cascade_stab.simulator import assemble_closed_loop, integrate, target_residual
 from cascade_stab.spectral import build_basis, shape_projection, shape_projection_matrix
@@ -176,10 +176,14 @@ def per_mode_closed_loop(plant, controller, basis, M_modes):
 
 
 def synthesized(plant, delta, basis):
-    """Controller at the minimal N, or None when N is 0 or exceeds the shapes."""
+    """Controller at the minimal N, or None when N is 0 or synthesis refuses.
+
+    Synthesis refuses when N exceeds the shapes, and when the gains are so
+    large that the coupling certificate is at the rounding level of P.
+    """
     try:
         ctl = build_controller(plant, delta, basis=basis)
-    except HypothesisHViolated:
+    except (HypothesisHViolated, CertificateAtRoundingLevel):
         return None
     return ctl if ctl.N > 0 else None
 

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cascade_stab.errors import ZeroNorm
-from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
+from cascade_stab.model import (
+    _REPR_BELOW,
+    PlantSpec,
+    ShapeFunction,
+    _csv_lines,
+    validate_plant,
+)
 from cascade_stab.simulator import (
     SimConfig,
     assemble_closed_loop,
@@ -24,12 +30,7 @@ from cascade_stab.simulator import (
     run_closed_loop,
     target_residual,
 )
-from cascade_stab.simulator import (
-    _VALUES_PER_BLOCK,
-    _csv_lines,
-    _group_size,
-    _retained_width,
-)
+from cascade_stab.simulator import _VALUES_PER_BLOCK, _group_size, _retained_width
 from cascade_stab.spectral import adaptive_simpson, build_basis, expand
 from cascade_stab.synthesis import (
     Controller,
@@ -592,6 +593,12 @@ class TestCsvEdgeTables:
 _table_shapes = array_shapes(min_dims=2, max_dims=2, max_side=12)
 
 
+def _both_paths(block):
+    """`block`, and `block` tiled wide enough for the orjson path."""
+    block = np.asarray(block, dtype=float)
+    return block, np.tile(block, (1, -(-_REPR_BELOW // max(1, block.size))))
+
+
 class TestCsvLines:
     """_csv_lines is the repr join of every row, whatever the float."""
 
@@ -602,12 +609,19 @@ class TestCsvLines:
     def test_edge_value(self, value):
         for block in ([[value]], [[value, 1.0], [-2.0, value]],
                       [[0.5, value, -value, 1e-6]]):
-            assert _csv_lines(np.array(block)) == _repr_lines(block)
+            for b in _both_paths(block):
+                assert _csv_lines(b) == _repr_lines(b)
 
     def test_edges_in_one_row_and_column(self):
-        row = np.array([self.EDGES])
-        assert _csv_lines(row) == _repr_lines(row)
-        assert _csv_lines(row.T) == _repr_lines(row.T)
+        for row in _both_paths([self.EDGES]):
+            assert _csv_lines(row) == _repr_lines(row)
+            assert _csv_lines(row.T) == _repr_lines(row.T)
+
+    def test_size_switch(self):
+        # Blocks either side of _REPR_BELOW take different paths, same bytes.
+        values = np.array(self.EDGES * (_REPR_BELOW // len(self.EDGES) + 1))
+        for n in (_REPR_BELOW - 1, _REPR_BELOW):
+            assert _csv_lines(values[None, :n]) == _repr_lines(values[None, :n])
 
     def test_random_bit_patterns(self):
         gen = np.random.default_rng(11)
@@ -620,4 +634,5 @@ class TestCsvLines:
     @given(st.one_of(arrays(np.uint64, _table_shapes).map(lambda a: a.view(np.float64)),
                      arrays(np.float64, _table_shapes)))
     def test_matches_repr_join(self, block):
-        assert _csv_lines(block) == _repr_lines(block)
+        for b in _both_paths(block):
+            assert _csv_lines(b) == _repr_lines(b)

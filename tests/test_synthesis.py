@@ -1,16 +1,22 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from cascade_stab.errors import HypothesisHViolated, PlantInputError
+from cascade_stab.errors import (
+    CertificateAtRoundingLevel,
+    HypothesisHViolated,
+    PlantInputError,
+)
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.spectral import build_basis
 from cascade_stab.synthesis import (
     build_controller,
     certificate,
     certificate_from_dict,
+    check_coupling,
     closed_blocks,
     controller_from_dict,
     direct_baseline,
@@ -148,6 +154,52 @@ class TestStabilizeCoupling:
         residual = np.max(np.abs(Abar.T @ P + P @ Abar + np.eye(m)))
         assert residual <= 1e-12 * np.max(np.abs(P))
         np.testing.assert_array_equal(P, P.T)
+
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_rounding_level_certificate_raises(self, m):
+        # Offsets 1..m at delta = 2 drive K_Q toward 1e9 and P toward 1e14
+        # as m grows, and P's margins toward its rounding level.  Each P is
+        # refused, or both margins exceed the bound in 50-digit arithmetic
+        # on the returned K_Q and P.
+        outcomes = set()
+        for seed in range(12):
+            plant = random_plant(np.random.default_rng(seed), m=m)
+            K_Q, P = stabilize_coupling(plant, 2.0, 0.25)
+            try:
+                check_coupling(plant, 2.0, 0.25, K_Q, P)
+            except CertificateAtRoundingLevel:
+                outcomes.add("raised")
+                continue
+            outcomes.add("passed")
+            bound = float(m * np.finfo(float).eps * np.linalg.norm(P, 2))
+            with mpmath.workdps(50):
+                Pm = mpmath.matrix(P.tolist())
+                closed = mpmath.matrix(plant.Q.tolist())
+                for j in range(m):
+                    closed[0, j] += K_Q[j]
+                shift = 2 - mpmath.mpf(0.25) * plant.d_last
+                lmi = (Pm * closed + closed.T * Pm) / 2 + shift * Pm
+                eye = bound * mpmath.eye(m)
+                mpmath.cholesky(Pm - eye)     # raises ValueError unless > 0
+                mpmath.cholesky(-lmi - eye)
+        # Both outcomes occur at m = 8; from m = 10 on every P is refused.
+        assert outcomes == ({"raised", "passed"} if m == 8 else {"raised"})
+
+    def test_check_coupling_tests_each_margin(self, demo_plant):
+        K_Q, P = stabilize_coupling(demo_plant, 9.0, 0.25)
+        check_coupling(demo_plant, 9.0, 0.25, K_Q, P)
+        shifted = P - 2.0 * np.linalg.eigvalsh(P)[0] * np.eye(3)  # lambda_min < 0
+        with pytest.raises(CertificateAtRoundingLevel):
+            check_coupling(demo_plant, 9.0, 0.25, K_Q, shifted)
+        # Without feedback the demo coupling is unstable: P > 0, LMI not < 0.
+        with pytest.raises(CertificateAtRoundingLevel):
+            check_coupling(demo_plant, 9.0, 0.25, np.zeros(3), P)
+
+    def test_build_controller_refuses_rounding_level_certificate(self):
+        plant = random_plant(np.random.default_rng(0), m=10)
+        with pytest.raises(CertificateAtRoundingLevel):
+            build_controller(plant, 2.0)
 
 
 class TestModalGains:
