@@ -196,11 +196,6 @@ class TestStabilizeCoupling:
         with pytest.raises(CertificateAtRoundingLevel):
             check_coupling(demo_plant, 9.0, 0.25, np.zeros(3), P)
 
-    def test_build_controller_refuses_rounding_level_certificate(self):
-        plant = random_plant(np.random.default_rng(0), m=10)
-        with pytest.raises(CertificateAtRoundingLevel):
-            build_controller(plant, 2.0)
-
 
 class TestModalGains:
     def test_two_equations_shifted_gain(self):
