@@ -334,19 +334,32 @@ def atomic_write(path: str):
 # files, is written by _csv_lines, byte for byte ",".join(map(repr, row)).
 #
 # orjson writes the same shortest round-trip digits as repr (Ryu), in a
-# different layout; _csv_lines fixes up the three differences on the bytes:
+# different layout.  Which values it lays out differently follows from the
+# value alone, by where its magnitude lies among the cuts in _CUTS:
 #
-# - exponents: e-6 becomes e-06 and e16 becomes e+16;
-# - magnitudes in [1e-5, 1e-4) come out positional, 0.000015 for 1.5e-05;
-# - it writes the block as one list, [v1,v2,...], so the comma after the
-#   last value of each row becomes a newline.
+#   [1e-9, 1e-5)   e-6 ... e-9, where repr writes e-06 ... e-09;
+#   [1e-5, 1e-4)   positional 0.000015, where repr writes 1.5e-05;
+#   >= 1e16        e16 and e100, where repr writes e+16 and e+100.
+#
+# These cuts are exact: a shortest round-trip decimal lies inside its
+# double's rounding interval, and no power of ten is the midpoint of two
+# doubles, so a double below the double 1e-9 never prints as 1e-09.
+#
+# orjson writes the block as one list, [v1,v2,...,vn].  Its commas, found in
+# the one scan of the text, end the values: they place every edit, and the
+# comma after the last value of each row becomes a newline.  Each edit is
+# written into the buffer in place.  Where it inserts or drops bytes, it
+# writes a marker byte that orjson never writes, and one bytes.replace per
+# kind of marker written (a memchr and memcpy pass) then splices the text.
 #
 # orjson writes NaN and +-inf as null, so a block holding any of them is
 # formatted by repr instead.  So is a block of fewer than _REPR_BELOW values:
-# the fix-up's fixed cost (about 25 numpy calls, 0.13 ms) matches the repr
-# join's cost of about 1 us per value near 128 values.
+# the orjson path's fixed cost (about 40 us) matches the repr join's cost of
+# about 0.7 us per value near 64 values (1-row and 3-column blocks of
+# gain-like values on a 2-vCPU x86-64 VM).
 
-_REPR_BELOW = 128
+_REPR_BELOW = 64
+_CUTS = np.array([[1e-9], [1e-5], [1e-4], [1e16], [1e100]])
 
 
 def _csv_lines(block: np.ndarray) -> str:
@@ -356,33 +369,39 @@ def _csv_lines(block: np.ndarray) -> str:
         return ""
     if block.size < _REPR_BELOW or not np.isfinite(block).all():
         return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
-    raw = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
-    b = np.frombuffer(raw, dtype=np.uint8)[1:].copy()  # v1,v2,...,vn]
-    ends = np.append(np.flatnonzero(b == ord(",")), b.size - 1)  # after each value
+    flat = block.ravel()
+    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    b = np.frombuffer(text, dtype=np.uint8)  # [v1,v2,...,vn]
+    # Value i lies strictly between bytes bounds[i] and bounds[i + 1].
+    bounds = np.concatenate(([0], np.flatnonzero(b == ord(",")), [b.size - 1]))
+    ends = bounds[1:]
     cols = block.shape[1]
     b[ends[cols - 1::cols]] = ord("\n")
-    e = np.flatnonzero(b == ord("e"))
-    neg = b[e + 1] == ord("-")
-    short = neg & (b[e + 3] < ord("0"))  # e-d, then a comma or newline
-    # A value 0.0000d1d2...dk becomes d1.d2...dke-05 (k >= 1).
-    d = np.flatnonzero(b == ord("."))
-    d = d[d + 5 < b.size]
-    # A value starts at d - 1 when b[d - 2] is a separator or a minus sign
-    # (b[-1] is the last newline).
-    small = (b[d - 1] == ord("0")) & (b[d - 2] < ord("0"))
-    for k in range(1, 5):
-        small &= b[d + k] == ord("0")
-    d = d[small]
-    end = ends[np.searchsorted(ends, d)]
-    frac = end - d > 6
-    drop = (d[:, None] + np.arange(-1, 5)).reshape(-1)
-    # Bytes to insert before positions of b; np.insert keeps the order of
-    # equal positions.
-    at = np.concatenate([e[short] + 2, e[~neg] + 1, d[frac] + 6, np.repeat(end, 4)])
-    put = np.concatenate([np.full(short.sum(), ord("0")), np.full((~neg).sum(), ord("+")),
-                          np.full(frac.sum(), ord(".")), np.tile(list(b"e-05"), end.size)])
-    at -= np.searchsorted(drop, at)
-    return np.insert(np.delete(b, drop), at, put.astype(np.uint8)).tobytes().decode("ascii")
+    # over[j, i]: |v_i| is at least cut j, so over[j] > over[j + 1] is the
+    # band [cut j, cut j + 1).
+    over = np.abs(flat) >= _CUTS
+    # d.de-d: the minus becomes -0.
+    exp = ends[over[0] > over[1]] - 2
+    b[exp] = 1
+    # d.ded or d.dedd: the e becomes e+.
+    big = np.flatnonzero(over[3])
+    b[ends[big] - 3 - over[4, big]] = 2
+    # [-]0.0000d1[d2...dk]: 0.000 is dropped, d1 moves onto the last 0 and is
+    # followed by a dot if more digits follow, and e-05 goes in before the
+    # separator.
+    pos = np.flatnonzero(over[1] > over[2])
+    start = bounds[pos] + 1 + (flat[pos] < 0)
+    b[start + 5] = b[start + 6]
+    b[start + 6] = np.where(ends[pos] > start + 7, ord("."), 0)
+    b[start[:, None] + np.arange(5)] = 0
+    row_end = b[ends[pos]] == ord("\n")
+    b[ends[pos]] = np.where(row_end, 4, 3)
+    for marker, replacement, written in (
+            (b"\0", b"", pos.size), (b"\1", b"-0", exp.size), (b"\2", b"e+", big.size),
+            (b"\3", b"e-05,", pos.size > row_end.sum()), (b"\4", b"e-05\n", row_end.any())):
+        if written:
+            text = text.replace(marker, replacement)
+    return str(memoryview(text)[1:], "ascii")
 
 
 def _json_layout(obj, pad: str, parts: list, slots: list, values: list) -> None:

@@ -479,12 +479,12 @@ def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> di
         "delta": controller.delta,
         "N": controller.N,
         "N_min": controller.N_min,
-        "K_Q": [float(v) for v in controller.K_Q],
-        "P": [[float(v) for v in row] for row in controller.P],
-        "Kbar": [[float(v) for v in row] for row in controller.Kbar],
-        "Bmat": [[float(v) for v in row] for row in controller.Bmat],
+        "K_Q": np.asarray(controller.K_Q, dtype=float).tolist(),
+        "P": np.asarray(controller.P, dtype=float).tolist(),
+        "Kbar": np.asarray(controller.Kbar, dtype=float).tolist(),
+        "Bmat": np.asarray(controller.Bmat, dtype=float).tolist(),
         "cond_B": controller.cond_B,
-        "K": [[float(v) for v in row] for row in controller.K],
+        "K": np.asarray(controller.K, dtype=float).tolist(),
     }
     if cert is not None:
         out["certificate"] = certificate_to_dict(cert)

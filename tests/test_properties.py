@@ -35,6 +35,7 @@ from cascade_stab.synthesis import (
     certificate,
     closed_blocks,
     modal_gains,
+    select_mode_count,
     selection_margin,
     sym,
 )
@@ -361,6 +362,25 @@ def test_gain_route_and_factorization(plant, delta):
         assert same_bits(rows[n, n * m:(n + 1) * m], ctl.Kbar[n])
         assert not np.delete(rows[n], np.s_[n * m:(n + 1) * m]).any()
     assert relative(ctl.Bmat @ ctl.K, rows) <= 1e-9
+
+
+@given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
+def test_coupling_gain_does_not_depend_on_N(plant, delta):
+    # The paper's N-independence: K_Q and P come from Q, delta and lambda_1
+    # alone, so every admissible N gives the same bits.  An N whose Bmat is
+    # singular is refused, and so is every N when P is at the rounding level.
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
+    N_min = select_mode_count(plant, basis, delta)
+    gains = []
+    for N in range(max(N_min, 1), len(plant.shapes) + 1):
+        try:
+            ctl = build_controller(plant, delta, N=N, basis=basis)
+        except (HypothesisHViolated, CertificateAtRoundingLevel):
+            continue
+        gains.append((ctl.K_Q, ctl.P))
+    assume(len(gains) >= 2)
+    for K_Q, P in gains[1:]:
+        assert same_bits(K_Q, gains[0][0]) and same_bits(P, gains[0][1])
 
 
 @given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite),

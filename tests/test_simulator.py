@@ -592,6 +592,24 @@ class TestCsvEdgeTables:
 
 _table_shapes = array_shapes(min_dims=2, max_dims=2, max_side=12)
 
+# The magnitudes at which orjson's layout starts or stops differing from
+# repr's, each with its neighbouring doubles, of both signs.
+_CUTS = (1e-9, 1e-5, 1e-4, 1e16, 1e100)
+_CUT_EDGES = [sign * float(v) for cut in _CUTS
+              for v in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf))
+              for sign in (1.0, -1.0)]
+# One value of each layout that needs an edit.
+_EDITED = [2.5e-7, -1e-9, 1.5e-5, -1e-5, 9.999999999999999e-05, 1e16, -2.5e17,
+           1e100, -1.7976931348623157e308]
+
+
+def _near_cuts(u):
+    """Map u in [-2, 2] to sign(u) 10^p: p uniform in [-11, -3] for |u| < 1,
+    and in [15, 102] for |u| >= 1."""
+    a = np.abs(u)
+    power = np.where(a < 1.0, -11.0 + 8.0 * a, 15.0 + 87.0 * (a - 1.0))
+    return np.copysign(10.0 ** power, u)
+
 
 def _both_paths(block):
     """`block`, and `block` tiled wide enough for the orjson path."""
@@ -603,7 +621,7 @@ class TestCsvLines:
     """_csv_lines is the repr join of every row, whatever the float."""
 
     EDGES = [1e-5, -1e-5, 1.5e-5, 9.999999999999999e-05, 1e-4, -1e-4, 10.00001,
-             1e16, 9999999999999998.0, 5e-324, -0.0, 2.5e-7]
+             1e16, 9999999999999998.0, 5e-324, -0.0, 2.5e-7, *_CUT_EDGES]
 
     @pytest.mark.parametrize("value", EDGES)
     def test_edge_value(self, value):
@@ -622,6 +640,26 @@ class TestCsvLines:
         values = np.array(self.EDGES * (_REPR_BELOW // len(self.EDGES) + 1))
         for n in (_REPR_BELOW - 1, _REPR_BELOW):
             assert _csv_lines(values[None, :n]) == _repr_lines(values[None, :n])
+
+    @pytest.mark.parametrize("value", _EDITED)
+    def test_edit_at_block_and_row_ends(self, value):
+        # The value as the block's first value, as the last value of a row,
+        # as the block's last value, and all three at once, in blocks on the
+        # orjson path; then as every value of a single column.
+        base = np.full((8, _REPR_BELOW), 0.5)
+        for places in ([(0, 0)], [(3, -1)], [(7, -1)], [(0, 0), (3, -1), (7, -1)]):
+            block = base.copy()
+            for place in places:
+                block[place] = value
+            assert _csv_lines(block) == _repr_lines(block)
+        column = np.full((_REPR_BELOW, 1), value)
+        assert _csv_lines(column) == _repr_lines(column)
+
+    @settings(max_examples=150)
+    @given(arrays(np.float64, _table_shapes, elements=st.floats(-2.0, 2.0)).map(_near_cuts))
+    def test_values_near_the_cuts(self, block):
+        for b in _both_paths(block):
+            assert _csv_lines(b) == _repr_lines(b)
 
     def test_random_bit_patterns(self):
         gen = np.random.default_rng(11)
