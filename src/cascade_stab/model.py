@@ -370,8 +370,8 @@ def _csv_lines(block: np.ndarray) -> str:
     if block.size < _REPR_BELOW or not np.isfinite(block).all():
         return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
     flat = block.ravel()
-    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
-    b = np.frombuffer(text, dtype=np.uint8)  # [v1,v2,...,vn]
+    b = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
+                      dtype=np.uint8).copy()  # [v1,v2,...,vn]
     # Value i lies strictly between bytes bounds[i] and bounds[i + 1].
     bounds = np.concatenate(([0], np.flatnonzero(b == ord(",")), [b.size - 1]))
     ends = bounds[1:]
@@ -396,6 +396,10 @@ def _csv_lines(block: np.ndarray) -> str:
     b[start[:, None] + np.arange(5)] = 0
     row_end = b[ends[pos]] == ord("\n")
     b[ends[pos]] = np.where(row_end, 4, 3)
+    # One copy of the text alive at a time: with the array kept through the
+    # splices, the benchmark's peak RSS read about 0.3 MB higher.
+    text = b.tobytes()
+    del b
     for marker, replacement, written in (
             (b"\0", b"", pos.size), (b"\1", b"-0", exp.size), (b"\2", b"e+", big.size),
             (b"\3", b"e-05,", pos.size > row_end.sum()), (b"\4", b"e-05\n", row_end.any())):

@@ -475,21 +475,16 @@ def certificate_from_dict(obj: dict) -> Certificate:
 
 
 def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> dict:
-    def rows(a) -> list:
-        # Row by row: one tolist() of all of K left the benchmark's later
-        # peak RSS about 0.4 MB higher, this form did not.
-        return [row.tolist() for row in np.asarray(a, dtype=float)]
-
     out = {
         "delta": controller.delta,
         "N": controller.N,
         "N_min": controller.N_min,
         "K_Q": np.asarray(controller.K_Q, dtype=float).tolist(),
-        "P": rows(controller.P),
-        "Kbar": rows(controller.Kbar),
-        "Bmat": rows(controller.Bmat),
+        "P": np.asarray(controller.P, dtype=float).tolist(),
+        "Kbar": np.asarray(controller.Kbar, dtype=float).tolist(),
+        "Bmat": np.asarray(controller.Bmat, dtype=float).tolist(),
         "cond_B": controller.cond_B,
-        "K": rows(controller.K),
+        "K": np.asarray(controller.K, dtype=float).tolist(),
     }
     if cert is not None:
         out["certificate"] = certificate_to_dict(cert)
