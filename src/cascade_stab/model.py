@@ -380,10 +380,10 @@ def _csv_lines(block: np.ndarray) -> str:
     # over[j, i]: |v_i| is at least cut j, so over[j] > over[j + 1] is the
     # band [cut j, cut j + 1).
     over = np.abs(flat) >= _CUTS
-    # d.de-d: the minus becomes -0.
+    # ...e-d: the minus becomes -0.
     exp = ends[over[0] > over[1]] - 2
     b[exp] = 1
-    # d.ded or d.dedd: the e becomes e+.
+    # ...edd or ...eddd: the e becomes e+.
     big = np.flatnonzero(over[3])
     b[ends[big] - 3 - over[4, big]] = 2
     # [-]0.0000d1[d2...dk]: 0.000 is dropped, d1 moves onto the last 0 and is
