@@ -14,9 +14,22 @@ and c_n chosen so that each phi_n has unit L2(0, L) norm.  The eigenvalues
 lambda_n = s_n**2 form a strictly increasing nonnegative sequence; lambda=0
 occurs only in the pure Neumann case gamma1 = 0, with phi = 1/sqrt(L).
 
-Roots interlace the grid k*pi/L (chi alternates sign there, since
-chi(k*pi/L) = gamma1 * (-1)**k), so bisection on those brackets isolates one
-root each; a couple of guarded Newton steps then polish to machine accuracy.
+Dirichlet (gamma2 = 0) and pure Neumann (gamma1 = 0) roots have closed
+forms, s_k = (k + 1/2) pi / L and k pi / L, k = 0, 1, ...  They are computed
+for all modes at once and correctly rounded: pi as a double-double, the
+product with the exact numerator error-free (Veltkamp/Dekker splitting), and
+one remainder correction for the division by L, whose power of two is split
+off first so that no intermediate overflows or underflows (Dekker, "A
+floating-point technique for extending the available precision", Numer.
+Math. 18, 1971).  Their norms are exact: ||cos(s_k x)||^2 = L/2, and L for
+the constant Neumann mode.
+
+Robin roots (gamma1 * gamma2 != 0) interlace the grid k*pi/L (chi alternates
+sign there, since chi(k*pi/L) = gamma1 * (-1)**k), so bisection on those
+brackets isolates one root each; a couple of guarded Newton steps then
+polish to machine accuracy.
+
+A length L so small that some lambda_n overflows is an input error.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureNonConvergence, RootBracketingFailure
+from .errors import PlantInputError, QuadratureNonConvergence, RootBracketingFailure
 from .model import ShapeFunction
 
 _BOUNDARY_RESIDUAL_TOL = 1e-10
@@ -110,8 +123,50 @@ def _refine_root(chi, chi_prime, a: float, b: float) -> float:
     return s
 
 
+# pi = math.pi + _PI_LO to about 107 bits; _PI_LO == float(pi - math.pi).
+_PI_LO = 1.2246467991473532e-16
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _two_prod(a, b):
+    """Dekker's product: (p, e) with p = fl(a * b) and p + e = a * b exactly."""
+    p = a * b
+    ta = _SPLITTER * a
+    a_hi = ta - (ta - a)
+    a_lo = a - a_hi
+    tb = _SPLITTER * b
+    b_hi = tb - (tb - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _grid_roots(num: np.ndarray, L: float) -> np.ndarray:
+    """num * pi / L, correctly rounded, for exact numerators num >= 0.
+
+    With L = m * 2**e and m in [0.5, 1), q = num * pi / m is formed from the
+    error-free product num * math.pi plus num * _PI_LO, and one remainder
+    step corrects the quotient; the power of two is applied last.
+    """
+    m, e = math.frexp(L)
+    p, p_err = _two_prod(num, math.pi)
+    q = p / m
+    h, h_err = _two_prod(q, m)
+    q = q + (((p - h) - h_err) + (p_err + num * _PI_LO)) / m
+    return np.ldexp(q, -e)
+
+
+def _eigenvalue_overflow(L: float, count: int) -> PlantInputError:
+    return PlantInputError(
+        f"domain length L={L!r} is too small for {count} modes: "
+        f"the eigenvalues lambda_n = s_n**2 overflow"
+    )
+
+
 def build_basis(L: float, gamma1: float, gamma2: float, count: int) -> SpectralBasis:
-    """Return the first `count` eigenpairs, eigenfunctions normalized in L2."""
+    """Return the first `count` eigenpairs, eigenfunctions normalized in L2.
+
+    Raises PlantInputError when some s_n or lambda_n is not finite.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if gamma1 == 0.0 and gamma2 == 0.0:
@@ -119,23 +174,37 @@ def build_basis(L: float, gamma1: float, gamma2: float, count: int) -> SpectralB
     if not L > 0.0:
         raise ValueError("L must be positive")
 
-    if gamma1 == 0.0:
-        # Pure Neumann: chi(s) = -gamma2 s sin(sL), roots exactly on the grid.
-        s = np.array([k * math.pi / L for k in range(count)], dtype=float)
-    else:
-        chi, chi_prime = _characteristic(gamma1, gamma2, L)
-        s = np.empty(count)
-        for k in range(count):
-            s[k] = _refine_root(chi, chi_prime, k * math.pi / L, (k + 1) * math.pi / L)
-
-    lam = s * s
-    c = np.empty(count)
-    for i, si in enumerate(s):
-        if si == 0.0:
-            norm_sq = L
+    closed_form = gamma1 == 0.0 or gamma2 == 0.0
+    with np.errstate(over="ignore"):
+        if closed_form:
+            # Neumann roots sit on the grid k pi / L, Dirichlet roots halfway.
+            offset = 0.5 if gamma2 == 0.0 else 0.0
+            s = _grid_roots(np.arange(count) + offset, L)
         else:
+            # The last root exceeds (count - 1) pi / L; past overflow the
+            # brackets lose their sign change to rounding.
+            s_low = (count - 1) * math.pi / L
+            if not math.isfinite(s_low * s_low):
+                raise _eigenvalue_overflow(L, count)
+            chi, chi_prime = _characteristic(gamma1, gamma2, L)
+            s = np.empty(count)
+            for k in range(count):
+                s[k] = _refine_root(chi, chi_prime, k * math.pi / L, (k + 1) * math.pi / L)
+        lam = s * s
+    if not (np.isfinite(s).all() and np.isfinite(lam).all()):
+        raise _eigenvalue_overflow(L, count)
+
+    if closed_form:
+        # sin(2 s_n L) = 0 exactly, so ||cos(s_n x)||^2 = L/2, and L for the
+        # constant Neumann mode.
+        c = np.full(count, 1.0 / math.sqrt(L / 2.0))
+        if offset == 0.0:
+            c[0] = 1.0 / math.sqrt(L)
+    else:
+        c = np.empty(count)
+        for i, si in enumerate(s):
             norm_sq = L / 2.0 + math.sin(2.0 * si * L) / (4.0 * si)
-        c[i] = 1.0 / math.sqrt(norm_sq)
+            c[i] = 1.0 / math.sqrt(norm_sq)
 
     basis = SpectralBasis(L=float(L), gamma1=float(gamma1), gamma2=float(gamma2),
                           s=s, lam=lam, c=c)

@@ -177,6 +177,22 @@ class TestSynthesize:
         assert "opposite signs" in capsys.readouterr().err
         assert not (tmp_path / "out" / "gains.json").exists()
 
+    def test_overflowing_eigenvalues_exit_code(self, tmp_path, capsys):
+        # At L = 1e-160, lambda_n = s_n**2 overflows: an input problem.
+        obj = example_plant_dict()
+        L = obj["L"] = 1e-160
+        obj["shapes"] = [{"kind": "indicator", "params": [0.1 * j * L, 0.1 * (j + 1) * L]}
+                         for j in (1, 2, 3)]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: domain length L=1e-160 is too small for 30 modes: "
+            "the eigenvalues lambda_n = s_n**2 overflow\n")
+        assert not (tmp_path / "out" / "gains.json").exists()
+
 
 class TestSimulate:
     def test_simulate_with_gains_file(self, tmp_path, plant_file, initial_file,

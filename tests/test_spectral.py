@@ -1,12 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cascade_stab.errors import QuadratureNonConvergence, RootBracketingFailure
+from cascade_stab.errors import (
+    PlantInputError,
+    QuadratureNonConvergence,
+    RootBracketingFailure,
+)
 from cascade_stab.model import ShapeFunction
 from cascade_stab.spectral import (
+    _PI_LO,
     SpectralBasis,
+    _grid_roots,
     _check_boundary_residuals,
     adaptive_simpson,
     build_basis,
@@ -96,6 +105,82 @@ class TestBuildBasis:
                     tol=1e-11,
                 )
         assert np.max(np.abs(G - np.eye(10))) <= 1e-8
+
+
+def _nearest_double_roots(offset, count, L):
+    """(k + offset) pi / L for k < count, at 60 digits, rounded to nearest."""
+    with mpmath.workdps(60):
+        step = mpmath.pi / mpmath.mpf(L)
+        return [float((k + mpmath.mpf(offset)) * step) for k in range(count)]
+
+
+# Dirichlet (gamma2 = 0) roots sit at (k + 1/2) pi / L, Neumann (gamma1 = 0)
+# roots at k pi / L.
+CLOSED_FORM = [((1.0, 0.0), 0.5), ((0.0, 1.0), 0.0)]
+KINDS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.3)]
+
+
+class TestClosedFormRoots:
+    def test_pi_lo_is_the_rounded_tail_of_pi(self):
+        with mpmath.workdps(60):
+            assert _PI_LO == float(mpmath.pi - math.pi)
+
+    @pytest.mark.parametrize("L, count", [(math.pi, 400), (6.5, 120)])
+    @pytest.mark.parametrize("gammas, offset", CLOSED_FORM)
+    def test_workload_bases_are_correctly_rounded(self, L, count, gammas, offset):
+        basis = build_basis(L, *gammas, count)
+        assert basis.s.tolist() == _nearest_double_roots(offset, count, L)
+        np.testing.assert_array_equal(basis.lam, basis.s * basis.s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.sampled_from([0.5, 0.0]))
+    @example(-300.0, 0.5)
+    @example(300.0, 0.5)
+    @example(300.0, 0.0)
+    def test_roots_are_correctly_rounded(self, exponent, offset):
+        L = 10.0 ** exponent
+        s = _grid_roots(np.arange(50) + offset, L)
+        assert s.tolist() == _nearest_double_roots(offset, 50, L)
+
+    @pytest.mark.parametrize("gammas, offset", CLOSED_FORM)
+    def test_normalizers_are_exact(self, gammas, offset):
+        basis = build_basis(2.5, *gammas, 6)
+        expected = [1.0 / math.sqrt(2.5 / 2.0)] * 6
+        if offset == 0.0:
+            expected[0] = 1.0 / math.sqrt(2.5)
+        assert basis.c.tolist() == expected
+
+
+class TestModeCountIndependence:
+    """Mode n is bitwise the same whatever the number of modes built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-2.0, 3.0), st.sampled_from(KINDS),
+           st.integers(1, 150), st.integers(1, 150))
+    def test_leading_modes_bitwise_equal(self, exponent, gammas, a, b):
+        L = 10.0 ** exponent
+        n, count = min(a, b), max(a, b)
+        small, large = build_basis(L, *gammas, n), build_basis(L, *gammas, count)
+        for field in ("s", "lam", "c"):
+            np.testing.assert_array_equal(getattr(large, field)[:n],
+                                          getattr(small, field))
+
+    @pytest.mark.parametrize("L", [1e-300, 1e300, 1.7e308])
+    @pytest.mark.parametrize("gammas", KINDS)
+    @pytest.mark.parametrize("count", [1, 50])
+    def test_extreme_lengths_give_a_basis_or_an_input_error(self, L, gammas, count):
+        try:
+            basis = build_basis(L, *gammas, count)
+        except PlantInputError as exc:
+            assert f"L={L!r}" in str(exc) and f"{count} modes" in str(exc)
+        else:
+            for field in ("s", "lam", "c"):
+                assert np.isfinite(getattr(basis, field)).all()
+
+    @pytest.mark.parametrize("gammas", KINDS)
+    def test_overflowing_eigenvalues_raise_input_error(self, gammas):
+        with pytest.raises(PlantInputError, match=r"L=1e-160 .* 30 modes"):
+            build_basis(1e-160, *gammas, 30)
 
 
 class TestProject:
