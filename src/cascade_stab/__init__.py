@@ -20,8 +20,6 @@ from .spectral import (
     SpectralBasis,
     build_basis,
     expand,
-    input_projection_row,
-    project,
     shape_projection_matrix,
 )
 from .synthesis import (
@@ -76,12 +74,10 @@ __all__ = [
     "estimate_decay",
     "expand",
     "input_matrix",
-    "input_projection_row",
     "integrate",
     "load_plant",
     "modal_gains",
     "mode_transform",
-    "project",
     "project_initial",
     "reconstruct_field",
     "run_closed_loop",

@@ -34,8 +34,7 @@ EXIT_VERIFY = 4
 
 
 def _load_validated(args) -> model.ValidatedPlant:
-    spec = model.load_plant(args.plant)
-    return model.validate_plant(spec, diffusion_tol=getattr(args, "diffusion_tol", 0.0))
+    return model.validate_plant(model.load_plant(args.plant))
 
 
 def _profile_from_dict(obj: dict):
@@ -369,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retained mode count (default: minimal)")
         p.add_argument("--M-modes", dest="M_modes", type=int, default=30,
                        help="simulation/certificate truncation")
-        p.add_argument("--diffusion-tol", dest="diffusion_tol", type=float,
-                       default=0.0, help="relative tolerance grouping diffusions")
         p.add_argument("--out-dir", dest="out_dir", default=".",
                        help="output directory")
 

@@ -75,10 +75,6 @@ class PolePlacementSingular(InternalError):
     """Controllability matrix is singular; cannot occur for validated plants."""
 
 
-class BasisExhausted(InternalError):
-    """Spectral basis holds too few eigenvalues (auto-extension failed)."""
-
-
 class RiccatiFailure(InternalError):
     """Riccati solve for the direct baseline failed (pair not stabilizable)."""
 

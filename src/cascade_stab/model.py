@@ -173,31 +173,20 @@ class ValidatedPlant:
         return float(self.D[-1])
 
 
-def diffusion_indices(D, m: int | None = None, tol: float = 0.0) -> DiffusionIndices:
-    """Compute (sigma, sigma_bar) for the diffusion coefficients.
-
-    By default equality of coefficients is exact; a positive `tol` groups
-    values within that relative distance of the last coefficient.
-    """
+def diffusion_indices(D) -> DiffusionIndices:
+    """Compute (sigma, sigma_bar) for the diffusion coefficients, by exact equality."""
     d = np.asarray(D, dtype=float)
-    if m is None:
-        m = len(d)
     if np.any(d <= 0.0):
         raise NonPositiveDiffusion("all diffusion coefficients must be positive")
-
-    def same(a, b):
-        if tol <= 0.0:
-            return a == b
-        return abs(a - b) <= tol * max(abs(a), abs(b))
-
+    m = len(d)
     sigma = m
-    while sigma > 1 and same(d[sigma - 2], d[m - 1]):
+    while sigma > 1 and d[sigma - 2] == d[m - 1]:
         sigma -= 1
     sigma_bar = max(0, min(2 * sigma - 3, 2 * m - 4))
     return DiffusionIndices(sigma=sigma, sigma_bar=sigma_bar)
 
 
-def validate_plant(spec: PlantSpec, diffusion_tol: float = 0.0) -> ValidatedPlant:
+def validate_plant(spec: PlantSpec) -> ValidatedPlant:
     """Check every structural invariant of the plant and tag it valid.
 
     Raises the specific violation subclass of PlantInputError on failure.
@@ -251,7 +240,7 @@ def validate_plant(spec: PlantSpec, diffusion_tol: float = 0.0) -> ValidatedPlan
         gamma1=float(spec.gamma1),
         gamma2=float(spec.gamma2),
         shapes=tuple(spec.shapes),
-        indices=diffusion_indices(D, m, tol=diffusion_tol),
+        indices=diffusion_indices(D),
     )
 
 
@@ -353,12 +342,8 @@ def atomic_write(path: str):
 # kind of marker written (a memchr and memcpy pass) then splices the text.
 #
 # orjson writes NaN and +-inf as null, so a block holding any of them is
-# formatted by repr instead.  So is a block of fewer than _REPR_BELOW values:
-# the orjson path's fixed cost (about 40 us) matches the repr join's cost of
-# about 0.7 us per value near 64 values (1-row and 3-column blocks of
-# gain-like values on a 2-vCPU x86-64 VM).
+# formatted by repr instead.
 
-_REPR_BELOW = 64
 _CUTS = np.array([[1e-9], [1e-5], [1e-4], [1e16], [1e100]])
 
 
@@ -373,7 +358,7 @@ def _csv_lines(block: np.ndarray, stops=None):
     if not block.size:
         return "" if stops is None else ("", np.zeros(0, dtype=int))
     flat = block.ravel()
-    if block.size < _REPR_BELOW or not np.isfinite(block).all():
+    if not np.isfinite(block).all():
         text = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
         if stops is None:
             return text

@@ -55,6 +55,8 @@ from .synthesis import Controller, closed_blocks, mode_blocks, zero_controller
 from .transform import TransformFamily, mode_transform
 
 _NORM_FLOOR = 1e-300
+# estimate_decay fits ln||z|| over [0.2, 1.0] * t_final.
+_FIT_WINDOW = (0.2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class SimConfig:
     M_modes: int = 30
     t_final: float = 1.0
     dt_out: float | None = None  # defaults to t_final / 400
-    fit_window: tuple[float, float] = (0.2, 1.0)
 
     def resolved_dt(self) -> float:
         dt = self.t_final / 400.0 if self.dt_out is None else self.dt_out
@@ -546,15 +547,15 @@ def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
     return Trajectory(times=times, modal=modal, l2_norm=norms)
 
 
-def estimate_decay(traj: Trajectory, fit_window=(0.2, 1.0)) -> float:
-    """Least-squares decay rate of ln||z|| over the window (positive = decay).
+def estimate_decay(traj: Trajectory) -> float:
+    """Least-squares decay rate of ln||z|| over _FIT_WINDOW (positive = decay).
 
     Samples whose norm has collapsed to numerical zero are dropped, which
     shortens the window automatically; ZeroNorm is raised only if fewer than
     two usable samples remain.
     """
     t_final = traj.times[-1]
-    lo, hi = fit_window
+    lo, hi = _FIT_WINDOW
     mask = (traj.times >= lo * t_final) & (traj.times <= hi * t_final)
     mask &= traj.l2_norm > _NORM_FLOOR
     if np.count_nonzero(mask) < 2:
@@ -618,7 +619,7 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
     z0 = project_initial(z0_funcs, basis, config.M_modes)
     traj = integrate(system, z0, config.t_final, config.resolved_dt())
     try:
-        traj.fitted_decay = estimate_decay(traj, config.fit_window)
+        traj.fitted_decay = estimate_decay(traj)
     except ZeroNorm:
         traj.fitted_decay = float("inf")
     if M_cert is not None:

@@ -85,29 +85,30 @@ def _characteristic(gamma1: float, gamma2: float, L: float):
     return chi, chi_prime
 
 
-def _refine_root(chi, chi_prime, a: float, b: float) -> float:
-    """Bisect chi on [a, b] (sign change required), then Newton-polish."""
-    fa = chi(a)
-    fb = chi(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise RootBracketingFailure(f"no sign change of chi on ({a}, {b})")
+# Enough halvings to shrink any bracket of doubles, from 2**1024 wide, to
+# the width test at the smallest normal double.
+_MAX_HALVINGS = 2100
+
+
+def _refine_root(chi, chi_prime, a: float, b: float, positive_at_a: bool) -> float:
+    """Bisect chi on [a, b], whose sign at a is given, then Newton-polish.
+
+    chi changes sign exactly once on the bracket.  Its sign at a is passed
+    in, not evaluated: near a grid point k pi / L, chi(a) is mostly
+    rounding error once L is small.
+    """
     lo, hi = a, b
-    flo = fa
-    for _ in range(200):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * hi:
             break
         fm = chi(mid)
         if fm == 0.0:
             return mid
-        if flo * fm < 0.0:
+        if (fm > 0.0) != positive_at_a:
             hi = mid
         else:
-            lo, flo = mid, fm
+            lo = mid
     s = 0.5 * (lo + hi)
     # Newton steps stay inside the bracket or are discarded.
     for _ in range(3):
@@ -189,7 +190,9 @@ def build_basis(L: float, gamma1: float, gamma2: float, count: int) -> SpectralB
             chi, chi_prime = _characteristic(gamma1, gamma2, L)
             s = np.empty(count)
             for k in range(count):
-                s[k] = _refine_root(chi, chi_prime, k * math.pi / L, (k + 1) * math.pi / L)
+                # chi(k pi / L) = gamma1 * (-1)**k exactly.
+                s[k] = _refine_root(chi, chi_prime, k * math.pi / L, (k + 1) * math.pi / L,
+                                    (gamma1 > 0.0) == (k % 2 == 0))
         lam = s * s
     if not (np.isfinite(s).all() and np.isfinite(lam).all()):
         raise _eigenvalue_overflow(L, count)
@@ -454,28 +457,16 @@ def shape_projection_matrix(shapes, basis: SpectralBasis, count: int) -> np.ndar
     return _shape_columns(shapes, basis.L, basis.s[:count], basis.c[:count])
 
 
-def _mode_slice(basis: SpectralBasis, n: int) -> slice:
-    if not 1 <= n <= basis.size:
-        raise ValueError(f"mode {n} exceeds basis size {basis.size}")
-    return slice(n - 1, n)
-
-
-def shape_projection(shape: ShapeFunction, basis: SpectralBasis, n: int) -> float:
-    """Exact projection <b_j, phi_n> for the supported shape kinds."""
-    k = _mode_slice(basis, n)
-    return float(_shape_columns([shape], basis.L, basis.s[k], basis.c[k])[0, 0])
-
-
 def project(f, basis: SpectralBasis, n: int, tol: float = 1e-10) -> float:
     """L2 projection <f, phi_n> over (0, L).
 
     `f` is either a ShapeFunction (exact closed forms) or a plain callable,
     projected by `project_callable` to absolute error `tol`.
     """
-    if n > basis.size:
-        raise ValueError(f"mode {n} exceeds basis size {basis.size}")
+    if not 1 <= n <= basis.size:
+        raise ValueError(f"mode {n} must lie in 1..{basis.size}")
     if isinstance(f, ShapeFunction):
-        return shape_projection(f, basis, n)
+        return float(_shape_columns([f], basis.L, basis.s[n - 1:n], basis.c[n - 1:n])[0, 0])
     return float(project_callable(f, basis, [n], tol=tol)[0])
 
 
@@ -483,8 +474,9 @@ def input_projection_row(shapes, basis: SpectralBasis, n: int) -> np.ndarray:
     """Row of mode-n projections of all shape functions: (b_{1,n} ... b_{N,n})."""
     if len(shapes) == 0:
         raise ValueError("need at least one shape function")
-    k = _mode_slice(basis, n)
-    return _shape_columns(shapes, basis.L, basis.s[k], basis.c[k])[0]
+    if not 1 <= n <= basis.size:
+        raise ValueError(f"mode {n} must lie in 1..{basis.size}")
+    return _shape_columns(shapes, basis.L, basis.s[n - 1:n], basis.c[n - 1:n])[0]
 
 
 def expand(coeffs, basis: SpectralBasis, grid) -> np.ndarray:

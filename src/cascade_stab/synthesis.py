@@ -22,13 +22,13 @@ Lyapunov solve Abar^T P + P Abar = -I with Abar = Q + B K_Q +
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BasisExhausted,
     CertificateAtRoundingLevel,
     CertificateViolation,
     HypothesisHViolated,
@@ -38,7 +38,7 @@ from .errors import (
     RiccatiFailure,
 )
 from .model import ValidatedPlant
-from .spectral import SpectralBasis, extend_basis, shape_projection_matrix
+from .spectral import SpectralBasis, build_basis, extend_basis, shape_projection_matrix
 from .transform import (
     TransformFamily,
     mode_transform,
@@ -47,6 +47,7 @@ from .transform import (
 )
 
 HYPOTHESIS_COND_LIMIT = 1e12
+MAX_MODES = 100_000
 LYAPUNOV_RESIDUAL_TOL = 1e-8
 
 # Factor-2 slack over the Schur-complement minimum of the residual-mode LMI;
@@ -104,20 +105,32 @@ def selection_margin(plant: ValidatedPlant, lam: float, delta: float) -> float:
 def select_mode_count(plant: ValidatedPlant, basis: SpectralBasis, delta: float) -> int:
     """Smallest N >= 0 whose residual modes all decay faster than delta.
 
-    Checks the margin at lambda_{N+1}; eigenvalue monotonicity extends the
-    bound to every n >= N+1.  The basis is extended on demand.
+    -lam D + Sym(Q) + delta I < 0 holds exactly when lam exceeds
+    lam* = lambda_max(D^{-1/2} (Sym(Q) + delta I) D^{-1/2}), and every
+    boundary condition has s_k >= k pi / L (k = 0, 1, ...), so the first
+    negative margin lies among the first floor(L sqrt(lam*) / pi) + 3 modes.
+    The basis is extended to those modes and N is the index of the first
+    negative margin among them.  A plant that needs more than MAX_MODES
+    modes is an input error.
     """
     if delta <= 0.0:
         raise PlantInputError("decay rate delta must be positive")
-    N = 0
-    while True:
-        if N >= basis.size:
-            basis = extend_basis(basis, max(2 * basis.size, N + 1))
-        if selection_margin(plant, float(basis.lam[N]), delta) < 0.0:
-            return N
-        N += 1
-        if N > 100_000:
-            raise BasisExhausted("mode-count search did not terminate")
+    scale = 1.0 / np.sqrt(plant.D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = scale[:, None] * (sym(plant.Q) + delta * np.eye(plant.m)) * scale
+    lam_star = float(np.linalg.eigvalsh(S)[-1]) if np.isfinite(S).all() else math.inf
+    bound = plant.L * math.sqrt(max(lam_star, 0.0)) / math.pi
+    # Compared as a float: L sqrt(lam*) may overflow, and NaN must fail too.
+    if not bound < MAX_MODES - 2:
+        raise PlantInputError(
+            f"domain length L={plant.L!r} needs more than {MAX_MODES} modes "
+            f"to reach the decay rate delta={delta!r}")
+    count = int(bound) + 3
+    basis = extend_basis(basis, count)
+    negative = np.flatnonzero(selection_margins(plant, basis.lam[:count], delta) < 0.0)
+    if not negative.size:
+        raise InternalError(f"no residual-mode margin is negative within {count} modes")
+    return int(negative[0])
 
 
 def _controllability_matrix(Q: np.ndarray) -> np.ndarray:
@@ -283,7 +296,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     channels.
     """
     if basis is None:
-        basis = _default_basis(plant, 8)
+        basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 8)
     N_min = select_mode_count(plant, basis, delta)
     if N is None:
         N = N_min
@@ -306,12 +319,6 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     K = np.linalg.solve(Bmat, block_diag_rows(Kbar))
     return Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
                       Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
-
-
-def _default_basis(plant: ValidatedPlant, count: int) -> SpectralBasis:
-    from .spectral import build_basis
-
-    return build_basis(plant.L, plant.gamma1, plant.gamma2, count)
 
 
 def certificate(plant: ValidatedPlant, controller: Controller,

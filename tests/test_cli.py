@@ -102,8 +102,8 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("N", [None, 20])
     def test_json_files_match_json_dump(self, tmp_path, plant_file, N):
-        # The demo plant (repr path of the formatter) and a wide-actuation
-        # style plant with N = 20 indicator shapes on L = 0.1 N + 0.5.
+        # The demo plant and a wide-actuation style plant with N = 20
+        # indicator shapes on L = 0.1 N + 0.5.
         args = ["--plant", plant_file, "--N", "3"]
         if N is not None:
             obj = example_plant_dict()
@@ -192,6 +192,36 @@ class TestSynthesize:
             "input error: domain length L=1e-160 is too small for 30 modes: "
             "the eigenvalues lambda_n = s_n**2 overflow\n")
         assert not (tmp_path / "out" / "gains.json").exists()
+
+    def test_domain_needing_too_many_modes_exit_code(self, tmp_path, capsys):
+        # At L = 1e200 the residual-mode inequality first holds near mode
+        # 3e200: an input problem, named by L, and no gains file.
+        obj = example_plant_dict()
+        obj["L"] = 1e200
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: domain length L=1e+200 needs more than")
+        assert "delta=9.0" in err
+        assert not (tmp_path / "out" / "gains.json").exists()
+
+    def test_nearly_equal_diffusions_are_distinct(self, tmp_path, capsys):
+        # Diffusions 1e-8 apart are distinct: sigma = 3, and the degree-2
+        # transform cancels every mode.
+        obj = example_plant_dict()
+        obj["D"] = [5.0 + 1e-8, 5.0, 5.0 - 1e-8]
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert "sigma / sigma_bar    : 3 / 2" in capsys.readouterr().out
+        rc = main(["verify", "--plant", str(path), "--delta", "9"])
+        assert rc == 0
+        assert "verification PASSED" in capsys.readouterr().out
 
 
 class TestSimulate:

@@ -137,38 +137,33 @@ class TestValidation:
 
 class TestDiffusionIndices:
     def test_all_distinct(self):
-        idx = diffusion_indices([4.0, 5.0, 6.0], 3)
+        idx = diffusion_indices([4.0, 5.0, 6.0])
         assert (idx.sigma, idx.sigma_bar) == (3, 2)
 
     def test_all_equal(self):
-        idx = diffusion_indices([1.0, 1.0, 1.0], 3)
+        idx = diffusion_indices([1.0, 1.0, 1.0])
         assert (idx.sigma, idx.sigma_bar) == (1, 0)
 
     def test_two_distinct(self):
-        idx = diffusion_indices([2.0, 1.0], 2)
+        idx = diffusion_indices([2.0, 1.0])
         assert (idx.sigma, idx.sigma_bar) == (2, 0)
 
     def test_idempotent_and_clamped(self, rng):
         for _ in range(200):
             m = int(rng.integers(1, 8))
             d = rng.choice([0.5, 1.0, 1.5, 2.0], size=m)
-            a = diffusion_indices(d, m)
-            b = diffusion_indices(d, m)
+            a = diffusion_indices(d)
+            b = diffusion_indices(d)
             assert a == b
             assert 0 <= a.sigma_bar <= max(0, 2 * m - 4)
             assert (a.sigma == 1) == bool(np.all(d == d[0]))
 
     def test_trailing_tail_permutation_is_noop(self):
         d = [3.0, 2.0, 1.5, 1.5, 1.5]
-        idx = diffusion_indices(d, 5)
+        idx = diffusion_indices(d)
         permuted = [3.0, 2.0, 1.5, 1.5, 1.5]  # equal tail permutes to itself
-        assert diffusion_indices(permuted, 5) == idx
+        assert diffusion_indices(permuted) == idx
         assert idx.sigma == 3
-
-    def test_relative_tolerance_grouping(self):
-        d = [4.0, 5.0, 5.0 * (1 + 1e-9)]
-        assert diffusion_indices(d, 3).sigma == 3
-        assert diffusion_indices(d, 3, tol=1e-6).sigma == 2
 
 
 class TestShapeFunctions:

@@ -3,13 +3,14 @@
 The vectorized layers are checked against the per-mode forms they replace,
 kept here as oracles: shape projections against the scalar closed forms,
 the stacked residual-mode margins against one eigvalsh per mode, the
+closed-form mode count against the per-mode scan it replaced, the
 closed-loop assembly against the per-mode loop, the retained-only run
 `verify` makes against the first N modes of the full run, and the stacked
 modal transform (T_n, T_n^{-1}, G_n, H_n, the gains and the certificate)
 against its evaluation one mode at a time.  The paper's gain identities,
 Kbar_n = (K_Q - G_n) T_n and Bmat K = block-rows(Kbar), are checked on
 synthesized controllers.  Example counts come from the hypothesis profile
-in conftest.py.
+in conftest.py unless a test sets its own.
 """
 
 import dataclasses
@@ -17,16 +18,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
 
 from cascade_stab.cli import _corrupt_family
 from cascade_stab.errors import CertificateAtRoundingLevel, HypothesisHViolated
-from cascade_stab.model import ShapeFunction
+from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.simulator import assemble_closed_loop, integrate, target_residual
-from cascade_stab.spectral import build_basis, shape_projection, shape_projection_matrix
+from cascade_stab.spectral import build_basis, extend_basis, project, shape_projection_matrix
 from cascade_stab.synthesis import (
     RHO_BAR,
     _omega_margins,
@@ -124,6 +125,39 @@ def cascades(draw, max_m=None):
     return random_plant(np.random.default_rng(seed), m=m)
 
 
+@st.composite
+def scaled_cascades(draw):
+    """A cascade with m = 2..8 on any boundary kind, L in 0.1..100, and
+    D and Q scaled by factors in 0.1..10."""
+    m = draw(st.integers(2, 8))
+    plant = random_plant(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m=m)
+    gammas = draw(st.one_of(st.just((1.0, 0.0)), st.just((0.0, 1.0)),
+                            st.tuples(st.just(1.0), st.floats(-2.0, 2.0).map(lambda e: 10.0**e))))
+    L, d_scale, q_scale = (10.0 ** draw(st.floats(lo, hi))
+                           for lo, hi in ((-1.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)))
+    return validate_plant(PlantSpec(m=m, D=plant.D * d_scale, Q=plant.Q * q_scale,
+                                    L=L, gamma1=gammas[0], gamma2=gammas[1], shapes=()))
+
+
+def scanned_mode_count(plant, basis, delta):
+    """The first N whose margin at lambda_{N+1} is negative, one mode at a
+    time, doubling the basis on demand (the oracle)."""
+    N = 0
+    while True:
+        if N >= basis.size:
+            basis = extend_basis(basis, max(2 * basis.size, N + 1))
+        if selection_margin(plant, float(basis.lam[N]), delta) < 0.0:
+            return N
+        N += 1
+
+
+@settings(max_examples=150)
+@given(plant=scaled_cascades(), delta=st.floats(-2.0, 2.0).map(lambda e: 10.0**e))
+def test_mode_count_matches_scan(plant, delta):
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 8)
+    assert select_mode_count(plant, basis, delta) == scanned_mode_count(plant, basis, delta)
+
+
 @given(basis=bases(), data=st.data())
 def test_shape_projection_matrix_matches_scalar(basis, data):
     group = data.draw(st.lists(shapes(basis.L), min_size=1, max_size=4))
@@ -135,7 +169,7 @@ def test_shape_projection_matrix_matches_scalar(basis, data):
     # The same operations in the same order as the scalar closed forms.
     np.testing.assert_allclose(P, scalar, rtol=1e-14, atol=1e-15)
     n = data.draw(st.integers(1, count))
-    assert [shape_projection(shape, basis, n) for shape in group] == P[n - 1].tolist()
+    assert [project(shape, basis, n) for shape in group] == P[n - 1].tolist()
 
 
 @given(basis=bases(max_modes=40))

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from cascade_stab.errors import ZeroNorm
 from cascade_stab.model import (
-    _REPR_BELOW,
     PlantSpec,
     ShapeFunction,
     _csv_lines,
@@ -245,7 +244,7 @@ class TestEstimateDecay:
 
         traj = Trajectory(times=times, modal=np.zeros((401, 1, 1)),
                           l2_norm=traj_norm)
-        assert estimate_decay(traj, (0.2, 1.0)) == pytest.approx(2.0, abs=1e-8)
+        assert estimate_decay(traj) == pytest.approx(2.0, abs=1e-8)
 
     def test_pure_tail_mode_decay(self, demo_plant, demo_basis, demo_closed_loop):
         # data only in mode 4: z^N stays zero, feedback never acts, and the
@@ -257,7 +256,7 @@ class TestEstimateDecay:
         traj = integrate(A, z0, 0.3, 0.3 / 400.0)
         block = -demo_basis.lam[3] * np.diag(demo_plant.D) + demo_plant.Q
         expected = -np.max(np.linalg.eigvals(block).real)
-        assert estimate_decay(traj, (0.2, 1.0)) == pytest.approx(expected, rel=0.02)
+        assert estimate_decay(traj) == pytest.approx(expected, rel=0.02)
         assert np.max(np.abs(traj.modal[:, :3, :])) == 0.0
 
     def test_zero_norm_raises(self):
@@ -267,7 +266,7 @@ class TestEstimateDecay:
         traj = Trajectory(times=times, modal=np.zeros((11, 1, 1)),
                           l2_norm=np.zeros(11))
         with pytest.raises(ZeroNorm):
-            estimate_decay(traj, (0.2, 1.0))
+            estimate_decay(traj)
 
 
 class TestTargetResidual:
@@ -611,10 +610,15 @@ def _near_cuts(u):
     return np.copysign(10.0 ** power, u)
 
 
-def _both_paths(block):
-    """`block`, and `block` tiled wide enough for the orjson path."""
+# Blocks are also checked tiled to at least this many values, as wide as
+# the smallest block any command writes.
+_WIDE = 64
+
+
+def _with_tiled(block):
+    """`block`, and `block` tiled to at least _WIDE values."""
     block = np.asarray(block, dtype=float)
-    return block, np.tile(block, (1, -(-_REPR_BELOW // max(1, block.size))))
+    return block, np.tile(block, (1, -(-_WIDE // max(1, block.size))))
 
 
 class TestCsvLines:
@@ -628,38 +632,32 @@ class TestCsvLines:
     def test_edge_value(self, value):
         for block in ([[value]], [[value, 1.0], [-2.0, value]],
                       [[0.5, value, -value, 1e-6]]):
-            for b in _both_paths(block):
+            for b in _with_tiled(block):
                 assert _csv_lines(b) == _repr_lines(b)
 
     def test_edges_in_one_row_and_column(self):
-        for row in _both_paths([self.EDGES]):
+        for row in _with_tiled([self.EDGES]):
             assert _csv_lines(row) == _repr_lines(row)
             assert _csv_lines(row.T) == _repr_lines(row.T)
-
-    def test_size_switch(self):
-        # Blocks either side of _REPR_BELOW take different paths, same bytes.
-        values = np.array(self.EDGES * (_REPR_BELOW // len(self.EDGES) + 1))
-        for n in (_REPR_BELOW - 1, _REPR_BELOW):
-            assert _csv_lines(values[None, :n]) == _repr_lines(values[None, :n])
 
     @pytest.mark.parametrize("value", _EDITED)
     def test_edit_at_block_and_row_ends(self, value):
         # The value as the block's first value, as the last value of a row,
-        # as the block's last value, and all three at once, in blocks on the
-        # orjson path; then as every value of a single column.
-        base = np.full((8, _REPR_BELOW), 0.5)
+        # as the block's last value, and all three at once; then as every
+        # value of a single column.
+        base = np.full((8, _WIDE), 0.5)
         for places in ([(0, 0)], [(3, -1)], [(7, -1)], [(0, 0), (3, -1), (7, -1)]):
             block = base.copy()
             for place in places:
                 block[place] = value
             assert _csv_lines(block) == _repr_lines(block)
-        column = np.full((_REPR_BELOW, 1), value)
+        column = np.full((_WIDE, 1), value)
         assert _csv_lines(column) == _repr_lines(column)
 
     @settings(max_examples=150)
     @given(arrays(np.float64, _table_shapes, elements=st.floats(-2.0, 2.0)).map(_near_cuts))
     def test_values_near_the_cuts(self, block):
-        for b in _both_paths(block):
+        for b in _with_tiled(block):
             assert _csv_lines(b) == _repr_lines(b)
 
     def test_random_bit_patterns(self):
@@ -673,7 +671,7 @@ class TestCsvLines:
     @given(st.one_of(arrays(np.uint64, _table_shapes).map(lambda a: a.view(np.float64)),
                      arrays(np.float64, _table_shapes)))
     def test_matches_repr_join(self, block):
-        for b in _both_paths(block):
+        for b in _with_tiled(block):
             assert _csv_lines(b) == _repr_lines(b)
 
     @settings(max_examples=100)
@@ -684,7 +682,7 @@ class TestCsvLines:
     def test_stop_offsets_are_the_separators(self, block, data):
         # With stops, the offsets are where a scan of the text finds the
         # comma or newline after each of those values.
-        for b in [*_both_paths(block), np.array([self.EDGES * 8])]:
+        for b in [*_with_tiled(block), np.array([self.EDGES * 8])]:
             stops = sorted(data.draw(st.sets(st.integers(0, max(0, b.size - 1)))))
             stops = [i for i in stops if i < b.size]
             text, offsets = _csv_lines(b, stops)

@@ -23,7 +23,6 @@ from cascade_stab.spectral import (
     input_projection_row,
     project,
     project_callable,
-    shape_projection,
 )
 
 
@@ -151,6 +150,34 @@ class TestClosedFormRoots:
         assert basis.c.tolist() == expected
 
 
+def _robin_roots(L, count):
+    """Roots of cos(sL) = s sin(sL) (gamma1 = gamma2 = 1), at 60 digits.
+
+    u = s L solves u tan u = L with u_k in (k pi, (k + 1) pi); for k >= 1,
+    u = k pi + atan(L / u) contracts by about L / u**2 per step.
+    """
+    with mpmath.workdps(60):
+        Lm = mpmath.mpf(L)
+        r = mpmath.sqrt(Lm)  # u_0 = r v with v tan(r v) / r = 1
+        roots = [r * mpmath.findroot(lambda v: v * mpmath.tan(r * v) / r - 1, 1)]
+        for k in range(1, count):
+            u = k * mpmath.pi
+            for _ in range(4):
+                u = k * mpmath.pi + mpmath.atan(Lm / u)
+            roots.append(u)
+        return np.array([float(u / Lm) for u in roots])
+
+
+class TestShortRobinDomains:
+    """Robin roots on short domains, where chi at the grid k pi / L is rounding."""
+
+    @pytest.mark.parametrize("L, count", [(1e-10, 400), (1e-40, 60), (1e-160, 1)])
+    def test_roots_within_three_ulp(self, L, count):
+        basis = build_basis(L, 1.0, 1.0, count)
+        expected = _robin_roots(L, count)
+        assert np.all(np.abs(basis.s - expected) <= 3.0 * np.spacing(expected))
+
+
 class TestModeCountIndependence:
     """Mode n is bitwise the same whatever the number of modes built."""
 
@@ -234,20 +261,20 @@ class TestProjectCallable:
     def test_scalar_only_callable(self, demo_basis):
         shape = ShapeFunction.polynomial(0.3, -0.2, 0.05, 0.01)
         got = project_callable(lambda x: shape(float(x)), demo_basis, range(1, 9))
-        exact = [shape_projection(shape, demo_basis, n) for n in range(1, 9)]
+        exact = [project(shape, demo_basis, n) for n in range(1, 9)]
         np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-10)
 
     def test_constant_callables(self, demo_basis):
         assert np.all(project_callable(lambda x: 0.0, demo_basis, range(1, 6)) == 0.0)
         got = project_callable(lambda x: 2.5, demo_basis, range(1, 6))
-        exact = [2.5 * shape_projection(ShapeFunction.polynomial(1.0), demo_basis, n)
+        exact = [2.5 * project(ShapeFunction.polynomial(1.0), demo_basis, n)
                  for n in range(1, 6)]
         np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-10)
 
     def test_discontinuous_callable_matches_closed_form(self, demo_basis):
         shape = ShapeFunction.indicator(0.7, 1.9)
         got = project_callable(lambda x: shape(x), demo_basis, range(1, 31))
-        exact = [shape_projection(shape, demo_basis, n) for n in range(1, 31)]
+        exact = [project(shape, demo_basis, n) for n in range(1, 31)]
         np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-9)
 
     def test_band_limited_data_at_high_mode(self):
@@ -267,11 +294,15 @@ class TestProjectCallable:
         with pytest.raises(QuadratureNonConvergence):
             project(lambda x: float("nan"), demo_basis, 1)
 
-    def test_modes_out_of_range(self, demo_basis):
-        with pytest.raises(ValueError):
-            project_callable(lambda x: x, demo_basis, [0])
-        with pytest.raises(ValueError):
-            project_callable(lambda x: x, demo_basis, [demo_basis.size + 1])
+    def test_modes_out_of_range(self, demo_plant, demo_basis):
+        shape = demo_plant.shapes[0]
+        for n in (0, demo_basis.size + 1):
+            with pytest.raises(ValueError):
+                project_callable(lambda x: x, demo_basis, [n])
+            with pytest.raises(ValueError):
+                project(shape, demo_basis, n)
+            with pytest.raises(ValueError):
+                input_projection_row(demo_plant.shapes, demo_basis, n)
 
 
 class TestInputProjectionRow:
