@@ -353,6 +353,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type of the time options, so that a bad value names its option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cascade-stab",
@@ -384,15 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--gains", default=None, help="gains JSON from synthesize")
     p_sim.add_argument("--initial", required=True,
                        help="initial-condition JSON (m profiles)")
-    p_sim.add_argument("--t-final", dest="t_final", type=float, default=1.0)
-    p_sim.add_argument("--dt-out", dest="dt_out", type=float, default=None)
+    p_sim.add_argument("--t-final", dest="t_final", type=_positive_finite,
+                       default=1.0)
+    p_sim.add_argument("--dt-out", dest="dt_out", type=_positive_finite,
+                       default=None)
     p_sim.add_argument("--grid-points", dest="grid_points", type=int, default=101)
     p_sim.add_argument("--open-loop", dest="open_loop", action="store_true",
                        help="force u = 0")
 
     p_ver = sub.add_parser("verify", help="identity and certificate suite")
     common(p_ver)
-    p_ver.add_argument("--t-final", dest="t_final", type=float, default=0.5)
+    p_ver.add_argument("--t-final", dest="t_final", type=_positive_finite,
+                       default=0.5)
     p_ver.add_argument("--inject-corrupt-transform", action="store_true",
                        help="debug: corrupt the transform and expect failure")
 

@@ -8,21 +8,26 @@ with Brow_n the mode-n projections of the shape functions.  Modes couple
 only through z^N, so the truncation is exact for the retained block, and
 the generator is block lower triangular:
 
-    [[A_NN, 0], [A_TN, blockdiag(A_n, n > N)]].
+    [[A_RR, 0], [A_TR, blockdiag(A_n, n > R)]].
 
 `integrate` propagates it exactly on the output grid without forming the
-dense exponential.  The retained modes R together with any group g of tail
-modes are a closed set (z_R depends on z_R only, z_g on z_g and z_R), so
-expm(dt * system) restricted to R and g is expm of the system restricted to
-R and g.  The tail is cut into groups of k modes, with k minimizing the
-exponential flop count ceil((M - N)/k) * (mN + mk)^3 over k = 1..M-N; k =
-M - N is the dense exponential, so the choice never costs more flops than
-it.  One stacked expm serves all groups.
+dense exponential.  The step matrix exp(dt A) has the same shape, and
+scaling and squaring keeps it: every power, Pade approximant and square
+of such a matrix is one, with
+
+    RR = X_RR Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR Y_RR + X_TT @ Y_TR
+
+for its product (Van Loan, IEEE Trans. Automat. Control 23(3), 1978).
+`_expm_blocks` runs the algorithm of `expm` once on the retained block
+(r x r), the stack of tail blocks (tail, m, m) and the coupling
+(tail m) x r.  One scaling serves the whole matrix, so the retained block
+F_RR, which a fast tail block may over-scale, is taken from `expm` of
+A_RR alone instead.
 
 `expm` is numpy's own, so no command needs scipy: the scaling-and-squaring
 algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009) on
 every slice of the stack at once, after a diagonal balancing.  The
-closed-loop groups are far from normal (1-norms up to 2e9 from the feedback
+closed-loop steps are far from normal (1-norms up to 2e9 from the feedback
 rows, against 100 once balanced); unbalanced, wide-actuation's come out
 with relative errors near 2e-7.  Each slice is first scaled to D^-1 A D
 with D a diagonal of powers of two (Parlett and Reinsch, Numer. Math. 13,
@@ -33,11 +38,14 @@ not settle the choice, each slice takes the least Pade degree m in
 squarings; the bound's correction ell needs the 1-norm of |A|^(2m+1) only
 where ||A||^(2m+1) does not already settle it.  Each degree's approximants
 come from one stacked solve, the squarings run on the slices that still
-need them, and the result is scaled back by D.
+need them, and the result is scaled back by D.  Balancing, the choice of
+(m, s) and the Pade step reach the matrices only through an operations
+object, `_Stack` for a stack or `_Blocks` for the block form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +77,8 @@ class SimConfig:
 
     def resolved_dt(self) -> float:
         dt = self.t_final / 400.0 if self.dt_out is None else self.dt_out
-        if dt <= 0.0 or self.t_final <= 0.0:
-            raise ValueError("t_final and dt_out must be positive")
+        if not (0.0 < dt < math.inf and 0.0 < self.t_final < math.inf):
+            raise ValueError("t_final and dt_out must be positive and finite")
         return dt
 
     def validate(self, N: int) -> None:
@@ -172,7 +180,128 @@ _BALANCE_GAIN = 0.99
 _BALANCE_SWEEPS = 64
 
 
-def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Stack:
+    """The matrix operations of the exponential on a (g, n, n) stack."""
+
+    mul = staticmethod(np.matmul)
+    solve = staticmethod(np.linalg.solve)
+
+    @staticmethod
+    def order(X: np.ndarray) -> int:
+        return X.shape[-1]
+
+    @staticmethod
+    def diags(X: np.ndarray) -> tuple:
+        """Writable views of the diagonals, (g, n)."""
+        return (np.einsum("gii->gi", X),)
+
+    @staticmethod
+    def rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """v_i^T X_i for the rows v_i of v, (g, n)."""
+        return (v[:, None, :] @ X)[:, 0]
+
+    @staticmethod
+    def matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """X_i v_i for the rows v_i of v, (g, n)."""
+        return (X @ v[:, :, None])[:, :, 0]
+
+    @staticmethod
+    def colsums(X: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Column sums of abs(X), (g, n), using the scratch `work` of X's shape."""
+        return np.ones(X.shape[-1]) @ np.abs(X, out=work)
+
+    @staticmethod
+    def similarity(X: np.ndarray, d: np.ndarray, undo: bool = False) -> None:
+        """X <- D^-1 X D in place with D = diag(d) per slice; D X D^-1 if undo."""
+        rows, cols = d[:, :, None], d[:, None, :]
+        X *= rows if undo else cols
+        X /= cols if undo else rows
+
+
+class _Blocks:
+    """Block lower triangular matrices [[X_RR, 0], [X_TR, blockdiag(X_TT)]].
+
+    X_RR is r x r, X_TT the (tail, m, m) stack of diagonal blocks and X_TR
+    the (tail, m, r) coupling.  A matrix is one row of `size` floats holding
+    X_RR, X_TT and X_TR in turn, so sums and multiples of matrices are those
+    of rows; operands carry a leading axis of one, as one slice of a stack.
+    Products keep the shape:
+
+        RR = X_RR Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR Y_RR + X_TT @ Y_TR.
+    """
+
+    def __init__(self, r: int, tail: int, m: int):
+        self.r, self.tail, self.m = r, tail, m
+        self.cuts = (r * r, r * r + tail * m * m)
+        self.size = self.cuts[1] + tail * m * r
+
+    def split(self, X: np.ndarray) -> tuple:
+        """Views X_RR, X_TT and X_TR of the matrix X."""
+        a, b = self.cuts
+        X = X.reshape(-1)
+        return (X[:a].reshape(self.r, self.r),
+                X[a:b].reshape(self.tail, self.m, self.m),
+                X[b:].reshape(self.tail, self.m, self.r))
+
+    def order(self, X: np.ndarray) -> int:
+        return self.r + self.tail * self.m
+
+    def diags(self, X: np.ndarray) -> tuple:
+        RR, TT, _ = self.split(X)
+        return np.einsum("ii->i", RR), np.einsum("tii->ti", TT)
+
+    def rmatvec(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        RR, TT, TR = self.split(X)
+        r = self.r
+        out = np.empty_like(v)
+        out[0, :r] = v[0, :r] @ RR + v[0, r:] @ TR.reshape(-1, r)
+        out[0, r:] = (v[0, r:].reshape(self.tail, 1, self.m) @ TT).reshape(-1)
+        return out
+
+    def matvec(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        RR, TT, TR = self.split(X)
+        r = self.r
+        out = np.empty_like(v)
+        out[0, :r] = RR @ v[0, :r]
+        out[0, r:] = TR.reshape(-1, r) @ v[0, :r]
+        out[0, r:] += (TT @ v[0, r:].reshape(self.tail, self.m, 1)).reshape(-1)
+        return out
+
+    def colsums(self, X: np.ndarray, work: np.ndarray) -> np.ndarray:
+        return self.rmatvec(np.abs(X, out=work), np.ones((1, self.order(X))))
+
+    def similarity(self, X: np.ndarray, d: np.ndarray, undo: bool = False) -> None:
+        RR, TT, TR = self.split(X)
+        d_R, d_T = d[0, :self.r], d[0, self.r:].reshape(self.tail, self.m, 1)
+        for B, rows, cols in ((RR, d_R[:, None], d_R),
+                              (TT, d_T, d_T.transpose(0, 2, 1)), (TR, d_T, d_R)):
+            B *= rows if undo else cols
+            B /= cols if undo else rows
+
+    def mul(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(X) if out is None else out
+        (XR, XT, XC), (YR, YT, YC), (OR, OT, OC) = map(self.split, (X, Y, out))
+        np.matmul(XR, YR, out=OR)
+        np.matmul(XT, YT, out=OT)
+        np.matmul(XC.reshape(-1, self.r), YR, out=OC.reshape(-1, self.r))
+        OC += XT @ YC
+        return out
+
+    def solve(self, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Q^-1 V: X_RR and the stacked X_TT, then X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
+        (QR, QT, QC), (VR, VT, VC) = self.split(Q), self.split(V)
+        X = np.empty_like(V)
+        XR, XT, XC = self.split(X)
+        XR[:] = np.linalg.solve(QR, VR)
+        # One factorization of each Q_TT block serves X_TT and X_TR.
+        rhs = np.concatenate([VT, VC - (QC.reshape(-1, self.r) @ XR).reshape(VC.shape)],
+                             axis=2)
+        sol = np.linalg.solve(QT, rhs)
+        XT[:], XC[:] = sol[:, :, :self.m], sol[:, :, self.m:]
+        return X
+
+
+def _balance(A: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple[np.ndarray, np.ndarray]:
     """Balance every slice of A in place as D^-1 A D; return (d, 1-norms).
 
     D = diag(d) holds powers of two, so the scaling adds no rounding.
@@ -182,18 +311,21 @@ def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half-steps taken together never raise the sum of the off-diagonal
     magnitudes, which full simultaneous steps can.  A slice stops moving
     once a sweep no longer lowers its 1-norm, and keeps its scaling only
-    where that lowered the 1-norm.  `work` is scratch of A's shape.
+    where that lowered the 1-norm.  `work` is scratch of A's shape; d is
+    (g, n) for g slices of order n.
     """
     absA = np.abs(A, out=work)
-    diag = np.einsum("gii->gi", absA).copy()
-    np.einsum("gii->gi", absA)[:] = 0.0
-    k = np.zeros(A.shape[:2])
+    diags = ops.diags(absA)
+    diag = np.concatenate([v.reshape(len(A), -1) for v in diags], axis=1)
+    for v in diags:
+        v[...] = 0.0
+    k = np.zeros(diag.shape)
     best = np.full(len(A), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(_BALANCE_SWEEPS):
             d = np.exp2(k)
-            c = d * (1.0 / d[:, None, :] @ absA)[:, 0]
-            r = (absA @ d[:, :, None])[:, :, 0] / d
+            c = d * ops.rmatvec(absA, 1.0 / d)
+            r = ops.matvec(absA, d) / d
             norm = (c + diag).max(axis=1)
             if sweep == 0:
                 original = norm
@@ -208,17 +340,12 @@ def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not keep.any():
         return np.ones_like(k), original
     d = np.exp2(np.where(keep[:, None], k, 0.0))
-    A *= d[:, None, :]
-    A /= d[:, :, None]
+    ops.similarity(A, d)
     return d, np.where(keep, norm, original)
 
 
-def _onenorm(X: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """1-norm of every slice of X, using the scratch stack `work`."""
-    return (np.ones(X.shape[-1]) @ np.abs(X, out=work)).max(axis=-1)
-
-
-def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
+def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s,
+         ops=_Stack) -> np.ndarray:
     """Extra squarings ell(2^-s A, m) of Al-Mohy and Higham for slices i of A.
 
     ell = max(0, ceil(log2(alpha / u) / 2m)) with u = 2^-53 and
@@ -237,15 +364,16 @@ def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarra
     ell = np.zeros(len(i), dtype=int)
     need = np.flatnonzero(log2_bound > 0.0)
     if need.size:
-        absA = np.abs(A[i[need]]) / norm[i[need], None, None]
-        v = np.ones((need.size, 1, A.shape[-1]))
+        absA = np.abs(A[i[need]])
+        absA /= norm[i[need]].reshape((-1,) + (1,) * (absA.ndim - 1))
+        v = np.ones((need.size, ops.order(A)))
         log2_ratio = np.zeros(need.size)  # log2 of ||abs(A)^p|| / ||A||^p
         with np.errstate(divide="ignore"):
             for _ in range(2 * m + 1):
-                v = v @ absA
-                top = v.max(axis=(1, 2))
+                v = ops.rmatvec(absA, v)
+                top = v.max(axis=1)
                 log2_ratio += np.log2(top)
-                v /= np.where(top > 0.0, top, 1.0)[:, None, None]
+                v /= np.where(top > 0.0, top, 1.0)[:, None]
         extra = np.ceil((log2_ratio + log2_bound[need]) / (2 * m))
         ell[need] = np.maximum(np.nan_to_num(extra, nan=0.0, neginf=0.0), 0.0)
     return ell
@@ -258,7 +386,7 @@ def _squarings(eta: np.ndarray) -> np.ndarray:
     return np.where(eta > 0.0, np.maximum(s, 0.0), 0.0).astype(int)
 
 
-def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
+def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10, ops=_Stack):
     """Pade degree m in (7, 9, 13) and squarings s for slices i of A.
 
     For slices that degrees 3 and 5 do not serve (Al-Mohy and Higham):
@@ -272,27 +400,77 @@ def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
     for m in (7, 9):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(A, i[cand], norm, m, 0) == 0]] = m
+            deg[cand[_ell(A, i[cand], norm, m, 0, ops) == 0]] = m
     big = np.flatnonzero(deg == 13)
     if big.size:
         s13 = _squarings(np.minimum(eta[big], np.maximum(d8[big], d10[big])))
-        s[big] = s13 + _ell(A, i[big], norm, 13, s13)
+        s[big] = s13 + _ell(A, i[big], norm, 13, s13, ops)
     return deg, s
 
 
-def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _scaling(P: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple:
+    """Balance and choose the Pade degree m and squarings s of every slice.
+
+    P[0] holds the g slices of A; they are balanced in place (`_balance`),
+    and P[1:] receives A^2, A^4 and A^6 of the balanced slices.  Returns d
+    of the balancing and (m, s) per slice (Al-Mohy and Higham): degree 3 or
+    5 where eta = max(d4, d6), d_p = ||A^p||_1^(1/p), is below theta_m and
+    ell is 0, else `_choose` from d6, d8 and d10.
+    """
+    d, norm = _balance(P[0], work, ops)
+    ops.mul(P[0], P[0], out=P[1])
+    ops.mul(P[1], P[1], out=P[2])
+    ops.mul(P[2], P[1], out=P[3])
+    col4 = ops.colsums(P[2], work)
+    norm4, norm6 = col4.max(axis=1), ops.colsums(P[3], work).max(axis=1)
+    d4, d6 = norm4 ** (1 / 4), norm6 ** (1 / 6)
+
+    deg = np.full(len(norm), 13)
+    s = np.zeros(len(norm), dtype=int)
+    eta = np.maximum(d4, d6)
+    for m in (3, 5):
+        cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
+        if cand.size:
+            deg[cand[_ell(P[0], cand, norm, m, 0, ops) == 0]] = m
+    i = np.flatnonzero(deg == 13)
+    if i.size:
+        # ||A^8|| and ||A^10|| lie between ||A^8 x|| and ||A^4||^2, and
+        # between ||A^10 x|| and ||A^4|| ||A^6||, for x = A^4 e_j the largest
+        # column of A^4.  Where (m, s) is the same at both ends, it is what
+        # the exact norms give; the powers are formed only for the other
+        # slices.
+        e = np.zeros((i.size, ops.order(P[0])))
+        e[np.arange(i.size), col4[i].argmax(axis=1)] = 1.0
+        x = ops.matvec(P[2][i], e)
+        low8 = np.abs(ops.matvec(P[2][i], x)).sum(axis=1) ** (1 / 8)
+        low10 = np.abs(ops.matvec(P[3][i], x)).sum(axis=1) ** (1 / 10)
+        low = _choose(P[0], i, norm, d6[i], low8, low10, ops)
+        high = _choose(P[0], i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10), ops)
+        deg[i], s[i] = low
+        i = i[(low[0] != high[0]) | (low[1] != high[1])]
+        if i.size:
+            def d_p(X, p):
+                return ops.colsums(X, work[i]).max(axis=1) ** (1 / p)
+            d8 = d_p(ops.mul(P[3][i], P[1][i]), 8)
+            d10 = d_p(ops.mul(P[2][i], P[3][i]), 10)
+            deg[i], s[i] = _choose(P[0], i, norm, d6[i], d8, d10, ops)
+    return d, deg, s
+
+
+def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
+          ops=_Stack) -> np.ndarray:
     """Degree-m Pade approximant of exp(2^-s A) for every slice.
 
-    P holds A, A^2, A^4, A^6 of the slices, shape (4, g, n, n), and `work`
-    is scratch of shape (g, n, n); the products land in these buffers, so
+    P holds A, A^2, A^4, A^6 of the g slices, shape (4, g, ...), and `work`
+    is scratch of shape (g, ...); the products land in these buffers, so
     both are overwritten.
     """
     b = _PADE_COEFFS[m]
     h = min(m // 2, 3)
     if m == 13:
-        P *= np.exp2(-np.outer((1, 2, 4, 6), s))[:, :, None, None]
+        P *= np.exp2(-np.outer((1, 2, 4, 6), s)).reshape(P.shape[:2] + (1,) * (P.ndim - 2))
     powers = P[1:h + 1].reshape(h, -1)
-    A8 = (P[3] @ P[1]).reshape(-1) if m == 9 else None
+    A8 = ops.mul(P[3], P[1]).reshape(-1) if m == 9 else None
 
     def combo(row: int, out: np.ndarray) -> np.ndarray:
         """Row `row` of _PADE_COMBOS applied to the powers, written to out."""
@@ -302,26 +480,27 @@ def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray) -> np.ndarray:
             out.reshape(-1)[:] += coeffs[3] * A8
         return out
 
-    def diag(X: np.ndarray) -> np.ndarray:
-        return np.einsum("gii->gi", X)
+    def add_eye(X: np.ndarray, c: float) -> None:
+        for v in ops.diags(X):
+            v += c
 
     if m == 13:
         # U = A (A^6 W_0 + W_2 + b_1 I), V = A^6 W_1 + W_3 + b_0 I.
-        inner = P[3] @ combo(0, work)
+        inner = ops.mul(P[3], combo(0, work))
         inner += combo(2, work)
-        diag(inner)[:] += b[1]
-        U = np.matmul(P[0], inner, out=work)
-        V = np.matmul(P[3], combo(1, inner), out=P[0])
+        add_eye(inner, b[1])
+        U = ops.mul(P[0], inner, out=work)
+        V = ops.mul(P[3], combo(1, inner), out=P[0])
         V += combo(3, inner)
     else:
         # U = A (W_0 + b_1 I), V = W_1 + b_0 I.
-        diag(combo(0, work))[:] += b[1]
-        U = P[0] @ work
+        add_eye(combo(0, work), b[1])
+        U = ops.mul(P[0], work)
         V = combo(1, work)
-    diag(V)[:] += b[0]
+    add_eye(V, b[0])
     Q = np.subtract(V, U, out=P[1])
     V += U
-    return np.linalg.solve(Q, V)
+    return ops.solve(Q, V)
 
 
 def _exact_band(X: np.ndarray, T: np.ndarray, scale: np.ndarray) -> None:
@@ -367,39 +546,7 @@ def expm(A) -> np.ndarray:
     P = np.empty((4, g, n, n))
     work = np.empty((g, n, n))
     P[0] = A
-    d, norm = _balance(P[0], work)
-    np.matmul(P[0], P[0], out=P[1])
-    np.matmul(P[1], P[1], out=P[2])
-    np.matmul(P[2], P[1], out=P[3])
-    col4 = np.ones(n) @ np.abs(P[2], out=work)
-    norm4, norm6 = col4.max(axis=1), _onenorm(P[3], work)
-    d4, d6 = norm4 ** (1 / 4), norm6 ** (1 / 6)
-
-    # Degrees 3 and 5 need only eta = max(d4, d6).
-    deg = np.full(g, 13)
-    s = np.zeros(g, dtype=int)
-    eta = np.maximum(d4, d6)
-    for m in (3, 5):
-        cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
-        if cand.size:
-            deg[cand[_ell(P[0], cand, norm, m, 0) == 0]] = m
-    i = np.flatnonzero(deg == 13)
-    if i.size:
-        # ||A^8|| and ||A^10|| lie between ||A^8 x|| and ||A^4||^2, and
-        # between ||A^10 x|| and ||A^4|| ||A^6||, for x the largest column of
-        # A^4.  Where (m, s) is the same at both ends, it is what the exact
-        # norms give; the powers are formed only for the other slices.
-        x = P[2, i, :, col4[i].argmax(axis=1)][:, :, None]
-        low8 = np.abs(P[2, i] @ x).sum(axis=(1, 2)) ** (1 / 8)
-        low10 = np.abs(P[3, i] @ x).sum(axis=(1, 2)) ** (1 / 10)
-        low = _choose(P[0], i, norm, d6[i], low8, low10)
-        high = _choose(P[0], i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10))
-        deg[i], s[i] = low
-        i = i[(low[0] != high[0]) | (low[1] != high[1])]
-        if i.size:
-            d8 = _onenorm(P[3, i] @ P[1, i], work[i]) ** (1 / 8)
-            d10 = _onenorm(P[2, i] @ P[3, i], work[i]) ** (1 / 10)
-            deg[i], s[i] = _choose(P[0], i, norm, d6[i], d8, d10)
+    d, deg, s = _scaling(P, work)
 
     # Triangular slices that square keep an exact band (Code Fragment 2.1),
     # lower triangular ones as their transposes: r(A^T) = r(A)^T for the
@@ -447,8 +594,7 @@ def expm(A) -> np.ndarray:
             _exact_band(band, T[fix], np.exp2(j - s[tri[fix]]))
             X[tri[fix]] = band
     if (d != 1.0).any():
-        X *= d[:, :, None]
-        X /= d[:, None, :]
+        _Stack.similarity(X, d, undo=True)
     if order is not None:
         X[order] = X.copy()
     if flip.any():
@@ -470,15 +616,59 @@ def _retained_width(system: np.ndarray, M: int, m: int) -> int:
     return int(coupled[-1]) // m + 1 if coupled.size else 0
 
 
-def _group_size(R: int, M: int, m: int) -> int:
-    """Tail modes k per exponentiated group, k = 1..M-R; 0 without a tail.
+def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
+    """exp of the block lower triangular [[A_RR, 0], [A_TR, blockdiag(A_TT)]].
 
-    k minimizes ceil((M-R)/k) * (mR + mk)^3, the flops of one (mR + mk)^2
-    exponential per group; k = M - R is the single dense exponential.
+    A_RR is r x r, A_TT the (tail, m, m) diagonal blocks and A_TR the
+    (tail, m, r) coupling; returns F_RR, F_TT and F_TR of the same shapes.
+    `expm`'s algorithm carried out in `_Blocks` form, with one (m, s) for
+    the whole matrix: balancing and `_scaling`, one structured Pade solve
+    and s structured squarings.
     """
-    k = np.arange(1, M - R + 1)
-    cost = -(-(M - R) // k) * (m * R + m * k).astype(float) ** 3
-    return int(np.argmin(cost)) + 1 if k.size else 0
+    tail, m, r = A_TR.shape
+    ops = _Blocks(r, tail, m)
+    P = np.empty((4, 1, ops.size))
+    work = np.empty((1, ops.size))
+    for block, value in zip(ops.split(P[0]), (A_RR, A_TT, A_TR)):
+        block[...] = value
+    d, deg, s = _scaling(P, work, ops)
+    X = _pade(int(deg[0]), P, s, work, ops)
+    for _ in range(s[0]):
+        X, work = ops.mul(X, X, out=work), X
+    ops.similarity(X, d, undo=True)
+    return ops.split(X)
+
+
+def _output_steps(t_final: float, dt_out: float) -> int:
+    """Steps of the output grid j dt_out, j = 0..steps, ending at or before t_final.
+
+    A grid point within 1e-9 (relative) of t_final counts as reaching it.
+    """
+    steps = int(round(t_final / dt_out))
+    if abs(steps * dt_out - t_final) > 1e-9 * max(t_final, 1.0):
+        steps = math.floor(t_final / dt_out)
+    return steps
+
+
+def _step_blocks(A: np.ndarray, M: int, m: int, dt: float) -> tuple:
+    """The step matrix exp(dt A) of an (mM) x (mM) matrix in block form.
+
+    Returns R (`_retained_width`), F_RR (mR x mR), F_TT ((M - R), m, m) and
+    F_TR ((M - R), m, mR).  F_RR is `expm` of dt A_RR alone, with its own
+    scaling; F_TT and F_TR come from `_expm_blocks`, or from the stacked
+    `expm` of the tail blocks when R = 0.
+    """
+    R = _retained_width(A, M, m)
+    r, tail = m * R, M - R
+    tail_modes = np.arange(R, M)
+    A_RR = A[:r, :r] * dt
+    A_TT = A.reshape(M, m, M, m)[tail_modes, :, tail_modes, :] * dt
+    F_RR = expm(A_RR[None])[0]
+    if R and tail:
+        _, F_TT, F_TR = _expm_blocks(A_RR, A_TT, A[r:, :r].reshape(tail, m, r) * dt)
+    else:
+        F_TT, F_TR = expm(A_TT), np.zeros((tail, m, r))
+    return R, F_RR, F_TT, F_TR
 
 
 def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
@@ -486,44 +676,25 @@ def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
     """Propagate zdot = system z exactly on the output grid.
 
     z0 may be (M, m) modal coefficients or an already-flat vector (m = 1);
-    the trajectory records every dt_out from 0 through t_final.
+    the trajectory records every dt_out from 0 up to the last grid point at
+    or before t_final (`_output_steps`).
 
-    The retained width R is read off the matrix (`_retained_width`), so any
-    matrix is handled; one with no block structure has R = M and is a
-    single group, the dense exponential.  The tail modes go into groups of
-    k (`_group_size`); the last group overlaps its neighbour when k does
-    not divide M - R.  From the one stacked expm: the retained block steps
-    with its own propagator F_RR, the drive F_TR z_R on every tail mode is
-    one product over all steps, and the tail recurrence is summed by a
-    doubling scan over the steps with powers of the m x m blocks F_nn.
+    The step matrix exp(dt_out system) comes in block form from
+    `_step_blocks`; any matrix is handled, and one with no block structure
+    has R = M and no tail.  The retained block steps with F_RR, the drive
+    F_TR z_R on every tail mode is one product over all steps, and the tail
+    recurrence is summed by a doubling scan over the steps with powers of
+    the m x m blocks of F_TT.
     """
     z0 = np.asarray(z0, dtype=float)
     M, m = z0.shape if z0.ndim == 2 else (len(z0), 1)
-    steps = int(round(t_final / dt_out))
-    if abs(steps * dt_out - t_final) > 1e-9 * max(t_final, 1.0):
-        steps = int(np.ceil(t_final / dt_out))
-    A = np.asarray(system, dtype=float)
-
-    R = _retained_width(A, M, m)
+    steps = _output_steps(t_final, dt_out)
+    R, F_RR, F_TT, F_TR = _step_blocks(np.asarray(system, dtype=float), M, m, dt_out)
     r, tail = m * R, M - R
-    k = _group_size(R, M, m)
-    groups = -(-tail // k) if k else 1
-    starts = np.minimum(np.arange(groups) * k, tail - k) + R
-    idx = np.concatenate(
-        [np.broadcast_to(np.arange(r), (groups, r)),
-         m * starts[:, None] + np.arange(m * k)], axis=1)
-    F = expm(A[idx[:, :, None], idx[:, None, :]] * dt_out)
-
-    # Tail mode t is read from group g[t], at rows rows[t] of F[g[t]].
-    t = np.arange(tail)
-    g = np.minimum(t // max(k, 1), groups - 1)
-    rows = r + m * (t + R - starts[g])[:, None] + np.arange(m)
-    F_TR = F[g[:, None], rows, :r].reshape(tail * m, r)
-    F_TT = F[g[:, None, None], rows[:, :, None], rows[:, None, :]]
 
     Z_R = np.empty((steps + 1, r))
     Z_R[0] = z0.reshape(-1)[:r]
-    F_RR_T = np.ascontiguousarray(F[0, :r, :r].T)
+    F_RR_T = np.ascontiguousarray(F_RR.T)
     for j in range(steps):
         np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
 
@@ -533,7 +704,7 @@ def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
     # last 2s samples, each carried forward by the matching power of F_TT.
     X = np.empty((tail, m, steps + 1))
     X[:, :, 0] = z0.reshape(M, m)[R:]
-    X[:, :, 1:] = (F_TR @ Z_R[:-1].T).reshape(tail, m, steps)
+    X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
     power, shift = F_TT, 1
     while shift <= steps:
         X[:, :, shift:] += power @ X[:, :, :-shift]
@@ -550,13 +721,19 @@ def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
 def estimate_decay(traj: Trajectory) -> float:
     """Least-squares decay rate of ln||z|| over _FIT_WINDOW (positive = decay).
 
-    Samples whose norm has collapsed to numerical zero are dropped, which
-    shortens the window automatically; ZeroNorm is raised only if fewer than
-    two usable samples remain.
+    A grid that puts fewer than two samples in the window is an input
+    problem (ValueError).  Samples whose norm has collapsed to numerical
+    zero are dropped, which shortens the window automatically; ZeroNorm is
+    raised only if fewer than two usable samples remain.
     """
     t_final = traj.times[-1]
     lo, hi = _FIT_WINDOW
     mask = (traj.times >= lo * t_final) & (traj.times <= hi * t_final)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(
+            f"the output grid puts {np.count_nonzero(mask)} sample(s) in the decay "
+            f"fit window [{lo}, {hi}] x t_final, and the fit needs 2: raise "
+            f"--t-final or lower --dt-out")
     mask &= traj.l2_norm > _NORM_FLOOR
     if np.count_nonzero(mask) < 2:
         raise ZeroNorm("trajectory norm vanished over the whole fit window")

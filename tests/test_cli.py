@@ -288,6 +288,48 @@ class TestSimulate:
         assert rc == 0
         assert "certificate bound" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [["--dt-out", "1"], ["--dt-out", "2"],
+                                       ["--dt-out", "1", "--open-loop"]])
+    def test_coarse_grid_is_an_input_error(self, tmp_path, plant_file, initial_file,
+                                           capsys, extra):
+        """Fewer than two samples in the fit window used to print decay inf."""
+        sim = tmp_path / "sim"
+        rc = main(["simulate", "--plant", plant_file, "--delta", "9", "--N", "3",
+                   "--initial", initial_file, "--t-final", "1", *extra,
+                   "--out-dir", str(sim)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--t-final" in captured.err and "--dt-out" in captured.err
+        assert "inf" not in captured.out
+        assert not sim.exists()
+
+    def test_grid_ends_at_or_before_t_final(self, tmp_path, plant_file, initial_file,
+                                            capsys):
+        sim = tmp_path / "sim"
+        rc = main(["simulate", "--plant", plant_file, "--delta", "9", "--N", "3",
+                   "--initial", initial_file, "--t-final", "1", "--dt-out", "0.3",
+                   "--out-dir", str(sim)])
+        assert rc == 0
+        capsys.readouterr()
+        rows = (sim / "norms.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert len(times) == 4 and times[-1] <= 1.0
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate", "--t-final", "nan"), ("simulate", "--t-final", "inf"),
+        ("simulate", "--dt-out", "nan"), ("simulate", "--dt-out", "0"),
+        ("verify", "--t-final", "nan"), ("verify", "--t-final", "-1")])
+    def test_bad_time_option_is_named(self, plant_file, initial_file, tmp_path,
+                                      capsys, command, option, value):
+        argv = [command, "--plant", plant_file, "--delta", "9", "--N", "3",
+                option, value, "--out-dir", str(tmp_path)]
+        if command == "simulate":
+            argv += ["--initial", initial_file]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert f"argument {option}: must be a positive finite number" in capsys.readouterr().err
+
     def test_malformed_gains_file(self, tmp_path, plant_file, initial_file):
         bad = tmp_path / "gains.json"
         bad.write_text("{\"delta\": 9.0}")

@@ -1,9 +1,11 @@
-"""The stacked matrix exponential `simulator.expm` against oracles.
+"""The matrix exponentials of `simulator` against oracles.
 
 The oracle is mpmath's expm at 40 digits.  `expm` must come within twice
 the error of `scipy.linalg.expm` on the same oracle.  Relative errors below
 n u (u = 2^-53, n the matrix order), the rounding level of a single n x n
 product, count as n u: below it the ratio of two errors is rounding noise.
+The block-form step of `integrate` is held to the same rule against scipy's
+exponential of the whole generator.
 """
 
 import math
@@ -42,12 +44,28 @@ def assert_as_accurate_as_scipy(A: np.ndarray) -> None:
     assert mine <= 2.0 * max(ref, A.shape[0] * U), (mine, ref)
 
 
+def group_stack(system: np.ndarray, m: int, R: int, k: int) -> np.ndarray:
+    """The retained modes R together with each run of k tail modes, stacked.
+
+    Every slice is a closed subsystem of the block lower triangular
+    `system`; the last run ends at the last mode and overlaps its neighbour
+    when k does not divide the tail.
+    """
+    M = len(system) // m
+    tail = M - R
+    starts = np.minimum(np.arange(-(-tail // k)) * k, tail - k) + R
+    idx = np.concatenate([np.broadcast_to(np.arange(m * R), (len(starts), m * R)),
+                          m * starts[:, None] + np.arange(m * k)], axis=1)
+    return system[idx[:, :, None], idx[:, None, :]]
+
+
 def captured_stacks(monkeypatch, run) -> list:
-    """Every stack that `integrate` hands to `expm` while `run()` executes."""
+    """Every non-empty stack that `integrate` hands to `expm` while `run()` executes."""
     stacks = []
 
     def recording(A):
-        stacks.append(np.array(A))
+        if np.size(A):
+            stacks.append(np.array(A))
         return expm(A)
 
     monkeypatch.setattr(simulator, "expm", recording)
@@ -64,13 +82,10 @@ def demo_controller(demo_plant, demo_basis):
 
 
 class TestMpmathOracle:
-    def test_demo_simulate_groups(self, monkeypatch, demo_plant, demo_basis,
-                                  demo_controller):
+    def test_demo_simulate_groups(self, demo_plant, demo_basis, demo_controller):
         config = SimConfig(M_modes=30, t_final=1.0)
         system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30)
-        z0 = np.ones((30, 3))
-        (stack,) = captured_stacks(monkeypatch, lambda: integrate(
-            system, z0, config.t_final, config.resolved_dt()))
+        stack = group_stack(system * config.resolved_dt(), 3, 3, 1)
         assert stack.shape == (27, 12, 12)
         # Every third group keeps the 40-digit references to about a second;
         # they span 1-norms from about 1e3 to 7e4.
@@ -140,13 +155,14 @@ def wide_plant(N: int):
 
 
 class TestBalancing:
-    @pytest.mark.parametrize("N", [10, 12, 15])
-    def test_wide_actuation_groups_match_scipy(self, monkeypatch, N):
-        """The simulate groups of a wide-actuation plant are far from normal.
+    @pytest.mark.parametrize("N, k", [(10, 5), (12, 6), (15, 5)])
+    def test_wide_actuation_groups_match_scipy(self, N, k):
+        """Retained-plus-tail groups of a wide-actuation plant are far from normal.
 
         Their 1-norms run to about 1e5-1e6 from the feedback rows.  Without
         balancing the result differs from scipy's by 2e-12 to 5e-11; with it,
-        by under 1e-14.
+        by under 1e-14.  The groups of k tail modes are those an earlier
+        `integrate` exponentiated, 45 x 45 to 60 x 60.
         """
         plant = wide_plant(N)
         M = 2 * N
@@ -155,8 +171,7 @@ class TestBalancing:
                                family=solve_transform_family(plant),
                                pole_offsets=DEMO_OFFSETS)
         system = assemble_closed_loop(plant, ctl, basis, M)
-        (stack,) = captured_stacks(monkeypatch, lambda: integrate(
-            system, np.ones((M, 3)), 2.0, 2.0 / 400))
+        stack = group_stack(system * (2.0 / 400), 3, N, k)
         assert 45 <= stack.shape[1] <= 60
         assert np.abs(stack).sum(axis=1).max() > 1e4
         X, R = expm(stack), scipy.linalg.expm(stack)
@@ -182,8 +197,7 @@ def test_bounded_choice_matches_exact_norms(monkeypatch, demo_plant, demo_basis,
     """expm forms A^8 and A^10 only where bounds on their norms leave (m, s)
     open; every slice must get the (m, s) that the exact norms give."""
     system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30)
-    (demo,) = captured_stacks(monkeypatch, lambda: integrate(
-        system, np.ones((30, 3)), 1.0, 1.0 / 400))
+    demo = group_stack(system * (1.0 / 400), 3, 3, 1)
     # Badly scaled 6 x 6 slices, for some of which either bound alone would
     # give another (m, s).
     rng = np.random.default_rng(32)
@@ -233,3 +247,71 @@ def test_no_overflow_in_error_bound():
     X = expm(A)
     assert np.all(np.isfinite(X))
     assert math.isclose(X[1, 0, 0], math.cos(1.0), rel_tol=1e-12)
+
+
+def closed_loop(plant, N: int, M: int) -> np.ndarray:
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
+    ctl = build_controller(plant, 9.0, N=N, basis=basis,
+                           family=solve_transform_family(plant),
+                           pole_offsets=DEMO_OFFSETS)
+    return assemble_closed_loop(plant, ctl, basis, M)
+
+
+class TestStructuredStep:
+    """The block form of exp(dt A) that `integrate` steps with.
+
+    The retained modes R with any one tail mode t are a closed subsystem, so
+    exp(dt A) restricted to them is the exponential of that (mR + m) square
+    matrix; its 40-digit reference gives F_RR, F_tt and the rows F_tR.
+    scipy's error is that of its exponential of the whole generator, which
+    also takes one scaling for every mode, and the floor n u takes the
+    generator's order n.
+    """
+
+    @pytest.mark.parametrize("M, tails", [(30, (0, 1, 6, 13, 26)),
+                                          (400, (0, 1, 100, 199, 396))])
+    def test_blocks_as_accurate_as_scipy(self, demo_plant, M, tails):
+        system = closed_loop(demo_plant, 3, M) * (1.0 / 400)
+        R, F_RR, F_TT, F_TR = simulator._step_blocks(system, M, 3, 1.0)
+        assert (R, F_TT.shape, F_TR.shape) == (3, (M - 3, 3, 3), (M - 3, 3, 9))
+        dense = scipy.linalg.expm(system)
+        floor = len(system) * U
+        checked = 0
+        for t in tails:
+            rows = np.arange(9 + 3 * t, 12 + 3 * t)
+            idx = np.concatenate([np.arange(9), rows])
+            exact = mp_expm(system[np.ix_(idx, idx)])
+            pairs = [(F_TT[t], dense[np.ix_(rows, rows)], exact[9:, 9:]),
+                     (F_TR[t], dense[rows, :9], exact[9:, :9])]
+            if t == 0:
+                pairs.append((F_RR, dense[:9, :9], exact[:9, :9]))
+            for mine, theirs, ref in pairs:
+                if not ref.any():
+                    continue  # exp(dt A_t) of the fastest modes underflows to 0
+                err, err_scipy = rel_err(mine, ref), rel_err(theirs, ref)
+                assert err <= 2.0 * max(err_scipy, floor), (t, err, err_scipy)
+                checked += 1
+        assert checked >= 2 * len(tails)
+
+    @pytest.mark.parametrize("plant, N, M, dt", [
+        ("demo", 3, 30, 1.0 / 400), ("demo", 3, 400, 1.0 / 400),
+        ("wide", 60, 120, 2.0 / 400)])
+    def test_block_balancing_matches_dense(self, demo_plant, plant, N, M, dt):
+        """Balancing in block form gives bitwise the D of the dense matrix."""
+        system = closed_loop(demo_plant if plant == "demo" else wide_plant(N), N, M) * dt
+        r, tail = 3 * N, M - N
+        ops = simulator._Blocks(r, tail, 3)
+        X = np.empty((1, ops.size))
+        RR, TT, TR = ops.split(X)
+        RR[:] = system[:r, :r]
+        TT[:] = system.reshape(M, 3, M, 3)[np.arange(N, M), :, np.arange(N, M), :]
+        TR[:] = system[r:, :r].reshape(tail, 3, r)
+        d_blocks, norm_blocks = simulator._balance(X, np.empty_like(X), ops)
+        dense = system[None].copy()
+        d_dense, norm_dense = simulator._balance(dense, np.empty_like(dense))
+        np.testing.assert_array_equal(d_blocks, d_dense)
+        np.testing.assert_array_equal(norm_blocks, norm_dense)
+        assert (d_dense != 1.0).any()
+        # The balanced blocks are those of the balanced dense matrix.
+        np.testing.assert_array_equal(RR, dense[0, :r, :r])
+        np.testing.assert_array_equal(TR, dense[0, r:, :r].reshape(tail, 3, r))

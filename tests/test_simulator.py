@@ -4,11 +4,11 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from cascade_stab.errors import ZeroNorm
+from cascade_stab.errors import CertificateAtRoundingLevel, ZeroNorm
 from cascade_stab.model import (
     PlantSpec,
     ShapeFunction,
@@ -29,15 +29,18 @@ from cascade_stab.simulator import (
     run_closed_loop,
     target_residual,
 )
-from cascade_stab.simulator import _VALUES_PER_BLOCK, _group_size, _retained_width
+from cascade_stab.simulator import _VALUES_PER_BLOCK, _retained_width
 from cascade_stab.spectral import adaptive_simpson, build_basis, expand
 from cascade_stab.synthesis import (
     Controller,
     build_controller,
     certificate,
     closed_blocks,
+    select_mode_count,
 )
 from cascade_stab.transform import mode_transform, solve_transform_family
+
+from conftest import random_plant
 
 DEMO_OFFSETS = (4.0, 6.0, 9.0)
 
@@ -175,6 +178,34 @@ def worst_relative_gap(traj, reference):
                         / np.linalg.norm(reference, axis=1)))
 
 
+finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def random_closed_loops(draw):
+    """A synthesized cascade closed loop: m 2-5, N 1-6, M = N + 1..40.
+
+    The plant's N indicator shapes feed the N retained modes; draws that
+    synthesis refuses, or whose minimal mode count exceeds 6, are rejected.
+    """
+    m = draw(st.integers(2, 5))
+    plant = random_plant(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m=m)
+    delta = draw(st.floats(0.5, 9.0, **finite))
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 60)
+    N_min = select_mode_count(plant, basis, delta)
+    assume(N_min <= 6)
+    N = draw(st.integers(max(N_min, 1), 6))
+    shapes = tuple(ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1) for j in range(1, N + 1))
+    plant = validate_plant(PlantSpec(m=m, D=plant.D, Q=plant.Q, L=plant.L, gamma1=1.0,
+                                     gamma2=0.0, shapes=shapes))
+    try:
+        ctl = build_controller(plant, delta, N=N, basis=basis)
+    except CertificateAtRoundingLevel:
+        assume(False)
+    M = N + draw(st.integers(1, 40))
+    return assemble_closed_loop(plant, ctl, basis, M), N, M, m
+
+
 class TestBlockIntegrator:
     """Block propagation against the dense oracle, per sample."""
 
@@ -203,7 +234,7 @@ class TestBlockIntegrator:
         traj = integrate(A, z0, 0.5, 0.5 / 200.0)
         assert worst_relative_gap(traj, dense_integrate(A, z0, 0.5, 0.5 / 200.0)) <= 1e-10
 
-    def test_overlapping_last_group(self, demo_plant):
+    def test_five_retained_seven_tail(self, demo_plant):
         shapes = tuple(ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1)
                        for j in range(1, 6))
         plant = validate_plant(PlantSpec(
@@ -212,20 +243,51 @@ class TestBlockIntegrator:
         basis = build_basis(plant.L, 1.0, 0.0, 12)
         ctl = build_controller(plant, 9.0, N=5, basis=basis)
         A = assemble_closed_loop(plant, ctl, basis, 12)
-        # 7 tail modes in groups of 2: the fourth group overlaps the third.
         assert _retained_width(A, 12, 3) == 5
-        assert _group_size(5, 12, 3) == 2
         z0 = np.linspace(1.0, -0.5, 36).reshape(12, 3)
         traj = integrate(A, z0, 1.0, 1.0 / 400.0)
         assert worst_relative_gap(traj, dense_integrate(A, z0, 1.0, 1.0 / 400.0)) <= 1e-10
 
-    def test_unstructured_matrix_is_one_group(self):
+    def test_unstructured_matrix_has_no_tail(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((6, 6))
         z0 = rng.standard_normal(6)
         assert _retained_width(A, 6, 1) == 6
         traj = integrate(A, z0, 1.0, 0.01)
         assert worst_relative_gap(traj, dense_integrate(A, z0, 1.0, 0.01)) <= 1e-10
+
+    def test_flat_scalar_cascade(self):
+        """m = 1 from a flat z0: two retained modes drive five tail modes."""
+        rng = np.random.default_rng(8)
+        A = np.diag(-np.arange(1.0, 8.0) ** 2)
+        A[:, :2] += 5.0 * rng.standard_normal((7, 2))
+        z0 = rng.standard_normal(7)
+        assert _retained_width(A, 7, 1) == 2
+        traj = integrate(A, z0, 1.0, 0.01)
+        assert traj.modal.shape == (101, 7, 1)
+        assert worst_relative_gap(traj, dense_integrate(A, z0, 1.0, 0.01)) <= 1e-10
+
+    @given(loop=random_closed_loops())
+    def test_matches_dense_on_random_cascades(self, loop):
+        A, N, M, m = loop
+        assert _retained_width(A, M, m) == N
+        z0 = np.linspace(1.0, -0.5, M * m).reshape(M, m)
+        traj = integrate(A, z0, 0.2, 0.2 / 100)
+        assert worst_relative_gap(traj, dense_integrate(A, z0, 0.2, 0.2 / 100)) <= 1e-10
+
+    @pytest.mark.parametrize("t_final, dt_out, times", [
+        (1.0, 0.3, [0.0, 0.3, 0.6, 0.9]), (1.0, 0.5, [0.0, 0.5, 1.0]),
+        (1.0, 2.0, [0.0]), (0.7, 0.7 / 3, [0.0, 0.7 / 3, 1.4 / 3, 0.7])])
+    def test_output_grid_ends_at_or_before_t_final(self, t_final, dt_out, times):
+        traj = integrate(np.array([[-1.0]]), np.array([1.0]), t_final, dt_out)
+        np.testing.assert_allclose(traj.times, times, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("t_final", [1.0, 2.0, math.pi])
+    def test_default_grid_has_400_steps(self, t_final):
+        config = SimConfig(t_final=t_final)
+        traj = integrate(np.array([[-1.0]]), np.array([1.0]), t_final, config.resolved_dt())
+        assert len(traj.times) == 401
+        assert traj.times[-1] == pytest.approx(t_final, rel=1e-15)
 
     def test_norm_matches_coefficients(self, demo_plant, demo_initial,
                                        demo_closed_loop):
@@ -267,6 +329,18 @@ class TestEstimateDecay:
                           l2_norm=np.zeros(11))
         with pytest.raises(ZeroNorm):
             estimate_decay(traj)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0], [0.0], [0.0, 0.1, 1.0]])
+    def test_too_few_samples_in_window_is_an_input_error(self, times):
+        """A coarse grid is not a vanished norm: ValueError, not ZeroNorm."""
+        from cascade_stab.simulator import Trajectory
+
+        times = np.array(times)
+        traj = Trajectory(times=times, modal=np.ones((len(times), 1, 1)),
+                          l2_norm=np.full(len(times), 11.75))
+        with pytest.raises(ValueError, match="--t-final.*--dt-out") as info:
+            estimate_decay(traj)
+        assert not isinstance(info.value, ZeroNorm)
 
 
 class TestTargetResidual:
