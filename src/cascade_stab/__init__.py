@@ -34,6 +34,7 @@ from .synthesis import (
     stabilize_coupling,
 )
 from .simulator import (
+    ClosedLoop,
     SimConfig,
     Trajectory,
     assemble_closed_loop,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
+    "ClosedLoop",
     "Controller",
     "DiffusionIndices",
     "PlantSpec",

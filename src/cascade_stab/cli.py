@@ -143,6 +143,10 @@ def cmd_simulate(args) -> int:
                 cert = synthesis.certificate_from_dict(gains_obj["certificate"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise PlantInputError(f"malformed gains file: {exc}")
+        if len(controller.K_Q) != plant.m or controller.N > len(plant.shapes):
+            raise PlantInputError(
+                f"gains file is for m={len(controller.K_Q)} and N={controller.N}, but the "
+                f"plant has m={plant.m} and {len(plant.shapes)} shape functions")
         basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                      max(args.M_modes, controller.N + 1))
     else:
@@ -236,9 +240,9 @@ def cmd_verify(args) -> int:
     config.validate(N)
     tres = 0.0  # by definition when no mode is retained
     if N > 0:
-        system = simulator.assemble_closed_loop(plant, controller, basis, N)
+        loop = simulator.assemble_closed_loop(plant, controller, basis, N)
         z0 = np.array([[1.0 / n] * plant.m for n in range(1, N + 1)])
-        traj = simulator.integrate(system, z0, config.t_final, config.resolved_dt())
+        traj = simulator.integrate(loop, z0, config.t_final, config.resolved_dt())
         tres = simulator.target_residual(traj, plant, controller, family, basis)
     checks.append(("target-coordinate residual", tres, tres <= 1e-6))
 
@@ -441,6 +445,11 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (PlantInputError, OSError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy names the shape it could not allocate
+        asked = ", ".join(f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items()
+                          if k in ("M_modes", "t_final", "dt_out") and v is not None)
+        sys.stderr.write(f"input error: out of memory for {asked}: {exc}\n")
         return EXIT_INPUT
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

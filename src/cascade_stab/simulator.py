@@ -8,19 +8,19 @@ with Brow_n the mode-n projections of the shape functions.  Modes couple
 only through z^N, so the truncation is exact for the retained block, and
 the generator is block lower triangular:
 
-    [[A_RR, 0], [A_TR, blockdiag(A_n, n > R)]].
+    [[A_RR, 0], [A_TR, blockdiag(A_n, n > N)]].
 
-`integrate` propagates it exactly on the output grid without forming the
-dense exponential.  The step matrix exp(dt A) has the same shape, and
-scaling and squaring keeps it: every power, Pade approximant and square
-of such a matrix is one, with
+`assemble_closed_loop` builds these blocks (a `ClosedLoop`) and `integrate`
+propagates them exactly on the output grid.  The step matrix exp(dt A) has
+the same shape, and scaling and squaring keeps it: every power, Pade
+approximant and square of such a matrix is one, with
 
     RR = X_RR Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR Y_RR + X_TT @ Y_TR
 
 for its product (Van Loan, IEEE Trans. Automat. Control 23(3), 1978).
 `_expm_blocks` runs the algorithm of `expm` once on the retained block
-(r x r), the stack of tail blocks (tail, m, m) and the coupling
-(tail m) x r.  One scaling serves the whole matrix, so the retained block
+(mN x mN), the stack of tail blocks (tail, m, m) and the coupling
+(tail m) x mN.  One scaling serves the whole matrix, so the retained block
 F_RR, which a fast tail block may over-scale, is taken from `expm` of
 A_RR alone instead.
 
@@ -122,23 +122,38 @@ def project_initial(z0_funcs, basis: SpectralBasis, M_modes: int) -> np.ndarray:
     return coeffs
 
 
+@dataclass(frozen=True)
+class ClosedLoop:
+    """The closed loop [[A_RR, 0], [A_TR, blockdiag(A_TT)]] of N retained modes.
+
+    A_RR is (mN) x (mN), A_TT the (M - N, m, m) stack of tail blocks and
+    A_TR the (M - N, m, mN) drive of the tail by the retained modes.
+    """
+
+    A_RR: np.ndarray
+    A_TT: np.ndarray
+    A_TR: np.ndarray
+
+
 def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
-                         basis: SpectralBasis, M_modes: int) -> np.ndarray:
-    """(m*M) x (m*M) system matrix of the truncated closed loop."""
+                         basis: SpectralBasis, M_modes: int) -> ClosedLoop:
+    """The truncated closed loop of M_modes modes, in block form."""
     m = plant.m
     N = controller.N
     if M_modes < N:
         raise ValueError(f"M_modes={M_modes} cannot be below N={N}")
     basis = extend_basis(basis, M_modes)
-    A = np.zeros((m * M_modes, m * M_modes))
-    diag = np.arange(M_modes)
-    A.reshape(M_modes, m, M_modes, m)[diag, :, diag, :] += mode_blocks(
-        plant, basis.lam[:M_modes])
+    blocks = mode_blocks(plant, basis.lam[:M_modes])
+    A_RR = np.zeros((m * N, m * N))
+    A_RR.reshape(N, m, N, m)[np.arange(N), :, np.arange(N), :] += blocks[:N]
+    A_TR = np.zeros((M_modes - N, m, m * N))
     if N > 0:
         P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
         # One P[n] @ K per mode, stacked: P @ K would round differently.
-        A[::m, : m * N] += np.matmul(P[:, None, :], controller.K)[:, 0]
-    return A
+        drive = np.matmul(P[:, None, :], controller.K)[:, 0]
+        A_RR[::m] += drive[:N]
+        A_TR[:, 0] += drive[N:]
+    return ClosedLoop(A_RR=A_RR, A_TT=blocks[N:], A_TR=A_TR)
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +617,6 @@ def expm(A) -> np.ndarray:
     return X
 
 
-def _retained_width(system: np.ndarray, M: int, m: int) -> int:
-    """Number R of leading (retained) modes that other modes may depend on.
-
-    Mode blocks are m x m.  R is one past the last block column holding an
-    entry off the block diagonal, so every tail mode depends only on itself
-    and the retained modes, and no retained mode depends on the tail.
-    """
-    off = system != 0.0
-    diag = np.arange(M)
-    off.reshape(M, m, M, m)[diag, :, diag, :] = False
-    coupled = np.flatnonzero(off.any(axis=0))
-    return int(coupled[-1]) // m + 1 if coupled.size else 0
-
-
 def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
     """exp of the block lower triangular [[A_RR, 0], [A_TR, blockdiag(A_TT)]].
 
@@ -650,50 +651,36 @@ def _output_steps(t_final: float, dt_out: float) -> int:
     return steps
 
 
-def _step_blocks(A: np.ndarray, M: int, m: int, dt: float) -> tuple:
-    """The step matrix exp(dt A) of an (mM) x (mM) matrix in block form.
-
-    Returns R (`_retained_width`), F_RR (mR x mR), F_TT ((M - R), m, m) and
-    F_TR ((M - R), m, mR).  F_RR is `expm` of dt A_RR alone, with its own
-    scaling; F_TT and F_TR come from `_expm_blocks`, or from the stacked
-    `expm` of the tail blocks when R = 0.
-    """
-    R = _retained_width(A, M, m)
-    r, tail = m * R, M - R
-    tail_modes = np.arange(R, M)
-    A_RR = A[:r, :r] * dt
-    A_TT = A.reshape(M, m, M, m)[tail_modes, :, tail_modes, :] * dt
-    F_RR = expm(A_RR[None])[0]
-    if R and tail:
-        _, F_TT, F_TR = _expm_blocks(A_RR, A_TT, A[r:, :r].reshape(tail, m, r) * dt)
-    else:
-        F_TT, F_TR = expm(A_TT), np.zeros((tail, m, r))
-    return R, F_RR, F_TT, F_TR
-
-
-def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
+def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
               dt_out: float) -> Trajectory:
-    """Propagate zdot = system z exactly on the output grid.
+    """Propagate the closed loop `loop` exactly on the output grid.
 
-    z0 may be (M, m) modal coefficients or an already-flat vector (m = 1);
-    the trajectory records every dt_out from 0 up to the last grid point at
-    or before t_final (`_output_steps`).
+    z0 holds the (M, m) modal coefficients; the trajectory records every
+    dt_out from 0 up to the last grid point at or before t_final
+    (`_output_steps`).
 
-    The step matrix exp(dt_out system) comes in block form from
-    `_step_blocks`; any matrix is handled, and one with no block structure
-    has R = M and no tail.  The retained block steps with F_RR, the drive
+    The step matrix exp(dt_out A) keeps the block form of `loop`: F_RR is
+    `expm` of dt A_RR alone, with its own scaling, and F_TT and F_TR come
+    from `_expm_blocks`, or from the stacked `expm` of the tail blocks when
+    no mode is retained.  The retained block steps with F_RR, the drive
     F_TR z_R on every tail mode is one product over all steps, and the tail
     recurrence is summed by a doubling scan over the steps with powers of
     the m x m blocks of F_TT.
     """
     z0 = np.asarray(z0, dtype=float)
-    M, m = z0.shape if z0.ndim == 2 else (len(z0), 1)
+    M, m = z0.shape
+    tail, r = len(loop.A_TT), len(loop.A_RR)
+    R = M - tail
     steps = _output_steps(t_final, dt_out)
-    R, F_RR, F_TT, F_TR = _step_blocks(np.asarray(system, dtype=float), M, m, dt_out)
-    r, tail = m * R, M - R
+    A_RR = loop.A_RR * dt_out
+    F_RR = expm(A_RR[None])[0]
+    if R and tail:
+        _, F_TT, F_TR = _expm_blocks(A_RR, loop.A_TT * dt_out, loop.A_TR * dt_out)
+    else:
+        F_TT, F_TR = expm(loop.A_TT * dt_out), np.zeros((tail, m, r))
 
     Z_R = np.empty((steps + 1, r))
-    Z_R[0] = z0.reshape(-1)[:r]
+    Z_R[0] = z0[:R].reshape(-1)
     F_RR_T = np.ascontiguousarray(F_RR.T)
     for j in range(steps):
         np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
@@ -703,7 +690,7 @@ def integrate(system: np.ndarray, z0: np.ndarray, t_final: float,
     # scan: after the pass with shift s, X[..., j] holds the terms of the
     # last 2s samples, each carried forward by the matching power of F_TT.
     X = np.empty((tail, m, steps + 1))
-    X[:, :, 0] = z0.reshape(M, m)[R:]
+    X[:, :, 0] = z0[R:]
     X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
     power, shift = F_TT, 1
     while shift <= steps:
@@ -792,9 +779,9 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
     ctl = controller
     if open_loop:
         ctl = zero_controller(controller.delta, controller.N_min, plant.m)
-    system = assemble_closed_loop(plant, ctl, basis, config.M_modes)
+    loop = assemble_closed_loop(plant, ctl, basis, config.M_modes)
     z0 = project_initial(z0_funcs, basis, config.M_modes)
-    traj = integrate(system, z0, config.t_final, config.resolved_dt())
+    traj = integrate(loop, z0, config.t_final, config.resolved_dt())
     try:
         traj.fitted_decay = estimate_decay(traj)
     except ZeroNorm:

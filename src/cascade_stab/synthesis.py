@@ -499,23 +499,24 @@ def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> di
 
 
 def controller_from_dict(obj: dict) -> Controller:
+    """Inverse of `gains_to_dict`; an array of the wrong shape is a ValueError."""
     N = int(obj["N"])
-    K_Q = np.asarray(obj["K_Q"], dtype=float)
-    m = len(K_Q)
+    m = len(obj["K_Q"])
 
-    def grid(key, cols):
-        if N == 0:
-            return np.zeros((0, cols))
-        return np.asarray(obj[key], dtype=float).reshape(N, cols)
+    def grid(key, *shape):
+        value = np.asarray(obj[key], dtype=float) if N or key == "K_Q" else np.zeros(shape)
+        if value.shape != shape:
+            raise ValueError(f"{key} has shape {value.shape}, expected {shape} for N={N}")
+        return value
 
     return Controller(
         delta=float(obj["delta"]),
         N=N,
         N_min=int(obj.get("N_min", N)),
-        K_Q=K_Q,
+        K_Q=grid("K_Q", m),
         P=np.asarray(obj["P"], dtype=float),
-        Kbar=grid("Kbar", m),
-        Bmat=grid("Bmat", N),
+        Kbar=grid("Kbar", N, m),
+        Bmat=grid("Bmat", N, N),
         cond_B=float(obj.get("cond_B", np.nan)),
-        K=grid("K", m * N),
+        K=grid("K", N, m * N),
     )

@@ -11,6 +11,7 @@ from cascade_stab.model import (
     plant_from_dict,
     validate_plant,
 )
+from cascade_stab.simulator import ClosedLoop
 from cascade_stab.spectral import build_basis
 
 
@@ -85,3 +86,14 @@ def random_plant(rng, m=None, force_sigma=None):
     )
     spec = PlantSpec(m=m, D=d, Q=Q, L=np.pi, gamma1=1.0, gamma2=0.0, shapes=shapes)
     return validate_plant(spec)
+
+
+def dense_closed_loop(loop: ClosedLoop) -> np.ndarray:
+    """The (mM) x (mM) matrix [[A_RR, 0], [A_TR, blockdiag(A_TT)]] of `loop`."""
+    tail, m, r = loop.A_TR.shape
+    N, M = r // m, r // m + tail
+    A = np.zeros((m * M, m * M))
+    A[:r, :r] = loop.A_RR
+    A[r:, :r] = loop.A_TR.reshape(tail * m, r)
+    A.reshape(M, m, M, m)[np.arange(N, M), :, np.arange(N, M), :] = loop.A_TT
+    return A

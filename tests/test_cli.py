@@ -337,6 +337,61 @@ class TestSimulate:
                    "--initial", initial_file, "--out-dir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.fixture()
+    def demo_gains(self, tmp_path, plant_file, capsys):
+        out = tmp_path / "syn"
+        assert main(["synthesize", "--plant", plant_file, "--delta", "9", "--N", "3",
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        return str(out / "gains.json")
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(shapes=example_plant_dict()["shapes"][:2]),
+         "gains file is for m=3 and N=3, but the plant has m=3 and 2 shape functions"),
+        (dict(m=2, D=[4.0, 5.0], Q=[[10.0, 4.0], [1.0, 10.0]]),
+         "gains file is for m=3 and N=3, but the plant has m=2 and 3 shape functions")])
+    def test_gains_that_do_not_fit_the_plant(self, tmp_path, demo_gains, capsys,
+                                             edit, message):
+        plant = tmp_path / "other.json"
+        plant.write_text(json.dumps({**example_plant_dict(), **edit}))
+        init = tmp_path / "init.json"
+        m = edit.get("m", 3)
+        init.write_text(json.dumps([{"kind": "polynomial", "params": [1.0]}] * m))
+        rc = main(["simulate", "--plant", str(plant), "--gains", demo_gains,
+                   "--initial", str(init), "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("key, value, shape", [
+        ("K_Q", [[1.0, 2.0, 3.0]], "(1, 3), expected (1,)"),
+        ("Kbar", list(range(9)), "(9,), expected (3, 3)"),
+        ("Bmat", [[1.0, 0.0], [0.0, 1.0]], "(2, 2), expected (3, 3)"),
+        ("K", [[0.0] * 3] * 9, "(9, 3), expected (3, 9)")])
+    def test_gains_of_the_wrong_shape(self, tmp_path, plant_file, initial_file,
+                                      demo_gains, capsys, key, value, shape):
+        gains = json.loads(open(demo_gains).read())
+        gains[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(gains))
+        rc = main(["simulate", "--plant", plant_file, "--gains", str(bad),
+                   "--initial", initial_file, "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: malformed gains file: {key} has shape {shape}")
+
+    def test_allocation_failure_is_an_input_error(self, tmp_path, plant_file,
+                                                   initial_file, demo_gains, capsys):
+        """A grid of 1e15 + 1 samples asks for more than any address space."""
+        rc = main(["simulate", "--plant", plant_file, "--gains", demo_gains,
+                   "--initial", initial_file, "--dt-out", "1e-15",
+                   "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: out of memory for --M-modes 30, "
+                              "--t-final 1.0, --dt-out 1e-15: ")
+        assert "(1000000000000001, 9)" in err
+
     def test_malformed_initial_file(self, tmp_path, plant_file):
         bad = tmp_path / "initial.json"
         bad.write_text("[{\"kind\": \"cosine\"}]")

@@ -22,6 +22,8 @@ from cascade_stab.spectral import build_basis
 from cascade_stab.synthesis import build_controller
 from cascade_stab.transform import solve_transform_family
 
+from conftest import dense_closed_loop
+
 DEMO_OFFSETS = (4.0, 6.0, 9.0)
 U = 2.0 ** -53
 
@@ -48,8 +50,9 @@ def group_stack(system: np.ndarray, m: int, R: int, k: int) -> np.ndarray:
     """The retained modes R together with each run of k tail modes, stacked.
 
     Every slice is a closed subsystem of the block lower triangular
-    `system`; the last run ends at the last mode and overlaps its neighbour
-    when k does not divide the tail.
+    `system`, a dense closed loop (`dense_closed_loop`); the last run ends
+    at the last mode and overlaps its neighbour when k does not divide the
+    tail.
     """
     M = len(system) // m
     tail = M - R
@@ -84,7 +87,8 @@ def demo_controller(demo_plant, demo_basis):
 class TestMpmathOracle:
     def test_demo_simulate_groups(self, demo_plant, demo_basis, demo_controller):
         config = SimConfig(M_modes=30, t_final=1.0)
-        system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30)
+        system = dense_closed_loop(
+            assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30))
         stack = group_stack(system * config.resolved_dt(), 3, 3, 1)
         assert stack.shape == (27, 12, 12)
         # Every third group keeps the 40-digit references to about a second;
@@ -94,9 +98,9 @@ class TestMpmathOracle:
 
     def test_demo_retained_block(self, monkeypatch, demo_plant, demo_basis,
                                  demo_controller):
-        system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 3)
+        loop = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 3)
         (stack,) = captured_stacks(monkeypatch, lambda: integrate(
-            system, np.ones((3, 3)), 1.0, 1.0 / 800))
+            loop, np.ones((3, 3)), 1.0, 1.0 / 800))
         assert stack.shape == (1, 9, 9)
         assert_as_accurate_as_scipy(stack[0])
 
@@ -170,7 +174,7 @@ class TestBalancing:
         ctl = build_controller(plant, 9.0, N=N, basis=basis,
                                family=solve_transform_family(plant),
                                pole_offsets=DEMO_OFFSETS)
-        system = assemble_closed_loop(plant, ctl, basis, M)
+        system = dense_closed_loop(assemble_closed_loop(plant, ctl, basis, M))
         stack = group_stack(system * (2.0 / 400), 3, N, k)
         assert 45 <= stack.shape[1] <= 60
         assert np.abs(stack).sum(axis=1).max() > 1e4
@@ -196,7 +200,8 @@ def test_bounded_choice_matches_exact_norms(monkeypatch, demo_plant, demo_basis,
                                             demo_controller):
     """expm forms A^8 and A^10 only where bounds on their norms leave (m, s)
     open; every slice must get the (m, s) that the exact norms give."""
-    system = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30)
+    system = dense_closed_loop(
+        assemble_closed_loop(demo_plant, demo_controller, demo_basis, 30))
     demo = group_stack(system * (1.0 / 400), 3, 3, 1)
     # Badly scaled 6 x 6 slices, for some of which either bound alone would
     # give another (m, s).
@@ -249,7 +254,7 @@ def test_no_overflow_in_error_bound():
     assert math.isclose(X[1, 0, 0], math.cos(1.0), rel_tol=1e-12)
 
 
-def closed_loop(plant, N: int, M: int) -> np.ndarray:
+def closed_loop(plant, N: int, M: int) -> simulator.ClosedLoop:
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
     ctl = build_controller(plant, 9.0, N=N, basis=basis,
                            family=solve_transform_family(plant),
@@ -260,20 +265,25 @@ def closed_loop(plant, N: int, M: int) -> np.ndarray:
 class TestStructuredStep:
     """The block form of exp(dt A) that `integrate` steps with.
 
-    The retained modes R with any one tail mode t are a closed subsystem, so
-    exp(dt A) restricted to them is the exponential of that (mR + m) square
-    matrix; its 40-digit reference gives F_RR, F_tt and the rows F_tR.
-    scipy's error is that of its exponential of the whole generator, which
-    also takes one scaling for every mode, and the floor n u takes the
-    generator's order n.
+    F_RR is `expm` of dt A_RR alone, and F_TT and F_TR come from
+    `_expm_blocks`.  The retained modes R with any one tail mode t are a
+    closed subsystem, so exp(dt A) restricted to them is the exponential of
+    that (mR + m) square matrix; its 40-digit reference gives F_RR, F_tt and
+    the rows F_tR.  scipy's error is that of its exponential of the whole
+    generator, which also takes one scaling for every mode, and the floor
+    n u takes the generator's order n.
     """
 
     @pytest.mark.parametrize("M, tails", [(30, (0, 1, 6, 13, 26)),
                                           (400, (0, 1, 100, 199, 396))])
     def test_blocks_as_accurate_as_scipy(self, demo_plant, M, tails):
-        system = closed_loop(demo_plant, 3, M) * (1.0 / 400)
-        R, F_RR, F_TT, F_TR = simulator._step_blocks(system, M, 3, 1.0)
-        assert (R, F_TT.shape, F_TR.shape) == (3, (M - 3, 3, 3), (M - 3, 3, 9))
+        loop = closed_loop(demo_plant, 3, M)
+        A_RR, A_TT, A_TR = (X * (1.0 / 400) for X in (loop.A_RR, loop.A_TT, loop.A_TR))
+        F_RR = expm(A_RR[None])[0]
+        _, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
+        assert (F_RR.shape, F_TT.shape, F_TR.shape) == (
+            (9, 9), (M - 3, 3, 3), (M - 3, 3, 9))
+        system = dense_closed_loop(loop) * (1.0 / 400)
         dense = scipy.linalg.expm(system)
         floor = len(system) * U
         checked = 0
@@ -298,14 +308,13 @@ class TestStructuredStep:
         ("wide", 60, 120, 2.0 / 400)])
     def test_block_balancing_matches_dense(self, demo_plant, plant, N, M, dt):
         """Balancing in block form gives bitwise the D of the dense matrix."""
-        system = closed_loop(demo_plant if plant == "demo" else wide_plant(N), N, M) * dt
+        loop = closed_loop(demo_plant if plant == "demo" else wide_plant(N), N, M)
         r, tail = 3 * N, M - N
         ops = simulator._Blocks(r, tail, 3)
         X = np.empty((1, ops.size))
         RR, TT, TR = ops.split(X)
-        RR[:] = system[:r, :r]
-        TT[:] = system.reshape(M, 3, M, 3)[np.arange(N, M), :, np.arange(N, M), :]
-        TR[:] = system[r:, :r].reshape(tail, 3, r)
+        RR[:], TT[:], TR[:] = loop.A_RR * dt, loop.A_TT * dt, loop.A_TR * dt
+        system = dense_closed_loop(loop) * dt
         d_blocks, norm_blocks = simulator._balance(X, np.empty_like(X), ops)
         dense = system[None].copy()
         d_dense, norm_dense = simulator._balance(dense, np.empty_like(dense))

@@ -16,6 +16,7 @@ in conftest.py unless a test sets its own.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -53,7 +54,7 @@ from cascade_stab.transform import (
     solve_transform_family,
 )
 
-from conftest import random_plant
+from conftest import dense_closed_loop, random_plant
 
 finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
@@ -235,9 +236,18 @@ def test_assembly_matches_per_mode_loop(plant, delta, extra):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 60)
     ctl = synthesized(plant, delta, basis)
     assume(ctl is not None)
-    M = ctl.N + extra
-    A = assemble_closed_loop(plant, ctl, basis, M)
-    assert A.tobytes() == per_mode_closed_loop(plant, ctl, basis, M).tobytes()
+    N, M, m = ctl.N, ctl.N + extra, plant.m
+    loop = assemble_closed_loop(plant, ctl, basis, M)
+    A = per_mode_closed_loop(plant, ctl, basis, M)
+    tail = np.arange(N, M)
+    assert loop.A_RR.shape == (m * N, m * N)
+    assert loop.A_RR.tobytes() == A[:m * N, :m * N].tobytes()
+    assert loop.A_TT.shape == (M - N, m, m)
+    assert loop.A_TT.tobytes() == A.reshape(M, m, M, m)[tail, :, tail, :].tobytes()
+    assert loop.A_TR.shape == (M - N, m, m * N)
+    assert loop.A_TR.tobytes() == A[m * N:, :m * N].tobytes()
+    # Every other entry of the oracle is zero.
+    assert dense_closed_loop(loop).tobytes() == A.tobytes()
 
 
 @given(plant=cascades(), delta=st.floats(0.5, 8.0, **finite),
@@ -291,6 +301,58 @@ def test_certificate_bound_holds_on_random_cascades():
     check()
     assert len(drawn) == 30
     assert len(certified) >= 25, (len(certified), len(drawn))
+
+
+def mp_sym(X):
+    return (X + X.T) / 2
+
+
+def test_certificate_signs_in_50_digits_on_random_cascades():
+    """The certificate's sign conditions hold in 50-digit arithmetic.
+
+    On the computed K_Q, P and rho, Cholesky confirms -G_n > 0 for every
+    retained mode, G_n = Sym(P H_n) + I / rho_bar + delta P with
+    H_n = -lambda_n d_m I + Q + e1 K_Q, and -Omega > 0 for the omega matrix
+    Omega = -lambda_{N+1} D + Sym(Q) + (delta + 1 / (2 rho)) I.  The plant
+    gets one indicator shape per retained mode; draws whose synthesis
+    refuses (CertificateAtRoundingLevel) are counted and skipped.
+    """
+    drawn, certified = [], []
+
+    @settings(max_examples=20)
+    @given(plant=cascades(max_m=5), delta=st.floats(0.5, 9.0, **finite))
+    def check(plant, delta):
+        drawn.append(plant.m)
+        basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 80)
+        N = max(1, select_mode_count(plant, basis, delta))
+        plant = dataclasses.replace(plant, shapes=tuple(
+            ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1) for j in range(1, N + 1)))
+        try:
+            ctl = build_controller(plant, delta, N=N, basis=basis)
+        except CertificateAtRoundingLevel:
+            return
+        cert = certificate(plant, ctl, solve_transform_family(plant), basis,
+                           M_modes=N + 1)
+        certified.append(plant.m)
+        with mpmath.workdps(50):
+            eye = mpmath.eye(plant.m)
+            Q = mpmath.matrix(plant.Q.tolist())
+            P = mpmath.matrix(ctl.P.tolist())
+            closed = Q.copy()
+            for j, k in enumerate(ctl.K_Q.tolist()):
+                closed[0, j] += k
+            for lam in basis.lam[:N].tolist():
+                H = closed - mpmath.mpf(lam) * plant.d_last * eye
+                G = mp_sym(P * H) + eye / cert.rho_bar + delta * P
+                mpmath.cholesky(-G)  # raises ValueError unless -G > 0
+            rate = delta + 1 / (2 * mpmath.mpf(cert.rho))
+            omega = (-mpmath.mpf(basis.lam[N]) * mpmath.diag(plant.D.tolist())
+                     + mp_sym(Q) + rate * eye)
+            mpmath.cholesky(-omega)
+
+    check()
+    assert len(drawn) == 20
+    assert len(certified) >= 15, (len(certified), len(drawn))
 
 
 def test_neumann_zero_frequency_column():
