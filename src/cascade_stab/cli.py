@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 input problem, 2 hypothesis-(H) violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -123,7 +124,7 @@ def cmd_synthesize(args) -> int:
         model.write_json(os.path.join(args.out_dir, "basis.json"),
                          spectral.basis_to_dict(basis))
     if args.dump_transform:
-        dump = transform.family_to_dict(family)
+        dump = model.record_to_dict(family)
         T, _ = transform.mode_transform(family, basis.lam[:controller.N])
         dump["modes"] = T.tolist()
         model.write_json(os.path.join(args.out_dir, "transform.json"), dump)
@@ -147,21 +148,23 @@ def cmd_simulate(args) -> int:
             raise PlantInputError(
                 f"gains file is for m={len(controller.K_Q)} and N={controller.N}, but the "
                 f"plant has m={plant.m} and {len(plant.shapes)} shape functions")
+        if args.N is not None and args.N != controller.N:
+            raise PlantInputError(
+                f"--N {args.N} differs from the gains file's N={controller.N}")
         basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                      max(args.M_modes, controller.N + 1))
     else:
-        if args.delta is None:
-            raise PlantInputError("simulate needs --gains FILE or --delta VALUE")
         basis, _family, controller, cert = _synthesize_pipeline(
             plant, args.delta, args.N, None, args.M_modes
         )
     z0_funcs = load_initial(args.initial, plant.m)
     config = simulator.SimConfig(M_modes=args.M_modes, t_final=args.t_final,
                                  dt_out=args.dt_out)
-    # the certificate bound is a closed-loop statement; skip it open loop
-    traj = simulator.run_closed_loop(plant, controller, basis, z0_funcs, config,
-                                     open_loop=args.open_loop,
-                                     M_cert=None if args.open_loop else cert.M)
+    applied = controller
+    if args.open_loop:
+        config.validate(controller.N)  # the truncation must still exceed N
+        applied = synthesis.zero_controller(controller.delta, controller.N_min, plant.m)
+    traj = simulator.run_closed_loop(plant, applied, basis, z0_funcs, config)
     os.makedirs(args.out_dir, exist_ok=True)
     grid = np.linspace(0.0, plant.L, args.grid_points)
     simulator.export_modal_csv(traj, os.path.join(args.out_dir, "modal.csv"))
@@ -170,10 +173,10 @@ def cmd_simulate(args) -> int:
     simulator.export_norms_csv(traj, cert.M, controller.delta,
                                os.path.join(args.out_dir, "norms.csv"))
     sys.stdout.write(f"fitted decay rate: {traj.fitted_decay:.6f}\n")
-    if traj.overshoot_check is not None:
-        sys.stdout.write(
-            f"certificate bound holds at every sample: {traj.overshoot_check}\n"
-        )
+    # the certificate bound is a closed-loop statement; skip it open loop
+    if not args.open_loop:
+        holds = simulator.certificate_bound_holds(traj, cert.M, controller.delta)
+        sys.stdout.write(f"certificate bound holds at every sample: {holds}\n")
     return 0
 
 
@@ -225,7 +228,7 @@ def cmd_verify(args) -> int:
 
     if N > 0:
         recon = controller.Bmat @ controller.K
-        fact_err = float(_relative(recon, synthesis.block_diag_rows(controller.Kbar)))
+        fact_err = float(_relative(recon, synthesis.block_diagonal(controller.Kbar[:, None])))
         checks.append(("gain factorization", fact_err, fact_err <= 1e-9))
 
     gmax = max(cert.gamma_margins) if cert.gamma_margins else -math.inf
@@ -278,12 +281,6 @@ def _bench_shapes(L: float, N: int):
                  for j in range(1, N + 1))
 
 
-def _with_shapes(plant: model.ValidatedPlant, shapes) -> model.ValidatedPlant:
-    return model.ValidatedPlant(m=plant.m, D=plant.D, Q=plant.Q, L=plant.L,
-                                gamma1=plant.gamma1, gamma2=plant.gamma2,
-                                shapes=shapes, indices=plant.indices)
-
-
 # Calls of each route per timed pair (timeit's `number`).  The routes take
 # turns, so both see the same host speed, and the mean of a few calls varies
 # less than one call of about a millisecond.
@@ -318,7 +315,8 @@ def bench_rows(plant, delta, N_values, repeats):
     base = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                 max(N_values) + 1)
     family = transform.solve_transform_family(plant)
-    plants = [_with_shapes(plant, _bench_shapes(plant.L, N)) for N in N_values]
+    plants = [dataclasses.replace(plant, shapes=_bench_shapes(plant.L, N))
+              for N in N_values]
     pairs = [[] for _ in N_values]
     for _ in range(repeats):
         for N, p, timed in zip(N_values, plants, pairs):
@@ -350,6 +348,10 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    # No abbreviations: bench --N would otherwise be read as --N-list.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # usage problems are input errors (exit 1), not hypothesis-(H) failures
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -368,26 +370,40 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count options, so that a bad value names its option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring exactly the options its handler reads."""
     parser = _Parser(
         prog="cascade-stab",
         description="Stabilizing feedback synthesis for cascades of coupled "
                     "1-D heat equations, with closed-loop verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--plant": dict(required=True, help="plant JSON file"),
+        "--delta": dict(type=float, required=True, help="decay rate"),
+        "--N": dict(type=int, default=None, help="retained mode count (default: minimal)"),
+        "--M-modes": dict(dest="M_modes", type=_positive_int, default=30,
+                          help="simulation/certificate truncation"),
+        "--out-dir": dict(dest="out_dir", default=".", help="output directory"),
+    }
 
-    def common(p):
-        p.add_argument("--plant", required=True, help="plant JSON file")
-        p.add_argument("--delta", type=float, default=None, help="decay rate")
-        p.add_argument("--N", type=int, default=None,
-                       help="retained mode count (default: minimal)")
-        p.add_argument("--M-modes", dest="M_modes", type=int, default=30,
-                       help="simulation/certificate truncation")
-        p.add_argument("--out-dir", dest="out_dir", default=".",
-                       help="output directory")
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_syn = sub.add_parser("synthesize", help="compute gains and certificate")
-    common(p_syn)
+    add_shared(p_syn, "--plant", "--delta", "--N", "--M-modes", "--out-dir")
     p_syn.add_argument("--pole-offsets", dest="pole_offsets",
                        type=lambda s: [float(v) for v in s.split(",")],
                        default=None, help="comma-separated distinct offsets")
@@ -395,29 +411,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--dump-transform", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="closed-loop simulation to CSV")
-    common(p_sim)
-    p_sim.add_argument("--gains", default=None, help="gains JSON from synthesize")
+    add_shared(p_sim, "--plant", "--N", "--M-modes", "--out-dir")
+    source = p_sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gains", default=None, help="gains JSON from synthesize")
+    source.add_argument("--delta", type=float, default=None,
+                        help="decay rate; the gains are synthesized with default offsets")
     p_sim.add_argument("--initial", required=True,
                        help="initial-condition JSON (m profiles)")
     p_sim.add_argument("--t-final", dest="t_final", type=_positive_finite,
                        default=1.0)
     p_sim.add_argument("--dt-out", dest="dt_out", type=_positive_finite,
                        default=None)
-    p_sim.add_argument("--grid-points", dest="grid_points", type=int, default=101)
+    p_sim.add_argument("--grid-points", dest="grid_points", type=_positive_int,
+                       default=101)
     p_sim.add_argument("--open-loop", dest="open_loop", action="store_true",
                        help="force u = 0")
 
     p_ver = sub.add_parser("verify", help="identity and certificate suite")
-    common(p_ver)
+    add_shared(p_ver, "--plant", "--delta", "--N", "--M-modes")
     p_ver.add_argument("--t-final", dest="t_final", type=_positive_finite,
                        default=0.5)
     p_ver.add_argument("--inject-corrupt-transform", action="store_true",
                        help="debug: corrupt the transform and expect failure")
 
     p_bench = sub.add_parser("bench", help="modal vs direct baseline timings")
-    common(p_bench)
+    add_shared(p_bench, "--plant", "--delta", "--out-dir")
     p_bench.add_argument("--N-list", dest="N_list", default="2,3,5,10,15")
-    p_bench.add_argument("--repeats", type=int, default=5)
+    p_bench.add_argument("--repeats", type=_positive_int, default=5)
 
     return parser
 
@@ -429,10 +449,7 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command != "simulate" and args.delta is None:
-        parser.error(f"{args.command} requires --delta")
+    args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except HypothesisHViolated as exc:

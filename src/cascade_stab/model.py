@@ -17,7 +17,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import orjson
@@ -247,13 +247,21 @@ def validate_plant(spec: PlantSpec) -> ValidatedPlant:
 # ---------------------------------------------------------------------------
 # JSON plant files.  All reals round-trip bit-exactly (json uses repr floats).
 
-def shape_to_dict(shape: ShapeFunction) -> dict:
-    if shape.kind == "samples":
-        grid, values = shape.params
-        params = [list(grid), list(values)]
-    else:
-        params = list(shape.params)
-    return {"kind": shape.kind, "params": params}
+def record_to_dict(record) -> dict:
+    """A dataclass record as JSON data: one key per field, in field order.
+
+    Arrays and tuples become lists, and nested records become objects.
+    """
+    return {f.name: _json_data(getattr(record, f.name)) for f in fields(record)}
+
+
+def _json_data(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        # Floats inline: a certificate holds a margin per checked mode.
+        return [v if type(v) is float else _json_data(v) for v in value]
+    return record_to_dict(value) if is_dataclass(value) else value
 
 
 def shape_from_dict(obj: dict) -> ShapeFunction:
@@ -265,15 +273,9 @@ def shape_from_dict(obj: dict) -> ShapeFunction:
 
 
 def plant_to_dict(plant) -> dict:
-    return {
-        "m": int(plant.m),
-        "D": [float(d) for d in plant.D],
-        "Q": [[float(q) for q in row] for row in plant.Q],
-        "L": float(plant.L),
-        "gamma1": float(plant.gamma1),
-        "gamma2": float(plant.gamma2),
-        "shapes": [shape_to_dict(s) for s in plant.shapes],
-    }
+    """The plant file of a PlantSpec or ValidatedPlant: PlantSpec's fields alone."""
+    names = {f.name for f in fields(PlantSpec)}
+    return {k: v for k, v in record_to_dict(plant).items() if k in names}
 
 
 def plant_from_dict(obj: dict) -> PlantSpec:

@@ -37,7 +37,7 @@ from .errors import (
     PolePlacementSingular,
     RiccatiFailure,
 )
-from .model import ValidatedPlant
+from .model import ValidatedPlant, record_to_dict
 from .spectral import SpectralBasis, build_basis, extend_basis, shape_projection_matrix
 from .transform import (
     TransformFamily,
@@ -113,8 +113,8 @@ def select_mode_count(plant: ValidatedPlant, basis: SpectralBasis, delta: float)
     negative margin among them.  A plant that needs more than MAX_MODES
     modes is an input error.
     """
-    if delta <= 0.0:
-        raise PlantInputError("decay rate delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise PlantInputError("decay rate delta must be positive and finite")
     scale = 1.0 / np.sqrt(plant.D)
     with np.errstate(over="ignore", invalid="ignore"):
         S = scale[:, None] * (sym(plant.Q) + delta * np.eye(plant.m)) * scale
@@ -161,8 +161,9 @@ def stabilize_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
     if pole_offsets is None:
         pole_offsets = np.arange(1.0, m + 1.0)
     offsets = np.asarray(pole_offsets, dtype=float)
-    if offsets.shape != (m,) or len(set(offsets)) != m or np.any(offsets <= 0.0):
-        raise PlantInputError("pole offsets must be m distinct positive reals")
+    if (offsets.shape != (m,) or len(set(offsets)) != m
+            or not np.all((0.0 < offsets) & (offsets < math.inf))):
+        raise PlantInputError("pole offsets must be m distinct positive finite reals")
     poles = -shift - offsets
 
     C = _controllability_matrix(Q)
@@ -270,11 +271,15 @@ def closed_blocks(plant: ValidatedPlant, K_Q: np.ndarray, lambdas) -> np.ndarray
             + np.outer(_e1(m), K_Q))
 
 
-def block_diag_rows(Kbar: np.ndarray) -> np.ndarray:
-    """The N x (m N) matrix whose row n holds Kbar_n in block column n."""
-    N, m = Kbar.shape
-    out = np.zeros((N, m * N))
-    out.reshape(N, N, m)[np.arange(N), np.arange(N)] = Kbar
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (N p) x (N q) block-diagonal matrix of an (N, p, q) stack of blocks.
+
+    blocks[:, None] of an (N, m) stack of rows gives the N x (m N) matrix
+    whose row n holds row n in block column n.
+    """
+    N, p, q = blocks.shape
+    out = np.zeros((N * p, N * q))
+    out.reshape(N, p, N, q)[np.arange(N), :, np.arange(N), :] = blocks
     return out
 
 
@@ -316,7 +321,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
         family = solve_transform_family(plant)
     Kbar = modal_gains(plant, family, basis.lam, K_Q, N)
     Bmat, cond_B = input_matrix(plant.shapes[:N], basis, N)
-    K = np.linalg.solve(Bmat, block_diag_rows(Kbar))
+    K = np.linalg.solve(Bmat, block_diagonal(Kbar[:, None]))
     return Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
                       Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
 
@@ -410,9 +415,7 @@ def assemble_direct_pair(plant: ValidatedPlant, basis: SpectralBasis,
                          shapes, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked pair (A, Btil): A = blockdiag{-lambda_n D + Q}, Btil = col{B Bmat_n}."""
     m = plant.m
-    A = np.zeros((m * N, m * N))
-    diag = np.arange(N)
-    A.reshape(N, m, N, m)[diag, :, diag, :] = mode_blocks(plant, basis.lam[:N])
+    A = block_diagonal(mode_blocks(plant, basis.lam[:N]))
     Btil = np.zeros((m * N, N))
     Btil[::m] = shape_projection_matrix(shapes, basis, N)
     return A, Btil
@@ -453,20 +456,6 @@ def direct_baseline(plant: ValidatedPlant, basis: SpectralBasis, delta: float,
 # ---------------------------------------------------------------------------
 # Gains file (JSON)
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "rho": cert.rho,
-        "rho_bar": cert.rho_bar,
-        "beta": cert.beta,
-        "rho0": cert.rho0,
-        "c_lower": cert.c_lower,
-        "c_upper": cert.c_upper,
-        "M": cert.M,
-        "gamma_margins": list(cert.gamma_margins),
-        "omega_margins": list(cert.omega_margins),
-    }
-
-
 def certificate_from_dict(obj: dict) -> Certificate:
     return Certificate(
         rho=float(obj["rho"]),
@@ -482,19 +471,10 @@ def certificate_from_dict(obj: dict) -> Certificate:
 
 
 def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> dict:
-    out = {
-        "delta": controller.delta,
-        "N": controller.N,
-        "N_min": controller.N_min,
-        "K_Q": np.asarray(controller.K_Q, dtype=float).tolist(),
-        "P": np.asarray(controller.P, dtype=float).tolist(),
-        "Kbar": np.asarray(controller.Kbar, dtype=float).tolist(),
-        "Bmat": np.asarray(controller.Bmat, dtype=float).tolist(),
-        "cond_B": controller.cond_B,
-        "K": np.asarray(controller.K, dtype=float).tolist(),
-    }
+    """The gains file: the controller's fields, then the certificate's, if given."""
+    out = record_to_dict(controller)
     if cert is not None:
-        out["certificate"] = certificate_to_dict(cert)
+        out["certificate"] = record_to_dict(cert)
     return out
 
 

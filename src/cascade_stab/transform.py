@@ -182,10 +182,3 @@ def cancellation_residual(plant: ValidatedPlant, lam, T: np.ndarray,
     R[:, 0, :] += np.matmul(G[:, None, :], T)[:, 0]
     return np.max(np.abs(R), axis=(1, 2))
 
-
-def family_to_dict(family: TransformFamily) -> dict:
-    return {
-        "m": family.m,
-        "sigma_bar": family.sigma_bar,
-        "coeffs": [[[float(v) for v in row] for row in Ti] for Ti in family.coeffs],
-    }

@@ -28,6 +28,7 @@ from cascade_stab.synthesis import (
     select_mode_count,
     selection_margin,
     sym,
+    zero_controller,
 )
 from cascade_stab.transform import (
     RESIDUAL_TOL,
@@ -143,12 +144,11 @@ class TestCriterion4ClosedLoopDecay:
                                family=family, pole_offsets=DEMO_OFFSETS)
         cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
         cfg = SimConfig(M_modes=30, t_final=1.0)
-        traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg,
-                               M_cert=cert.M)
+        traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         assert traj.fitted_decay >= 8.5
         assert certificate_bound_holds(traj, cert.M, 9.0)
-        open_traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial,
-                                    cfg, open_loop=True)
+        open_traj = run_closed_loop(demo_plant, zero_controller(9.0, ctl.N_min, 3),
+                                    demo_basis, demo_initial, cfg)
         assert open_traj.l2_norm[-1] > open_traj.l2_norm[0]
         assert elapsed_under(start, 10.0)
         report(4, f"closed-loop fitted decay {traj.fitted_decay:.2f} >= 8.5, "

@@ -147,24 +147,37 @@ class TestSynthesize:
         ("D", math.nan),
         ("Q", math.nan),
         ("shapes", math.nan),
+        ("delta", math.nan),
+        ("delta", math.inf),
     ])
     def test_non_finite_plant_input_exit_code(self, tmp_path, field, value,
                                               capsys):
         obj = example_plant_dict()
+        delta = str(value) if field == "delta" else "9"
         if field == "D":
             obj["D"][1] = value
         elif field == "Q":
             obj["Q"][0][2] = value
         elif field == "shapes":
             obj["shapes"][0] = {"kind": "polynomial", "params": [1.0, value]}
-        else:
+        elif field != "delta":
             obj[field] = value
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps(obj))
-        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+        rc = main(["synthesize", "--plant", str(path), "--delta", delta,
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offsets", ["1,2,nan", "1,2,inf"])
+    def test_non_finite_pole_offsets_exit_code(self, tmp_path, plant_file, capsys,
+                                               offsets):
+        rc = main(["synthesize", "--plant", plant_file, "--delta", "9",
+                   "--pole-offsets", offsets, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: pole offsets must be m distinct positive finite reals\n")
+        assert not (tmp_path / "out").exists()
 
     def test_opposite_sign_robin_exit_code(self, tmp_path, capsys):
         obj = example_plant_dict()
@@ -274,10 +287,36 @@ class TestSimulate:
         for row in rows:
             assert all(float(v) == 0.0 for v in row.split(",")[1:])
 
-    def test_requires_gains_or_delta(self, plant_file, initial_file, tmp_path):
-        rc = main(["simulate", "--plant", plant_file, "--initial", initial_file,
-                   "--out-dir", str(tmp_path)])
+    def test_requires_gains_or_delta(self, plant_file, initial_file, tmp_path,
+                                     capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--plant", plant_file, "--initial", initial_file,
+                  "--out-dir", str(tmp_path)])
+        assert exc_info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: one of the arguments --gains --delta is required\n")
+
+    def test_gains_and_delta_together_are_a_usage_error(self, plant_file, initial_file,
+                                                        demo_gains, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--plant", plant_file, "--gains", demo_gains,
+                  "--delta", "9", "--initial", initial_file])
+        assert exc_info.value.code == 1
+        assert "argument --delta: not allowed with argument --gains" in capsys.readouterr().err
+
+    def test_N_must_match_the_gains_file(self, tmp_path, plant_file, initial_file,
+                                         demo_gains, capsys):
+        sim = tmp_path / "sim"
+        rc = main(["simulate", "--plant", plant_file, "--gains", demo_gains, "--N", "4",
+                   "--initial", initial_file, "--out-dir", str(sim)])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: --N 4 differs from the gains file's N=3\n")
+        assert not sim.exists()
+        # The file's own N is accepted, as the benchmark passes it.
+        rc = main(["simulate", "--plant", plant_file, "--gains", demo_gains, "--N", "3",
+                   "--initial", initial_file, "--t-final", "0.2", "--out-dir", str(sim)])
+        assert rc == 0
 
     def test_open_loop_skips_certificate_line(self, tmp_path, plant_file,
                                               initial_file, capsys):
@@ -454,6 +493,32 @@ class TestUsageErrors:
         assert exc_info.value.code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        ("verify", ["--out-dir", "out"]), ("bench", ["--N", "3"]),
+        ("bench", ["--M-modes", "30"])])
+    def test_option_the_command_does_not_read(self, plant_file, capsys, tmp_path,
+                                              monkeypatch, command, option):
+        monkeypatch.chdir(tmp_path)  # an accepted bench run writes bench.csv here
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--plant", plant_file, "--delta", "9", *option])
+        assert exc_info.value.code == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("synthesize", "--M-modes", "-5"), ("synthesize", "--M-modes", "0"),
+        ("verify", "--M-modes", "x"), ("simulate", "--M-modes", "-100"),
+        ("simulate", "--grid-points", "-2"), ("bench", "--repeats", "0")])
+    def test_bad_count_option_is_named(self, plant_file, initial_file, capsys,
+                                       command, option, value):
+        argv = [command, "--plant", plant_file, "--delta", "9", option, value]
+        if command == "simulate":
+            argv += ["--initial", initial_file]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert (f"argument {option}: must be a positive integer, got {value!r}"
+                in capsys.readouterr().err)
+
 
 class TestParserReuse:
     """main() builds its parser once; each call still behaves as on a fresh one."""
@@ -487,8 +552,9 @@ class TestParserReuse:
         assert reused == fresh
         assert [rc for rc, _, _ in reused] == [0, "exit 1", "exit 1", 0, 0]
         assert reused[1][2].startswith("usage: cascade-stab synthesize")
-        assert reused[2][2].startswith("usage: cascade-stab [-h]")
-        assert reused[2][2].endswith("error: verify requires --delta\n")
+        assert reused[2][2].startswith("usage: cascade-stab verify")
+        assert reused[2][2].endswith("error: the following arguments are required: "
+                                     "--delta\n")
 
     def test_handler_looked_up_per_call(self, plant_file, monkeypatch):
         main(["verify", "--plant", plant_file, "--N", "3", "--delta", "9"])

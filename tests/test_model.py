@@ -25,10 +25,14 @@ from cascade_stab.model import (
     load_plant,
     plant_from_dict,
     plant_to_dict,
+    record_to_dict,
     save_plant,
     validate_plant,
     write_json,
 )
+
+from cascade_stab.synthesis import Certificate, Controller, zero_controller
+from cascade_stab.transform import TransformFamily
 
 from conftest import random_plant
 
@@ -231,6 +235,63 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps({"m": 2}))
         with pytest.raises(PlantInputError):
             load_plant(str(path))
+
+
+class TestRecordToDict:
+    """One key per dataclass field, in field order; arrays and tuples as lists."""
+
+    def test_zero_controller(self):
+        assert record_to_dict(zero_controller(9.0, 0, 2)) == {
+            "delta": 9.0, "N": 0, "N_min": 0, "K_Q": [0.0, 0.0],
+            "P": [[1.0, 0.0], [0.0, 1.0]], "Kbar": [], "Bmat": [], "cond_B": 1.0,
+            "K": []}
+
+    def test_controller(self):
+        ctl = Controller(delta=2.0, N=1, N_min=1, K_Q=np.array([1.5, -2.0]),
+                         P=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                         Kbar=np.array([[3.0, -0.0]]), Bmat=np.array([[0.5]]),
+                         cond_B=1.0, K=np.array([[6.0, -0.0]]))
+        out = record_to_dict(ctl)
+        assert list(out) == ["delta", "N", "N_min", "K_Q", "P", "Kbar", "Bmat",
+                             "cond_B", "K"]
+        assert out == {"delta": 2.0, "N": 1, "N_min": 1, "K_Q": [1.5, -2.0],
+                       "P": [[2.0, 0.5], [0.5, 1.0]], "Kbar": [[3.0, -0.0]],
+                       "Bmat": [[0.5]], "cond_B": 1.0, "K": [[6.0, -0.0]]}
+        assert math.copysign(1.0, out["K"][0][1]) == -1.0
+
+    def test_certificate(self):
+        cert = Certificate(rho=0.5, rho_bar=4.0, beta=0.3, rho0=2.0, c_lower=0.25,
+                           c_upper=3.0, M=1e14, gamma_margins=(-0.25, -0.5),
+                           omega_margins=(-14.0,))
+        out = record_to_dict(cert)
+        assert list(out) == ["rho", "rho_bar", "beta", "rho0", "c_lower", "c_upper",
+                             "M", "gamma_margins", "omega_margins"]
+        assert out == {"rho": 0.5, "rho_bar": 4.0, "beta": 0.3, "rho0": 2.0,
+                       "c_lower": 0.25, "c_upper": 3.0, "M": 1e14,
+                       "gamma_margins": [-0.25, -0.5], "omega_margins": [-14.0]}
+        assert type(out["gamma_margins"]) is list
+
+    def test_transform_family(self):
+        family = TransformFamily(m=2, sigma_bar=1,
+                                 coeffs=(np.array([[0.0, 0.5], [0.0, 0.0]]),))
+        assert record_to_dict(family) == {
+            "m": 2, "sigma_bar": 1, "coeffs": [[[0.0, 0.5], [0.0, 0.0]]]}
+
+    def test_validated_plant_with_samples_shape(self):
+        spec = PlantSpec(m=2, D=np.array([1.0, 2.0]), Q=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         L=1.0, gamma1=1.0, gamma2=0.0,
+                         shapes=(ShapeFunction.samples([0.0, 0.5, 1.0], [1.0, 2.0, 0.5]),
+                                 ShapeFunction.polynomial(1.0, -0.5)))
+        plant = validate_plant(spec)
+        shapes = [{"kind": "samples", "params": [[0.0, 0.5, 1.0], [1.0, 2.0, 0.5]]},
+                  {"kind": "polynomial", "params": [1.0, -0.5]}]
+        fields = {"m": 2, "D": [1.0, 2.0], "Q": [[0.0, 1.0], [1.0, 0.0]], "L": 1.0,
+                  "gamma1": 1.0, "gamma2": 0.0, "shapes": shapes}
+        assert record_to_dict(plant) == {**fields,
+                                         "indices": {"sigma": 2, "sigma_bar": 0}}
+        # The plant file holds PlantSpec's fields alone, from either record.
+        assert plant_to_dict(plant) == plant_to_dict(spec) == fields
+        assert list(plant_to_dict(plant)) == list(fields)
 
 
 class TestAtomicWrite:

@@ -19,7 +19,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
@@ -30,6 +30,7 @@ from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.simulator import (
     SimConfig,
     assemble_closed_loop,
+    certificate_bound_holds,
     integrate,
     run_closed_loop,
     target_residual,
@@ -38,7 +39,7 @@ from cascade_stab.spectral import build_basis, extend_basis, project, shape_proj
 from cascade_stab.synthesis import (
     RHO_BAR,
     _omega_margins,
-    block_diag_rows,
+    block_diagonal,
     build_controller,
     certificate,
     closed_blocks,
@@ -276,6 +277,10 @@ def test_certificate_bound_holds_on_random_cascades():
     """
     drawn, certified = [], []
 
+    # Hypothesis derives derandomized draws from the test's source text.  This
+    # is the seed that the text before `certificate_bound_holds` was called
+    # here gave, so the test still checks the same 30 cascades.
+    @seed(36686517939390767227073410455030854399820045430298573015353362266561875500263824860163721669028638677083559380033468)  # noqa: E501
     @settings(max_examples=30)
     @given(plant=cascades(max_m=5), delta=st.floats(0.5, 9.0, **finite),
            extra=st.integers(10, 30))
@@ -293,10 +298,9 @@ def test_certificate_bound_holds_on_random_cascades():
         cert = certificate(plant, ctl, solve_transform_family(plant), basis, M_modes=M)
         z0 = [ShapeFunction.polynomial(1.0, -0.3 * i, 0.1) for i in range(plant.m)]
         traj = run_closed_loop(plant, ctl, basis, z0,
-                               SimConfig(M_modes=M, t_final=0.2, dt_out=0.002),
-                               M_cert=cert.M)
+                               SimConfig(M_modes=M, t_final=0.2, dt_out=0.002))
         certified.append(plant.m)
-        assert traj.overshoot_check is True
+        assert certificate_bound_holds(traj, cert.M, ctl.delta) is True
 
     check()
     assert len(drawn) == 30
@@ -482,6 +486,8 @@ def relative(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
+# The seed that the text before `block_diagonal` gave (see above).
+@seed(26651321348497923219444421874863665527304286067101910279538055857061360092118229834574964143087808291417081728698499)  # noqa: E501
 @given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
 def test_gain_route_and_factorization(plant, delta):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
@@ -495,7 +501,7 @@ def test_gain_route_and_factorization(plant, delta):
     for n in range(N):
         assert relative(ctl.Kbar[n], (ctl.K_Q - G[n]) @ T[n]) <= 1e-9
     # Bmat K = block-rows(Kbar), row n holding Kbar_n in block column n.
-    rows = block_diag_rows(ctl.Kbar)
+    rows = block_diagonal(ctl.Kbar[:, None])
     assert rows.shape == (N, m * N)
     for n in range(N):
         assert same_bits(rows[n, n * m:(n + 1) * m], ctl.Kbar[n])

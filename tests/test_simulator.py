@@ -31,13 +31,20 @@ from cascade_stab.simulator import (
     target_residual,
 )
 from cascade_stab.simulator import _VALUES_PER_BLOCK
-from cascade_stab.spectral import adaptive_simpson, build_basis, expand
+from cascade_stab.spectral import (
+    adaptive_simpson,
+    build_basis,
+    expand,
+    shape_projection_matrix,
+)
 from cascade_stab.synthesis import (
     Controller,
     build_controller,
     certificate,
     closed_blocks,
+    mode_blocks,
     select_mode_count,
+    zero_controller,
 )
 from cascade_stab.transform import mode_transform, solve_transform_family
 
@@ -149,6 +156,25 @@ class TestAssembleClosedLoop:
         assert block_shapes(loop) == ((1, 1), (0, 1, 1), (0, 1, 1))
         assert loop.A_RR[0, 0] == pytest.approx(expected, rel=1e-12)
 
+    def test_retained_block_reads_signed_zeros_as_a_sum_onto_zeros(self, demo_plant,
+                                                                   demo_closed_loop):
+        """A -0.0 of Q gives +0.0 in A_RR: the bits of the sum onto zeros."""
+        _family, ctl, _cert = demo_closed_loop
+        Q = demo_plant.Q.copy()
+        Q[2, 0] = -0.0
+        plant = validate_plant(PlantSpec(m=3, D=demo_plant.D, Q=Q, L=demo_plant.L,
+                                         gamma1=1.0, gamma2=0.0, shapes=demo_plant.shapes))
+        basis = build_basis(plant.L, 1.0, 0.0, 8)
+        blocks = mode_blocks(plant, basis.lam[:8])
+        assert np.signbit(blocks[:, 2, 0]).all()
+        A_RR = np.zeros((9, 9))
+        A_RR.reshape(3, 3, 3, 3)[np.arange(3), :, np.arange(3), :] += blocks[:3]
+        P = shape_projection_matrix(plant.shapes[:3], basis, 8)
+        A_RR[::3] += np.matmul(P[:, None, :], ctl.K)[:, 0][:3]
+        loop = assemble_closed_loop(plant, ctl, basis, 8)
+        assert loop.A_RR.tobytes() == A_RR.tobytes()
+        assert not np.signbit(loop.A_RR[2::3, 0::3]).any()
+
 
 class TestIntegrate:
     def test_scalar_exponential(self):
@@ -173,10 +199,8 @@ class TestIntegrate:
                                     demo_closed_loop):
         _family, ctl, cert = demo_closed_loop
         cfg = SimConfig(M_modes=30, t_final=1.0)
-        traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg,
-                               M_cert=cert.M)
-        assert traj.overshoot_check is True
-        assert certificate_bound_holds(traj, cert.M, 9.0)
+        traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
+        assert certificate_bound_holds(traj, cert.M, 9.0) is True
 
 
 def dense_integrate(loop, z0, t_final, dt_out):
@@ -514,8 +538,8 @@ class TestTruncationAndOpenLoop:
         block = -demo_basis.lam[0] * np.diag(demo_plant.D) + demo_plant.Q
         assert np.max(np.linalg.eigvals(block).real) > 0.0
         cfg = SimConfig(M_modes=30, t_final=1.0)
-        traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg,
-                               open_loop=True)
+        traj = run_closed_loop(demo_plant, zero_controller(ctl.delta, ctl.N_min, 3),
+                               demo_basis, demo_initial, cfg)
         assert traj.l2_norm[-1] > traj.l2_norm[0]
 
 

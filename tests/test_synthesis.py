@@ -13,6 +13,7 @@ from cascade_stab.errors import (
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.spectral import build_basis
 from cascade_stab.synthesis import (
+    block_diagonal,
     build_controller,
     certificate,
     certificate_from_dict,
@@ -88,6 +89,11 @@ class TestSelectModeCount:
     def test_basis_auto_extends(self, demo_plant):
         tiny = build_basis(math.pi, 1.0, 0.0, 1)
         assert select_mode_count(demo_plant, tiny, 9.0) == 2
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_must_be_positive_and_finite(self, demo_plant, demo_basis, delta):
+        with pytest.raises(PlantInputError, match="positive and finite"):
+            select_mode_count(demo_plant, demo_basis, delta)
 
 
 class TestStabilizeCoupling:
@@ -382,6 +388,21 @@ class TestDirectBaseline:
         b11 = input_projection_row(plant.shapes, basis, 1)[0]
         pole = -basis.lam[0] * 1.0 + 2.0 + b11 * K_direct[0, 0]
         assert pole <= -1.0
+
+
+class TestBlockDiagonal:
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (1, 1, 1), (4, 1, 3), (3, 3, 3),
+                                       (5, 2, 4)])
+    def test_bitwise_equal_to_per_block_loop(self, rng, shape):
+        N, p, q = shape
+        blocks = rng.standard_normal(shape)
+        blocks.reshape(-1)[::3] = -0.0
+        expected = np.zeros((N * p, N * q))
+        for n in range(N):
+            expected[n * p:(n + 1) * p, n * q:(n + 1) * q] = blocks[n]
+        out = block_diagonal(blocks)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestGainsSerialization:
