@@ -167,11 +167,12 @@ def cmd_simulate(args) -> int:
     traj = simulator.run_closed_loop(plant, applied, basis, z0_funcs, config)
     os.makedirs(args.out_dir, exist_ok=True)
     grid = np.linspace(0.0, plant.L, args.grid_points)
-    simulator.export_modal_csv(traj, os.path.join(args.out_dir, "modal.csv"))
-    simulator.export_field_csv(traj, basis, grid,
-                               os.path.join(args.out_dir, "field.csv"))
-    simulator.export_norms_csv(traj, cert.M, controller.delta,
-                               os.path.join(args.out_dir, "norms.csv"))
+    out = functools.partial(os.path.join, args.out_dir)
+    simulator.write_csvs([
+        simulator.modal_table(traj, out("modal.csv")),
+        simulator.field_table(traj, basis, grid, out("field.csv")),
+        simulator.norms_table(traj, cert.M, controller.delta, out("norms.csv")),
+    ])
     sys.stdout.write(f"fitted decay rate: {traj.fitted_decay:.6f}\n")
     # the certificate bound is a closed-loop statement; skip it open loop
     if not args.open_loop:
@@ -332,8 +333,7 @@ def bench_rows(plant, delta, N_values, repeats):
 
 def cmd_bench(args) -> int:
     plant = _load_validated(args)
-    N_values = [int(v) for v in args.N_list.split(",")]
-    rows = bench_rows(plant, args.delta, N_values, args.repeats)
+    rows = bench_rows(plant, args.delta, args.N_list, args.repeats)
     lines = ["N,t_modal,t_direct,ratio"]
     for N, tm, td, ratio in rows:
         lines.append(f"{N},{tm!r},{td!r},{ratio!r}")
@@ -379,6 +379,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    """argparse type of --N-list: comma-separated `_positive_int` items."""
+    return [_positive_int(item) for item in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="modal vs direct baseline timings")
     add_shared(p_bench, "--plant", "--delta", "--out-dir")
-    p_bench.add_argument("--N-list", dest="N_list", default="2,3,5,10,15")
+    p_bench.add_argument("--N-list", dest="N_list", type=_positive_int_list,
+                         default=[2, 3, 5, 10, 15], help="comma-separated mode counts")
     p_bench.add_argument("--repeats", type=_positive_int, default=5)
 
     return parser

@@ -92,5 +92,9 @@ class CertificateAtRoundingLevel(InternalError):
     """
 
 
+class CsvHelperFailed(InternalError):
+    """The forked process that formats part of the CSV files stopped early."""
+
+
 class ZeroNorm(CascadeStabError):
     """Trajectory norm reached numerical zero over the whole fit window."""

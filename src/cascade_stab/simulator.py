@@ -46,11 +46,14 @@ object, `_Stack` for a stack or `_Blocks` for the block form.
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
+from typing import Callable, NoReturn
 
 import numpy as np
 
-from .errors import ZeroNorm
+from .errors import CsvHelperFailed, ZeroNorm
 from .model import ShapeFunction, ValidatedPlant, _csv_lines, atomic_write
 from .spectral import (
     SpectralBasis,
@@ -652,6 +655,12 @@ def _output_steps(t_final: float, dt_out: float) -> int:
     return steps
 
 
+def _live_modes(power: np.ndarray) -> int:
+    """One past the last slice of the (n, m, m) stack `power` holding a nonzero."""
+    nonzero = np.flatnonzero(power.any(axis=(1, 2)))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
               dt_out: float) -> Trajectory:
     """Propagate the closed loop `loop` exactly on the output grid.
@@ -666,7 +675,8 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     no mode is retained.  The retained block steps with F_RR, the drive
     F_TR z_R on every tail mode is one product over all steps, and the tail
     recurrence is summed by a doubling scan over the steps with powers of
-    the m x m blocks of F_TT.
+    the m x m blocks of F_TT; the fast modes whose powers have underflowed
+    to exact zeros drop out of it.
     """
     z0 = np.asarray(z0, dtype=float)
     M, m = z0.shape
@@ -693,9 +703,15 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     X = np.empty((tail, m, steps + 1))
     X[:, :, 0] = z0[R:]
     X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
+    # Only the first `live` modes carry a nonzero power: past the last one,
+    # every product is an exact zero, so the scan stops carrying them.
     power, shift = F_TT, 1
     while shift <= steps:
-        X[:, :, shift:] += power @ X[:, :, :-shift]
+        live = _live_modes(power)
+        if not live:
+            break
+        power = power[:live]
+        X[:live, :, shift:] += power @ X[:live, :, :-shift]
         power, shift = power @ power, 2 * shift
 
     modal = np.empty((steps + 1, M, m))
@@ -790,55 +806,211 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 
 # ---------------------------------------------------------------------------
 # CSV export.  Full-precision reals, byte for byte ",".join(map(repr, row)),
-# formatted by model._csv_lines.  Blocks hold about _VALUES_PER_BLOCK values,
+# formatted by model._csv_lines in blocks of about _VALUES_PER_BLOCK values,
 # which keeps the memory of the byte buffers small next to the arrays being
 # written.
+#
+# `write_csvs` formats on two CPUs.  A table of at least two blocks is split
+# at the block boundary nearest half its steps.  One forked helper process
+# formats the second half of every such table, table after table, into one
+# memfd, and after each table sends the end offset down a pipe.  Meanwhile
+# the parent writes the header and the first half into the `atomic_write`
+# temp file, then appends the helper's bytes with os.sendfile (kernel to
+# kernel, no copy in user space) and replaces the target.  The helper only
+# slices, stacks and formats arrays that exist before the fork, the fields
+# included (`field_table` calls `reconstruct_field` first): it computes
+# nothing through BLAS, whose threads do not survive a fork.  It leaves only
+# by os._exit, and the parent always reaps it, after killing it if the
+# parent stopped early; a helper that stops early is a CsvHelperFailed.
+# Where no table spans two blocks, or the platform has no fork or
+# memfd_create, or they fail, the split is the last step and the parent
+# formats every row in the same loop.  Costs: the fork takes the parent
+# about a millisecond and leaves its pages copy-on-write, so the next
+# command in the same process takes extra minor page faults; the memfd holds
+# about half of the CSV text (7.2 MB on a 400-mode run) outside either
+# process's RSS.
 
 _VALUES_PER_BLOCK = 8192
 
 
-def _write_csv(path: str, header: str, steps: int, width: int, table) -> None:
-    """Atomically write the header line, then the lines of table(start, stop).
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV file: the header line, then the rows of steps 0..steps-1.
 
-    table(start, stop) is the 2-D float table of time steps start..stop-1,
+    rows(start, stop) is the 2-D float table of steps start..stop-1, with
     `width` values per step.
     """
-    block = max(1, _VALUES_PER_BLOCK // max(1, width))
-    with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        for start in range(0, steps, block):
-            fh.write(_csv_lines(table(start, min(start + block, steps))))
+
+    path: str
+    header: str
+    steps: int
+    width: int
+    rows: Callable[[int, int], np.ndarray]
+
+    @property
+    def block(self) -> int:
+        """Steps per formatted block."""
+        return max(1, _VALUES_PER_BLOCK // max(1, self.width))
+
+    def half(self) -> int:
+        """First step of the helper's half: the block boundary nearest half
+        the steps, or `steps` for a table of fewer than two blocks."""
+        if self.steps < 2 * self.block:
+            return self.steps
+        return self.block * round(self.steps / (2 * self.block))
 
 
-def export_modal_csv(traj: Trajectory, path: str) -> None:
+def _write_rows(fh, table: CsvTable, start: int, stop: int) -> None:
+    for a in range(start, stop, table.block):
+        fh.write(_csv_lines(table.rows(a, min(a + table.block, stop))))
+
+
+class _Helper:
+    """The forked process that formats the second halves of the tables."""
+
+    def __init__(self, pid: int, memfd: int, pipe: int, pending: int):
+        self.pid, self.memfd, self.pipe = pid, memfd, pipe
+        self.pending = pending  # tables whose bytes are not yet appended
+        self.offset = 0         # memfd bytes appended so far
+
+    @classmethod
+    def fork(cls, parts) -> _Helper | None:
+        """A helper formatting parts [(table, first step)], or None where
+        none starts."""
+        if not parts or not hasattr(os, "fork") or not hasattr(os, "memfd_create"):
+            return None
+        fds = []
+        try:
+            fds.append(os.memfd_create("cascade-stab-csv", os.MFD_CLOEXEC))
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        memfd, pipe, end = fds
+        if pid == 0:
+            cls._serve(parts, memfd, pipe, end)
+        os.close(end)
+        return cls(pid, memfd, pipe, len(parts))
+
+    @staticmethod
+    def _serve(parts, memfd: int, pipe: int, end: int) -> NoReturn:
+        """The helper's whole life: format, send each end offset, _exit."""
+        status = 1
+        try:
+            os.close(pipe)
+            with open(memfd, "w", encoding="ascii", closefd=False) as out:
+                for table, start in parts:
+                    _write_rows(out, table, start, table.steps)
+                    out.flush()
+                    os.write(end, os.lseek(memfd, 0, os.SEEK_CUR).to_bytes(8, "little"))
+            status = 0
+        finally:
+            os._exit(status)
+
+    def append_to(self, fd: int) -> None:
+        """Append the next table's bytes from the memfd to the file fd."""
+        data = b""
+        while len(data) < 8:
+            more = os.read(self.pipe, 8 - len(data))
+            if not more:
+                code = self._reap()
+                raise CsvHelperFailed(
+                    f"the CSV helper process exited with status {code} "
+                    f"with {self.pending} table(s) unfinished")
+            data += more
+        stop = int.from_bytes(data, "little")
+        while self.offset < stop:
+            sent = os.sendfile(fd, self.memfd, self.offset, stop - self.offset)
+            if not sent:
+                raise CsvHelperFailed("the CSV helper's buffer ended early")
+            self.offset += sent
+        self.pending -= 1
+
+    def _reap(self) -> int:
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def close(self) -> None:
+        """Reap the helper, killing it first if tables are pending; close the fds."""
+        try:
+            if self.pid is not None:
+                if self.pending:
+                    os.kill(self.pid, signal.SIGKILL)
+                self._reap()
+        finally:
+            os.close(self.pipe)
+            os.close(self.memfd)
+
+
+def write_csvs(tables) -> None:
+    """Atomically write every CsvTable, on two processes where that pays.
+
+    The files are written in order, each replacing its target only when
+    complete; see the comment above for how the work is shared.
+    """
+    cuts = [table.half() for table in tables]
+    helper = _Helper.fork([(t, cut) for t, cut in zip(tables, cuts) if cut < t.steps])
+    if helper is None:
+        cuts = [table.steps for table in tables]
+    try:
+        for table, cut in zip(tables, cuts):
+            with atomic_write(table.path) as fh:
+                fh.write(table.header + "\n")
+                _write_rows(fh, table, 0, cut)
+                if cut < table.steps:
+                    fh.flush()
+                    helper.append_to(fh.fileno())
+    finally:
+        if helper is not None:
+            helper.close()
+
+
+def modal_table(traj: Trajectory, path: str) -> CsvTable:
     """Header t, z_{i}_{n} for component i of mode n."""
     cols = ["t"] + [f"z_{i + 1}_{n + 1}" for n in range(traj.n_modes)
                     for i in range(traj.m)]
     t = traj.times
     Z = traj.modal.reshape(len(t), -1)
-    _write_csv(path, ",".join(cols), len(t), 1 + Z.shape[1],
-               lambda a, b: np.column_stack([t[a:b], Z[a:b]]))
+    return CsvTable(path, ",".join(cols), len(t), 1 + Z.shape[1],
+                    lambda a, b: np.column_stack([t[a:b], Z[a:b]]))
 
 
-def export_field_csv(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> None:
+def field_table(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> CsvTable:
     """Long format: t, x, z1..zm."""
     fields = reconstruct_field(traj, basis, grid)
     t = traj.times
     x = np.asarray(grid, dtype=float)
 
-    def table(a, b):
+    def rows(a, b):
         return np.column_stack([np.repeat(t[a:b], x.size), np.tile(x, b - a),
                                 fields[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
 
     header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
-    _write_csv(path, header, len(t), x.size * (2 + traj.m), table)
+    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows)
 
 
-def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -> None:
+def norms_table(traj: Trajectory, M_cert: float, delta: float, path: str) -> CsvTable:
     """Columns t, l2norm, bound with bound = M_cert exp(-delta t) ||z(0)||."""
     z0 = traj.l2_norm[0]
     # One scalar exp per sample: a vectorized exp may round differently, and
     # the file's bytes must not depend on that.
     bound = [float(M_cert * np.exp(-delta * t) * z0) for t in traj.times]
     table = np.column_stack([traj.times, traj.l2_norm, bound])
-    _write_csv(path, "t,l2norm,bound", len(table), 3, lambda a, b: table[a:b])
+    return CsvTable(path, "t,l2norm,bound", len(table), 3, lambda a, b: table[a:b])
+
+
+def export_modal_csv(traj: Trajectory, path: str) -> None:
+    """Write `modal_table` to path."""
+    write_csvs([modal_table(traj, path)])
+
+
+def export_field_csv(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> None:
+    """Write `field_table` to path."""
+    write_csvs([field_table(traj, basis, grid, path)])
+
+
+def export_norms_csv(traj: Trajectory, M_cert: float, delta: float, path: str) -> None:
+    """Write `norms_table` to path."""
+    write_csvs([norms_table(traj, M_cert, delta, path)])

@@ -616,6 +616,16 @@ class TestBench:
             assert float(parts[2]) > 0.0
 
 
+    @pytest.mark.parametrize("value, item", [("2,x", "x"), ("", ""), ("3,0", "0"),
+                                             ("2,,3", "")])
+    def test_bad_N_list_item_is_named(self, plant_file, capsys, value, item):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--plant", plant_file, "--delta", "9", "--N-list", value])
+        assert exc_info.value.code == 1
+        assert (f"argument --N-list: must be a positive integer, got {item!r}"
+                in capsys.readouterr().err)
+
+
 class TestRobinBoundary:
     def test_high_modes_pass_boundary_check(self, tmp_path, capsys):
         obj = example_plant_dict()
@@ -638,6 +648,51 @@ class TestStrayLinAlgError:
         rc = main(["synthesize", "--plant", plant_file, "--delta", "9"])
         assert rc == 3
         assert capsys.readouterr().err == "internal error: Singular matrix\n"
+
+
+class TestCsvHelperProcess:
+    """simulate shares CSV formatting with one forked helper, always reaped."""
+
+    @staticmethod
+    def _simulate(tmp_path, plant_file, initial_file):
+        return main(["simulate", "--plant", plant_file, "--delta", "9",
+                     "--initial", initial_file, "--t-final", "0.2",
+                     "--out-dir", str(tmp_path / "out")])
+
+    def test_leaves_no_child_process(self, tmp_path, plant_file, initial_file,
+                                     monkeypatch, capsys):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert self._simulate(tmp_path, plant_file, initial_file) == 0
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_helper_is_an_internal_error(self, tmp_path, plant_file,
+                                                initial_file, monkeypatch, capsys):
+        from cascade_stab import simulator
+
+        parent = os.getpid()
+        real_lines = simulator._csv_lines
+
+        def helper_fails(block):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real_lines(block)
+
+        monkeypatch.setattr(simulator, "_csv_lines", helper_fails)
+        assert self._simulate(tmp_path, plant_file, initial_file) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: the CSV helper process exited with status 7")
+        assert os.listdir(tmp_path / "out") == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestUnwritableOutput:

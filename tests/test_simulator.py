@@ -8,7 +8,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from cascade_stab.errors import CertificateAtRoundingLevel, ZeroNorm
+from cascade_stab.errors import CertificateAtRoundingLevel, CsvHelperFailed, ZeroNorm
 from cascade_stab.model import (
     PlantSpec,
     ShapeFunction,
@@ -17,6 +17,7 @@ from cascade_stab.model import (
 )
 from cascade_stab.simulator import (
     ClosedLoop,
+    CsvTable,
     SimConfig,
     assemble_closed_loop,
     certificate_bound_holds,
@@ -24,11 +25,15 @@ from cascade_stab.simulator import (
     export_field_csv,
     export_modal_csv,
     export_norms_csv,
+    field_table,
     integrate,
+    modal_table,
+    norms_table,
     project_initial,
     reconstruct_field,
     run_closed_loop,
     target_residual,
+    write_csvs,
 )
 from cascade_stab.simulator import _VALUES_PER_BLOCK
 from cascade_stab.spectral import (
@@ -185,6 +190,38 @@ class TestIntegrate:
         loop = retained_only(np.array([[0.0, 1.0], [0.0, 0.0]]))
         traj = integrate(loop, np.array([[0.0], [1.0]]), 1.0, 0.25)
         np.testing.assert_allclose(traj.modal[-1].reshape(-1), [1.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("M, rate", [(150, None), (1, 1e6)])
+    def test_tail_scan_drops_underflowed_modes_exactly(self, demo_plant, demo_closed_loop,
+                                                       monkeypatch, M, rate):
+        """Dropping the tail modes whose power of F_TT is exactly zero changes
+        no bit against the full scan: on the demo closed loop, where the fast
+        modes underflow, and on one mode that underflows at once."""
+        from cascade_stab import simulator
+
+        if rate is None:
+            loop = assemble_closed_loop(demo_plant, demo_closed_loop[1],
+                                        build_basis(math.pi, 1.0, 0.0, M), M)
+        else:
+            loop = ClosedLoop(np.zeros((0, 0)), np.array([[[-rate]]]), np.zeros((1, 1, 0)))
+        z0 = np.random.default_rng(11).standard_normal((M, loop.A_TT.shape[1]))
+        live = []
+        real_live = simulator._live_modes
+
+        def counted(power):
+            live.append(real_live(power))
+            return live[-1]
+
+        monkeypatch.setattr(simulator, "_live_modes", counted)
+        traj = integrate(loop, z0, 1.0, 1.0 / 400)
+        monkeypatch.setattr(simulator, "_live_modes", len)  # every mode, every pass
+        full = integrate(loop, z0, 1.0, 1.0 / 400)
+        assert traj.modal.tobytes() == full.modal.tobytes()
+        assert traj.l2_norm.tobytes() == full.l2_norm.tobytes()
+        # The scan did drop modes: the last pass carried fewer than the first.
+        assert live[-1] < len(loop.A_TT) and live == sorted(live, reverse=True)
+        if rate is not None:
+            assert live == [0] and not traj.modal[1:].any()
 
     def test_norm_consistent_with_coefficients(self, demo_plant, demo_basis,
                                                demo_initial, demo_closed_loop):
@@ -730,6 +767,125 @@ class TestCsvEdgeTables:
         _export_and_check(tmp_path, traj, demo_basis, np.linspace(0.0, math.pi, 4))
         text = (tmp_path / "modal.csv").read_text()
         assert "nan" in text and ",inf" in text and "-inf" in text
+
+
+class TestCsvHelper:
+    """write_csvs shares every table of two blocks or more with one forked
+    helper; the bytes match the serial writer's, and the helper is always
+    reaped."""
+
+    @staticmethod
+    def _tables(traj, basis, grid, directory):
+        return [modal_table(traj, str(directory / "modal.csv")),
+                field_table(traj, basis, grid, str(directory / "field.csv")),
+                norms_table(traj, 1.5, 3.0, str(directory / "norms.csv"))]
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def _assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # The fields of the non-finite rows come out NaN.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize("serial", ["no memfd_create", "fork raises"])
+    def test_helper_matches_forced_serial(self, tmp_path, monkeypatch, serial):
+        """TestCsvWriter's 203-step table, with non-finite rows in the helper's
+        half, so that it takes the repr path there."""
+        from cascade_stab.simulator import Trajectory
+
+        gen = np.random.default_rng(20240611)
+        M, m, G = 101, 3, 103
+        steps = TestCsvWriter.STEPS
+        modal = gen.standard_normal((steps, M, m)) * 10.0 ** gen.integers(
+            -300, 300, size=(steps, M, m))
+        modal[150, 7, 1], modal[180, 0, 0], modal[190, 3, 2] = np.nan, np.inf, -np.inf
+        traj = Trajectory(times=np.arange(steps) * 0.0123, modal=modal,
+                          l2_norm=np.abs(gen.standard_normal(steps)))
+        traj.l2_norm[-1] = np.nan
+        basis, grid = build_basis(math.pi, 1.0, 0.0, M), np.linspace(0.0, math.pi, G)
+        shared = tmp_path / "shared"
+        alone = tmp_path / "serial"
+        shared.mkdir(), alone.mkdir()
+
+        tables = self._tables(traj, basis, grid, shared)
+        # The non-finite rows lie in the helper's half of the modal and
+        # field tables; the norms table is one block, written by the parent.
+        assert [table.half() for table in tables] == [104, 105, steps]
+        forks = self._count_forks(monkeypatch)
+        write_csvs(tables)
+        assert len(forks) == 1
+        self._assert_no_child()
+
+        if serial == "no memfd_create":
+            monkeypatch.delattr(os, "memfd_create")
+        else:
+            def refuse():
+                raise OSError("fork refused")
+            monkeypatch.setattr(os, "fork", refuse)
+        write_csvs(self._tables(traj, basis, grid, alone))
+
+        for name in ("modal.csv", "field.csv", "norms.csv"):
+            assert (shared / name).read_bytes() == (alone / name).read_bytes()
+        _assert_same_text((shared / "modal.csv").read_text(), _serial_modal(traj))
+        _assert_same_text((shared / "field.csv").read_text(),
+                          _serial_field(traj, basis, grid))
+        assert "nan" in (shared / "modal.csv").read_text()
+        assert sorted(os.listdir(shared)) == ["field.csv", "modal.csv", "norms.csv"]
+
+    @pytest.mark.parametrize("blocks, forks", [(2, 1), (1, 0)])
+    def test_fork_only_from_two_blocks(self, tmp_path, monkeypatch, blocks, forks):
+        """Tables of 2 blocks fork once; one step fewer forks not at all."""
+        width = 1000
+        block = _VALUES_PER_BLOCK // width
+        steps = 2 * block - (blocks == 1)
+        values = np.random.default_rng(5).standard_normal((steps, width))
+        tables = [CsvTable(str(tmp_path / f"{k}.csv"), "h", steps, width,
+                           lambda a, b: values[a:b]) for k in range(3)]
+        calls = self._count_forks(monkeypatch)
+        write_csvs(tables)
+        assert len(calls) == forks
+        self._assert_no_child()
+        for k in range(3):
+            assert (tmp_path / f"{k}.csv").read_text() == "h\n" + _repr_lines(values)
+
+    @pytest.mark.parametrize("where", ["helper", "parent"])
+    def test_failure_leaves_targets_and_no_child(self, tmp_path, monkeypatch, where):
+        """A helper that exits non-zero is a CsvHelperFailed; a parent that
+        fails kills its helper.  Either way the old target stays, no temp
+        file is left, and the helper is reaped."""
+        from cascade_stab import simulator
+
+        parent = os.getpid()
+        real_lines = simulator._csv_lines
+
+        def failing(block):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError("formatting failed")
+            return real_lines(block)
+
+        values = np.arange(2.0 * _VALUES_PER_BLOCK).reshape(-1, 4)  # two blocks
+        target = tmp_path / "table.csv"
+        target.write_text("old\n")
+        monkeypatch.setattr(simulator, "_csv_lines", failing)
+        expected = CsvHelperFailed if where == "helper" else RuntimeError
+        with pytest.raises(expected, match="status 1" if where == "helper" else "formatting"):
+            write_csvs([CsvTable(str(target), "a,b,c,d", len(values), 4,
+                                 lambda a, b: values[a:b])])
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+        self._assert_no_child()
 
 
 _table_shapes = array_shapes(min_dims=2, max_dims=2, max_side=12)
