@@ -717,6 +717,7 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     modal = np.empty((steps + 1, M, m))
     modal[:, :R] = Z_R.reshape(steps + 1, R, m)
     modal[:, R:] = X.transpose(2, 0, 1)
+    del X  # the norms' temporary can take its pages
     times = np.arange(steps + 1) * dt_out
     norms = np.linalg.norm(modal.reshape(steps + 1, -1), axis=1)
     return Trajectory(times=times, modal=modal, l2_norm=norms)
