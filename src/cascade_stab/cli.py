@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="modal vs direct baseline timings")
     add_shared(p_bench, "--plant", "--delta", "--out-dir")
     p_bench.add_argument("--N-list", dest="N_list", type=_positive_int_list,
-                         default=[2, 3, 5, 10, 15], help="comma-separated mode counts")
+                         default=[2, 3, 5, 10, 15])
     p_bench.add_argument("--repeats", type=_positive_int, default=5)
 
     return parser

@@ -49,7 +49,7 @@ import math
 import os
 import signal
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -704,7 +704,8 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     X[:, :, 0] = z0[R:]
     X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
     # Only the first `live` modes carry a nonzero power: past the last one,
-    # every product is an exact zero, so the scan stops carrying them.
+    # every product with a finite X is an exact zero, so the scan stops
+    # carrying them.
     power, shift = F_TT, 1
     while shift <= steps:
         live = _live_modes(power)
@@ -834,12 +835,12 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 _VALUES_PER_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class CsvTable:
+class CsvTable(NamedTuple):
     """A CSV file: the header line, then the rows of steps 0..steps-1.
 
     rows(start, stop) is the 2-D float table of steps start..stop-1, with
-    `width` values per step.
+    `width` values per step.  (A NamedTuple: a frozen dataclass would add
+    about a millisecond to every import.)
     """
 
     path: str
