@@ -191,19 +191,23 @@ class TestIntegrate:
         traj = integrate(loop, np.array([[0.0], [1.0]]), 1.0, 0.25)
         np.testing.assert_allclose(traj.modal[-1].reshape(-1), [1.0, 1.0], atol=1e-12)
 
-    @pytest.mark.parametrize("M, rate", [(150, None), (1, 1e6)])
+    @pytest.mark.parametrize("rates", [None, (1e6,), (1.0, 1e6)])
     def test_tail_scan_drops_underflowed_modes_exactly(self, demo_plant, demo_closed_loop,
-                                                       monkeypatch, M, rate):
+                                                       monkeypatch, rates):
         """Dropping the tail modes whose power of F_TT is exactly zero changes
         no bit against the full scan: on the demo closed loop, where the fast
-        modes underflow, and on one mode that underflows at once."""
+        modes underflow, and on scalar tail modes that decay at `rates`, the
+        fastest of which underflows in one step."""
         from cascade_stab import simulator
 
-        if rate is None:
+        if rates is None:
+            M = 150
             loop = assemble_closed_loop(demo_plant, demo_closed_loop[1],
                                         build_basis(math.pi, 1.0, 0.0, M), M)
         else:
-            loop = ClosedLoop(np.zeros((0, 0)), np.array([[[-rate]]]), np.zeros((1, 1, 0)))
+            M = len(rates)
+            loop = ClosedLoop(np.zeros((0, 0)), -np.array(rates).reshape(M, 1, 1),
+                              np.zeros((M, 1, 0)))
         z0 = np.random.default_rng(11).standard_normal((M, loop.A_TT.shape[1]))
         live = []
         real_live = simulator._live_modes
@@ -220,8 +224,12 @@ class TestIntegrate:
         assert traj.l2_norm.tobytes() == full.l2_norm.tobytes()
         # The scan did drop modes: the last pass carried fewer than the first.
         assert live[-1] < len(loop.A_TT) and live == sorted(live, reverse=True)
-        if rate is not None:
+        if rates == (1e6,):
             assert live == [0] and not traj.modal[1:].any()
+        if rates == (1.0, 1e6):
+            assert set(live) == {1}
+            np.testing.assert_allclose(traj.modal[:, 0, 0], z0[0, 0] * np.exp(-traj.times),
+                                       rtol=1e-12)
 
     def test_norm_consistent_with_coefficients(self, demo_plant, demo_basis,
                                                demo_initial, demo_closed_loop):
