@@ -908,6 +908,10 @@ class _Helper:
                     out.flush()
                     os.write(end, os.lseek(memfd, 0, os.SEEK_CUR).to_bytes(8, "little"))
             status = 0
+        except BaseException:
+            import traceback  # to the inherited stderr; the parent raises on the status
+            traceback.print_exc()
+            raise
         finally:
             os._exit(status)
 
