@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import os
-import signal
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn
 
@@ -943,6 +942,7 @@ class _Helper:
         try:
             if self.pid is not None:
                 if self.pending:
+                    import signal  # only here: importing it costs about 0.8 ms
                     os.kill(self.pid, signal.SIGKILL)
                 self._reap()
         finally:
