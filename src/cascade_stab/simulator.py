@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn
 
@@ -809,27 +810,34 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # CSV export.  Full-precision reals, byte for byte ",".join(map(repr, row)),
 # formatted by model._csv_lines in blocks of about _VALUES_PER_BLOCK values,
 # which keeps the memory of the byte buffers small next to the arrays being
-# written.
+# written.  Block k of a table is its steps k*block .. (k+1)*block - 1,
+# counted from step 0, so a block's text is the same whoever formats it.
 #
-# `write_csvs` formats on two CPUs.  A table of at least two blocks is split
-# at the block boundary nearest half its steps.  One forked helper process
-# formats the second half of every such table, table after table, into one
-# memfd, and after each table sends the end offset down a pipe.  Meanwhile
-# the parent writes the header and the first half into the `atomic_write`
-# temp file, then appends the helper's bytes with os.sendfile (kernel to
-# kernel, no copy in user space) and replaces the target.  The helper only
-# slices, stacks and formats arrays that exist before the fork, the fields
-# included (`field_table` calls `reconstruct_field` first): it computes
-# nothing through BLAS, whose threads do not survive a fork.  It leaves only
-# by os._exit, and the parent always reaps it, after killing it if the
-# parent stopped early; a helper that stops early is a CsvHelperFailed.
-# Where no table spans two blocks, or the platform has no fork or
-# memfd_create, or they fail, the split is the last step and the parent
-# formats every row in the same loop.  Costs: the fork takes the parent
-# about a millisecond and leaves its pages copy-on-write, so the next
-# command in the same process takes extra minor page faults; the memfd holds
-# about half of the CSV text (7.2 MB on a 400-mode run) outside either
-# process's RSS.
+# `write_csvs` formats on two CPUs, sharing the blocks by claims.  The claim
+# state (table, front, back) lives in an anonymous shared mapping and
+# changes only under an fcntl lock on a memfd, which the kernel drops if
+# the holder dies.  Blocks front..back-1 of `table` are unclaimed, and every
+# earlier table is fully claimed.  The parent claims blocks from the front
+# of the table it is writing and writes each into the `atomic_write` temp
+# file.  One forked helper process claims blocks from the back, moving on to
+# the next table once the current one is fully claimed; it writes each block
+# to the memfd and sends (table, block, start, stop) down a pipe.  When the
+# claims of a table meet, the parent appends the helper's blocks of it in
+# order with os.sendfile (kernel to kernel, no copy in user space), one call
+# per block, and replaces the target, while the helper is already on the
+# next table.  The helper only slices, stacks and formats arrays that exist
+# before the fork, the fields included (`field_table` calls
+# `reconstruct_field` first): it computes nothing through BLAS, whose
+# threads do not survive a fork.  It leaves only by os._exit, and the parent
+# always reaps it, after killing it if the parent stopped early; a helper
+# that stops early is a CsvHelperFailed.  Formatting a block takes about as
+# long as the fork, so the helper is forked only where the tables hold at
+# least two blocks' worth of values.  Below that, or where the platform has
+# no fork or memfd_create, or they fail, the parent claims every block
+# alone.  Costs: the fork takes the parent about a millisecond and leaves
+# its pages copy-on-write, so the next command in the same process takes
+# extra minor page faults; the memfd holds the helper's share of the CSV
+# text (about half) outside either process's RSS.
 
 _VALUES_PER_BLOCK = 8192
 
@@ -853,36 +861,85 @@ class CsvTable(NamedTuple):
         """Steps per formatted block."""
         return max(1, _VALUES_PER_BLOCK // max(1, self.width))
 
-    def half(self) -> int:
-        """First step of the helper's half: the block boundary nearest half
-        the steps, or `steps` for a table of fewer than two blocks."""
-        if self.steps < 2 * self.block:
-            return self.steps
-        return self.block * round(self.steps / (2 * self.block))
+    def blocks(self) -> int:
+        """The number of formatted blocks, the last one possibly short."""
+        return -(-self.steps // self.block)
+
+    def lines(self, k: int) -> str:
+        """The CSV lines of block k."""
+        start = k * self.block
+        return _csv_lines(self.rows(start, min(start + self.block, self.steps)))
 
 
-def _write_rows(fh, table: CsvTable, start: int, stop: int) -> None:
-    for a in range(start, stop, table.block):
-        fh.write(_csv_lines(table.rows(a, min(a + table.block, stop))))
+_STATE = struct.Struct("3q")    # the claim state (table, front, back)
+_MESSAGE = struct.Struct("4q")  # the helper's (table, block, start, stop)
+
+
+class _Claims:
+    """The (table, front, back) claim state, in a mapping shared across the
+    fork and changed only under an fcntl lock on the memfd fd."""
+
+    def __init__(self, fd: int, counts: list):
+        import fcntl
+        import mmap
+
+        self.fd, self.counts = fd, counts
+        self.lockf, self.lock_ex, self.lock_un = fcntl.lockf, fcntl.LOCK_EX, fcntl.LOCK_UN
+        self.map = mmap.mmap(-1, _STATE.size)
+        _STATE.pack_into(self.map, 0, 0, 0, counts[0])
+
+    def _swap(self, claim):
+        """Apply claim(table, front, back) -> (state, result) under the lock."""
+        self.lockf(self.fd, self.lock_ex)
+        try:
+            state, result = claim(*_STATE.unpack_from(self.map))
+            _STATE.pack_into(self.map, 0, *state)
+            return result
+        finally:
+            self.lockf(self.fd, self.lock_un)
+
+    def front(self, i: int) -> bool:
+        """Claim the next block of table i from the front; False once it is
+        fully claimed."""
+        def claim(table, front, back):
+            if table < i:  # table i - 1 is fully claimed
+                table, front, back = i, 0, self.counts[i]
+            if table > i or front == back:
+                return (table, front, back), False
+            return (table, front + 1, back), True
+        return self._swap(claim)
+
+    def back(self):
+        """Claim the last unclaimed block, as (table, block); None once every
+        table is fully claimed."""
+        def claim(table, front, back):
+            while front == back:
+                if table + 1 == len(self.counts):
+                    return (table, front, back), None
+                table, front, back = table + 1, 0, self.counts[table + 1]
+            return (table, front, back - 1), (table, back - 1)
+        return self._swap(claim)
+
+    def close(self) -> None:
+        self.map.close()
 
 
 class _Helper:
-    """The forked process that formats the second halves of the tables."""
+    """The forked process that claims blocks from the back, and the claim
+    state it shares with the parent."""
 
-    def __init__(self, pid: int, memfd: int, pipe: int, pending: int):
-        self.pid, self.memfd, self.pipe = pid, memfd, pipe
-        self.pending = pending  # tables whose bytes are not yet appended
-        self.offset = 0         # memfd bytes appended so far
+    def __init__(self, pid: int, memfd: int, pipe: int, claims: _Claims):
+        self.pid, self.memfd, self.pipe, self.claims = pid, memfd, pipe, claims
 
     @classmethod
-    def fork(cls, parts) -> _Helper | None:
-        """A helper formatting parts [(table, first step)], or None where
-        none starts."""
-        if not parts or not hasattr(os, "fork") or not hasattr(os, "memfd_create"):
+    def fork(cls, tables) -> _Helper | None:
+        """A helper sharing the blocks of `tables`, or None where none starts."""
+        if not hasattr(os, "fork") or not hasattr(os, "memfd_create"):
             return None
         fds = []
         try:
             fds.append(os.memfd_create("cascade-stab-csv", os.MFD_CLOEXEC))
+            claims = _Claims(fds[0], [table.blocks() for table in tables])
             fds += os.pipe()
             pid = os.fork()
         except OSError:
@@ -891,21 +948,25 @@ class _Helper:
             return None
         memfd, pipe, end = fds
         if pid == 0:
-            cls._serve(parts, memfd, pipe, end)
+            cls._serve(tables, claims, memfd, pipe, end)
         os.close(end)
-        return cls(pid, memfd, pipe, len(parts))
+        return cls(pid, memfd, pipe, claims)
 
     @staticmethod
-    def _serve(parts, memfd: int, pipe: int, end: int) -> NoReturn:
-        """The helper's whole life: format, send each end offset, _exit."""
+    def _serve(tables, claims: _Claims, memfd: int, pipe: int, end: int) -> NoReturn:
+        """The helper's whole life: claim, format, report each block, _exit."""
         status = 1
         try:
             os.close(pipe)
             with open(memfd, "w", encoding="ascii", closefd=False) as out:
-                for table, start in parts:
-                    _write_rows(out, table, start, table.steps)
+                start = 0
+                while (claim := claims.back()) is not None:
+                    i, k = claim
+                    out.write(tables[i].lines(k))
                     out.flush()
-                    os.write(end, os.lseek(memfd, 0, os.SEEK_CUR).to_bytes(8, "little"))
+                    stop = os.lseek(memfd, 0, os.SEEK_CUR)
+                    os.write(end, _MESSAGE.pack(i, k, start, stop))
+                    start = stop
             status = 0
         except BaseException:
             import traceback  # to the inherited stderr; the parent raises on the status
@@ -914,38 +975,45 @@ class _Helper:
         finally:
             os._exit(status)
 
-    def append_to(self, fd: int) -> None:
-        """Append the next table's bytes from the memfd to the file fd."""
+    def append_to(self, fd: int, i: int, first: int, table: CsvTable) -> None:
+        """Append the helper's blocks first.. of table i, in order, to the file fd."""
+        spans = [None] * (table.blocks() - first)
         data = b""
-        while len(data) < 8:
-            more = os.read(self.pipe, 8 - len(data))
+        while len(data) < _MESSAGE.size * len(spans):
+            more = os.read(self.pipe, _MESSAGE.size * len(spans) - len(data))
             if not more:
+                left = len(spans) - len(data) // _MESSAGE.size
                 code = self._reap()
                 raise CsvHelperFailed(
-                    f"the CSV helper process exited with status {code} "
-                    f"with {self.pending} table(s) unfinished")
+                    f"the CSV helper process exited with status {code} with "
+                    f"{left} claimed block(s) of {os.path.basename(table.path)} unwritten")
             data += more
-        stop = int.from_bytes(data, "little")
-        while self.offset < stop:
-            sent = os.sendfile(fd, self.memfd, self.offset, stop - self.offset)
-            if not sent:
-                raise CsvHelperFailed("the CSV helper's buffer ended early")
-            self.offset += sent
-        self.pending -= 1
+        for t, k, start, stop in _MESSAGE.iter_unpack(data):
+            if t != i or not first <= k < table.blocks() or spans[k - first]:
+                raise CsvHelperFailed(f"the CSV helper sent block {k} of table {t} "
+                                      f"while table {i} was being written")
+            spans[k - first] = (start, stop)
+        for start, stop in spans:
+            while start < stop:
+                sent = os.sendfile(fd, self.memfd, start, stop - start)
+                if not sent:
+                    raise CsvHelperFailed("the CSV helper's buffer ended early")
+                start += sent
 
     def _reap(self) -> int:
         pid, self.pid = self.pid, None
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
-    def close(self) -> None:
-        """Reap the helper, killing it first if tables are pending; close the fds."""
+    def close(self, kill: bool) -> None:
+        """Reap the helper, killing it first if asked; release what it shared."""
         try:
             if self.pid is not None:
-                if self.pending:
+                if kill:
                     import signal  # only here: importing it costs about 0.8 ms
                     os.kill(self.pid, signal.SIGKILL)
                 self._reap()
         finally:
+            self.claims.close()
             os.close(self.pipe)
             os.close(self.memfd)
 
@@ -954,23 +1022,28 @@ def write_csvs(tables) -> None:
     """Atomically write every CsvTable, on two processes where that pays.
 
     The files are written in order, each replacing its target only when
-    complete; see the comment above for how the work is shared.
+    complete; see the comment above for how the blocks are shared.
     """
-    cuts = [table.half() for table in tables]
-    helper = _Helper.fork([(t, cut) for t, cut in zip(tables, cuts) if cut < t.steps])
-    if helper is None:
-        cuts = [table.steps for table in tables]
+    tables = list(tables)
+    helper = None
+    if sum(table.steps * table.width for table in tables) >= 2 * _VALUES_PER_BLOCK:
+        helper = _Helper.fork(tables)
+    finished = False
     try:
-        for table, cut in zip(tables, cuts):
+        for i, table in enumerate(tables):
             with atomic_write(table.path) as fh:
                 fh.write(table.header + "\n")
-                _write_rows(fh, table, 0, cut)
-                if cut < table.steps:
+                k, n = 0, table.blocks()
+                while k < n and (helper is None or helper.claims.front(i)):
+                    fh.write(table.lines(k))
+                    k += 1
+                if k < n:
                     fh.flush()
-                    helper.append_to(fh.fileno())
+                    helper.append_to(fh.fileno(), i, k, table)
+        finished = True
     finally:
         if helper is not None:
-            helper.close()
+            helper.close(kill=not finished)
 
 
 def modal_table(traj: Trajectory, path: str) -> CsvTable:

@@ -273,7 +273,20 @@ def _lobatto_rule(points: int):
     return nodes, 2.0 / (points * (points - 1) * p(nodes) ** 2)
 
 
-_RULE_NODES, _RULE_WEIGHTS = _lobatto_rule(10)
+# _lobatto_rule(10), written out: computing it imports numpy.polynomial and
+# finds the roots, about 4 ms of every start.  A test checks the digits.
+# They are one string, not float literals, because Hypothesis draws numbers
+# from the literals in the package source: new ones would change the
+# examples of every property test.
+_RULE_NODES, _RULE_WEIGHTS = np.array([float(v) for v in """
+    -1.0 -0.9195339081664605 -0.7387738651055052 -0.4779249498104439
+    -0.16527895766638742 0.1652789576663872 0.47792494981044475
+    0.7387738651055051 0.9195339081664591 1.0
+    0.022222222222222185 0.13330599085107028 0.22488934206312652
+    0.2920426836796838 0.32753976118389744 0.32753976118389744
+    0.2920426836796838 0.22488934206312663 0.1333059908510702
+    0.022222222222222185
+""".split()]).reshape(2, 10)
 _MAX_LEVELS = 48
 
 

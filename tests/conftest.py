@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -97,3 +98,31 @@ def dense_closed_loop(loop: ClosedLoop) -> np.ndarray:
     A[r:, :r] = loop.A_TR.reshape(tail * m, r)
     A.reshape(M, m, M, m)[np.arange(N, M), :, np.arange(N, M), :] = loop.A_TT
     return A
+
+
+def helper_formats_first(monkeypatch, marker, in_helper=None):
+    """Make the CSV helper format before the parent does.
+
+    The CSV writer's `_csv_lines` is wrapped: in the helper it creates the
+    file `marker`, then calls in_helper() if given, before formatting; in the
+    parent it first waits for `marker` (for at most 30 s).  The parent holds
+    its first block while it waits, so a table of two blocks or more leaves
+    the helper at least one.
+    """
+    from cascade_stab import simulator
+
+    parent = os.getpid()
+    real_lines = simulator._csv_lines
+
+    def lines(block):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        else:
+            open(marker, "a").close()
+            if in_helper is not None:
+                in_helper()
+        return real_lines(block)
+
+    monkeypatch.setattr(simulator, "_csv_lines", lines)

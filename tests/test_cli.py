@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import cascade_stab
-from cascade_stab import cli
+from cascade_stab import cli, synthesis
 from cascade_stab.cli import main
-from cascade_stab.model import example_plant_dict, save_plant
+from cascade_stab.model import example_plant_dict, save_plant, write_json
 
-from conftest import random_plant
+from conftest import helper_formats_first, random_plant
 
 
 @pytest.fixture()
@@ -419,6 +419,32 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: malformed gains file: {key} has shape {shape}")
 
+    def test_gains_reader_gives_json_values(self, demo_gains):
+        """orjson's parse gives the values json's does, floats bit for bit."""
+        read = synthesis.gains_to_dict(*cli.load_gains(demo_gains))
+        assert json.dumps(read) == json.dumps(json.loads(open(demo_gains).read()))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_certificate_constant_is_parsed(self, tmp_path, plant_file,
+                                                        initial_file, demo_gains,
+                                                        capsys, value):
+        """write_json writes a non-finite M as Infinity or NaN, which orjson
+        refuses; the reader parses it as json does, and simulate runs."""
+        gains = json.loads(open(demo_gains).read())
+        gains["certificate"]["M"] = value
+        path = tmp_path / "nonfinite.json"
+        write_json(str(path), gains)
+        assert ("Infinity" if value == math.inf else "NaN") in path.read_text()
+        _, cert = cli.load_gains(str(path))
+        assert repr(cert.M) == repr(value)
+        rc = main(["simulate", "--plant", plant_file, "--gains", str(path),
+                   "--initial", initial_file, "--t-final", "0.2",
+                   "--out-dir", str(tmp_path / "sim")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("fitted decay rate: ")
+        bound = (tmp_path / "sim" / "norms.csv").read_text().splitlines()[1].split(",")[2]
+        assert bound == repr(value)
+
     def test_allocation_failure_is_an_input_error(self, tmp_path, plant_file,
                                                    initial_file, demo_gains, capsys):
         """A grid of 1e15 + 1 samples asks for more than any address space."""
@@ -651,7 +677,8 @@ class TestStrayLinAlgError:
 
 
 class TestCsvHelperProcess:
-    """simulate shares CSV formatting with one forked helper, always reaped."""
+    """simulate shares CSV formatting with one forked helper by block
+    claims; the helper is always reaped."""
 
     @staticmethod
     def _simulate(tmp_path, plant_file, initial_file):
@@ -676,20 +703,14 @@ class TestCsvHelperProcess:
 
     def test_failed_helper_is_an_internal_error(self, tmp_path, plant_file,
                                                 initial_file, monkeypatch, capsys):
-        from cascade_stab import simulator
-
-        parent = os.getpid()
-        real_lines = simulator._csv_lines
-
-        def helper_fails(block):
-            if os.getpid() != parent:
-                os._exit(7)
-            return real_lines(block)
-
-        monkeypatch.setattr(simulator, "_csv_lines", helper_fails)
+        """The helper exits at its first block, the last of modal.csv, which
+        the parent waits for: no CSV is written."""
+        helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
+                             lambda: os._exit(7))
         assert self._simulate(tmp_path, plant_file, initial_file) == 3
         err = capsys.readouterr().err
-        assert err.startswith("internal error: the CSV helper process exited with status 7")
+        assert err.startswith("internal error: the CSV helper process exited with status 7 "
+                              "with 1 claimed block(s) of modal.csv unwritten")
         assert os.listdir(tmp_path / "out") == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -721,6 +742,20 @@ def _run_fresh(code: str, *args: str) -> str:
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
                           env=env, capture_output=True, text=True, check=True)
     return done.stdout
+
+
+class TestColdImport:
+    """Importing the CLI loads none of the modules that only some paths use."""
+
+    DEFERRED = ("statistics", "numpy.polynomial", "scipy", "fcntl", "mmap", "signal")
+
+    def test_import_defers_path_only_modules(self):
+        out = _run_fresh(f"""
+            import sys
+            import cascade_stab.cli
+            print(sorted(m for m in {self.DEFERRED!r} if m in sys.modules))
+        """)
+        assert out.splitlines()[-1] == "[]"
 
 
 class TestNoScipyOnCommandPath:

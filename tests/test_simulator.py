@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -778,9 +779,23 @@ class TestCsvEdgeTables:
 
 
 class TestCsvHelper:
-    """write_csvs shares every table of two blocks or more with one forked
-    helper; the bytes match the serial writer's, and the helper is always
-    reaped."""
+    """write_csvs shares the blocks of its tables with one forked helper by
+    claims: every block is formatted exactly once, the bytes match the serial
+    writer's whoever formats what, and the helper is always reaped."""
+
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        """Fail, rather than hang, a test whose writer waits forever."""
+        import signal
+
+        def expire(signum, frame):
+            raise TimeoutError("write_csvs still running after 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
     @staticmethod
     def _tables(traj, basis, grid, directory):
@@ -805,13 +820,50 @@ class TestCsvHelper:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def _logged_tables(directory, shapes, log):
+        """Tables "k.csv" of the given (steps, width), header "h", whose rows
+        calls each append "table start stop pid" to the file `log`."""
+        gen = np.random.default_rng(11)
+        tables, values = [], []
+        for k, (steps, width) in enumerate(shapes):
+            v = gen.standard_normal((steps, width))
+
+            def rows(a, b, k=k, v=v):
+                with open(log, "a") as fh:
+                    fh.write(f"{k} {a} {b} {os.getpid()}\n")
+                return v[a:b]
+
+            tables.append(CsvTable(str(directory / f"{k}.csv"), "h", steps, width, rows))
+            values.append(v)
+        return tables, values
+
+    @classmethod
+    def _check_logged(cls, directory, tables, values, log):
+        """Each block formatted exactly once, the serial writer's bytes, and
+        no other file; the pids that formatted blocks."""
+        calls = sorted(tuple(map(int, line.split()[:3]))
+                       for line in open(log).read().splitlines()) if os.path.exists(log) else []
+        expected = sorted((k, a, min(a + t.block, t.steps)) for k, t in enumerate(tables)
+                          for a in range(0, t.steps, t.block))
+        assert calls == expected
+        for k, v in enumerate(values):
+            assert (directory / f"{k}.csv").read_text() == "h\n" + _repr_lines(v)
+        assert sorted(os.listdir(directory)) == sorted(f"{k}.csv" for k in range(len(tables)))
+        cls._assert_no_child()
+        return {int(line.split()[3]) for line in open(log)} if calls else set()
+
     # The fields of the non-finite rows come out NaN.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     @pytest.mark.parametrize("serial", ["no memfd_create", "fork raises"])
     def test_helper_matches_forced_serial(self, tmp_path, monkeypatch, serial):
-        """TestCsvWriter's 203-step table, with non-finite rows in the helper's
-        half, so that it takes the repr path there."""
+        """TestCsvWriter's 203-step table, with non-finite rows in the last
+        block of the modal table, which the helper claims first; the parent
+        waits for it there, so that the helper takes the repr path."""
+        from cascade_stab import simulator
         from cascade_stab.simulator import Trajectory
+
+        from conftest import helper_formats_first
 
         gen = np.random.default_rng(20240611)
         M, m, G = 101, 3, 103
@@ -828,14 +880,16 @@ class TestCsvHelper:
         shared.mkdir(), alone.mkdir()
 
         tables = self._tables(traj, basis, grid, shared)
-        # The non-finite rows lie in the helper's half of the modal and
-        # field tables; the norms table is one block, written by the parent.
-        assert [table.half() for table in tables] == [104, 105, steps]
+        last = tables[0].block * (tables[0].blocks() - 1)
+        assert last <= 190 < steps  # the -inf lies in the modal table's last block
+        real_lines = simulator._csv_lines
+        helper_formats_first(monkeypatch, str(tmp_path / "helper-started"))
         forks = self._count_forks(monkeypatch)
         write_csvs(tables)
         assert len(forks) == 1
         self._assert_no_child()
 
+        monkeypatch.setattr(simulator, "_csv_lines", real_lines)
         if serial == "no memfd_create":
             monkeypatch.delattr(os, "memfd_create")
         else:
@@ -852,12 +906,73 @@ class TestCsvHelper:
         assert "nan" in (shared / "modal.csv").read_text()
         assert sorted(os.listdir(shared)) == ["field.csv", "modal.csv", "norms.csv"]
 
-    @pytest.mark.parametrize("blocks, forks", [(2, 1), (1, 0)])
-    def test_fork_only_from_two_blocks(self, tmp_path, monkeypatch, blocks, forks):
-        """Tables of 2 blocks fork once; one step fewer forks not at all."""
+    @seed(17)
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 24)), max_size=4))
+    def test_every_block_formatted_once(self, shapes):
+        """Any tables, with 16-value blocks: 0-step and one-block tables
+        among them.  The helper is forked where they hold two blocks'
+        worth of values."""
+        import pathlib
+        import tempfile
+        from unittest import mock
+
+        from cascade_stab import simulator
+
+        # tmp_path would be shared by the examples, so each makes its own.
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(simulator, "_VALUES_PER_BLOCK", 16), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            directory, log = pathlib.Path(tmp) / "out", os.path.join(tmp, "log")
+            directory.mkdir()
+            tables, values = self._logged_tables(directory, shapes, log)
+            write_csvs(tables)
+            assert fork.call_count == (sum(s * w for s, w in shapes) >= 32)
+            self._check_logged(directory, tables, values, log)
+
+    @pytest.mark.parametrize("slow", ["parent", "helper"])
+    def test_imbalance_gives_the_same_bytes(self, tmp_path, monkeypatch, slow):
+        """A side that formats slowly leaves the other more blocks; the
+        files do not change."""
+        from cascade_stab import simulator
+
+        parent = os.getpid()
+        real_lines = simulator._csv_lines
+
+        def lines(block):
+            if (os.getpid() == parent) == (slow == "parent"):
+                time.sleep(0.005)
+            return real_lines(block)
+
+        monkeypatch.setattr(simulator, "_csv_lines", lines)
+        directory, log = tmp_path / "out", str(tmp_path / "log")
+        directory.mkdir()
+        # 1000-value rows: 8 steps a block, 5, 1 and 6 blocks.
+        tables, values = self._logged_tables(directory, [(40, 1000), (3, 1000), (41, 1000)], log)
+        forks = self._count_forks(monkeypatch)
+        write_csvs(tables)
+        assert len(forks) == 1
+        self._check_logged(directory, tables, values, log)
+
+    def test_contended_claims(self, tmp_path, monkeypatch):
+        """3000 one-value blocks: the two processes claim back to back, and
+        every block is still formatted exactly once."""
+        from cascade_stab import simulator
+
+        monkeypatch.setattr(simulator, "_VALUES_PER_BLOCK", 1)
+        directory, log = tmp_path / "out", str(tmp_path / "log")
+        directory.mkdir()
+        tables, values = self._logged_tables(directory, [(1000, 1)] * 3, log)
+        forks = self._count_forks(monkeypatch)
+        write_csvs(tables)
+        assert len(forks) == 1
+        self._check_logged(directory, tables, values, log)
+
+    @pytest.mark.parametrize("steps, forks", [(6, 1), (5, 0)])
+    def test_fork_from_two_blocks_of_values(self, tmp_path, monkeypatch, steps, forks):
+        """Three tables of 1000-value rows fork once from 2 * 8192 values
+        among them (6 steps each), and not at all below (5 steps each)."""
         width = 1000
-        block = _VALUES_PER_BLOCK // width
-        steps = 2 * block - (blocks == 1)
         values = np.random.default_rng(5).standard_normal((steps, width))
         tables = [CsvTable(str(tmp_path / f"{k}.csv"), "h", steps, width,
                            lambda a, b: values[a:b]) for k in range(3)]
@@ -870,30 +985,77 @@ class TestCsvHelper:
 
     @pytest.mark.parametrize("where", ["helper", "parent"])
     def test_failure_leaves_targets_and_no_child(self, tmp_path, monkeypatch, where):
-        """A helper that exits non-zero is a CsvHelperFailed; a parent that
-        fails kills its helper.  Either way the old target stays, no temp
-        file is left, and the helper is reaped."""
+        """A helper that exits non-zero with a claimed block is a
+        CsvHelperFailed; a parent that fails kills its helper.  Either way
+        the old target stays, no temp file is left, and the helper is
+        reaped."""
         from cascade_stab import simulator
 
-        parent = os.getpid()
-        real_lines = simulator._csv_lines
+        from conftest import helper_formats_first
 
-        def failing(block):
-            if (os.getpid() == parent) == (where == "parent"):
-                raise RuntimeError("formatting failed")
-            return real_lines(block)
+        def fail():
+            raise RuntimeError("formatting failed")
 
+        if where == "helper":
+            helper_formats_first(monkeypatch, str(tmp_path / "helper-started"), fail)
+        else:
+            parent, real_lines = os.getpid(), simulator._csv_lines
+            monkeypatch.setattr(simulator, "_csv_lines", lambda block: (
+                fail() if os.getpid() == parent else real_lines(block)))
         values = np.arange(2.0 * _VALUES_PER_BLOCK).reshape(-1, 4)  # two blocks
         target = tmp_path / "table.csv"
         target.write_text("old\n")
-        monkeypatch.setattr(simulator, "_csv_lines", failing)
         expected = CsvHelperFailed if where == "helper" else RuntimeError
         with pytest.raises(expected, match="status 1" if where == "helper" else "formatting"):
             write_csvs([CsvTable(str(target), "a,b,c,d", len(values), 4,
                                  lambda a, b: values[a:b])])
         assert target.read_text() == "old\n"
-        assert os.listdir(tmp_path) == ["table.csv"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["table.csv"] + (["helper-started"] if where == "helper" else []))
         self._assert_no_child()
+
+    def test_helper_killed_holding_a_claim(self, tmp_path, monkeypatch):
+        """SIGKILL while the helper formats a claimed block: a CsvHelperFailed
+        that names the status, the old targets stay, no temp file is left,
+        and no child remains."""
+        import signal
+
+        from conftest import helper_formats_first
+
+        directory, log = tmp_path / "out", str(tmp_path / "log")
+        directory.mkdir()
+        tables, _ = self._logged_tables(directory, [(40, 1000), (40, 1000)], log)
+        for table in tables:
+            with open(table.path, "w") as fh:
+                fh.write("old\n")
+        helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
+                             lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(CsvHelperFailed, match=r"exited with status -9 with 1 "
+                                                  r"claimed block\(s\) of 0.csv unwritten"):
+            write_csvs(tables)
+        assert [open(t.path).read() for t in tables] == ["old\n", "old\n"]
+        assert sorted(os.listdir(directory)) == ["0.csv", "1.csv"]
+        self._assert_no_child()
+
+    def test_helper_killed_holding_the_lock(self, tmp_path, monkeypatch):
+        """A helper killed at its first claim, with the lock held, leaves the
+        lock to the parent, which formats every block itself."""
+        import fcntl
+        import signal
+
+        parent, real_lockf = os.getpid(), fcntl.lockf
+
+        def lockf(fd, op, *args):
+            real_lockf(fd, op, *args)
+            if os.getpid() != parent and op == fcntl.LOCK_EX:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(fcntl, "lockf", lockf)
+        directory, log = tmp_path / "out", str(tmp_path / "log")
+        directory.mkdir()
+        tables, values = self._logged_tables(directory, [(40, 1000), (40, 1000)], log)
+        write_csvs(tables)
+        assert self._check_logged(directory, tables, values, log) == {parent}
 
 
 _table_shapes = array_shapes(min_dims=2, max_dims=2, max_side=12)

@@ -14,9 +14,12 @@ from cascade_stab.errors import (
 from cascade_stab.model import ShapeFunction
 from cascade_stab.spectral import (
     _PI_LO,
+    _RULE_NODES,
+    _RULE_WEIGHTS,
     SpectralBasis,
     _grid_roots,
     _check_boundary_residuals,
+    _lobatto_rule,
     adaptive_simpson,
     build_basis,
     expand,
@@ -251,6 +254,12 @@ class TestProject:
 
 
 class TestProjectCallable:
+    def test_rule_literals_are_the_lobatto_rule(self):
+        # Bit for bit: the literals are the digits _lobatto_rule(10) computes.
+        nodes, weights = _lobatto_rule(10)
+        assert _RULE_NODES.tobytes() == nodes.tobytes()
+        assert _RULE_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_gram_matrix_is_identity(self):
         basis = build_basis(math.pi, 1.0, 1.0, 10)
         modes = range(1, 11)
