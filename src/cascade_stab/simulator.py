@@ -18,11 +18,12 @@ approximant and square of such a matrix is one, with
     RR = X_RR Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR Y_RR + X_TT @ Y_TR
 
 for its product (Van Loan, IEEE Trans. Automat. Control 23(3), 1978).
-`_expm_blocks` runs the algorithm of `expm` once on the retained block
-(mN x mN), the stack of tail blocks (tail, m, m) and the coupling
-(tail m) x mN.  One scaling serves the whole matrix, so the retained block
-F_RR, which a fast tail block may over-scale, is taken from `expm` of
-A_RR alone instead.
+`_expm_blocks` gives all three blocks of the step in one call.  It balances
+and scales the retained block (mN x mN) and the stack of tail blocks
+(tail, m, m) once each; F_RR is the retained block's own exponential.  The
+coupling (tail m) x mN enters exp linearly, so F_TT and F_TR take their
+balancing and their Pade degree and squarings from the diagonal blocks
+alone, in one structured Pade step and its squarings.
 
 `expm` is numpy's own, so no command needs scipy: the scaling-and-squaring
 algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009) on
@@ -38,9 +39,9 @@ not settle the choice, each slice takes the least Pade degree m in
 squarings; the bound's correction ell needs the 1-norm of |A|^(2m+1) only
 where ||A||^(2m+1) does not already settle it.  Each degree's approximants
 come from one stacked solve, the squarings run on the slices that still
-need them, and the result is scaled back by D.  Balancing, the choice of
-(m, s) and the Pade step reach the matrices only through an operations
-object, `_Stack` for a stack or `_Blocks` for the block form.
+need them, and the result is scaled back by D.  The Pade step reaches the
+matrices only through an operations object, `_Stack` for a stack or
+`_Blocks` for the block form.
 """
 
 from __future__ import annotations
@@ -200,41 +201,15 @@ _BALANCE_SWEEPS = 64
 
 
 class _Stack:
-    """The matrix operations of the exponential on a (g, n, n) stack."""
+    """The operations of the Pade step on a (g, n, n) stack."""
 
     mul = staticmethod(np.matmul)
     solve = staticmethod(np.linalg.solve)
 
     @staticmethod
-    def order(X: np.ndarray) -> int:
-        return X.shape[-1]
-
-    @staticmethod
     def diags(X: np.ndarray) -> tuple:
         """Writable views of the diagonals, (g, n)."""
         return (np.einsum("gii->gi", X),)
-
-    @staticmethod
-    def rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v_i^T X_i for the rows v_i of v, (g, n)."""
-        return (v[:, None, :] @ X)[:, 0]
-
-    @staticmethod
-    def matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """X_i v_i for the rows v_i of v, (g, n)."""
-        return (X @ v[:, :, None])[:, :, 0]
-
-    @staticmethod
-    def colsums(X: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Column sums of abs(X), (g, n), using the scratch `work` of X's shape."""
-        return np.ones(X.shape[-1]) @ np.abs(X, out=work)
-
-    @staticmethod
-    def similarity(X: np.ndarray, d: np.ndarray, undo: bool = False) -> None:
-        """X <- D^-1 X D in place with D = diag(d) per slice; D X D^-1 if undo."""
-        rows, cols = d[:, :, None], d[:, None, :]
-        X *= rows if undo else cols
-        X /= cols if undo else rows
 
 
 class _Blocks:
@@ -262,49 +237,32 @@ class _Blocks:
                 X[a:b].reshape(self.tail, self.m, self.m),
                 X[b:].reshape(self.tail, self.m, self.r))
 
-    def order(self, X: np.ndarray) -> int:
-        return self.r + self.tail * self.m
-
     def diags(self, X: np.ndarray) -> tuple:
         RR, TT, _ = self.split(X)
         return np.einsum("ii->i", RR), np.einsum("tii->ti", TT)
 
-    def rmatvec(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def unbalance(self, X: np.ndarray, d_R: np.ndarray, d_T: np.ndarray) -> None:
+        """X <- D X D^-1 in place, with D = diag(d_R, d_T) and d_T of shape (tail, m)."""
         RR, TT, TR = self.split(X)
-        r = self.r
-        out = np.empty_like(v)
-        out[0, :r] = v[0, :r] @ RR + v[0, r:] @ TR.reshape(-1, r)
-        out[0, r:] = (v[0, r:].reshape(self.tail, 1, self.m) @ TT).reshape(-1)
-        return out
-
-    def matvec(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-        RR, TT, TR = self.split(X)
-        r = self.r
-        out = np.empty_like(v)
-        out[0, :r] = RR @ v[0, :r]
-        out[0, r:] = TR.reshape(-1, r) @ v[0, :r]
-        out[0, r:] += (TT @ v[0, r:].reshape(self.tail, self.m, 1)).reshape(-1)
-        return out
-
-    def colsums(self, X: np.ndarray, work: np.ndarray) -> np.ndarray:
-        return self.rmatvec(np.abs(X, out=work), np.ones((1, self.order(X))))
-
-    def similarity(self, X: np.ndarray, d: np.ndarray, undo: bool = False) -> None:
-        RR, TT, TR = self.split(X)
-        d_R, d_T = d[0, :self.r], d[0, self.r:].reshape(self.tail, self.m, 1)
+        d_T = d_T[:, :, None]
         for B, rows, cols in ((RR, d_R[:, None], d_R),
                               (TT, d_T, d_T.transpose(0, 2, 1)), (TR, d_T, d_R)):
-            B *= rows if undo else cols
-            B /= cols if undo else rows
+            B *= rows
+            B /= cols
 
     def mul(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(X) if out is None else out
-        (XR, XT, XC), (YR, YT, YC), (OR, OT, OC) = map(self.split, (X, Y, out))
+        (XR, XT, _), (YR, YT, _), (OR, OT, _) = map(self.split, (X, Y, out))
         np.matmul(XR, YR, out=OR)
         np.matmul(XT, YT, out=OT)
+        self.couple(X, Y, out)
+        return out
+
+    def couple(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> None:
+        """Write only the coupling X_TR Y_RR + X_TT @ Y_TR of X Y into out's."""
+        (_, XT, XC), (YR, _, YC), (_, _, OC) = map(self.split, (X, Y, out))
         np.matmul(XC.reshape(-1, self.r), YR, out=OC.reshape(-1, self.r))
         OC += XT @ YC
-        return out
 
     def solve(self, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Q^-1 V: X_RR and the stacked X_TT, then X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
@@ -320,7 +278,7 @@ class _Blocks:
         return X
 
 
-def _balance(A: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple[np.ndarray, np.ndarray]:
+def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Balance every slice of A in place as D^-1 A D; return (d, 1-norms).
 
     D = diag(d) holds powers of two, so the scaling adds no rounding.
@@ -334,17 +292,15 @@ def _balance(A: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple[np.ndarray, n
     (g, n) for g slices of order n.
     """
     absA = np.abs(A, out=work)
-    diags = ops.diags(absA)
-    diag = np.concatenate([v.reshape(len(A), -1) for v in diags], axis=1)
-    for v in diags:
-        v[...] = 0.0
+    diag = np.einsum("gii->gi", absA).copy()
+    np.einsum("gii->gi", absA)[:] = 0.0
     k = np.zeros(diag.shape)
     best = np.full(len(A), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(_BALANCE_SWEEPS):
             d = np.exp2(k)
-            c = d * ops.rmatvec(absA, 1.0 / d)
-            r = ops.matvec(absA, d) / d
+            c = d * ((1.0 / d)[:, None, :] @ absA)[:, 0]
+            r = (absA @ d[:, :, None])[:, :, 0] / d
             norm = (c + diag).max(axis=1)
             if sweep == 0:
                 original = norm
@@ -359,12 +315,12 @@ def _balance(A: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple[np.ndarray, n
     if not keep.any():
         return np.ones_like(k), original
     d = np.exp2(np.where(keep[:, None], k, 0.0))
-    ops.similarity(A, d)
+    A *= d[:, None, :]
+    A /= d[:, :, None]
     return d, np.where(keep, norm, original)
 
 
-def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s,
-         ops=_Stack) -> np.ndarray:
+def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
     """Extra squarings ell(2^-s A, m) of Al-Mohy and Higham for slices i of A.
 
     ell = max(0, ceil(log2(alpha / u) / 2m)) with u = 2^-53 and
@@ -384,12 +340,12 @@ def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s,
     need = np.flatnonzero(log2_bound > 0.0)
     if need.size:
         absA = np.abs(A[i[need]])
-        absA /= norm[i[need]].reshape((-1,) + (1,) * (absA.ndim - 1))
-        v = np.ones((need.size, ops.order(A)))
+        absA /= norm[i[need], None, None]
+        v = np.ones((need.size, A.shape[-1]))
         log2_ratio = np.zeros(need.size)  # log2 of ||abs(A)^p|| / ||A||^p
         with np.errstate(divide="ignore"):
             for _ in range(2 * m + 1):
-                v = ops.rmatvec(absA, v)
+                v = (v[:, None, :] @ absA)[:, 0]
                 top = v.max(axis=1)
                 log2_ratio += np.log2(top)
                 v /= np.where(top > 0.0, top, 1.0)[:, None]
@@ -405,7 +361,7 @@ def _squarings(eta: np.ndarray) -> np.ndarray:
     return np.where(eta > 0.0, np.maximum(s, 0.0), 0.0).astype(int)
 
 
-def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10, ops=_Stack):
+def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
     """Pade degree m in (7, 9, 13) and squarings s for slices i of A.
 
     For slices that degrees 3 and 5 do not serve (Al-Mohy and Higham):
@@ -419,29 +375,33 @@ def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10, ops=_St
     for m in (7, 9):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(A, i[cand], norm, m, 0, ops) == 0]] = m
+            deg[cand[_ell(A, i[cand], norm, m, 0) == 0]] = m
     big = np.flatnonzero(deg == 13)
     if big.size:
         s13 = _squarings(np.minimum(eta[big], np.maximum(d8[big], d10[big])))
-        s[big] = s13 + _ell(A, i[big], norm, 13, s13, ops)
+        s[big] = s13 + _ell(A, i[big], norm, 13, s13)
     return deg, s
 
 
-def _scaling(P: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple:
-    """Balance and choose the Pade degree m and squarings s of every slice.
+def _scaling(A: np.ndarray) -> tuple:
+    """Balance a (g, n, n) stack; choose each slice's Pade degree m and squarings s.
 
-    P[0] holds the g slices of A; they are balanced in place (`_balance`),
-    and P[1:] receives A^2, A^4 and A^6 of the balanced slices.  Returns d
-    of the balancing and (m, s) per slice (Al-Mohy and Higham): degree 3 or
-    5 where eta = max(d4, d6), d_p = ||A^p||_1^(1/p), is below theta_m and
-    ell is 0, else `_choose` from d6, d8 and d10.
+    Returns (P, work, d, m, s).  P, of shape (4, g, n, n), holds the slices
+    balanced as D^-1 A D (`_balance`) and their A^2, A^4 and A^6; `work` is
+    scratch of A's shape.  (m, s) per slice follows Al-Mohy and Higham:
+    degree 3 or 5 where eta = max(d4, d6), d_p = ||A^p||_1^(1/p), is below
+    theta_m and ell is 0, else `_choose` from d6, d8 and d10.
     """
-    d, norm = _balance(P[0], work, ops)
-    ops.mul(P[0], P[0], out=P[1])
-    ops.mul(P[1], P[1], out=P[2])
-    ops.mul(P[2], P[1], out=P[3])
-    col4 = ops.colsums(P[2], work)
-    norm4, norm6 = col4.max(axis=1), ops.colsums(P[3], work).max(axis=1)
+    P = np.empty((4,) + A.shape)
+    work = np.empty(A.shape)
+    P[0] = A
+    d, norm = _balance(P[0], work)
+    np.matmul(P[0], P[0], out=P[1])
+    np.matmul(P[1], P[1], out=P[2])
+    np.matmul(P[2], P[1], out=P[3])
+    ones = np.ones(A.shape[-1])
+    col4 = ones @ np.abs(P[2], out=work)  # column sums
+    norm4, norm6 = col4.max(axis=1), (ones @ np.abs(P[3], out=work)).max(axis=1)
     d4, d6 = norm4 ** (1 / 4), norm6 ** (1 / 6)
 
     deg = np.full(len(norm), 13)
@@ -450,7 +410,7 @@ def _scaling(P: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple:
     for m in (3, 5):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(P[0], cand, norm, m, 0, ops) == 0]] = m
+            deg[cand[_ell(P[0], cand, norm, m, 0) == 0]] = m
     i = np.flatnonzero(deg == 13)
     if i.size:
         # ||A^8|| and ||A^10|| lie between ||A^8 x|| and ||A^4||^2, and
@@ -458,22 +418,22 @@ def _scaling(P: np.ndarray, work: np.ndarray, ops=_Stack) -> tuple:
         # column of A^4.  Where (m, s) is the same at both ends, it is what
         # the exact norms give; the powers are formed only for the other
         # slices.
-        e = np.zeros((i.size, ops.order(P[0])))
+        e = np.zeros((i.size, A.shape[-1]))
         e[np.arange(i.size), col4[i].argmax(axis=1)] = 1.0
-        x = ops.matvec(P[2][i], e)
-        low8 = np.abs(ops.matvec(P[2][i], x)).sum(axis=1) ** (1 / 8)
-        low10 = np.abs(ops.matvec(P[3][i], x)).sum(axis=1) ** (1 / 10)
-        low = _choose(P[0], i, norm, d6[i], low8, low10, ops)
-        high = _choose(P[0], i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10), ops)
+        x = P[2][i] @ e[:, :, None]
+        low8 = np.abs(P[2][i] @ x)[:, :, 0].sum(axis=1) ** (1 / 8)
+        low10 = np.abs(P[3][i] @ x)[:, :, 0].sum(axis=1) ** (1 / 10)
+        low = _choose(P[0], i, norm, d6[i], low8, low10)
+        high = _choose(P[0], i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10))
         deg[i], s[i] = low
         i = i[(low[0] != high[0]) | (low[1] != high[1])]
         if i.size:
             def d_p(X, p):
-                return ops.colsums(X, work[i]).max(axis=1) ** (1 / p)
-            d8 = d_p(ops.mul(P[3][i], P[1][i]), 8)
-            d10 = d_p(ops.mul(P[2][i], P[3][i]), 10)
-            deg[i], s[i] = _choose(P[0], i, norm, d6[i], d8, d10, ops)
-    return d, deg, s
+                return (ones @ np.abs(X, out=work[i])).max(axis=1) ** (1 / p)
+            d8 = d_p(np.matmul(P[3][i], P[1][i]), 8)
+            d10 = d_p(np.matmul(P[2][i], P[3][i]), 10)
+            deg[i], s[i] = _choose(P[0], i, norm, d6[i], d8, d10)
+    return P, work, d, deg, s
 
 
 def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
@@ -561,12 +521,17 @@ def expm(A) -> np.ndarray:
         return A.copy()
     if n == 1:
         return np.exp(A)
-    # A, A^2, A^4, A^6 of the balanced slices, and one scratch stack.
-    P = np.empty((4, g, n, n))
-    work = np.empty((g, n, n))
-    P[0] = A
-    d, deg, s = _scaling(P, work)
+    return _exponentiate(*_scaling(A))
 
+
+def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarray,
+                  s: np.ndarray) -> np.ndarray:
+    """The exponentials of the slices of a stack from its `_scaling`.
+
+    Every slice takes its degree-deg Pade approximant and s squarings, and
+    is scaled back by its D; P and work are overwritten, d is not.
+    """
+    g, n = P.shape[1:3]
     # Triangular slices that square keep an exact band (Code Fragment 2.1),
     # lower triangular ones as their transposes: r(A^T) = r(A)^T for the
     # same (m, s), and D^-1 A D transposes to D A^T D^-1.
@@ -581,7 +546,7 @@ def expm(A) -> np.ndarray:
         triangular = (upper & (s > 0)) | flip
         if flip.any():
             P[:, flip] = P[:, flip].transpose(0, 1, 3, 2)
-            d[flip] = 1.0 / d[flip]
+            d = np.where(flip[:, None], 1.0 / d, d)
 
     # Sorted by degree, then by s, each degree is a contiguous block and
     # the slices still squaring at step j are a suffix.
@@ -613,7 +578,8 @@ def expm(A) -> np.ndarray:
             _exact_band(band, T[fix], np.exp2(j - s[tri[fix]]))
             X[tri[fix]] = band
     if (d != 1.0).any():
-        _Stack.similarity(X, d, undo=True)
+        X *= d[:, :, None]
+        X /= d[:, None, :]
     if order is not None:
         X[order] = X.copy()
     if flip.any():
@@ -626,22 +592,45 @@ def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
 
     A_RR is r x r, A_TT the (tail, m, m) diagonal blocks and A_TR the
     (tail, m, r) coupling; returns F_RR, F_TT and F_TR of the same shapes.
-    `expm`'s algorithm carried out in `_Blocks` form, with one (m, s) for
-    the whole matrix: balancing and `_scaling`, one structured Pade solve
-    and s structured squarings.
+    `_scaling` balances and scales the retained block and the tail stack
+    once each, and F_RR is the retained block's exponential, as `expm`
+    computes it.  The coupling enters the exponential linearly, so the
+    whole matrix takes its balancing D = (d_R, d_T) and its (m, s) from the
+    diagonal blocks alone, as Al-Mohy and Higham scale the block matrix of
+    the Frechet derivative (SIAM J. Matrix Anal. Appl. 30(4), 2009): S is
+    the largest s of any block, with degree 13, or the largest block degree
+    where S = 0.  One structured Pade step and S structured squarings then
+    give F_TT and F_TR.
     """
     tail, m, r = A_TR.shape
     ops = _Blocks(r, tail, m)
+    P_R, work_R, d_R, deg_R, s_R = _scaling(A_RR[None])
+    P_T, _, d_T, deg_T, s_T = _scaling(A_TT)
+    # A, A^2, A^4 and A^6 of the balanced matrix: the blocks' own powers on
+    # the diagonal, and only the coupling parts formed here.
     P = np.empty((4, 1, ops.size))
+    for k in range(4):
+        RR, TT, _ = ops.split(P[k])
+        RR[:], TT[:] = P_R[k, 0], P_T[k]
+    # F_RR as expm computes it, before the block step, whose buffers can
+    # then take its pages.
+    F_RR = np.exp(A_RR) if r == 1 else _exponentiate(P_R, work_R, d_R, deg_R, s_R)[0]
+    del P_R, work_R
+    TR = ops.split(P[0])[2]
+    np.multiply(A_TR, d_R[0], out=TR)
+    TR /= d_T[:, :, None]
+    ops.couple(P[0], P[0], P[1])
+    ops.couple(P[1], P[1], P[2])
+    ops.couple(P[2], P[1], P[3])
+    S = int(max(s_R.max(), s_T.max()))
+    deg = 13 if S else int(max(deg_R.max(), deg_T.max()))
     work = np.empty((1, ops.size))
-    for block, value in zip(ops.split(P[0]), (A_RR, A_TT, A_TR)):
-        block[...] = value
-    d, deg, s = _scaling(P, work, ops)
-    X = _pade(int(deg[0]), P, s, work, ops)
-    for _ in range(s[0]):
+    X = _pade(deg, P, np.array([S]), work, ops)
+    for _ in range(S):
         X, work = ops.mul(X, X, out=work), X
-    ops.similarity(X, d, undo=True)
-    return ops.split(X)
+    ops.unbalance(X, d_R[0], d_T)
+    _, F_TT, F_TR = ops.split(X)
+    return F_RR, F_TT, F_TR
 
 
 def _output_steps(t_final: float, dt_out: float) -> int:
@@ -669,14 +658,15 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     dt_out from 0 up to the last grid point at or before t_final
     (`_output_steps`).
 
-    The step matrix exp(dt_out A) keeps the block form of `loop`: F_RR is
-    `expm` of dt A_RR alone, with its own scaling, and F_TT and F_TR come
-    from `_expm_blocks`, or from the stacked `expm` of the tail blocks when
-    no mode is retained.  The retained block steps with F_RR, the drive
-    F_TR z_R on every tail mode is one product over all steps, and the tail
-    recurrence is summed by a doubling scan over the steps with powers of
-    the m x m blocks of F_TT; the fast modes whose powers have underflowed
-    to exact zeros drop out of it.
+    The step matrix exp(dt_out A) keeps the block form of `loop`.  One
+    `_expm_blocks` call gives F_RR, with the retained block's own scaling,
+    and F_TT and F_TR, scaled as the diagonal blocks ask.  Where no mode is
+    retained, F_TT is the stacked `expm` of the tail blocks, and where every
+    mode is, F_RR is `expm` of dt A_RR.  The retained block steps with
+    F_RR, the drive F_TR z_R on every tail mode is one product over all
+    steps, and the tail recurrence is summed by a doubling scan over the
+    steps with powers of the m x m blocks of F_TT; the fast modes whose
+    powers have underflowed to exact zeros drop out of it.
     """
     z0 = np.asarray(z0, dtype=float)
     M, m = z0.shape
@@ -684,10 +674,10 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     R = M - tail
     steps = _output_steps(t_final, dt_out)
     A_RR = loop.A_RR * dt_out
-    F_RR = expm(A_RR[None])[0]
     if R and tail:
-        _, F_TT, F_TR = _expm_blocks(A_RR, loop.A_TT * dt_out, loop.A_TR * dt_out)
+        F_RR, F_TT, F_TR = _expm_blocks(A_RR, loop.A_TT * dt_out, loop.A_TR * dt_out)
     else:
+        F_RR = expm(A_RR[None])[0]
         F_TT, F_TR = expm(loop.A_TT * dt_out), np.zeros((tail, m, r))
 
     Z_R = np.empty((steps + 1, r))

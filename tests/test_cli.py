@@ -179,6 +179,17 @@ class TestSynthesize:
             "input error: pole offsets must be m distinct positive finite reals\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value, item", [("4,x", "x"), ("", ""), ("4,,9", "")])
+    def test_bad_pole_offset_item_is_named(self, tmp_path, plant_file, capsys,
+                                           value, item):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["synthesize", "--plant", plant_file, "--delta", "9",
+                  "--pole-offsets", value, "--out-dir", str(tmp_path / "out")])
+        assert exc_info.value.code == 1
+        assert (f"argument --pole-offsets: must be a positive finite number, got {item!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_opposite_sign_robin_exit_code(self, tmp_path, capsys):
         obj = example_plant_dict()
         obj["gamma2"] = -1.0

@@ -265,13 +265,15 @@ def closed_loop(plant, N: int, M: int) -> simulator.ClosedLoop:
 class TestStructuredStep:
     """The block form of exp(dt A) that `integrate` steps with.
 
-    F_RR is `expm` of dt A_RR alone, and F_TT and F_TR come from
-    `_expm_blocks`.  The retained modes R with any one tail mode t are a
-    closed subsystem, so exp(dt A) restricted to them is the exponential of
-    that (mR + m) square matrix; its 40-digit reference gives F_RR, F_tt and
-    the rows F_tR.  scipy's error is that of its exponential of the whole
-    generator, which also takes one scaling for every mode, and the floor
-    n u takes the generator's order n.
+    `_expm_blocks` gives all three blocks in one call.  F_RR is the
+    retained block's own `expm`; F_TT and F_TR share one balancing and one
+    (m, s), both taken from the diagonal blocks alone.  The retained modes
+    R with any one tail mode t are a closed subsystem, so exp(dt A)
+    restricted to them is the exponential of that (mR + m) square matrix;
+    its 40-digit reference gives F_RR, F_tt and the rows F_tR.  scipy's
+    error is that of its exponential of the whole generator, which also
+    takes one scaling for every mode, and the floor n u takes the
+    generator's order n.
     """
 
     @pytest.mark.parametrize("M, tails", [(30, (0, 1, 6, 13, 26)),
@@ -303,24 +305,25 @@ class TestStructuredStep:
                 checked += 1
         assert checked >= 2 * len(tails)
 
-    @pytest.mark.parametrize("plant, N, M, dt", [
-        ("demo", 3, 30, 1.0 / 400), ("demo", 3, 400, 1.0 / 400),
-        ("wide", 60, 120, 2.0 / 400)])
-    def test_block_balancing_matches_dense(self, demo_plant, plant, N, M, dt):
-        """Balancing in block form gives bitwise the D of the dense matrix."""
-        loop = closed_loop(demo_plant if plant == "demo" else wide_plant(N), N, M)
-        r, tail = 3 * N, M - N
-        ops = simulator._Blocks(r, tail, 3)
-        X = np.empty((1, ops.size))
-        RR, TT, TR = ops.split(X)
-        RR[:], TT[:], TR[:] = loop.A_RR * dt, loop.A_TT * dt, loop.A_TR * dt
-        system = dense_closed_loop(loop) * dt
-        d_blocks, norm_blocks = simulator._balance(X, np.empty_like(X), ops)
-        dense = system[None].copy()
-        d_dense, norm_dense = simulator._balance(dense, np.empty_like(dense))
-        np.testing.assert_array_equal(d_blocks, d_dense)
-        np.testing.assert_array_equal(norm_blocks, norm_dense)
-        assert (d_dense != 1.0).any()
-        # The balanced blocks are those of the balanced dense matrix.
-        np.testing.assert_array_equal(RR, dense[0, :r, :r])
-        np.testing.assert_array_equal(TR, dense[0, r:, :r].reshape(tail, 3, r))
+    @pytest.mark.parametrize("M, dt, retained_sets_s", [(30, 1.0 / 400, False),
+                                                        (4, 1.0 / 10, True)])
+    def test_diagonal_blocks_set_the_scaling(self, demo_plant, M, dt, retained_sets_s):
+        """F_RR is the retained block's own `expm`, and the coupling is linear.
+
+        The step's balancing and (m, s) come from the diagonal blocks
+        alone, so scaling A_TR by a power of two scales F_TR by exactly that
+        power and leaves F_RR and F_TT bitwise as they were.  On the demo
+        loop the tail blocks set the squarings; on the short loop the
+        retained block does.
+        """
+        loop = closed_loop(demo_plant, 3, M)
+        A_RR, A_TT, A_TR = (X * dt for X in (loop.A_RR, loop.A_TT, loop.A_TR))
+        s_R = simulator._scaling(A_RR[None])[4][0]
+        assert (s_R > simulator._scaling(A_TT)[4].max()) == retained_sets_s
+        F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
+        np.testing.assert_array_equal(F_RR, expm(A_RR[None])[0])
+        for k in (-40, 40):
+            G_RR, G_TT, G_TR = simulator._expm_blocks(A_RR, A_TT, A_TR * 2.0 ** k)
+            np.testing.assert_array_equal(G_RR, F_RR)
+            np.testing.assert_array_equal(G_TT, F_TT)
+            np.testing.assert_array_equal(G_TR, F_TR * 2.0 ** k)

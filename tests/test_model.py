@@ -236,6 +236,20 @@ class TestJsonRoundTrip:
         with pytest.raises(PlantInputError):
             load_plant(str(path))
 
+    @pytest.mark.parametrize("text", ["{ not json", "[1, 2", '{"m": NaN,}', "\ufeff{}"])
+    def test_reader_raises_json_error(self, tmp_path, text):
+        """A file that neither parser reads raises json's error, text and all."""
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as exc_info:
+            model.read_json(str(path))
+        assert str(exc_info.value) == str(expected.value)
+        with pytest.raises(PlantInputError) as plant_info:
+            load_plant(str(path))
+        assert str(plant_info.value) == f"plant file is not valid JSON: {expected.value}"
+
 
 class TestRecordToDict:
     """One key per dataclass field, in field order; arrays and tuples as lists."""

@@ -1142,20 +1142,3 @@ class TestCsvLines:
     def test_matches_repr_join(self, block):
         for b in _with_tiled(block):
             assert _csv_lines(b) == _repr_lines(b)
-
-    @settings(max_examples=100)
-    @given(st.one_of(arrays(np.uint64, _table_shapes).map(lambda a: a.view(np.float64)),
-                     arrays(np.float64, _table_shapes, elements=st.floats(-2.0, 2.0))
-                     .map(_near_cuts)),
-           st.data())
-    def test_stop_offsets_are_the_separators(self, block, data):
-        # With stops, the offsets are where a scan of the text finds the
-        # comma or newline after each of those values.
-        for b in [*_with_tiled(block), np.array([self.EDGES * 8])]:
-            stops = sorted(data.draw(st.sets(st.integers(0, max(0, b.size - 1)))))
-            stops = [i for i in stops if i < b.size]
-            text, offsets = _csv_lines(b, stops)
-            assert text == _csv_lines(b)
-            separators = [i for i, ch in enumerate(text) if ch in ",\n"]
-            assert offsets.tolist() == [separators[i] for i in stops]
-
