@@ -92,6 +92,15 @@ class CertificateAtRoundingLevel(InternalError):
     """
 
 
+class FactorizationAtRoundingLevel(InternalError):
+    """Bmat K misses blockdiag-rows(Kbar) by more than `verify` accepts.
+
+    Near cond(Bmat) = 1e9 the gains K are so large that storing them in
+    double already costs about the bound; the wide actuator family reaches
+    it between N = 100 and N = 120.
+    """
+
+
 class CsvHelperFailed(InternalError):
     """The forked process that formats part of the CSV files stopped early."""
 

@@ -14,9 +14,13 @@ B = e_1.  B is implicit everywhere and never stored.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import errno
 import json
 import math
 import os
+import stat
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -317,19 +321,67 @@ def load_plant(path: str) -> PlantSpec:
     return plant_from_dict(obj)
 
 
+def _libc_renameat2():
+    """libc's renameat2, or None where it is missing or the platform is not Linux."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        fn = ctypes.CDLL(None, use_errno=True).renameat2
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
+                   ctypes.c_uint)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_RENAMEAT2 = _libc_renameat2()
+_RENAME_EXCHANGE = 2  # <linux/fs.h>
+# The kernel or filesystem lacks the exchange, or the target went away.
+_REPLACE_INSTEAD = (errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOENT)
+
+
+def _replace(tmp: str, path: str) -> None:
+    """Move the finished file `tmp` to `path`, as os.replace does.
+
+    On ext4, a rename over an existing file makes the kernel write the new
+    file back and later free its blocks, which blocks os.replace for
+    milliseconds (auto_da_alloc).  So an existing regular file or symlink is
+    swapped with `tmp` by renameat2(RENAME_EXCHANGE), and the old content,
+    now under the temp name, is unlinked.  A missing or directory target,
+    and a system or filesystem without the exchange, go through os.replace.
+    """
+    try:
+        exchange = not stat.S_ISDIR(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        exchange = False
+    if exchange and _RENAMEAT2 is not None:
+        # Absolute paths make renameat2 ignore its directory fds; -1 turns a
+        # relative path into EBADF rather than a lookup somewhere else.
+        if _RENAMEAT2(-1, os.fsencode(os.path.abspath(tmp)),
+                      -1, os.fsencode(os.path.abspath(path)), _RENAME_EXCHANGE) == 0:
+            os.unlink(tmp)
+            return
+        code = ctypes.get_errno()
+        if code not in _REPLACE_INSTEAD:
+            raise OSError(code, os.strerror(code), path)
+    os.replace(tmp, path)
+
+
 @contextlib.contextmanager
 def atomic_write(path: str):
     """Yield a text file that replaces `path` when the block completes.
 
     The text goes to `<path>.tmp.<pid>` first.  If the block raises, the tmp
-    file is deleted and `path` is left as it was.
+    file is deleted and `path` is left as it was.  A reader sees the old or
+    the new whole file, never a missing or partial one (see `_replace`).
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        _replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

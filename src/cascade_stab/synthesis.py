@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     CertificateAtRoundingLevel,
     CertificateViolation,
+    FactorizationAtRoundingLevel,
     HypothesisHViolated,
     InternalError,
     PlantInputError,
@@ -49,6 +50,7 @@ from .transform import (
 HYPOTHESIS_COND_LIMIT = 1e12
 MAX_MODES = 100_000
 LYAPUNOV_RESIDUAL_TOL = 1e-8
+FACTORIZATION_TOL = 1e-9
 
 # Factor-2 slack over the Schur-complement minimum of the residual-mode LMI;
 # the target-block LMI gets the same slack (see `certificate`).
@@ -322,8 +324,23 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     Kbar = modal_gains(plant, family, basis.lam, K_Q, N)
     Bmat, cond_B = input_matrix(plant.shapes[:N], basis, N)
     K = np.linalg.solve(Bmat, block_diagonal(Kbar[:, None]))
-    return Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
-                      Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
+    controller = Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
+                            Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
+    residual = factorization_residual(controller)
+    if not residual <= FACTORIZATION_TOL:
+        raise FactorizationAtRoundingLevel(
+            f"N={N}: gain factorization residual {residual:.3e} exceeds the "
+            f"bound {FACTORIZATION_TOL:.0e} (cond(Bmat)={cond_B:.3e})"
+        )
+    return controller
+
+
+def factorization_residual(controller: Controller) -> float:
+    """Max |Bmat K - blockdiag-rows(Kbar)| over max(1, max|Bmat K|, max|Kbar|)."""
+    recon = controller.Bmat @ controller.K
+    rows = block_diagonal(controller.Kbar[:, None])
+    scale = max(1.0, np.max(np.abs(recon)), np.max(np.abs(rows)))
+    return float(np.max(np.abs(recon - rows)) / scale)
 
 
 def certificate(plant: ValidatedPlant, controller: Controller,

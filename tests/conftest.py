@@ -1,3 +1,4 @@
+import ctypes
 import os
 import time
 
@@ -126,3 +127,11 @@ def helper_formats_first(monkeypatch, marker, in_helper=None):
         return real_lines(block)
 
     monkeypatch.setattr(simulator, "_csv_lines", lines)
+
+
+def failing_exchange(code):
+    """A stand-in for libc's renameat2 that fails with errno `code`."""
+    def renameat2(*args):
+        ctypes.set_errno(code)
+        return -1
+    return renameat2

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 import cascade_stab
-from cascade_stab import cli, synthesis
+from cascade_stab import cli, model, synthesis
 from cascade_stab.cli import main
 from cascade_stab.model import example_plant_dict, save_plant, write_json
 
-from conftest import helper_formats_first, random_plant
+from conftest import failing_exchange, helper_formats_first, random_plant
 
 
 @pytest.fixture()
@@ -500,8 +501,11 @@ class TestManyRetainedModes:
 
     @pytest.fixture()
     def wide_plant(self, tmp_path):
+        # Ten indicators side by side over [0, 3]: cond(Bmat) = 1.4.  Ten of
+        # width 0.1 on [0.1, 1.1] give cond(Bmat) = 1.5e10, gains that miss
+        # the factorization bound, and a refusal.
         obj = example_plant_dict()
-        obj["shapes"] = [{"kind": "indicator", "params": [0.1 * j, 0.1 * j + 0.1]}
+        obj["shapes"] = [{"kind": "indicator", "params": [3 * (j - 1) / 10, 3 * j / 10]}
                          for j in range(1, 11)]
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(obj))
@@ -744,6 +748,74 @@ class TestUnwritableOutput:
                    "--out-dir", str(tmp_path / "file" / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("input error:")
+
+
+class TestRepeatedRuns:
+    """A second synthesize and simulate into the same --out-dir replaces every
+    file in place: the bytes equal a fresh directory's, and no temp file is
+    left, whether or not the exchange of existing files is available."""
+
+    @staticmethod
+    def _pipeline(out, plant_file, initial_file):
+        assert main(["synthesize", "--plant", plant_file, "--delta", "9", "--N", "3",
+                     "--out-dir", str(out)]) == 0
+        assert main(["simulate", "--plant", plant_file, "--gains", str(out / "gains.json"),
+                     "--initial", initial_file, "--t-final", "0.2",
+                     "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("exchange", ["libc", "einval", "missing"])
+    def test_second_run_matches_fresh_directory(self, tmp_path, plant_file,
+                                                initial_file, monkeypatch, capsys,
+                                                exchange):
+        fresh = self._pipeline(tmp_path / "fresh", plant_file, initial_file)
+        if exchange == "einval":
+            monkeypatch.setattr(model, "_RENAMEAT2", failing_exchange(errno.EINVAL))
+        elif exchange == "missing":
+            monkeypatch.setattr(model, "_RENAMEAT2", None)
+        out = tmp_path / "again"
+        first = self._pipeline(out, plant_file, initial_file)
+        second = self._pipeline(out, plant_file, initial_file)
+        assert sorted(fresh) == ["field.csv", "gains.json", "modal.csv", "norms.csv",
+                                 "report.txt"]
+        assert first == second == fresh
+
+
+class TestFactorizationRefusal:
+    """On the benchmark's wide actuator family (N indicators of width 0.1,
+    L = 0.1 N + 0.5), gains that miss verify's factorization bound are
+    refused by name; cond(Bmat) is 4.4e8 at N = 100 and 1.4e9 at N = 120."""
+
+    @staticmethod
+    def _plant(tmp_path, N):
+        obj = example_plant_dict()
+        obj["L"] = 0.1 * N + 0.5
+        obj["shapes"] = [{"kind": "indicator", "params": [0.1 * j, 0.1 * j + 0.1]}
+                         for j in range(1, N + 1)]
+        path = tmp_path / f"wide{N}.json"
+        path.write_text(json.dumps(obj))
+        return ["--plant", str(path), "--delta", "9", "--N", str(N),
+                "--M-modes", str(2 * N)]
+
+    def test_N100_verifies(self, tmp_path, capsys):
+        args = self._plant(tmp_path, 100)
+        assert main(["synthesize", *args, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["verify", *args]) == 0
+        out = capsys.readouterr().out
+        assert "verification PASSED" in out and "gain factorization" in out
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_N120_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        extra = ["--out-dir", str(out)] if command == "synthesize" else []
+        assert main([command, *self._plant(tmp_path, 120), *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: N=120: gain factorization "
+                                       "residual ")
+        assert "exceeds the bound 1e-09" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def _run_fresh(code: str, *args: str) -> str:

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from cascade_stab.model import (
 from cascade_stab.synthesis import Certificate, Controller, zero_controller
 from cascade_stab.transform import TransformFamily
 
-from conftest import random_plant
+from conftest import failing_exchange, random_plant
 
 
 def make_spec(**overrides):
@@ -327,6 +329,140 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert target.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+@pytest.fixture()
+def exchanges(monkeypatch):
+    """The paths of every exchange `atomic_write` asks libc for, in order."""
+    calls = []
+    real = model._RENAMEAT2
+
+    def renameat2(olddirfd, old, newdirfd, new, flags):
+        calls.append(os.fsdecode(new))
+        return real(olddirfd, old, newdirfd, new, flags)
+    if real is not None:
+        monkeypatch.setattr(model, "_RENAMEAT2", renameat2)
+    return calls
+
+
+class TestReplace:
+    """How `atomic_write` puts the finished file in place (`model._replace`)."""
+
+    def test_exchange_replaces_existing_target(self, tmp_path, exchanges):
+        target = tmp_path / "modal.csv"
+        target.write_text("old\n")
+        with atomic_write(str(target)) as fh:
+            fh.write("new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["modal.csv"]
+        if model._RENAMEAT2 is not None:
+            assert exchanges == [str(target)]
+
+    def test_missing_target_falls_back_to_replace(self, tmp_path, monkeypatch,
+                                                  exchanges):
+        replaced = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "gains.json"
+        with atomic_write(str(target)) as fh:
+            fh.write("first\n")
+        assert target.read_text() == "first\n"
+        assert replaced == [str(target)] and exchanges == []
+        assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
+
+    def test_directory_target_raises_and_stays(self, tmp_path, exchanges):
+        target = tmp_path / "field.csv"
+        target.mkdir()
+        (target / "inside").write_text("kept\n")
+        with pytest.raises(IsADirectoryError):
+            with atomic_write(str(target)) as fh:
+                fh.write("new\n")
+        assert (target / "inside").read_text() == "kept\n"
+        assert [p.name for p in target.iterdir()] == ["inside"]
+        assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
+        assert exchanges == []
+
+    def test_symlink_target_is_replaced_not_followed(self, tmp_path):
+        referent = tmp_path / "referent.csv"
+        referent.write_text("old\n")
+        target = tmp_path / "norms.csv"
+        target.symlink_to(referent)
+        with atomic_write(str(target)) as fh:
+            fh.write("new\n")
+        assert not target.is_symlink() and target.read_text() == "new\n"
+        assert referent.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["norms.csv",
+                                                               "referent.csv"]
+
+    def test_second_hard_link_keeps_old_content(self, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("old\n")
+        other = tmp_path / "other.txt"
+        os.link(target, other)
+        with atomic_write(str(target)) as fh:
+            fh.write("new\n")
+        assert target.read_text() == "new\n" and other.read_text() == "old\n"
+        assert os.stat(other).st_nlink == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt",
+                                                               "report.txt"]
+
+    def test_open_reader_keeps_old_bytes(self, tmp_path):
+        target = tmp_path / "modal.csv"
+        target.write_bytes(b"t,z\n0,1\n1,2\n")
+        with open(target, "rb") as reader:
+            head = reader.read(4)
+            with atomic_write(str(target)) as fh:
+                fh.write("t,z\n0,5\n")
+            assert head + reader.read() == b"t,z\n0,1\n1,2\n"
+        assert target.read_bytes() == b"t,z\n0,5\n"
+
+    @pytest.mark.parametrize("code", [errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP])
+    def test_unavailable_exchange_gives_same_files(self, tmp_path, monkeypatch, code):
+        def write_twice(directory):
+            directory.mkdir()
+            for text in ("old\n", "new\n"):
+                with atomic_write(str(directory / "gains.json")) as fh:
+                    fh.write(text)
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        with_exchange = write_twice(tmp_path / "on")
+        monkeypatch.setattr(model, "_RENAMEAT2", failing_exchange(code))
+        assert write_twice(tmp_path / "off") == with_exchange == {"gains.json": b"new\n"}
+        monkeypatch.setattr(model, "_RENAMEAT2", None)
+        assert write_twice(tmp_path / "none") == with_exchange
+
+    def test_other_exchange_error_raises_and_leaves_target(self, tmp_path,
+                                                           monkeypatch):
+        target = tmp_path / "gains.json"
+        target.write_text("old\n")
+        monkeypatch.setattr(model, "_RENAMEAT2", failing_exchange(errno.EACCES))
+        with pytest.raises(PermissionError):
+            with atomic_write(str(target)) as fh:
+                fh.write("new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
+
+    def test_overwrite_needs_no_replace(self, tmp_path, monkeypatch):
+        """The fast path: an existing file is overwritten by the exchange alone."""
+        probe, other = tmp_path / "probe", tmp_path / "other"
+        probe.write_text("a")
+        other.write_text("b")
+        if model._RENAMEAT2 is None or model._RENAMEAT2(
+                -1, bytes(probe), -1, bytes(other), model._RENAME_EXCHANGE) != 0:
+            pytest.skip("no renameat2(RENAME_EXCHANGE) on this filesystem")
+        assert probe.read_text() == "b" and other.read_text() == "a"
+
+        def replace(src, dst):
+            raise AssertionError("os.replace called")
+        monkeypatch.setattr(os, "replace", replace)
+        with atomic_write(str(other)) as fh:
+            fh.write("new\n")
+        assert other.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "probe"]
 
 
 # Floats at every edge of the formatter's byte fix-up, and the non-finite
