@@ -310,27 +310,6 @@ class TestRecordToDict:
         assert list(plant_to_dict(plant)) == list(fields)
 
 
-class TestAtomicWrite:
-    def test_failed_write_leaves_target_and_no_tmp(self, tmp_path):
-        target = tmp_path / "gains.json"
-        target.write_text("old\n")
-        with pytest.raises(RuntimeError):
-            with atomic_write(str(target)) as fh:
-                fh.write("new, partly written")
-                fh.flush()
-                raise RuntimeError("interrupted")
-        assert target.read_text() == "old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
-
-    def test_completed_write_replaces_target(self, tmp_path):
-        target = tmp_path / "report.txt"
-        target.write_text("old\n")
-        with atomic_write(str(target)) as fh:
-            fh.write("new\n")
-        assert target.read_text() == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
-
-
 @pytest.fixture()
 def exchanges(monkeypatch):
     """The paths of every exchange `atomic_write` asks libc for, in order."""
@@ -345,16 +324,25 @@ def exchanges(monkeypatch):
     return calls
 
 
-class TestReplace:
-    """How `atomic_write` puts the finished file in place (`model._replace`)."""
+class TestAtomicWrite:
+    def test_failed_write_leaves_target_and_no_tmp(self, tmp_path):
+        target = tmp_path / "gains.json"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(target)) as fh:
+                fh.write("new, partly written")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
 
-    def test_exchange_replaces_existing_target(self, tmp_path, exchanges):
-        target = tmp_path / "modal.csv"
+    def test_completed_write_replaces_target(self, tmp_path, exchanges):
+        target = tmp_path / "report.txt"
         target.write_text("old\n")
         with atomic_write(str(target)) as fh:
             fh.write("new\n")
         assert target.read_text() == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["modal.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
         if model._RENAMEAT2 is not None:
             assert exchanges == [str(target)]
 
