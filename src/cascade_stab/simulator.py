@@ -11,7 +11,12 @@ the generator is block lower triangular:
     [[A_RR, 0], [A_TR, blockdiag(A_n, n > N)]].
 
 `assemble_closed_loop` builds these blocks (a `ClosedLoop`) and `integrate`
-propagates them exactly on the output grid.  The step matrix exp(dt A) has
+propagates them exactly on the output grid: the retained block on its own,
+then the tail modes, which it writes straight into the trajectory in chunks
+of at most _CHUNK_BYTES (256 KiB) of it.  Besides the trajectory and the
+step matrices, its scratch is the retained block's trajectory and a few
+buffers of that size, whatever M and the number of steps; the chunks give
+the bits of one pass over the whole tail.  The step matrix exp(dt A) has
 the same shape, and scaling and squaring keeps it: every power, Pade
 approximant and square of such a matrix is one, with
 
@@ -71,6 +76,10 @@ _NORM_FLOOR = 1e-300
 _BOUND_SLACK = 1e-9
 # estimate_decay fits ln||z|| over [0.2, 1.0] * t_final.
 _FIT_WINDOW = (0.2, 1.0)
+# integrate propagates the tail modes in chunks of at most this many bytes
+# of trajectory, and takes the norms in row blocks of the same size, so its
+# scratch stays in cache and small next to the trajectory.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -650,6 +659,65 @@ def _live_modes(power: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
+def _spans(count: int, size: int) -> list:
+    """Balanced spans (a, b) covering 0..count, none longer than `size`."""
+    parts = -(-count // size)
+    bounds = [count * k // parts for k in range(parts + 1)] if parts else []
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _propagate_tail(out: np.ndarray, z0: np.ndarray, F_TT: np.ndarray,
+                    F_TR: np.ndarray, Z_R: np.ndarray) -> None:
+    """Write the trajectory of the tail modes into `out`, (steps + 1, tail, m).
+
+    The tail modes obey x_{j+1} = F_TT x_j + F_TR z_R(j), from x_0 = z0, with
+    z_R(j) the rows of the retained trajectory Z_R.  They are taken in
+    chunks of at most _CHUNK_BYTES of trajectory.  A chunk's buffer X is
+    loaded at sample j with what enters there, z0 or the drive, which is
+    one product over all steps; then the recurrence is summed by a doubling
+    scan: after the pass with shift s, X[..., j] holds the terms of the
+    last 2s samples, each carried forward by the matching power of F_TT.
+    Only the first `live` modes carry a nonzero power: past the last one,
+    every product with a finite X is an exact zero, so the pass stops
+    carrying them.  Every mode below `live` takes the pass's sum, as in one
+    pass over the whole tail, so a zero term turns a -0.0 into +0.0 there
+    too.
+    """
+    steps, tail, m = out.shape[0] - 1, out.shape[1], out.shape[2]
+    r = Z_R.shape[1]
+    passes, power, shift = [], F_TT, 1
+    while shift <= steps:
+        live = _live_modes(power)
+        if not live:
+            break
+        power = power[:live]
+        passes.append((shift, live, power))
+        power, shift = power @ power, 2 * shift
+    # The chunks are balanced, so none is a sliver: OpenBLAS takes other
+    # kernels (gemv, its small-matrix path) for a drive product of one or a
+    # few rows, and they round differently from the product over the whole
+    # tail.  At least four modes per chunk leave every balanced chunk two.
+    # On a one-step grid the drive is a matrix-vector product, whose
+    # rounding OpenBLAS ties to a row's place in the call, so the tail is
+    # one chunk there.
+    chunk = max(_CHUNK_BYTES // (m * (steps + 1) * out.itemsize), 4)
+    if steps == 1:
+        chunk = max(tail, 1)
+    spans = _spans(tail, chunk)
+    X = np.empty((max((b - a for a, b in spans), default=0), m, steps + 1))
+    for a, b in spans:
+        x = X[:b - a]
+        x[:, :, 0] = z0[a:b]
+        x[:, :, 1:] = (F_TR[a:b].reshape((b - a) * m, r)
+                       @ Z_R[:-1].T).reshape(b - a, m, steps)
+        for shift, live, power in passes:
+            hi = min(b, live) - a
+            if hi <= 0:
+                break
+            x[:hi, :, shift:] += power[a:a + hi] @ x[:hi, :, :-shift]
+        out[:, a:b] = x.transpose(2, 0, 1)
+
+
 def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
               dt_out: float) -> Trajectory:
     """Propagate the closed loop `loop` exactly on the output grid.
@@ -663,10 +731,16 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     and F_TT and F_TR, scaled as the diagonal blocks ask.  Where no mode is
     retained, F_TT is the stacked `expm` of the tail blocks, and where every
     mode is, F_RR is `expm` of dt A_RR.  The retained block steps with
-    F_RR, the drive F_TR z_R on every tail mode is one product over all
+    F_RR into a trajectory of its own.  `_propagate_tail` then writes the
+    tail modes straight into the result, in chunks of at most _CHUNK_BYTES
+    of trajectory: per chunk, the drive F_TR z_R is one product over all
     steps, and the tail recurrence is summed by a doubling scan over the
     steps with powers of the m x m blocks of F_TT; the fast modes whose
-    powers have underflowed to exact zeros drop out of it.
+    powers have underflowed to exact zeros drop out of it.  The norms are
+    taken in row blocks of the same size.  So besides the trajectory and
+    the step matrices, the scratch is the retained block's trajectory and
+    a few buffers of _CHUNK_BYTES; the chunks give the bits of one pass
+    over the whole tail.
     """
     z0 = np.asarray(z0, dtype=float)
     M, m = z0.shape
@@ -685,32 +759,18 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     F_RR_T = np.ascontiguousarray(F_RR.T)
     for j in range(steps):
         np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
-
-    # Tail modes obey x_{j+1} = F_TT x_j + F_TR z_R(j).  Load X[..., j]
-    # with what enters at sample j, then sum the recurrence as a doubling
-    # scan: after the pass with shift s, X[..., j] holds the terms of the
-    # last 2s samples, each carried forward by the matching power of F_TT.
-    X = np.empty((tail, m, steps + 1))
-    X[:, :, 0] = z0[R:]
-    X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
-    # Only the first `live` modes carry a nonzero power: past the last one,
-    # every product with a finite X is an exact zero, so the scan stops
-    # carrying them.
-    power, shift = F_TT, 1
-    while shift <= steps:
-        live = _live_modes(power)
-        if not live:
-            break
-        power = power[:live]
-        X[:live, :, shift:] += power @ X[:live, :, :-shift]
-        power, shift = power @ power, 2 * shift
-
     modal = np.empty((steps + 1, M, m))
     modal[:, :R] = Z_R.reshape(steps + 1, R, m)
-    modal[:, R:] = X.transpose(2, 0, 1)
-    del X  # the norms' temporary can take its pages
+    _propagate_tail(modal[:, R:], z0[R:], F_TT, F_TR, Z_R)
+
+    # The norms, a block of rows at a time; each row's sum is the same in
+    # any block.
+    flat = modal.reshape(steps + 1, -1)
+    norms = np.empty(steps + 1)
+    rows = max(_CHUNK_BYTES // flat[0].nbytes, 1)
+    for i in range(0, steps + 1, rows):
+        norms[i:i + rows] = np.linalg.norm(flat[i:i + rows], axis=1)
     times = np.arange(steps + 1) * dt_out
-    norms = np.linalg.norm(modal.reshape(steps + 1, -1), axis=1)
     return Trajectory(times=times, modal=modal, l2_norm=norms)
 
 

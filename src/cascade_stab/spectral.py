@@ -407,8 +407,9 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 # Modes with s_k = 0 (the constant Neumann mode) take their own branch; the
 # other branch divides by 1 there instead of 0.
 
-def _indicator_column(a: float, b: float, s, c) -> np.ndarray:
-    """int_a^b c cos(s x) dx."""
+def _indicator_columns(a: np.ndarray, b: np.ndarray, s, c) -> np.ndarray:
+    """int_a^b c cos(s x) dx for every mode (rows) and interval (a_j, b_j) (columns)."""
+    s, c = s[:, None], c[:, None]
     zero = s == 0.0
     safe = np.where(zero, 1.0, s)
     return np.where(zero, c * (b - a), c * (np.sin(s * b) - np.sin(s * a)) / safe)
@@ -451,14 +452,20 @@ def _samples_column(grid, values, s, c) -> np.ndarray:
 
 
 def _shape_columns(shapes, L: float, s, c) -> np.ndarray:
-    """(len(s), len(shapes)) closed-form projections <b_j, c_k cos(s_k x)>."""
+    """(len(s), len(shapes)) closed-form projections <b_j, c_k cos(s_k x)>.
+
+    The indicator shapes are one broadcast over (modes, shapes), scattered
+    into their columns; the others take a column each.
+    """
     out = np.empty((len(s), len(shapes)))
+    cols = [j for j, shape in enumerate(shapes) if shape.kind == "indicator"]
+    if cols:
+        a, b = np.array([shapes[j].params for j in cols], dtype=float).T
+        out[:, cols] = _indicator_columns(a, b, s, c)
     for j, shape in enumerate(shapes):
-        if shape.kind == "indicator":
-            out[:, j] = _indicator_column(*shape.params, s, c)
-        elif shape.kind == "polynomial":
+        if shape.kind == "polynomial":
             out[:, j] = _polynomial_column(shape.params, L, s, c)
-        else:
+        elif shape.kind != "indicator":
             out[:, j] = _samples_column(*shape.params, s, c)
     return out
 

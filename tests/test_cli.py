@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cascade_stab
-from cascade_stab import cli, model, synthesis
+from cascade_stab import cli, model, spectral, synthesis, transform
 from cascade_stab.cli import main
 from cascade_stab.model import example_plant_dict, save_plant, write_json
 
@@ -656,6 +657,21 @@ class TestBench:
             assert float(parts[1]) > 0.0
             assert float(parts[2]) > 0.0
 
+
+    def test_default_N_list_synthesizes_on_the_demo_plant(self, demo_plant):
+        """bench's own shapes on the demo plant at delta = 9 give gains that
+        synthesize keeps at every N of the default list, so bench times no
+        refused call by default."""
+        args = cli.build_parser().parse_args(["bench", "--plant", "plant.json",
+                                              "--delta", "9"])
+        basis = spectral.build_basis(demo_plant.L, demo_plant.gamma1, demo_plant.gamma2,
+                                     max(args.N_list) + 1)
+        family = transform.solve_transform_family(demo_plant)
+        for N in args.N_list:
+            plant = dataclasses.replace(demo_plant, shapes=cli._bench_shapes(demo_plant.L, N))
+            controller = synthesis.build_controller(plant, args.delta, N=N, basis=basis,
+                                                    family=family)
+            assert synthesis.factorization_residual(controller) <= synthesis.FACTORIZATION_TOL
 
     @pytest.mark.parametrize("value, item", [("2,x", "x"), ("", ""), ("3,0", "0"),
                                              ("2,,3", "")])

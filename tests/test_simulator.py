@@ -413,6 +413,169 @@ class TestBlockIntegrator:
         np.testing.assert_allclose(traj.l2_norm, recomputed, rtol=1e-12, atol=0.0)
 
 
+def whole_tail_integrate(loop, z0, t_final, dt_out):
+    """`integrate` with the tail in one piece: the reference for its chunks.
+
+    The retained block and the step matrices as `integrate` computes them;
+    the tail in one (tail, m, steps + 1) array, its drive in one product,
+    and the norms of the whole trajectory at once.
+    """
+    from cascade_stab import simulator
+
+    z0 = np.asarray(z0, dtype=float)
+    M, m = z0.shape
+    tail, r = len(loop.A_TT), len(loop.A_RR)
+    R = M - tail
+    steps = simulator._output_steps(t_final, dt_out)
+    A_RR = loop.A_RR * dt_out
+    if R and tail:
+        F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, loop.A_TT * dt_out,
+                                                  loop.A_TR * dt_out)
+    else:
+        F_RR = simulator.expm(A_RR[None])[0]
+        F_TT, F_TR = simulator.expm(loop.A_TT * dt_out), np.zeros((tail, m, r))
+    Z_R = np.empty((steps + 1, r))
+    Z_R[0] = z0[:R].reshape(-1)
+    F_RR_T = np.ascontiguousarray(F_RR.T)
+    for j in range(steps):
+        np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
+    X = np.empty((tail, m, steps + 1))
+    X[:, :, 0] = z0[R:]
+    X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
+    power, shift = F_TT, 1
+    while shift <= steps:
+        live = simulator._live_modes(power)
+        if not live:
+            break
+        power = power[:live]
+        X[:live, :, shift:] += power @ X[:live, :, :-shift]
+        power, shift = power @ power, 2 * shift
+    modal = np.empty((steps + 1, M, m))
+    modal[:, :R] = Z_R.reshape(steps + 1, R, m)
+    modal[:, R:] = X.transpose(2, 0, 1)
+    norms = np.linalg.norm(modal.reshape(steps + 1, -1), axis=1)
+    return modal, norms
+
+
+def chunk_budget(chunk, m, steps):
+    """The _CHUNK_BYTES that gives `integrate` chunks of `chunk` modes."""
+    return chunk * m * (steps + 1) * np.dtype(float).itemsize
+
+
+def with_signed_zeros(z0, rng):
+    """z0 with about a third of its entries replaced by -0.0."""
+    z0 = z0.copy()
+    z0[rng.integers(0, 3, z0.shape) == 0] = np.copysign(0, -1)
+    return z0
+
+
+class TestChunkedTail:
+    """`integrate` takes the tail modes in chunks of at most _CHUNK_BYTES of
+    trajectory and the norms in row blocks; both give the bits of the
+    whole-tail scan."""
+
+    def _check(self, loop, z0, steps, chunk):
+        """integrate at `chunk` modes per chunk against the reference; returns
+        the `live` count of every doubling pass."""
+        from cascade_stab import simulator
+
+        live = []
+        real_live = simulator._live_modes
+
+        def counted(power):
+            live.append(real_live(power))
+            return live[-1]
+
+        modal, norms = whole_tail_integrate(loop, z0, 1, 1 / steps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK_BYTES", chunk_budget(chunk, z0.shape[1], steps))
+            mp.setattr(simulator, "_live_modes", counted)
+            traj = integrate(loop, z0, 1, 1 / steps)
+        assert traj.modal.tobytes() == modal.tobytes()
+        assert traj.l2_norm.tobytes() == norms.tobytes()
+        return live
+
+    @pytest.mark.parametrize("relation", ["below", "at", "one past", "several"])
+    @given(drawn=random_closed_loops(), data=st.data())
+    def test_matches_whole_tail_scan_on_random_cascades(self, drawn, data, relation):
+        """Tails below, at, one past and several times the chunk size, with
+        -0.0 among the initial coefficients."""
+        loop, N, M, m = drawn
+        tail = M - N
+        chunk = {"below": tail + 1, "at": tail, "one past": tail - 1,
+                 "several": tail // 3}[relation]
+        assume(chunk >= 4)  # integrate takes at least four modes per chunk
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        z0 = with_signed_zeros(rng.standard_normal((M, m)), rng)
+        self._check(loop, z0, data.draw(st.sampled_from([1, 2, 7, 64])), chunk)
+
+    def test_live_cutoff_inside_a_chunk(self):
+        """Scalar tail modes, five slow and six that underflow in the first
+        pass: the scan stops at mode 5, inside the chunk 3..7."""
+        from cascade_stab import simulator
+
+        rates = np.array([1] * 5 + [10**6] * 6)
+        loop = ClosedLoop(np.zeros((0, 0)), -rates.reshape(-1, 1, 1).astype(float),
+                          np.zeros((11, 1, 0)))
+        z0 = with_signed_zeros(np.random.default_rng(3).standard_normal((11, 1)),
+                               np.random.default_rng(4))
+        assert simulator._spans(11, 4) == [(0, 3), (3, 7), (7, 11)]
+        assert set(self._check(loop, z0, 64, 4)) == {5}
+
+    @pytest.mark.parametrize("chunk", [1, 4, 5])
+    def test_demo_closed_loop_in_small_chunks(self, demo_plant, demo_closed_loop, chunk):
+        """The demo closed loop at M = 150, whose fast modes underflow pass
+        by pass, in chunks of four and five modes; a budget below one mode
+        still takes four."""
+        from cascade_stab import simulator
+
+        M = 150
+        loop = assemble_closed_loop(demo_plant, demo_closed_loop[1],
+                                    build_basis(demo_plant.L, demo_plant.gamma1,
+                                                demo_plant.gamma2, M), M)
+        rng = np.random.default_rng(11)
+        z0 = with_signed_zeros(rng.standard_normal((M, 3)), rng)
+        live = self._check(loop, z0, 64, chunk)
+        spans = simulator._spans(M - 3, max(chunk, 4))
+        # Some pass stops inside a chunk.
+        assert any(a < n < b for n in live for a, b in spans)
+
+    def test_scalar_cascade_in_chunks_of_one_mode(self):
+        """m = 1: a chunk of one mode would be a one-row drive product, which
+        rounds differently from the whole tail's; a budget of one mode still
+        takes four, and the bits match."""
+        rng = np.random.default_rng(8)
+        dense = np.diag(-np.arange(1, 16) ** 2).astype(float)
+        dense[:, :2] += 5 * rng.standard_normal((15, 2))
+        loop = ClosedLoop(dense[:2, :2], np.diag(dense)[2:].reshape(13, 1, 1),
+                          dense[2:, :2].reshape(13, 1, 2))
+        self._check(loop, rng.standard_normal((15, 1)), 64, 1)
+
+    def test_traced_peak_is_the_trajectory_and_a_few_chunks(self, demo_plant,
+                                                            demo_closed_loop):
+        """On a fine-mesh-sized loop (demo plant, N = 3, M = 400, 401
+        samples), integrate allocates the trajectory and a few chunk-sized
+        buffers: the tail is never held whole beside it."""
+        import tracemalloc
+
+        from cascade_stab import simulator
+
+        M = 400
+        loop = assemble_closed_loop(demo_plant, demo_closed_loop[1],
+                                    build_basis(demo_plant.L, demo_plant.gamma1,
+                                                demo_plant.gamma2, M), M)
+        z0 = np.random.default_rng(5).standard_normal((M, 3))
+        t_final = SimConfig().t_final
+        tracemalloc.start()
+        try:
+            traj = integrate(loop, z0, t_final, SimConfig().resolved_dt())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.modal.shape[1:] == (M, 3)
+        assert peak < traj.modal.nbytes + 4 * simulator._CHUNK_BYTES
+
+
 class TestEstimateDecay:
     def test_synthetic_exponential(self):
         times = np.linspace(0.0, 1.0, 401)
