@@ -731,15 +731,12 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     and F_TT and F_TR, scaled as the diagonal blocks ask.  Where no mode is
     retained, F_TT is the stacked `expm` of the tail blocks, and where every
     mode is, F_RR is `expm` of dt A_RR.  The retained block steps with
-    F_RR into a trajectory of its own.  `_propagate_tail` then writes the
-    tail modes straight into the result, in chunks of at most _CHUNK_BYTES
-    of trajectory: per chunk, the drive F_TR z_R is one product over all
-    steps, and the tail recurrence is summed by a doubling scan over the
-    steps with powers of the m x m blocks of F_TT; the fast modes whose
-    powers have underflowed to exact zeros drop out of it.  The norms are
-    taken in row blocks of the same size.  So besides the trajectory and
-    the step matrices, the scratch is the retained block's trajectory and
-    a few buffers of _CHUNK_BYTES; the chunks give the bits of one pass
+    F_RR into a trajectory of its own; `_propagate_tail` then writes the
+    tail modes straight into the result, a chunk of at most _CHUNK_BYTES of
+    trajectory at a time, by a doubling scan over the steps, and the norms
+    are taken in row blocks of the same size.  So besides the trajectory and
+    the step matrices, the scratch is the retained block's trajectory and a
+    few buffers of _CHUNK_BYTES, and the chunks give the bits of one pass
     over the whole tail.
     """
     z0 = np.asarray(z0, dtype=float)

@@ -459,9 +459,8 @@ def _shape_columns(shapes, L: float, s, c) -> np.ndarray:
     """
     out = np.empty((len(s), len(shapes)))
     cols = [j for j, shape in enumerate(shapes) if shape.kind == "indicator"]
-    if cols:
-        a, b = np.array([shapes[j].params for j in cols], dtype=float).T
-        out[:, cols] = _indicator_columns(a, b, s, c)
+    a, b = np.array([shapes[j].params for j in cols], dtype=float).reshape(-1, 2).T
+    out[:, cols] = _indicator_columns(a, b, s, c)
     for j, shape in enumerate(shapes):
         if shape.kind == "polynomial":
             out[:, j] = _polynomial_column(shape.params, L, s, c)

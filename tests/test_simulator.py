@@ -457,11 +457,6 @@ def whole_tail_integrate(loop, z0, t_final, dt_out):
     return modal, norms
 
 
-def chunk_budget(chunk, m, steps):
-    """The _CHUNK_BYTES that gives `integrate` chunks of `chunk` modes."""
-    return chunk * m * (steps + 1) * np.dtype(float).itemsize
-
-
 def with_signed_zeros(z0, rng):
     """z0 with about a third of its entries replaced by -0.0."""
     z0 = z0.copy()
@@ -488,7 +483,8 @@ class TestChunkedTail:
 
         modal, norms = whole_tail_integrate(loop, z0, 1, 1 / steps)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_CHUNK_BYTES", chunk_budget(chunk, z0.shape[1], steps))
+            # The budget of `chunk` modes of trajectory.
+            mp.setattr(simulator, "_CHUNK_BYTES", chunk * z0[0].nbytes * (steps + 1))
             mp.setattr(simulator, "_live_modes", counted)
             traj = integrate(loop, z0, 1, 1 / steps)
         assert traj.modal.tobytes() == modal.tobytes()
@@ -525,7 +521,7 @@ class TestChunkedTail:
     @pytest.mark.parametrize("chunk", [1, 4, 5])
     def test_demo_closed_loop_in_small_chunks(self, demo_plant, demo_closed_loop, chunk):
         """The demo closed loop at M = 150, whose fast modes underflow pass
-        by pass, in chunks of four and five modes; a budget below one mode
+        by pass, in chunks of four and five modes; a budget of one mode
         still takes four."""
         from cascade_stab import simulator
 

@@ -20,6 +20,9 @@ from cascade_stab.spectral import (
     _grid_roots,
     _check_boundary_residuals,
     _lobatto_rule,
+    _polynomial_column,
+    _samples_column,
+    _shape_columns,
     adaptive_simpson,
     build_basis,
     expand,
@@ -312,6 +315,42 @@ class TestProjectCallable:
                 project(shape, demo_basis, n)
             with pytest.raises(ValueError):
                 input_projection_row(demo_plant.shapes, demo_basis, n)
+
+
+def indicator_column(a, b, s, c):
+    """int_a^b c cos(s x) dx for one interval: the per-shape closed form that
+    `_shape_columns` broadcasts over every indicator at once."""
+    zero = s == 0
+    safe = np.where(zero, 1, s)
+    return np.where(zero, c * (b - a), c * (np.sin(s * b) - np.sin(s * a)) / safe)
+
+
+class TestShapeColumns:
+    @pytest.mark.parametrize("gamma1, gamma2", [(1, 0), (0, 1), (1, 1)])
+    def test_indicators_match_the_per_shape_form(self, gamma1, gamma2):
+        """Bit for bit, on Dirichlet, Neumann (s = 0 for the first mode) and
+        Robin bases, with indicators among the other kinds, and on one mode."""
+        rng = np.random.default_rng(gamma1 + 2 * gamma2)
+        L = math.pi
+        ends = np.sort(rng.uniform(0, L, (5, 2)), axis=1)
+        grid = np.linspace(0, L, 7)
+        shapes = [ShapeFunction.indicator(*ends[0]),
+                  ShapeFunction.polynomial(*rng.normal(size=3)),
+                  ShapeFunction.indicator(*ends[1]),
+                  ShapeFunction.samples(grid, rng.normal(size=7)),
+                  *(ShapeFunction.indicator(*e) for e in ends[2:])]
+        basis = build_basis(L, gamma1, gamma2, 40)
+        for s, c in ((basis.s, basis.c), (basis.s[3:4], basis.c[3:4])):
+            columns = []
+            for shape in shapes:
+                if shape.kind == "indicator":
+                    columns.append(indicator_column(*shape.params, s, c))
+                elif shape.kind == "polynomial":
+                    columns.append(_polynomial_column(shape.params, L, s, c))
+                else:
+                    columns.append(_samples_column(*shape.params, s, c))
+            expected = np.stack(columns, axis=1)
+            assert _shape_columns(shapes, L, s, c).tobytes() == expected.tobytes()
 
 
 class TestInputProjectionRow:
