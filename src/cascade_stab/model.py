@@ -35,9 +35,6 @@ from .errors import (
     PlantInputError,
 )
 
-SHAPE_KINDS = ("indicator", "polynomial", "samples")
-
-
 @dataclass(frozen=True)
 class ShapeFunction:
     """Control distribution b_j(x) on [0, L].

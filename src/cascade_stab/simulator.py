@@ -30,7 +30,7 @@ coupling (tail m) x mN enters exp linearly, so F_TT and F_TR take their
 balancing and their Pade degree and squarings from the diagonal blocks
 alone, in one structured Pade step and its squarings.
 
-`expm` is numpy's own, so no command needs scipy: the scaling-and-squaring
+`expm` is numpy's own, so only `bench` needs scipy: the scaling-and-squaring
 algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009) on
 every slice of the stack at once, after a diagonal balancing.  The
 closed-loop steps are far from normal (1-norms up to 2e9 from the feedback
@@ -161,12 +161,11 @@ def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
     A_RR = block_diagonal(blocks[:N])
     A_RR += 0.0  # a -0.0 of Q reads +0.0, as in a sum onto zeros
     A_TR = np.zeros((M_modes - N, m, m * N))
-    if N > 0:
-        P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
-        # One P[n] @ K per mode, stacked: P @ K would round differently.
-        drive = np.matmul(P[:, None, :], controller.K)[:, 0]
-        A_RR[::m] += drive[:N]
-        A_TR[:, 0] += drive[N:]
+    P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
+    # One P[n] @ K per mode, stacked: P @ K would round differently.
+    drive = np.matmul(P[:, None, :], controller.K)[:, 0]
+    A_RR[::m] += drive[:N]
+    A_TR[:, 0] += drive[N:]
     return ClosedLoop(A_RR=A_RR, A_TT=blocks[N:], A_TR=A_TR)
 
 
@@ -794,9 +793,14 @@ def estimate_decay(traj: Trajectory) -> float:
     return float(-slope)
 
 
+def certificate_bound(traj: Trajectory, M_cert: float, delta: float) -> np.ndarray:
+    """M_cert exp(-delta t) ||z(0)|| at every sample."""
+    return M_cert * np.exp(-delta * traj.times) * traj.l2_norm[0]
+
+
 def certificate_bound_holds(traj: Trajectory, M_cert: float, delta: float) -> bool:
     """Check ||z(t)|| <= M_cert exp(-delta t) ||z(0)|| at every sample."""
-    bound = M_cert * np.exp(-delta * traj.times) * traj.l2_norm[0]
+    bound = certificate_bound(traj, M_cert, delta)
     return bool(np.all(traj.l2_norm <= bound * (1.0 + _BOUND_SLACK) + _NORM_FLOOR))
 
 
@@ -1118,11 +1122,8 @@ def field_table(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> CsvT
 
 
 def norms_table(traj: Trajectory, M_cert: float, delta: float, path: str) -> CsvTable:
-    """Columns t, l2norm, bound with bound = M_cert exp(-delta t) ||z(0)||."""
-    z0 = traj.l2_norm[0]
-    # One scalar exp per sample: a vectorized exp may round differently, and
-    # the file's bytes must not depend on that.
-    bound = [float(M_cert * np.exp(-delta * t) * z0) for t in traj.times]
+    """Columns t, l2norm and `certificate_bound`."""
+    bound = certificate_bound(traj, M_cert, delta)
     table = np.column_stack([traj.times, traj.l2_norm, bound])
     return CsvTable(path, "t,l2norm,bound", len(table), 3, lambda a, b: table[a:b])
 

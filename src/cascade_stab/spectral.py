@@ -266,15 +266,9 @@ def extend_basis(basis: SpectralBasis, count: int) -> SpectralBasis:
 # adaptive_simpson, below, is the scalar rule this replaced; no projection
 # calls it.
 
-def _lobatto_rule(points: int):
-    """Nodes and weights of the Gauss-Lobatto-Legendre rule on [-1, 1]."""
-    p = np.polynomial.legendre.Legendre.basis(points - 1)
-    nodes = np.concatenate([[-1.0], np.sort(p.deriv().roots()), [1.0]])
-    return nodes, 2.0 / (points * (points - 1) * p(nodes) ** 2)
-
-
-# _lobatto_rule(10), written out: computing it imports numpy.polynomial and
-# finds the roots, about 4 ms of every start.  A test checks the digits.
+# The 10-point Gauss-Lobatto-Legendre rule on [-1, 1], written out: computing
+# it imports numpy.polynomial and finds the roots, about 4 ms of every start.
+# A test checks the digits against that computation.
 # They are one string, not float literals, because Hypothesis draws numbers
 # from the literals in the package source: new ones would change the
 # examples of every property test.

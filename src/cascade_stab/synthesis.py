@@ -335,12 +335,17 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     return controller
 
 
+def relative_error(a: np.ndarray, b: np.ndarray, axis=None):
+    """Max-abs difference over max(1, max|a|, max|b|), over `axis` (all by default)."""
+    scale = np.maximum(np.maximum(1.0, np.max(np.abs(a), axis=axis)),
+                       np.max(np.abs(b), axis=axis))
+    return np.max(np.abs(a - b), axis=axis) / scale
+
+
 def factorization_residual(controller: Controller) -> float:
-    """Max |Bmat K - blockdiag-rows(Kbar)| over max(1, max|Bmat K|, max|Kbar|)."""
-    recon = controller.Bmat @ controller.K
+    """`relative_error` of Bmat K against blockdiag-rows(Kbar)."""
     rows = block_diagonal(controller.Kbar[:, None])
-    scale = max(1.0, np.max(np.abs(recon)), np.max(np.abs(rows)))
-    return float(np.max(np.abs(recon - rows)) / scale)
+    return float(relative_error(controller.Bmat @ controller.K, rows))
 
 
 def certificate(plant: ValidatedPlant, controller: Controller,

@@ -15,6 +15,7 @@ from cascade_stab.model import (
 )
 from cascade_stab.simulator import ClosedLoop
 from cascade_stab.spectral import build_basis
+from cascade_stab.transform import TransformFamily
 
 
 # Property tests draw a fixed, bounded set of examples, so the suite stays
@@ -99,6 +100,21 @@ def dense_closed_loop(loop: ClosedLoop) -> np.ndarray:
     A[r:, :r] = loop.A_TR.reshape(tail * m, r)
     A.reshape(M, m, M, m)[np.arange(N, M), :, np.arange(N, M), :] = loop.A_TT
     return A
+
+
+def corrupt_family(plant, family: TransformFamily) -> TransformFamily:
+    """`family` with 1e-3 added to the top-right entry of its first coefficient.
+
+    An empty family becomes one whose only coefficient is that entry, so
+    every plant's transform breaks its Sylvester equations.
+    """
+    if family.is_empty:
+        bad = np.zeros((plant.m, plant.m))
+        bad[0, plant.m - 1] = 1e-3
+        return TransformFamily(m=plant.m, sigma_bar=1, coeffs=(bad,))
+    coeffs = [c.copy() for c in family.coeffs]
+    coeffs[0][0, plant.m - 1] += 1e-3
+    return TransformFamily(m=plant.m, sigma_bar=family.sigma_bar, coeffs=tuple(coeffs))
 
 
 def helper_formats_first(monkeypatch, marker, in_helper=None):

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from cascade_stab import cli, model, spectral, synthesis, transform
 from cascade_stab.cli import main
 from cascade_stab.model import example_plant_dict, save_plant, write_json
 
-from conftest import failing_exchange, helper_formats_first, random_plant
+from conftest import corrupt_family, failing_exchange, helper_formats_first, random_plant
 
 
 @pytest.fixture()
@@ -613,12 +614,34 @@ class TestVerify:
         assert "verification PASSED" in out
         assert "FAIL" not in out
 
-    def test_corruption_detected(self, plant_file, capsys):
-        rc = main(["verify", "--plant", plant_file, "--delta", "9", "--N", "3",
-                   "--inject-corrupt-transform"])
-        assert rc == 4
+    def test_corruption_detected(self, plant_file, capsys, monkeypatch):
+        pipeline = cli._synthesize_pipeline
+
+        def corrupted(plant, *args):
+            basis, family, controller, cert = pipeline(plant, *args)
+            return basis, corrupt_family(plant, family), controller, cert
+
+        monkeypatch.setattr(cli, "_synthesize_pipeline", corrupted)
+        rc = main(["verify", "--plant", plant_file, "--delta", "9", "--N", "3"])
         out = capsys.readouterr().out
-        assert "FAIL" in out
+        failed = [line.rsplit(None, 2)[0] for line in out.splitlines()
+                  if line.endswith("FAIL")]
+        assert failed == ["sylvester residual i=1",
+                          "mode cancellation n=1", "gain route equality n=1",
+                          "mode cancellation n=2", "gain route equality n=2",
+                          "mode cancellation n=3", "gain route equality n=3",
+                          "target-coordinate residual"]
+        assert rc == 4
+        # Byte for byte what the removed --inject-corrupt-transform printed.
+        assert hashlib.md5(out.encode()).hexdigest() == "d52b61e0a4b49df90210e4de2b2936fd"
+
+    def test_corruption_flag_is_gone(self, plant_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--plant", plant_file, "--delta", "9", "--N", "3",
+                  "--inject-corrupt-transform"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --inject-corrupt-transform\n")
 
     def test_stable_plant_retains_no_modes(self, tmp_path, capsys):
         obj = example_plant_dict()
@@ -878,6 +901,23 @@ class TestNoScipyOnCommandPath:
         """, plant_file, initial_file, str(tmp_path / "out"))
         assert out.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "modal.csv").exists()
+
+    def test_bench_without_scipy_names_the_extra(self, tmp_path, plant_file):
+        out = _run_fresh("""
+            import contextlib, io, sys
+            sys.modules["scipy"] = None  # import scipy raises ModuleNotFoundError
+            from cascade_stab import cli
+            argv = ["bench", "--plant", sys.argv[1], "--delta", "9",
+                    "--N-list", "2", "--repeats", "1", "--out-dir", sys.argv[2]]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                print(cli.main(argv))
+            print(repr(err.getvalue()))
+        """, plant_file, str(tmp_path / "bench"))
+        rc, err = out.splitlines()[-2:]
+        assert rc == "1"
+        assert "the 'bench' extra" in err and "cascade-stab[bench]" in err
+        assert not (tmp_path / "bench" / "bench.csv").exists()
 
     def test_bench_imports_scipy_outside_its_timing(self, tmp_path, plant_file):
         out = _run_fresh("""

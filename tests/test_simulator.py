@@ -778,6 +778,35 @@ class TestCsvExport:
         assert field_lines[0] == "t,x,z1,z2,z3"
         assert len(field_lines) == 1 + len(traj.times) * 5
 
+    def test_bound_column_is_the_per_sample_bound(self, monkeypatch):
+        # The bound column and certificate_bound_holds read one vectorized
+        # exp; the oracle is the one-exp-per-sample loop it replaced.
+        from cascade_stab import simulator
+        from cascade_stab.simulator import Trajectory
+
+        shared, seen = simulator.certificate_bound, []
+
+        def spy(*args):
+            seen.append(shared(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(simulator, "certificate_bound", spy)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            steps = int(rng.integers(1, 2001))
+            t_final, delta = rng.uniform(0.1, 5.0), rng.uniform(0.1, 20.0)
+            M = 10.0 ** rng.uniform(0.0, 24.0)
+            times = np.arange(steps + 1) * (t_final / steps)
+            traj = Trajectory(times=times, modal=np.zeros((steps + 1, 1, 1)),
+                              l2_norm=rng.uniform(0.1, 10.0, steps + 1))
+            z0 = traj.l2_norm[0]
+            oracle = np.array([float(M * np.exp(-delta * t) * z0) for t in times])
+            column = norms_table(traj, M, delta, "norms.csv").rows(0, steps + 1)[:, 2]
+            assert column.tobytes() == oracle.tobytes()
+            certificate_bound_holds(traj, M, delta)
+            assert len(seen) == 2 and seen[1].tobytes() == oracle.tobytes()
+            seen.clear()
+
     def test_exact_bytes(self, tmp_path, demo_basis):
         from cascade_stab.simulator import Trajectory
 

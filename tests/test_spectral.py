@@ -19,7 +19,6 @@ from cascade_stab.spectral import (
     SpectralBasis,
     _grid_roots,
     _check_boundary_residuals,
-    _lobatto_rule,
     _polynomial_column,
     _samples_column,
     _shape_columns,
@@ -258,8 +257,12 @@ class TestProject:
 
 class TestProjectCallable:
     def test_rule_literals_are_the_lobatto_rule(self):
-        # Bit for bit: the literals are the digits _lobatto_rule(10) computes.
-        nodes, weights = _lobatto_rule(10)
+        # Bit for bit: the literals are the digits of the 10-point
+        # Gauss-Lobatto-Legendre rule, nodes +-1 and the roots of P_9'.
+        points = 10
+        p = np.polynomial.legendre.Legendre.basis(points - 1)
+        nodes = np.concatenate([[-1.0], np.sort(p.deriv().roots()), [1.0]])
+        weights = 2.0 / (points * (points - 1) * p(nodes) ** 2)
         assert _RULE_NODES.tobytes() == nodes.tobytes()
         assert _RULE_WEIGHTS.tobytes() == weights.tobytes()
 
