@@ -123,7 +123,7 @@ def cmd_synthesize(args) -> int:
     model.write_json(gains_path, synthesis.gains_to_dict(controller, cert))
     report = _report_text(plant, controller, cert, basis)
     with model.atomic_write(os.path.join(args.out_dir, "report.txt")) as fh:
-        fh.write(report)
+        fh.write(report.encode())
     sys.stdout.write(report)
     if args.dump_basis:
         model.write_json(os.path.join(args.out_dir, "basis.json"),
@@ -344,7 +344,7 @@ def cmd_bench(args) -> int:
     text = "\n".join(lines) + "\n"
     os.makedirs(args.out_dir, exist_ok=True)
     with model.atomic_write(os.path.join(args.out_dir, "bench.csv")) as fh:
-        fh.write(text)
+        fh.write(text.encode())
     sys.stdout.write(text)
     return 0
 

@@ -367,14 +367,14 @@ def _replace(tmp: str, path: str) -> None:
 
 @contextlib.contextmanager
 def atomic_write(path: str):
-    """Yield a text file that replaces `path` when the block completes.
+    """Yield a binary file that replaces `path` when the block completes.
 
-    The text goes to `<path>.tmp.<pid>` first.  If the block raises, the tmp
+    The bytes go to `<path>.tmp.<pid>` first.  If the block raises, the tmp
     file is deleted and `path` is left as it was.  A reader sees the old or
     the new whole file, never a missing or partial one (see `_replace`).
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    fh = open(tmp, "w", encoding="utf-8")
+    fh = open(tmp, "wb")
     try:
         with fh:
             yield fh
@@ -409,18 +409,22 @@ def atomic_write(path: str):
 #
 # orjson writes NaN and +-inf as null, so a block holding any of them is
 # formatted by repr instead.
+#
+# The text is returned as the ASCII bytes it was spliced in, and written to
+# the files as they are: decoding it to a str only for the file to encode it
+# again would copy every byte twice.
 
 _CUTS = np.array([[1e-9], [1e-5], [1e-4], [1e16], [1e100]])
 
 
-def _csv_lines(block: np.ndarray) -> str:
-    """The rows of a 2-D float block as CSV lines, each ending in a newline."""
+def _csv_lines(block: np.ndarray) -> bytes:
+    """The rows of a 2-D float block as ASCII CSV lines, each ending in a newline."""
     block = np.ascontiguousarray(block, dtype=float)
     if not block.size:
-        return ""
+        return b""
     flat = block.ravel()
     if not np.isfinite(block).all():
-        return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
     b = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
                       dtype=np.uint8).copy()  # [v1,v2,...,vn]
     # Value i lies strictly between bytes bounds[i] and bounds[i + 1].
@@ -449,15 +453,16 @@ def _csv_lines(block: np.ndarray) -> str:
     row_end = b[ends[pos]] == ord("\n")
     b[ends[pos]] = np.where(row_end, 4, 3)
     # One copy of the text alive at a time: with the array kept through the
-    # splices, the benchmark's peak RSS read about 0.3 MB higher.
-    text = b.tobytes()
+    # splices, the benchmark's peak RSS read about 0.3 MB higher.  The copy
+    # drops the opening bracket.
+    text = b[1:].tobytes()
     del b
     for marker, replacement, written in (
             (b"\0", b"", pos.size), (b"\1", b"-0", tiny.size), (b"\2", b"e+", big.size),
             (b"\3", b"e-05,", pos.size > row_end.sum()), (b"\4", b"e-05\n", row_end.any())):
         if written:
             text = text.replace(marker, replacement)
-    return str(memoryview(text)[1:], "ascii")
+    return text
 
 
 def _json_layout(obj, pad: str, parts: list, slots: list, values: list) -> None:
@@ -517,25 +522,25 @@ def write_json(path: str, obj) -> None:
     """Atomically write `obj` as json.dump(obj, fh, indent=2) does, plus a newline.
 
     The layout comes from `_json_layout`; the finite floats are formatted
-    together by one `_csv_lines` call, as one row, and the text is written
-    with one write.  Unserializable objects raise TypeError before the
-    file is opened.
+    together by one `_csv_lines` call, as one row, whose bytes are cut into
+    the layout, and the document is written with one write.  Unserializable
+    objects raise TypeError before the file is opened.
     """
     parts, slots, values = [], [], []
     _json_layout(obj, "\n", parts, slots, values)
     text = _csv_lines(np.array(values, dtype=float).reshape(1, -1))  # v1,...,vn\n
     # No value holds a comma, so value i ends at comma i, or at the final
-    # newline.  One scan finds them; a str.split into one string per value
+    # newline.  One scan finds them; a split into one object per value
     # raised the benchmark's peak RSS by about 2 MB.
-    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(","))
+    commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
     ends = np.append(commas, len(text) - 1)[[stop - 1 for _, stop, _ in slots]].tolist()
     start = 0
     for (at, _, sep), end in zip(slots, ends):
-        parts[at] = text[start:end].replace(",", sep)
+        parts[at] = text[start:end].replace(b",", sep.encode())
         start = end + 1
     parts.append("\n")
     with atomic_write(path) as fh:
-        fh.write("".join(parts))
+        fh.write(b"".join(p if type(p) is bytes else p.encode() for p in parts))
 
 
 def save_plant(plant, path: str) -> None:

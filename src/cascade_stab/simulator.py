@@ -863,6 +863,8 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # which keeps the memory of the byte buffers small next to the arrays being
 # written.  Block k of a table is its steps k*block .. (k+1)*block - 1,
 # counted from step 0, so a block's text is the same whoever formats it.
+# The text stays ASCII bytes from orjson.dumps to the file: the temp files
+# and the helper's memfd are written in binary.
 #
 # `write_csvs` formats on two CPUs, sharing the blocks by claims.  The claim
 # state (table, front, back) lives in an anonymous shared mapping and
@@ -876,19 +878,32 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # claims of a table meet, the parent appends the helper's blocks of it in
 # order with os.sendfile (kernel to kernel, no copy in user space), one call
 # per block, and replaces the target, while the helper is already on the
-# next table.  The helper only slices, stacks and formats arrays that exist
-# before the fork, the fields included (`field_table` calls
-# `reconstruct_field` first): it computes nothing through BLAS, whose
-# threads do not survive a fork.  It leaves only by os._exit, and the parent
-# always reaps it, after killing it if the parent stopped early; a helper
-# that stops early is a CsvHelperFailed.  Formatting a block takes about as
-# long as the fork, so the helper is forked only where the tables hold at
-# least two blocks' worth of values.  Below that, or where the platform has
-# no fork or memfd_create, or they fail, the parent claims every block
-# alone.  Costs: the fork takes the parent about a millisecond and leaves
-# its pages copy-on-write, so the next command in the same process takes
-# extra minor page faults; the memfd holds the helper's share of the CSV
-# text (about half) outside either process's RSS.
+# next table.
+#
+# A table whose array is computed for it gives a fill: the fields, which
+# `field_table` expands with the same `expand` products as
+# `reconstruct_field`, written in place.  The order is fork, fill, signal,
+# so that the helper formats while the parent computes.  Before the fork
+# the array is placed in an anonymous shared mapping, 8 (steps + 1) m
+# (grid points) bytes for the fields (0.97 MB on the fine-mesh benchmark
+# workload).  The parent then forks, runs the fill, and sends the helper
+# one byte down a second pipe.  Until that byte arrives, the helper claims
+# blocks only of the tables before the first filled one (modal.csv), which
+# read arrays that existed before the fork; a read that ends without it
+# means the parent died, and the helper exits.  The helper only slices,
+# stacks and formats: it computes nothing through BLAS, whose threads do
+# not survive a fork.  It leaves only by os._exit, and the parent always
+# reaps it, after killing it if the parent stopped early (a fill that
+# raises included); a helper that stops early is a CsvHelperFailed.
+#
+# Formatting a block takes about as long as the fork, so the helper is
+# forked only where the tables hold at least two blocks' worth of values.
+# Below that, or where the platform has no fork or memfd_create, or they
+# fail, the parent fills every array in its own memory and then claims
+# every block alone.  Costs: the fork takes the parent about a millisecond
+# and leaves its pages copy-on-write, so the next command in the same
+# process takes extra minor page faults; the memfd holds the helper's
+# share of the CSV text (about half) outside either process's RSS.
 
 _VALUES_PER_BLOCK = 8192
 
@@ -897,8 +912,10 @@ class CsvTable(NamedTuple):
     """A CSV file: the header line, then the rows of steps 0..steps-1.
 
     rows(start, stop) is the 2-D float table of steps start..stop-1, with
-    `width` values per step.  (A NamedTuple: a frozen dataclass would add
-    about a millisecond to every import.)
+    `width` values per step.  A table whose rows read an array computed for
+    it gives `fill`: fill(empty) allocates that array as empty(shape), a
+    float array, and returns the call that computes it.  (A NamedTuple: a
+    frozen dataclass would add about a millisecond to every import.)
     """
 
     path: str
@@ -906,6 +923,7 @@ class CsvTable(NamedTuple):
     steps: int
     width: int
     rows: Callable[[int, int], np.ndarray]
+    fill: Callable[[Callable], Callable[[], object]] | None = None
 
     @property
     def block(self) -> int:
@@ -916,7 +934,7 @@ class CsvTable(NamedTuple):
         """The number of formatted blocks, the last one possibly short."""
         return -(-self.steps // self.block)
 
-    def lines(self, k: int) -> str:
+    def lines(self, k: int) -> bytes:
         """The CSV lines of block k."""
         start = k * self.block
         return _csv_lines(self.rows(start, min(start + self.block, self.steps)))
@@ -960,14 +978,14 @@ class _Claims:
             return (table, front + 1, back), True
         return self._swap(claim)
 
-    def back(self):
-        """Claim the last unclaimed block, as (table, block); None once every
-        table is fully claimed."""
+    def back(self, end: int):
+        """Claim the last unclaimed block of the tables before `end`, as
+        (table, block); None once every one of them is fully claimed."""
         def claim(table, front, back):
-            while front == back:
-                if table + 1 == len(self.counts):
-                    return (table, front, back), None
+            while front == back and table + 1 < end:
                 table, front, back = table + 1, 0, self.counts[table + 1]
+            if front == back or table >= end:
+                return (table, front, back), None
             return (table, front, back - 1), (table, back - 1)
         return self._swap(claim)
 
@@ -976,55 +994,85 @@ class _Claims:
 
 
 class _Helper:
-    """The forked process that claims blocks from the back, and the claim
-    state it shares with the parent."""
+    """The forked process that claims blocks from the back, the claim state
+    it shares with the parent, and the parent's share of the fills."""
 
-    def __init__(self, pid: int, memfd: int, pipe: int, claims: _Claims):
-        self.pid, self.memfd, self.pipe, self.claims = pid, memfd, pipe, claims
+    def __init__(self, pid: int, fds: tuple, claims: _Claims, fills: list):
+        self.pid, self.claims, self.fills = pid, claims, fills
+        self.memfd, self.pipe, self.go = fds
 
     @classmethod
     def fork(cls, tables) -> _Helper | None:
-        """A helper sharing the blocks of `tables`, or None where none starts."""
+        """A helper sharing the blocks of `tables`, or None where none starts.
+
+        The filled tables' arrays are placed in shared mappings first; the
+        parent runs `fills` and then `start`s the helper on them.
+        """
         if not hasattr(os, "fork") or not hasattr(os, "memfd_create"):
             return None
+        import mmap
+
+        def shared(shape):
+            return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
+
         fds = []
         try:
             fds.append(os.memfd_create("cascade-stab-csv", os.MFD_CLOEXEC))
             claims = _Claims(fds[0], [table.blocks() for table in tables])
-            fds += os.pipe()
+            fills = [table.fill(shared) for table in tables if table.fill is not None]
+            fds += os.pipe() + os.pipe()
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
             return None
-        memfd, pipe, end = fds
+        memfd, pipe, end, wait, go = fds
         if pid == 0:
-            cls._serve(tables, claims, memfd, pipe, end)
+            cls._serve(tables, claims, fds)
         os.close(end)
-        return cls(pid, memfd, pipe, claims)
+        os.close(wait)
+        return cls(pid, (memfd, pipe, go), claims, fills)
 
     @staticmethod
-    def _serve(tables, claims: _Claims, memfd: int, pipe: int, end: int) -> NoReturn:
+    def _serve(tables, claims: _Claims, fds: list) -> NoReturn:
         """The helper's whole life: claim, format, report each block, _exit."""
         status = 1
         try:
+            memfd, pipe, end, wait, go = fds
             os.close(pipe)
-            with open(memfd, "w", encoding="ascii", closefd=False) as out:
+            os.close(go)
+            # Tables from the first filled one on are claimed after the signal.
+            ready = next((i for i, t in enumerate(tables) if t.fill is not None),
+                         len(tables))
+            with open(memfd, "wb", closefd=False) as out:
                 start = 0
-                while (claim := claims.back()) is not None:
+                while True:
+                    claim = claims.back(ready)
+                    if claim is None:
+                        if ready == len(tables):
+                            status = 0
+                            break
+                        if not os.read(wait, 1):
+                            break  # the parent died before its signal
+                        ready = len(tables)
+                        continue
                     i, k = claim
-                    out.write(tables[i].lines(k))
+                    lines = tables[i].lines(k)
+                    out.write(lines)
                     out.flush()
-                    stop = os.lseek(memfd, 0, os.SEEK_CUR)
+                    stop = start + len(lines)
                     os.write(end, _MESSAGE.pack(i, k, start, stop))
                     start = stop
-            status = 0
         except BaseException:
             import traceback  # to the inherited stderr; the parent raises on the status
             traceback.print_exc()
             raise
         finally:
             os._exit(status)
+
+    def start(self) -> None:
+        """Let the helper on to the filled tables."""
+        os.write(self.go, b"\1")
 
     def append_to(self, fd: int, i: int, first: int, table: CsvTable) -> None:
         """Append the helper's blocks first.. of table i, in order, to the file fd."""
@@ -1065,8 +1113,8 @@ class _Helper:
                 self._reap()
         finally:
             self.claims.close()
-            os.close(self.pipe)
-            os.close(self.memfd)
+            for fd in (self.pipe, self.go, self.memfd):
+                os.close(fd)
 
 
 def write_csvs(tables) -> None:
@@ -1081,9 +1129,15 @@ def write_csvs(tables) -> None:
         helper = _Helper.fork(tables)
     finished = False
     try:
+        fills = helper.fills if helper is not None else [
+            table.fill(np.empty) for table in tables if table.fill is not None]
+        for fill in fills:
+            fill()
+        if helper is not None:
+            helper.start()
         for i, table in enumerate(tables):
             with atomic_write(table.path) as fh:
-                fh.write(table.header + "\n")
+                fh.write(table.header.encode() + b"\n")
                 k, n = 0, table.blocks()
                 while k < n and (helper is None or helper.claims.front(i)):
                     fh.write(table.lines(k))
@@ -1108,17 +1162,23 @@ def modal_table(traj: Trajectory, path: str) -> CsvTable:
 
 
 def field_table(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> CsvTable:
-    """Long format: t, x, z1..zm."""
-    fields = reconstruct_field(traj, basis, grid)
+    """Long format: t, x, z1..zm.  The fields are `reconstruct_field`'s,
+    expanded by the table's fill."""
     t = traj.times
     x = np.asarray(grid, dtype=float)
+    fields = None
+
+    def fill(empty):
+        nonlocal fields
+        fields = empty((len(t), traj.m, x.size))
+        return lambda: expand(traj.modal, basis, x, out=fields)
 
     def rows(a, b):
         return np.column_stack([np.repeat(t[a:b], x.size), np.tile(x, b - a),
                                 fields[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
 
     header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
-    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows)
+    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows, fill)
 
 
 def norms_table(traj: Trajectory, M_cert: float, delta: float, path: str) -> CsvTable:

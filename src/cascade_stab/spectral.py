@@ -492,12 +492,13 @@ def input_projection_row(shapes, basis: SpectralBasis, n: int) -> np.ndarray:
     return _shape_columns(shapes, basis.L, basis.s[n - 1:n], basis.c[n - 1:n])[0]
 
 
-def expand(coeffs, basis: SpectralBasis, grid) -> np.ndarray:
+def expand(coeffs, basis: SpectralBasis, grid, out=None) -> np.ndarray:
     """Partial eigenfunction sum on a spatial grid.
 
     coeffs has one m-vector per mode (shape n_modes x m), optionally stacked
     (shape ... x n_modes x m); the result has shape ... x m x len(grid),
-    component i evaluated as sum_n coeffs[..., n, i] phi_n(x).
+    component i evaluated as sum_n coeffs[..., n, i] phi_n(x).  It is
+    written into `out` where given, a C-contiguous array of that shape.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     x = np.asarray(grid, dtype=float)
@@ -506,7 +507,7 @@ def expand(coeffs, basis: SpectralBasis, grid) -> np.ndarray:
         raise ValueError("more coefficient rows than basis functions")
     # phi_matrix[n, p] = phi_{n+1}(x_p)
     phi_matrix = basis.c[:n_modes, None] * np.cos(basis.s[:n_modes, None] * x[None, :])
-    return np.swapaxes(coeffs, -1, -2) @ phi_matrix
+    return np.matmul(np.swapaxes(coeffs, -1, -2), phi_matrix, out=out)
 
 
 def basis_to_dict(basis: SpectralBasis) -> dict:

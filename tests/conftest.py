@@ -124,15 +124,18 @@ def helper_formats_first(monkeypatch, marker, in_helper=None):
     file `marker`, then calls in_helper() if given, before formatting; in the
     parent it first waits for `marker` (for at most 30 s).  The parent holds
     its first block while it waits, so a table of two blocks or more leaves
-    the helper at least one.
+    the helper at least one.  Returns the list of the parent's calls, one
+    entry each, so that a test can check that the wrapper ran: a patch on a
+    name the writer no longer reads would otherwise pass unnoticed.
     """
     from cascade_stab import simulator
 
-    parent = os.getpid()
+    parent, calls = os.getpid(), []
     real_lines = simulator._csv_lines
 
     def lines(block):
         if os.getpid() == parent:
+            calls.append(block.shape)
             deadline = time.monotonic() + 30.0
             while not os.path.exists(marker) and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -143,6 +146,7 @@ def helper_formats_first(monkeypatch, marker, in_helper=None):
         return real_lines(block)
 
     monkeypatch.setattr(simulator, "_csv_lines", lines)
+    return calls
 
 
 def failing_exchange(code):

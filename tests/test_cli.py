@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -759,15 +760,149 @@ class TestCsvHelperProcess:
                                                 initial_file, monkeypatch, capsys):
         """The helper exits at its first block, the last of modal.csv, which
         the parent waits for: no CSV is written."""
-        helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
-                             lambda: os._exit(7))
+        wrapped = helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
+                                       lambda: os._exit(7))
         assert self._simulate(tmp_path, plant_file, initial_file) == 3
+        assert wrapped and (tmp_path / "helper-started").exists()
         err = capsys.readouterr().err
         assert err.startswith("internal error: the CSV helper process exited with status 7 "
                               "with 1 claimed block(s) of modal.csv unwritten")
         assert os.listdir(tmp_path / "out") == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestFieldFillOverlap:
+    """simulate forks the CSV helper before it expands the field, and lets
+    the helper on to field.csv with one byte once the field is filled.
+    Small M and many grid points give modal.csv one block and field.csv
+    51; the fill waits until the helper has formatted modal.csv and is
+    waiting for the byte, so that the helper reaches field.csv first."""
+
+    NAMES = ("modal.csv", "field.csv", "norms.csv")
+
+    @staticmethod
+    def _simulate(out, plant_file, initial_file):
+        return main(["simulate", "--plant", plant_file, "--delta", "9", "--N", "3",
+                     "--M-modes", "4", "--grid-points", "200", "--initial", initial_file,
+                     "--t-final", "0.2", "--out-dir", str(out)])
+
+    @staticmethod
+    def _late_fill(monkeypatch, marker, then=None):
+        """The helper creates `marker` as it starts waiting for the byte; the
+        fill waits for `marker` (at most 30 s), calls then() if given, and
+        expands.  Returns the list of the fill's calls."""
+        from cascade_stab import simulator
+
+        parent, calls = os.getpid(), []
+        real_read, real_expand = os.read, simulator.expand
+
+        def read(fd, n):
+            if os.getpid() != parent and n == 1:
+                open(marker, "a").close()
+            return real_read(fd, n)
+
+        def expand(*args, **kwargs):
+            calls.append(os.getpid())
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if then is not None:
+                then()
+            return real_expand(*args, **kwargs)
+
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(simulator, "expand", expand)
+        return calls
+
+    @staticmethod
+    def _reaped(monkeypatch):
+        """The exit statuses of the children the parent reaps."""
+        statuses, real_waitpid = [], os.waitpid
+
+        def waitpid(pid, options):
+            done = real_waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        return statuses
+
+    def _single_process(self, tmp_path, plant_file, initial_file, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert self._simulate(tmp_path / "alone", plant_file, initial_file) == 0
+        return {name: (tmp_path / "alone" / name).read_bytes() for name in self.NAMES}
+
+    def test_helper_reaches_field_first(self, tmp_path, plant_file, initial_file,
+                                        monkeypatch, capsys):
+        from cascade_stab import simulator
+
+        alone = self._single_process(tmp_path, plant_file, initial_file, monkeypatch)
+        log = tmp_path / "blocks"
+        real_lines = simulator.CsvTable.lines
+
+        def lines(table, k):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {os.path.basename(table.path)} {k}\n")
+            return real_lines(table, k)
+
+        monkeypatch.setattr(simulator.CsvTable, "lines", lines)
+        marker = tmp_path / "helper-waits"
+        fills = self._late_fill(monkeypatch, str(marker))
+        statuses = self._reaped(monkeypatch)
+        out = tmp_path / "out"
+        assert self._simulate(out, plant_file, initial_file) == 0
+        assert fills == [os.getpid()] and marker.exists() and statuses == [0]
+        for name in self.NAMES:
+            assert (out / name).read_bytes() == alone[name]
+        blocks = [line.split() for line in log.read_text().splitlines()]
+        helper = {(name, int(k)) for pid, name, k in blocks if int(pid) != os.getpid()}
+        assert ("modal.csv", 0) in helper  # formatted before the byte
+        assert {name for name, _ in helper} >= {"modal.csv", "field.csv"}
+        assert sorted(os.listdir(out)) == sorted(self.NAMES)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fill_kills_the_waiting_helper(self, tmp_path, plant_file,
+                                                  initial_file, monkeypatch, capsys):
+        import signal
+
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in self.NAMES:
+            (out / name).write_text(f"old {name}\n")
+        marker = tmp_path / "helper-waits"
+
+        def fail():
+            raise RuntimeError("the fill failed")
+
+        fills = self._late_fill(monkeypatch, str(marker), fail)
+        statuses = self._reaped(monkeypatch)
+        with pytest.raises(RuntimeError, match="the fill failed"):
+            self._simulate(out, plant_file, initial_file)
+        assert fills and marker.exists()
+        assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+        assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert sorted(os.listdir(out)) == sorted(self.NAMES)  # no *.tmp.* file
+        for name in self.NAMES:
+            assert (out / name).read_text() == f"old {name}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("missing", ["fork", "memfd_create"])
+    def test_without_a_helper_the_same_bytes(self, tmp_path, plant_file, initial_file,
+                                             monkeypatch, capsys, missing):
+        assert self._simulate(tmp_path / "shared", plant_file, initial_file) == 0
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.delattr(os, missing)
+        assert self._simulate(tmp_path / "alone", plant_file, initial_file) == 0
+        assert forks == []
+        for name in self.NAMES:
+            assert ((tmp_path / "alone" / name).read_bytes()
+                    == (tmp_path / "shared" / name).read_bytes())
 
 
 class TestUnwritableOutput:

@@ -330,7 +330,7 @@ class TestAtomicWrite:
         target.write_text("old\n")
         with pytest.raises(RuntimeError):
             with atomic_write(str(target)) as fh:
-                fh.write("new, partly written")
+                fh.write(b"new, partly written")
                 fh.flush()
                 raise RuntimeError("interrupted")
         assert target.read_text() == "old\n"
@@ -340,7 +340,7 @@ class TestAtomicWrite:
         target = tmp_path / "report.txt"
         target.write_text("old\n")
         with atomic_write(str(target)) as fh:
-            fh.write("new\n")
+            fh.write(b"new\n")
         assert target.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
         if model._RENAMEAT2 is not None:
@@ -357,7 +357,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", replace)
         target = tmp_path / "gains.json"
         with atomic_write(str(target)) as fh:
-            fh.write("first\n")
+            fh.write(b"first\n")
         assert target.read_text() == "first\n"
         assert replaced == [str(target)] and exchanges == []
         assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
@@ -368,7 +368,7 @@ class TestAtomicWrite:
         (target / "inside").write_text("kept\n")
         with pytest.raises(IsADirectoryError):
             with atomic_write(str(target)) as fh:
-                fh.write("new\n")
+                fh.write(b"new\n")
         assert (target / "inside").read_text() == "kept\n"
         assert [p.name for p in target.iterdir()] == ["inside"]
         assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
@@ -380,7 +380,7 @@ class TestAtomicWrite:
         target = tmp_path / "norms.csv"
         target.symlink_to(referent)
         with atomic_write(str(target)) as fh:
-            fh.write("new\n")
+            fh.write(b"new\n")
         assert not target.is_symlink() and target.read_text() == "new\n"
         assert referent.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["norms.csv",
@@ -392,7 +392,7 @@ class TestAtomicWrite:
         other = tmp_path / "other.txt"
         os.link(target, other)
         with atomic_write(str(target)) as fh:
-            fh.write("new\n")
+            fh.write(b"new\n")
         assert target.read_text() == "new\n" and other.read_text() == "old\n"
         assert os.stat(other).st_nlink == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt",
@@ -404,7 +404,7 @@ class TestAtomicWrite:
         with open(target, "rb") as reader:
             head = reader.read(4)
             with atomic_write(str(target)) as fh:
-                fh.write("t,z\n0,5\n")
+                fh.write(b"t,z\n0,5\n")
             assert head + reader.read() == b"t,z\n0,1\n1,2\n"
         assert target.read_bytes() == b"t,z\n0,5\n"
 
@@ -412,7 +412,7 @@ class TestAtomicWrite:
     def test_unavailable_exchange_gives_same_files(self, tmp_path, monkeypatch, code):
         def write_twice(directory):
             directory.mkdir()
-            for text in ("old\n", "new\n"):
+            for text in (b"old\n", b"new\n"):
                 with atomic_write(str(directory / "gains.json")) as fh:
                     fh.write(text)
             return {p.name: p.read_bytes() for p in directory.iterdir()}
@@ -430,7 +430,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(model, "_RENAMEAT2", failing_exchange(errno.EACCES))
         with pytest.raises(PermissionError):
             with atomic_write(str(target)) as fh:
-                fh.write("new\n")
+                fh.write(b"new\n")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
 
@@ -448,7 +448,7 @@ class TestAtomicWrite:
             raise AssertionError("os.replace called")
         monkeypatch.setattr(os, "replace", replace)
         with atomic_write(str(other)) as fh:
-            fh.write("new\n")
+            fh.write(b"new\n")
         assert other.read_text() == "new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "probe"]
 

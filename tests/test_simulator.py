@@ -870,12 +870,15 @@ def _serial_norms(traj, M_cert, delta) -> str:
     return _serial_csv("t,l2norm,bound", rows)
 
 
-def _assert_same_text(text: str, expected: str) -> None:
+def _assert_same_text(text, expected) -> None:
     """Compared as lists of lines of values, so that a mismatch reports where
-    it is at once; a diff of megabytes of text could take minutes."""
-    assert text.endswith("\n") and expected.endswith("\n")
-    assert ([line.split(",") for line in text.split("\n")]
-            == [line.split(",") for line in expected.split("\n")])
+    it is at once; a diff of megabytes of text could take minutes.  Both are
+    str, or both bytes."""
+    newline, comma = ("\n", ",") if isinstance(text, str) else (b"\n", b",")
+    assert type(text) is type(expected)
+    assert text.endswith(newline) and expected.endswith(newline)
+    assert ([line.split(comma) for line in text.split(newline)]
+            == [line.split(comma) for line in expected.split(newline)])
 
 
 def _export_and_check(tmp_path, traj, basis, grid):
@@ -1071,10 +1074,11 @@ class TestCsvHelper:
         last = tables[0].block * (tables[0].blocks() - 1)
         assert last <= 190 < steps  # the -inf lies in the modal table's last block
         real_lines = simulator._csv_lines
-        helper_formats_first(monkeypatch, str(tmp_path / "helper-started"))
+        wrapped = helper_formats_first(monkeypatch, str(tmp_path / "helper-started"))
         forks = self._count_forks(monkeypatch)
         write_csvs(tables)
         assert len(forks) == 1
+        assert wrapped and (tmp_path / "helper-started").exists()
         self._assert_no_child()
 
         monkeypatch.setattr(simulator, "_csv_lines", real_lines)
@@ -1126,8 +1130,11 @@ class TestCsvHelper:
 
         parent = os.getpid()
         real_lines = simulator._csv_lines
+        wrapped = tmp_path / "wrapped"
 
         def lines(block):
+            with open(wrapped, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             if (os.getpid() == parent) == (slow == "parent"):
                 time.sleep(0.005)
             return real_lines(block)
@@ -1141,6 +1148,7 @@ class TestCsvHelper:
         write_csvs(tables)
         assert len(forks) == 1
         self._check_logged(directory, tables, values, log)
+        assert len(wrapped.read_text().split()) == 12  # every block went through it
 
     def test_contended_claims(self, tmp_path, monkeypatch):
         """3000 one-value blocks: the two processes claim back to back, and
@@ -1185,11 +1193,13 @@ class TestCsvHelper:
             raise RuntimeError("formatting failed")
 
         if where == "helper":
-            helper_formats_first(monkeypatch, str(tmp_path / "helper-started"), fail)
+            wrapped = helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
+                                           fail)
         else:
-            parent, real_lines = os.getpid(), simulator._csv_lines
+            parent, real_lines, wrapped = os.getpid(), simulator._csv_lines, []
             monkeypatch.setattr(simulator, "_csv_lines", lambda block: (
-                fail() if os.getpid() == parent else real_lines(block)))
+                wrapped.append(block.shape) or fail() if os.getpid() == parent
+                else real_lines(block)))
         values = np.arange(2.0 * _VALUES_PER_BLOCK).reshape(-1, 4)  # two blocks
         target = tmp_path / "table.csv"
         target.write_text("old\n")
@@ -1197,6 +1207,7 @@ class TestCsvHelper:
         with pytest.raises(expected, match="status 1" if where == "helper" else "formatting"):
             write_csvs([CsvTable(str(target), "a,b,c,d", len(values), 4,
                                  lambda a, b: values[a:b])])
+        assert wrapped
         assert target.read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["table.csv"] + (["helper-started"] if where == "helper" else []))
@@ -1216,13 +1227,33 @@ class TestCsvHelper:
         for table in tables:
             with open(table.path, "w") as fh:
                 fh.write("old\n")
-        helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
-                             lambda: os.kill(os.getpid(), signal.SIGKILL))
+        wrapped = helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
+                                       lambda: os.kill(os.getpid(), signal.SIGKILL))
         with pytest.raises(CsvHelperFailed, match=r"exited with status -9 with 1 "
                                                   r"claimed block\(s\) of 0.csv unwritten"):
             write_csvs(tables)
+        assert wrapped and (tmp_path / "helper-started").exists()
         assert [open(t.path).read() for t in tables] == ["old\n", "old\n"]
         assert sorted(os.listdir(directory)) == ["0.csv", "1.csv"]
+        self._assert_no_child()
+
+    def test_helper_exits_when_the_parent_never_signals(self, tmp_path, capfd):
+        """The blocks of a filled table wait for the parent's byte.  Where the
+        parent's end of that pipe closes without it, as when the parent
+        dies, the helper exits with status 1, silently, and claims none."""
+        from cascade_stab import simulator
+
+        values = np.arange(4.0 * _VALUES_PER_BLOCK).reshape(-1, 8)
+        table = CsvTable(str(tmp_path / "t.csv"), "h", len(values), 8,
+                         lambda a, b: values[a:b], lambda empty: None)
+        helper = simulator._Helper.fork([table])
+        assert helper is not None
+        go, helper.go = helper.go, os.open(os.devnull, os.O_WRONLY)
+        os.close(go)
+        assert helper._reap() == 1
+        assert simulator._STATE.unpack_from(helper.claims.map) == (0, 0, table.blocks())
+        helper.close(kill=False)
+        assert capfd.readouterr().err == ""
         self._assert_no_child()
 
     def test_helper_killed_holding_the_lock(self, tmp_path, monkeypatch):
@@ -1290,12 +1321,12 @@ class TestCsvLines:
         for block in ([[value]], [[value, 1.0], [-2.0, value]],
                       [[0.5, value, -value, 1e-6]]):
             for b in _with_tiled(block):
-                assert _csv_lines(b) == _repr_lines(b)
+                assert _csv_lines(b) == _repr_lines(b).encode()
 
     def test_edges_in_one_row_and_column(self):
         for row in _with_tiled([self.EDGES]):
-            assert _csv_lines(row) == _repr_lines(row)
-            assert _csv_lines(row.T) == _repr_lines(row.T)
+            assert _csv_lines(row) == _repr_lines(row).encode()
+            assert _csv_lines(row.T) == _repr_lines(row.T).encode()
 
     @pytest.mark.parametrize("value", _EDITED)
     def test_edit_at_block_and_row_ends(self, value):
@@ -1307,26 +1338,26 @@ class TestCsvLines:
             block = base.copy()
             for place in places:
                 block[place] = value
-            assert _csv_lines(block) == _repr_lines(block)
+            assert _csv_lines(block) == _repr_lines(block).encode()
         column = np.full((_WIDE, 1), value)
-        assert _csv_lines(column) == _repr_lines(column)
+        assert _csv_lines(column) == _repr_lines(column).encode()
 
     @settings(max_examples=150)
     @given(arrays(np.float64, _table_shapes, elements=st.floats(-2.0, 2.0)).map(_near_cuts))
     def test_values_near_the_cuts(self, block):
         for b in _with_tiled(block):
-            assert _csv_lines(b) == _repr_lines(b)
+            assert _csv_lines(b) == _repr_lines(b).encode()
 
     def test_random_bit_patterns(self):
         gen = np.random.default_rng(11)
         block = gen.integers(0, 2**64, size=(200, 1000),
                              dtype=np.uint64).view(np.float64)
         block[~np.isfinite(block)] = 0.0  # keep every block on the orjson path
-        _assert_same_text(_csv_lines(block), _repr_lines(block))
+        _assert_same_text(_csv_lines(block), _repr_lines(block).encode())
 
     @settings(max_examples=300)
     @given(st.one_of(arrays(np.uint64, _table_shapes).map(lambda a: a.view(np.float64)),
                      arrays(np.float64, _table_shapes)))
     def test_matches_repr_join(self, block):
         for b in _with_tiled(block):
-            assert _csv_lines(b) == _repr_lines(b)
+            assert _csv_lines(b) == _repr_lines(b).encode()
