@@ -833,9 +833,10 @@ def target_residual(traj: Trajectory, plant: ValidatedPlant,
     return worst / scale
 
 
-def reconstruct_field(traj: Trajectory, basis: SpectralBasis, grid) -> np.ndarray:
-    """Partial-sum fields z_i(t, x), shape (T, m, len(grid))."""
-    return expand(traj.modal, basis, grid)
+def reconstruct_field(traj: Trajectory, basis: SpectralBasis, grid, out=None) -> np.ndarray:
+    """Partial-sum fields z_i(t, x), shape (T, m, len(grid)), written into
+    `out` where given."""
+    return expand(traj.modal, basis, grid, out=out)
 
 
 def run_closed_loop(plant: ValidatedPlant, controller: Controller,
@@ -880,30 +881,21 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # per block, and replaces the target, while the helper is already on the
 # next table.
 #
-# A table whose array is computed for it gives a fill: the fields, which
-# `field_table` expands with the same `expand` products as
-# `reconstruct_field`, written in place.  The order is fork, fill, signal,
-# so that the helper formats while the parent computes.  Before the fork
-# the array is placed in an anonymous shared mapping, 8 (steps + 1) m
-# (grid points) bytes for the fields (0.97 MB on the fine-mesh benchmark
-# workload).  The parent then forks, runs the fill, and sends the helper
-# one byte down a second pipe.  Until that byte arrives, the helper claims
-# blocks only of the tables before the first filled one (modal.csv), which
-# read arrays that existed before the fork; a read that ends without it
-# means the parent died, and the helper exits.  The helper only slices,
-# stacks and formats: it computes nothing through BLAS, whose threads do
-# not survive a fork.  It leaves only by os._exit, and the parent always
-# reaps it, after killing it if the parent stopped early (a fill that
-# raises included); a helper that stops early is a CsvHelperFailed.
+# A table with a `shape` formats an array computed for it: the fields.
+# `write_csvs` forks first, then fills, then lets the helper on with one
+# byte down a second pipe, so that the helper formats while the parent
+# computes.  Until that byte arrives the helper claims blocks only of the
+# tables before the first filled one, which read arrays that existed before
+# the fork; a read that ends without the byte means the parent died.  The
+# helper only slices, stacks and formats: it computes nothing through BLAS,
+# whose threads do not survive a fork.  It leaves only by os._exit, and the
+# parent always reaps it, after killing it if the parent stopped early; a
+# helper that stops early is a CsvHelperFailed.
 #
 # Formatting a block takes about as long as the fork, so the helper is
 # forked only where the tables hold at least two blocks' worth of values.
 # Below that, or where the platform has no fork or memfd_create, or they
-# fail, the parent fills every array in its own memory and then claims
-# every block alone.  Costs: the fork takes the parent about a millisecond
-# and leaves its pages copy-on-write, so the next command in the same
-# process takes extra minor page faults; the memfd holds the helper's
-# share of the CSV text (about half) outside either process's RSS.
+# fail, the parent fills and formats every block alone.
 
 _VALUES_PER_BLOCK = 8192
 
@@ -912,18 +904,20 @@ class CsvTable(NamedTuple):
     """A CSV file: the header line, then the rows of steps 0..steps-1.
 
     rows(start, stop) is the 2-D float table of steps start..stop-1, with
-    `width` values per step.  A table whose rows read an array computed for
-    it gives `fill`: fill(empty) allocates that array as empty(shape), a
-    float array, and returns the call that computes it.  (A NamedTuple: a
-    frozen dataclass would add about a millisecond to every import.)
+    `width` values per step.  A table that formats an array computed for it
+    gives the array's `shape` and fill(out), which computes it into `out`,
+    a float array that `write_csvs` allocates; its rows then read that
+    array as rows(start, stop, out).  (A NamedTuple: a frozen dataclass
+    would add about a millisecond to every import.)
     """
 
     path: str
     header: str
     steps: int
     width: int
-    rows: Callable[[int, int], np.ndarray]
-    fill: Callable[[Callable], Callable[[], object]] | None = None
+    rows: Callable[..., np.ndarray]
+    shape: tuple | None = None
+    fill: Callable[[np.ndarray], object] | None = None
 
     @property
     def block(self) -> int:
@@ -934,10 +928,13 @@ class CsvTable(NamedTuple):
         """The number of formatted blocks, the last one possibly short."""
         return -(-self.steps // self.block)
 
-    def lines(self, k: int) -> bytes:
-        """The CSV lines of block k."""
+    def lines(self, k: int, out=None) -> bytes:
+        """The CSV lines of block k, read from the filled array `out` where
+        the table has one."""
         start = k * self.block
-        return _csv_lines(self.rows(start, min(start + self.block, self.steps)))
+        stop = min(start + self.block, self.steps)
+        return _csv_lines(self.rows(start, stop) if out is None
+                          else self.rows(start, stop, out))
 
 
 _STATE = struct.Struct("3q")    # the claim state (table, front, back)
@@ -993,33 +990,31 @@ class _Claims:
         self.map.close()
 
 
-class _Helper:
-    """The forked process that claims blocks from the back, the claim state
-    it shares with the parent, and the parent's share of the fills."""
+def _shared_empty(shape) -> np.ndarray:
+    """An uninitialised float array in an anonymous mapping, which a forked
+    helper shares."""
+    import mmap
 
-    def __init__(self, pid: int, fds: tuple, claims: _Claims, fills: list):
-        self.pid, self.claims, self.fills = pid, claims, fills
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
+
+
+class _Helper:
+    """The forked process that claims blocks from the back, and the claim
+    state it shares with the parent."""
+
+    def __init__(self, pid: int, fds: tuple, claims: _Claims):
+        self.pid, self.claims = pid, claims
         self.memfd, self.pipe, self.go = fds
 
     @classmethod
-    def fork(cls, tables) -> _Helper | None:
-        """A helper sharing the blocks of `tables`, or None where none starts.
-
-        The filled tables' arrays are placed in shared mappings first; the
-        parent runs `fills` and then `start`s the helper on them.
-        """
-        if not hasattr(os, "fork") or not hasattr(os, "memfd_create"):
-            return None
-        import mmap
-
-        def shared(shape):
-            return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
-
+    def fork(cls, tables, arrays) -> _Helper | None:
+        """A helper sharing the blocks of `tables`, whose filled arrays
+        (None for a table without one) are shared mappings; None where no
+        helper starts."""
         fds = []
         try:
             fds.append(os.memfd_create("cascade-stab-csv", os.MFD_CLOEXEC))
             claims = _Claims(fds[0], [table.blocks() for table in tables])
-            fills = [table.fill(shared) for table in tables if table.fill is not None]
             fds += os.pipe() + os.pipe()
             pid = os.fork()
         except OSError:
@@ -1028,13 +1023,13 @@ class _Helper:
             return None
         memfd, pipe, end, wait, go = fds
         if pid == 0:
-            cls._serve(tables, claims, fds)
+            cls._serve(tables, arrays, claims, fds)
         os.close(end)
         os.close(wait)
-        return cls(pid, (memfd, pipe, go), claims, fills)
+        return cls(pid, (memfd, pipe, go), claims)
 
     @staticmethod
-    def _serve(tables, claims: _Claims, fds: list) -> NoReturn:
+    def _serve(tables, arrays, claims: _Claims, fds: list) -> NoReturn:
         """The helper's whole life: claim, format, report each block, _exit."""
         status = 1
         try:
@@ -1042,7 +1037,7 @@ class _Helper:
             os.close(pipe)
             os.close(go)
             # Tables from the first filled one on are claimed after the signal.
-            ready = next((i for i, t in enumerate(tables) if t.fill is not None),
+            ready = next((i for i, out in enumerate(arrays) if out is not None),
                          len(tables))
             with open(memfd, "wb", closefd=False) as out:
                 start = 0
@@ -1057,7 +1052,7 @@ class _Helper:
                         ready = len(tables)
                         continue
                     i, k = claim
-                    lines = tables[i].lines(k)
+                    lines = tables[i].lines(k, arrays[i])
                     out.write(lines)
                     out.flush()
                     stop = start + len(lines)
@@ -1071,8 +1066,12 @@ class _Helper:
             os._exit(status)
 
     def start(self) -> None:
-        """Let the helper on to the filled tables."""
-        os.write(self.go, b"\1")
+        """Let the helper on to the filled tables.  A helper that has exited
+        already is reported where its blocks are read, by append_to."""
+        try:
+            os.write(self.go, b"\1")
+        except BrokenPipeError:
+            pass
 
     def append_to(self, fd: int, i: int, first: int, table: CsvTable) -> None:
         """Append the helper's blocks first.. of table i, in order, to the file fd."""
@@ -1124,23 +1123,24 @@ def write_csvs(tables) -> None:
     complete; see the comment above for how the blocks are shared.
     """
     tables = list(tables)
-    helper = None
-    if sum(table.steps * table.width for table in tables) >= 2 * _VALUES_PER_BLOCK:
-        helper = _Helper.fork(tables)
+    forks = (sum(table.steps * table.width for table in tables) >= 2 * _VALUES_PER_BLOCK
+             and hasattr(os, "fork") and hasattr(os, "memfd_create"))
+    empty = _shared_empty if forks else np.empty
+    arrays = [None if table.shape is None else empty(table.shape) for table in tables]
+    helper = _Helper.fork(tables, arrays) if forks else None
     finished = False
     try:
-        fills = helper.fills if helper is not None else [
-            table.fill(np.empty) for table in tables if table.fill is not None]
-        for fill in fills:
-            fill()
-        if helper is not None:
+        for table, out in zip(tables, arrays):
+            if out is not None:
+                table.fill(out)
+        if helper is not None and any(out is not None for out in arrays):
             helper.start()
         for i, table in enumerate(tables):
             with atomic_write(table.path) as fh:
                 fh.write(table.header.encode() + b"\n")
                 k, n = 0, table.blocks()
                 while k < n and (helper is None or helper.claims.front(i)):
-                    fh.write(table.lines(k))
+                    fh.write(table.lines(k, arrays[i]))
                     k += 1
                 if k < n:
                     fh.flush()
@@ -1162,23 +1162,17 @@ def modal_table(traj: Trajectory, path: str) -> CsvTable:
 
 
 def field_table(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> CsvTable:
-    """Long format: t, x, z1..zm.  The fields are `reconstruct_field`'s,
-    expanded by the table's fill."""
+    """Long format: t, x, z1..zm, of the fields `reconstruct_field` fills."""
     t = traj.times
     x = np.asarray(grid, dtype=float)
-    fields = None
 
-    def fill(empty):
-        nonlocal fields
-        fields = empty((len(t), traj.m, x.size))
-        return lambda: expand(traj.modal, basis, x, out=fields)
-
-    def rows(a, b):
+    def rows(a, b, fields):
         return np.column_stack([np.repeat(t[a:b], x.size), np.tile(x, b - a),
                                 fields[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
 
     header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
-    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows, fill)
+    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows,
+                    (len(t), traj.m, x.size), lambda out: reconstruct_field(traj, basis, x, out))
 
 
 def norms_table(traj: Trajectory, M_cert: float, delta: float, path: str) -> CsvTable:

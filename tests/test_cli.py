@@ -771,6 +771,31 @@ class TestCsvHelperProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_helper_exited_before_the_signal(self, tmp_path, plant_file, initial_file,
+                                             monkeypatch, capsys):
+        """The helper exits at its first block, and the fill waits until it
+        has: the byte that lets it on to field.csv meets a closed pipe, and
+        the command still reports the helper's status, exit 3."""
+        from cascade_stab import simulator
+
+        wrapped = helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
+                                       lambda: os._exit(7))
+        real_expand, fills = simulator.expand, []
+
+        def expand(*args, **kwargs):
+            fills.append(os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT).si_status)
+            return real_expand(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "expand", expand)
+        assert self._simulate(tmp_path, plant_file, initial_file) == 3
+        assert fills == [7] and wrapped
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: the CSV helper process exited with status 7 "
+                              "with 1 claimed block(s) of modal.csv unwritten")
+        assert os.listdir(tmp_path / "out") == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestFieldFillOverlap:
     """simulate forks the CSV helper before it expands the field, and lets
@@ -842,10 +867,10 @@ class TestFieldFillOverlap:
         log = tmp_path / "blocks"
         real_lines = simulator.CsvTable.lines
 
-        def lines(table, k):
+        def lines(table, k, out=None):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {os.path.basename(table.path)} {k}\n")
-            return real_lines(table, k)
+            return real_lines(table, k, out)
 
         monkeypatch.setattr(simulator.CsvTable, "lines", lines)
         marker = tmp_path / "helper-waits"

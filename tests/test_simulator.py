@@ -708,6 +708,32 @@ class TestReconstructField:
         grid = np.linspace(0.0, math.pi, 101)
         per_sample = np.stack([expand(z, demo_basis, grid) for z in modal])
         assert np.array_equal(reconstruct_field(traj, demo_basis, grid), per_sample)
+        out = np.full_like(per_sample, np.nan)
+        assert reconstruct_field(traj, demo_basis, grid, out) is out
+        assert np.array_equal(out, per_sample)
+
+    def test_field_table_fills_through_reconstruct_field(self, tmp_path, demo_basis,
+                                                          monkeypatch):
+        """field.csv's fields are filled by one reconstruct_field call, into
+        the array that write_csvs allocates, so that the call is seen where
+        reconstruct_field is traced."""
+        from cascade_stab import simulator
+        from cascade_stab.simulator import Trajectory
+
+        modal = np.random.default_rng(43).standard_normal((41, 40, 3))
+        traj = Trajectory(times=np.arange(41) * 0.025, modal=modal, l2_norm=np.ones(41))
+        grid = np.linspace(0.0, math.pi, 101)
+        calls, real = [], simulator.reconstruct_field
+
+        def traced(*args):
+            calls.append(args[3].shape)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "reconstruct_field", traced)
+        write_csvs([field_table(traj, demo_basis, grid, str(tmp_path / "field.csv"))])
+        assert calls == [(41, 3, 101)]
+        _assert_same_text((tmp_path / "field.csv").read_text(),
+                          _serial_field(traj, demo_basis, grid))
 
     def test_parseval_consistency(self, demo_plant, demo_basis):
         # band-limited initial data: modal norm equals the quadrature L2 norm
@@ -1245,8 +1271,8 @@ class TestCsvHelper:
 
         values = np.arange(4.0 * _VALUES_PER_BLOCK).reshape(-1, 8)
         table = CsvTable(str(tmp_path / "t.csv"), "h", len(values), 8,
-                         lambda a, b: values[a:b], lambda empty: None)
-        helper = simulator._Helper.fork([table])
+                         lambda a, b, out: out[a:b], values.shape, values.__array__)
+        helper = simulator._Helper.fork([table], [values])
         assert helper is not None
         go, helper.go = helper.go, os.open(os.devnull, os.O_WRONLY)
         os.close(go)
@@ -1255,6 +1281,26 @@ class TestCsvHelper:
         helper.close(kill=False)
         assert capfd.readouterr().err == ""
         self._assert_no_child()
+
+    def test_helper_done_before_the_parent_resumes(self, tmp_path, monkeypatch):
+        """Tables without a fill: a helper that has claimed every block and
+        exited before the parent returns from the fork leaves the parent
+        only the helper's blocks to append.  No byte is sent to the exited
+        helper, which would raise BrokenPipeError."""
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        directory, log = tmp_path / "out", str(tmp_path / "log")
+        directory.mkdir()
+        tables, values = self._logged_tables(directory, [(40, 1000), (40, 1000)], log)
+        write_csvs(tables)
+        assert os.getpid() not in self._check_logged(directory, tables, values, log)
 
     def test_helper_killed_holding_the_lock(self, tmp_path, monkeypatch):
         """A helper killed at its first claim, with the lock held, leaves the
