@@ -51,6 +51,7 @@ matrices only through an operations object, `_Stack` for a stack or
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -867,30 +868,17 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # The text stays ASCII bytes from orjson.dumps to the file: the temp files
 # and the helper's memfd are written in binary.
 #
-# `write_csvs` formats on two CPUs, sharing the blocks by claims.  The claim
-# state (table, front, back) lives in an anonymous shared mapping and
-# changes only under an fcntl lock on a memfd, which the kernel drops if
-# the holder dies.  Blocks front..back-1 of `table` are unclaimed, and every
-# earlier table is fully claimed.  The parent claims blocks from the front
-# of the table it is writing and writes each into the `atomic_write` temp
-# file.  One forked helper process claims blocks from the back, moving on to
-# the next table once the current one is fully claimed; it writes each block
-# to the memfd and sends (table, block, start, stop) down a pipe.  When the
-# claims of a table meet, the parent appends the helper's blocks of it in
-# order with os.sendfile (kernel to kernel, no copy in user space), one call
-# per block, and replaces the target, while the helper is already on the
-# next table.
-#
-# A table with a `shape` formats an array computed for it: the fields.
-# `write_csvs` forks first, then fills, then lets the helper on with one
-# byte down a second pipe, so that the helper formats while the parent
-# computes.  Until that byte arrives the helper claims blocks only of the
-# tables before the first filled one, which read arrays that existed before
-# the fork; a read that ends without the byte means the parent died.  The
-# helper only slices, stacks and formats: it computes nothing through BLAS,
-# whose threads do not survive a fork.  It leaves only by os._exit, and the
-# parent always reaps it, after killing it if the parent stopped early; a
-# helper that stops early is a CsvHelperFailed.
+# `write_csvs` formats on two CPUs: the parent from the front of each table,
+# one forked `_Helper` from the back.  The claims live in a mapping shared
+# across the fork and change only under an fcntl lock on the memfd, which
+# the kernel drops if the holder dies.  The parent forks before it fills
+# the tables that have a `shape`, then lets the helper on to them with one
+# byte down a pipe.  Before that byte the helper reads only arrays that
+# existed before the fork; a read that ends without the byte means the
+# parent died.  The helper only slices, stacks and formats: it computes
+# nothing through BLAS, whose threads do not survive a fork.  It leaves
+# only by os._exit, and the parent always reaps it, after killing it if the
+# parent stopped early; a helper that stops early is a CsvHelperFailed.
 #
 # Formatting a block takes about as long as the fork, so the helper is
 # forked only where the tables hold at least two blocks' worth of values.
@@ -906,9 +894,10 @@ class CsvTable(NamedTuple):
     rows(start, stop) is the 2-D float table of steps start..stop-1, with
     `width` values per step.  A table that formats an array computed for it
     gives the array's `shape` and fill(out), which computes it into `out`,
-    a float array that `write_csvs` allocates; its rows then read that
-    array as rows(start, stop, out).  (A NamedTuple: a frozen dataclass
-    would add about a millisecond to every import.)
+    a float array that `write_csvs` allocates; its rows read that array as
+    rows(start, stop, out=out), with `out` bound by `write_csvs`.  (A
+    NamedTuple: a frozen dataclass would add about a millisecond to every
+    import.)
     """
 
     path: str
@@ -928,66 +917,14 @@ class CsvTable(NamedTuple):
         """The number of formatted blocks, the last one possibly short."""
         return -(-self.steps // self.block)
 
-    def lines(self, k: int, out=None) -> bytes:
-        """The CSV lines of block k, read from the filled array `out` where
-        the table has one."""
+    def lines(self, k: int) -> bytes:
+        """The CSV lines of block k."""
         start = k * self.block
-        stop = min(start + self.block, self.steps)
-        return _csv_lines(self.rows(start, stop) if out is None
-                          else self.rows(start, stop, out))
+        return _csv_lines(self.rows(start, min(start + self.block, self.steps)))
 
 
-_STATE = struct.Struct("3q")    # the claim state (table, front, back)
+_PAIR = struct.Struct("2q")     # a table's (front, back): blocks front..back-1 are unclaimed
 _MESSAGE = struct.Struct("4q")  # the helper's (table, block, start, stop)
-
-
-class _Claims:
-    """The (table, front, back) claim state, in a mapping shared across the
-    fork and changed only under an fcntl lock on the memfd fd."""
-
-    def __init__(self, fd: int, counts: list):
-        import fcntl
-        import mmap
-
-        self.fd, self.counts = fd, counts
-        self.lockf, self.lock_ex, self.lock_un = fcntl.lockf, fcntl.LOCK_EX, fcntl.LOCK_UN
-        self.map = mmap.mmap(-1, _STATE.size)
-        _STATE.pack_into(self.map, 0, 0, 0, counts[0])
-
-    def _swap(self, claim):
-        """Apply claim(table, front, back) -> (state, result) under the lock."""
-        self.lockf(self.fd, self.lock_ex)
-        try:
-            state, result = claim(*_STATE.unpack_from(self.map))
-            _STATE.pack_into(self.map, 0, *state)
-            return result
-        finally:
-            self.lockf(self.fd, self.lock_un)
-
-    def front(self, i: int) -> bool:
-        """Claim the next block of table i from the front; False once it is
-        fully claimed."""
-        def claim(table, front, back):
-            if table < i:  # table i - 1 is fully claimed
-                table, front, back = i, 0, self.counts[i]
-            if table > i or front == back:
-                return (table, front, back), False
-            return (table, front + 1, back), True
-        return self._swap(claim)
-
-    def back(self, end: int):
-        """Claim the last unclaimed block of the tables before `end`, as
-        (table, block); None once every one of them is fully claimed."""
-        def claim(table, front, back):
-            while front == back and table + 1 < end:
-                table, front, back = table + 1, 0, self.counts[table + 1]
-            if front == back or table >= end:
-                return (table, front, back), None
-            return (table, front, back - 1), (table, back - 1)
-        return self._swap(claim)
-
-    def close(self) -> None:
-        self.map.close()
 
 
 def _shared_empty(shape) -> np.ndarray:
@@ -999,50 +936,72 @@ def _shared_empty(shape) -> np.ndarray:
 
 
 class _Helper:
-    """The forked process that claims blocks from the back, and the claim
-    state it shares with the parent."""
+    """The forked process that formats blocks from the back of the tables,
+    and what it shares with the parent: each table's claims, the memfd that
+    holds its blocks and whose lock guards the claims, and two pipes."""
 
-    def __init__(self, pid: int, fds: tuple, claims: _Claims):
-        self.pid, self.claims = pid, claims
-        self.memfd, self.pipe, self.go = fds
+    def __init__(self, tables: list):
+        """Every block of `tables` unclaimed; no process is forked yet."""
+        import fcntl
+        import mmap
+
+        self.tables, self.pid, self.pipe, self.go = tables, None, None, None
+        self.lockf, self.lock_ex, self.lock_un = fcntl.lockf, fcntl.LOCK_EX, fcntl.LOCK_UN
+        self.map = mmap.mmap(-1, _PAIR.size * len(tables))
+        for i, table in enumerate(tables):
+            _PAIR.pack_into(self.map, _PAIR.size * i, 0, table.blocks())
+        self.memfd = os.memfd_create("cascade-stab-csv", os.MFD_CLOEXEC)
 
     @classmethod
-    def fork(cls, tables, arrays) -> _Helper | None:
-        """A helper sharing the blocks of `tables`, whose filled arrays
-        (None for a table without one) are shared mappings; None where no
-        helper starts."""
+    def fork(cls, tables) -> _Helper | None:
+        """A helper sharing the blocks of `tables`; None where none starts."""
         fds = []
         try:
-            fds.append(os.memfd_create("cascade-stab-csv", os.MFD_CLOEXEC))
-            claims = _Claims(fds[0], [table.blocks() for table in tables])
+            helper = cls(tables)
+            fds.append(helper.memfd)
             fds += os.pipe() + os.pipe()
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
             return None
-        memfd, pipe, end, wait, go = fds
+        _, helper.pipe, end, wait, helper.go = fds
         if pid == 0:
-            cls._serve(tables, arrays, claims, fds)
+            helper._serve(end, wait)
         os.close(end)
         os.close(wait)
-        return cls(pid, (memfd, pipe, go), claims)
+        helper.pid = pid
+        return helper
 
-    @staticmethod
-    def _serve(tables, arrays, claims: _Claims, fds: list) -> NoReturn:
+    def claim(self, tables, front: bool):
+        """Claim the front or the back block of the first of `tables` (their
+        indices) with one unclaimed, as (table, block); None where none has."""
+        self.lockf(self.memfd, self.lock_ex)
+        try:
+            for i in tables:
+                first, end = _PAIR.unpack_from(self.map, _PAIR.size * i)
+                if first < end:
+                    first, end = (first + 1, end) if front else (first, end - 1)
+                    _PAIR.pack_into(self.map, _PAIR.size * i, first, end)
+                    return i, first - 1 if front else end
+            return None
+        finally:
+            self.lockf(self.memfd, self.lock_un)
+
+    def _serve(self, end: int, wait: int) -> NoReturn:
         """The helper's whole life: claim, format, report each block, _exit."""
         status = 1
         try:
-            memfd, pipe, end, wait, go = fds
-            os.close(pipe)
-            os.close(go)
+            os.close(self.pipe)
+            os.close(self.go)
+            tables = self.tables
             # Tables from the first filled one on are claimed after the signal.
-            ready = next((i for i, out in enumerate(arrays) if out is not None),
+            ready = next((i for i, table in enumerate(tables) if table.shape is not None),
                          len(tables))
-            with open(memfd, "wb", closefd=False) as out:
+            with open(self.memfd, "wb", closefd=False) as out:
                 start = 0
                 while True:
-                    claim = claims.back(ready)
+                    claim = self.claim(range(ready), front=False)
                     if claim is None:
                         if ready == len(tables):
                             status = 0
@@ -1052,7 +1011,7 @@ class _Helper:
                         ready = len(tables)
                         continue
                     i, k = claim
-                    lines = tables[i].lines(k, arrays[i])
+                    lines = tables[i].lines(k)
                     out.write(lines)
                     out.flush()
                     stop = start + len(lines)
@@ -1111,7 +1070,7 @@ class _Helper:
                     os.kill(self.pid, signal.SIGKILL)
                 self._reap()
         finally:
-            self.claims.close()
+            self.map.close()
             for fd in (self.pipe, self.go, self.memfd):
                 os.close(fd)
 
@@ -1122,25 +1081,28 @@ def write_csvs(tables) -> None:
     The files are written in order, each replacing its target only when
     complete; see the comment above for how the blocks are shared.
     """
-    tables = list(tables)
+    tables, fills = list(tables), []
     forks = (sum(table.steps * table.width for table in tables) >= 2 * _VALUES_PER_BLOCK
              and hasattr(os, "fork") and hasattr(os, "memfd_create"))
     empty = _shared_empty if forks else np.empty
-    arrays = [None if table.shape is None else empty(table.shape) for table in tables]
-    helper = _Helper.fork(tables, arrays) if forks else None
+    for i, table in enumerate(tables):
+        if table.shape is not None:
+            out = empty(table.shape)
+            fills.append(functools.partial(table.fill, out))
+            tables[i] = table._replace(rows=functools.partial(table.rows, out=out))
+    helper = _Helper.fork(tables) if forks else None
     finished = False
     try:
-        for table, out in zip(tables, arrays):
-            if out is not None:
-                table.fill(out)
-        if helper is not None and any(out is not None for out in arrays):
+        for fill in fills:
+            fill()
+        if helper is not None and fills:
             helper.start()
         for i, table in enumerate(tables):
             with atomic_write(table.path) as fh:
                 fh.write(table.header.encode() + b"\n")
                 k, n = 0, table.blocks()
-                while k < n and (helper is None or helper.claims.front(i)):
-                    fh.write(table.lines(k, arrays[i]))
+                while k < n and (helper is None or helper.claim((i,), front=True)):
+                    fh.write(table.lines(k))
                     k += 1
                 if k < n:
                     fh.flush()
@@ -1166,9 +1128,9 @@ def field_table(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> CsvT
     t = traj.times
     x = np.asarray(grid, dtype=float)
 
-    def rows(a, b, fields):
+    def rows(a, b, out):
         return np.column_stack([np.repeat(t[a:b], x.size), np.tile(x, b - a),
-                                fields[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
+                                out[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
 
     header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
     return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows,

@@ -424,7 +424,8 @@ class TestSimulate:
         ("K", [[0.0] * 3] * 9, "(9, 3), expected (3, 9)")])
     def test_gains_of_the_wrong_shape(self, tmp_path, plant_file, initial_file,
                                       demo_gains, capsys, key, value, shape):
-        gains = json.loads(open(demo_gains).read())
+        with open(demo_gains) as fh:
+            gains = json.load(fh)
         gains[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(gains))
@@ -437,7 +438,8 @@ class TestSimulate:
     def test_gains_reader_gives_json_values(self, demo_gains):
         """orjson's parse gives the values json's does, floats bit for bit."""
         read = synthesis.gains_to_dict(*cli.load_gains(demo_gains))
-        assert json.dumps(read) == json.dumps(json.loads(open(demo_gains).read()))
+        with open(demo_gains) as fh:
+            assert json.dumps(read) == json.dumps(json.load(fh))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_certificate_constant_is_parsed(self, tmp_path, plant_file,
@@ -445,7 +447,8 @@ class TestSimulate:
                                                         capsys, value):
         """write_json writes a non-finite M as Infinity or NaN, which orjson
         refuses; the reader parses it as json does, and simulate runs."""
-        gains = json.loads(open(demo_gains).read())
+        with open(demo_gains) as fh:
+            gains = json.load(fh)
         gains["certificate"]["M"] = value
         path = tmp_path / "nonfinite.json"
         write_json(str(path), gains)
@@ -867,10 +870,10 @@ class TestFieldFillOverlap:
         log = tmp_path / "blocks"
         real_lines = simulator.CsvTable.lines
 
-        def lines(table, k, out=None):
+        def lines(table, k):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {os.path.basename(table.path)} {k}\n")
-            return real_lines(table, k, out)
+            return real_lines(table, k)
 
         monkeypatch.setattr(simulator.CsvTable, "lines", lines)
         marker = tmp_path / "helper-waits"

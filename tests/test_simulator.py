@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -1059,8 +1060,11 @@ class TestCsvHelper:
     def _check_logged(cls, directory, tables, values, log):
         """Each block formatted exactly once, the serial writer's bytes, and
         no other file; the pids that formatted blocks."""
-        calls = sorted(tuple(map(int, line.split()[:3]))
-                       for line in open(log).read().splitlines()) if os.path.exists(log) else []
+        logged = []
+        if os.path.exists(log):
+            with open(log) as fh:
+                logged = [line.split() for line in fh]
+        calls = sorted(tuple(map(int, fields[:3])) for fields in logged)
         expected = sorted((k, a, min(a + t.block, t.steps)) for k, t in enumerate(tables)
                           for a in range(0, t.steps, t.block))
         assert calls == expected
@@ -1068,7 +1072,7 @@ class TestCsvHelper:
             assert (directory / f"{k}.csv").read_text() == "h\n" + _repr_lines(v)
         assert sorted(os.listdir(directory)) == sorted(f"{k}.csv" for k in range(len(tables)))
         cls._assert_no_child()
-        return {int(line.split()[3]) for line in open(log)} if calls else set()
+        return {int(fields[3]) for fields in logged}
 
     # The fields of the non-finite rows come out NaN.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
@@ -1131,7 +1135,6 @@ class TestCsvHelper:
         """Any tables, with 16-value blocks: 0-step and one-block tables
         among them.  The helper is forked where they hold two blocks'
         worth of values."""
-        import pathlib
         import tempfile
         from unittest import mock
 
@@ -1189,6 +1192,43 @@ class TestCsvHelper:
         write_csvs(tables)
         assert len(forks) == 1
         self._check_logged(directory, tables, values, log)
+
+    def test_claim_rule(self, tmp_path):
+        """The claims in one process, no fork: tables of 3, 0 and 5 one-step
+        blocks, the last one filled, so the helper is gated at ready = 1.
+        Parent front claims and helper back claims interleave; each block is
+        claimed exactly once, the empty table is skipped, the helper claims
+        nothing of table 2 until it is released, and the claims of a table
+        stop where its front meets its back."""
+        from cascade_stab import simulator
+
+        def table(k, steps, shape=None):
+            return CsvTable(str(tmp_path / f"{k}.csv"), "h", steps, _VALUES_PER_BLOCK,
+                            lambda a, b, out=None: None, shape)
+
+        tables = [table(0, 3), table(1, 0), table(2, 5, (5, 1))]
+        assert [t.blocks() for t in tables] == [3, 0, 5]
+        helper = simulator._Helper(tables)
+        try:
+            def parent(i):
+                return helper.claim((i,), front=True)
+
+            def helper_claim(ready):
+                return helper.claim(range(ready), front=False)
+
+            gated = [parent(0), helper_claim(1), helper_claim(1), parent(0), helper_claim(1)]
+            assert gated == [(0, 0), (0, 2), (0, 1), None, None]
+            assert simulator._PAIR.unpack_from(helper.map, 2 * simulator._PAIR.size) == (0, 5)
+            assert parent(1) is None
+            released = [helper_claim(3) if turn % 2 == 0 else parent(2) for turn in range(7)]
+            assert released == [(2, 4), (2, 0), (2, 3), (2, 1), (2, 2), None, None]
+            claims = [claim for claim in gated + released if claim is not None]
+            assert sorted(claims) == [(0, 0), (0, 1), (0, 2)] + [(2, k) for k in range(5)]
+            assert [simulator._PAIR.unpack_from(helper.map, simulator._PAIR.size * i)
+                    for i in range(3)] == [(1, 1), (0, 0), (2, 2)]
+        finally:
+            helper.map.close()
+            os.close(helper.memfd)
 
     @pytest.mark.parametrize("steps, forks", [(6, 1), (5, 0)])
     def test_fork_from_two_blocks_of_values(self, tmp_path, monkeypatch, steps, forks):
@@ -1259,7 +1299,7 @@ class TestCsvHelper:
                                                   r"claimed block\(s\) of 0.csv unwritten"):
             write_csvs(tables)
         assert wrapped and (tmp_path / "helper-started").exists()
-        assert [open(t.path).read() for t in tables] == ["old\n", "old\n"]
+        assert [pathlib.Path(t.path).read_text() for t in tables] == ["old\n", "old\n"]
         assert sorted(os.listdir(directory)) == ["0.csv", "1.csv"]
         self._assert_no_child()
 
@@ -1272,12 +1312,12 @@ class TestCsvHelper:
         values = np.arange(4.0 * _VALUES_PER_BLOCK).reshape(-1, 8)
         table = CsvTable(str(tmp_path / "t.csv"), "h", len(values), 8,
                          lambda a, b, out: out[a:b], values.shape, values.__array__)
-        helper = simulator._Helper.fork([table], [values])
+        helper = simulator._Helper.fork([table])
         assert helper is not None
         go, helper.go = helper.go, os.open(os.devnull, os.O_WRONLY)
         os.close(go)
         assert helper._reap() == 1
-        assert simulator._STATE.unpack_from(helper.claims.map) == (0, 0, table.blocks())
+        assert simulator._PAIR.unpack_from(helper.map) == (0, table.blocks())
         helper.close(kill=False)
         assert capfd.readouterr().err == ""
         self._assert_no_child()
