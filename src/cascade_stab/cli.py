@@ -141,14 +141,20 @@ def load_gains(path: str):
 
     `model.read_json` parses a non-finite float (an overflowed certificate
     constant M, say) to the value that `synthesize` held, so
-    `simulate --gains` runs what `simulate` without it would.
+    `simulate --gains` runs what `simulate` without it would.  The retained
+    modes are fed by Kbar and the tail by K, so the two must factor.
     """
     try:
         obj = model.read_json(path)
-        return (synthesis.controller_from_dict(obj),
-                synthesis.certificate_from_dict(obj["certificate"]))
+        controller = synthesis.controller_from_dict(obj)
+        cert = synthesis.certificate_from_dict(obj["certificate"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PlantInputError(f"malformed gains file: {exc}")
+    residual = synthesis.factorization_residual(controller) if controller.N else 0.0
+    if not residual <= synthesis.FACTORIZATION_TOL:
+        raise PlantInputError(f"gains file's K does not factor its Kbar: residual {residual:.3e} "
+                              f"exceeds the bound {synthesis.FACTORIZATION_TOL:.0e}")
+    return controller, cert
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,23 @@ with Brow_n the mode-n projections of the shape functions.  Modes couple
 only through z^N, so the truncation is exact for the retained block, and
 the generator is block lower triangular:
 
-    [[A_RR, 0], [A_TR, blockdiag(A_n, n > N)]].
+    [[blockdiag(A_n, n <= N), 0], [A_TR, blockdiag(A_n, n > N)]],
 
+as u = Bmat^-1 [Kbar_n z_n]_n gives retained mode n the input Kbar_n z_n
+alone (Brow_n Bmat^-1 = e_n): A_n = -lambda_n D + Q + B Kbar_n for n <= N.
 `assemble_closed_loop` builds these blocks (a `ClosedLoop`) and `integrate`
-propagates them exactly on the output grid: the retained block on its own,
-then the tail modes, which it writes straight into the trajectory in chunks
-of at most _CHUNK_BYTES (256 KiB) of it.  Besides the trajectory and the
-step matrices, its scratch is the retained block's trajectory and a few
-buffers of that size, whatever M and the number of steps; the chunks give
-the bits of one pass over the whole tail.  The step matrix exp(dt A) has
+propagates them exactly on the output grid.  The step matrix exp(dt A) has
 the same shape, and scaling and squaring keeps it: every power, Pade
 approximant and square of such a matrix is one, with
 
-    RR = X_RR Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR Y_RR + X_TT @ Y_TR
+    RR = X_RR @ Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR blockdiag(Y_RR) + X_TT @ Y_TR
 
 for its product (Van Loan, IEEE Trans. Automat. Control 23(3), 1978).
 `_expm_blocks` gives all three blocks of the step in one call.  It balances
-and scales the retained block (mN x mN) and the stack of tail blocks
-(tail, m, m) once each; F_RR is the retained block's own exponential.  The
-coupling (tail m) x mN enters exp linearly, so F_TT and F_TR take their
-balancing and their Pade degree and squarings from the diagonal blocks
-alone, in one structured Pade step and its squarings.
+and scales the stacks of retained and of tail blocks once each; F_RR is the
+retained stack's own exponential.  The coupling enters exp linearly, so F_TT
+and F_TR take their balancing and their Pade degree and squarings from the
+diagonal blocks alone, in one structured Pade step and its squarings.
 
 `expm` is numpy's own, so only `bench` needs scipy: the scaling-and-squaring
 algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009) on
@@ -69,7 +65,7 @@ from .spectral import (
     project_callable,
     shape_projection_matrix,
 )
-from .synthesis import Controller, block_diagonal, closed_blocks, mode_blocks
+from .synthesis import Controller, closed_blocks, mode_blocks
 from .transform import TransformFamily, mode_transform
 
 _NORM_FLOOR = 1e-300
@@ -139,10 +135,11 @@ def project_initial(z0_funcs, basis: SpectralBasis, M_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """The closed loop [[A_RR, 0], [A_TR, blockdiag(A_TT)]] of N retained modes.
+    """The closed loop [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]] of N retained modes.
 
-    A_RR is (mN) x (mN), A_TT the (M - N, m, m) stack of tail blocks and
-    A_TR the (M - N, m, mN) drive of the tail by the retained modes.
+    A_RR is the (N, m, m) stack of retained blocks (`retained_blocks`), A_TT
+    the (M - N, m, m) stack of tail blocks and A_TR the (M - N, m, mN) drive
+    of the tail by the retained modes.
     """
 
     A_RR: np.ndarray
@@ -150,24 +147,26 @@ class ClosedLoop:
     A_TR: np.ndarray
 
 
+def retained_blocks(plant: ValidatedPlant, controller: Controller, lam) -> np.ndarray:
+    """The (N, m, m) closed-loop blocks -lam_n D + Q + B Kbar_n, n <= N, of lam[:N]."""
+    blocks = mode_blocks(plant, lam[:controller.N])
+    blocks[:, 0, :] += controller.Kbar
+    return blocks
+
+
 def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
                          basis: SpectralBasis, M_modes: int) -> ClosedLoop:
     """The truncated closed loop of M_modes modes, in block form."""
-    m = plant.m
-    N = controller.N
+    m, N = plant.m, controller.N
     if M_modes < N:
         raise ValueError(f"M_modes={M_modes} cannot be below N={N}")
     basis = extend_basis(basis, M_modes)
-    blocks = mode_blocks(plant, basis.lam[:M_modes])
-    A_RR = block_diagonal(blocks[:N])
-    A_RR += 0.0  # a -0.0 of Q reads +0.0, as in a sum onto zeros
     A_TR = np.zeros((M_modes - N, m, m * N))
     P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
-    # One P[n] @ K per mode, stacked: P @ K would round differently.
-    drive = np.matmul(P[:, None, :], controller.K)[:, 0]
-    A_RR[::m] += drive[:N]
-    A_TR[:, 0] += drive[N:]
-    return ClosedLoop(A_RR=A_RR, A_TT=blocks[N:], A_TR=A_TR)
+    # One P[n] @ K per tail mode, stacked: P @ K would round differently.
+    A_TR[:, 0] += np.matmul(P[N:, None, :], controller.K)[:, 0]
+    return ClosedLoop(A_RR=retained_blocks(plant, controller, basis.lam),
+                      A_TT=mode_blocks(plant, basis.lam[N:M_modes]), A_TR=A_TR)
 
 
 # ---------------------------------------------------------------------------
@@ -222,42 +221,48 @@ class _Stack:
 
 
 class _Blocks:
-    """Block lower triangular matrices [[X_RR, 0], [X_TR, blockdiag(X_TT)]].
+    """Block lower triangular matrices [[blockdiag(X_RR), 0], [X_TR, blockdiag(X_TT)]].
 
-    X_RR is r x r, X_TT the (tail, m, m) stack of diagonal blocks and X_TR
-    the (tail, m, r) coupling.  A matrix is one row of `size` floats holding
-    X_RR, X_TT and X_TR in turn, so sums and multiples of matrices are those
-    of rows; operands carry a leading axis of one, as one slice of a stack.
-    Products keep the shape:
+    X_RR and X_TT are the (N, m, m) and (tail, m, m) stacks of diagonal
+    blocks and X_TR the (tail, m, mN) coupling.  A matrix is one row of
+    `size` floats holding X_RR, X_TT and X_TR in turn, so sums and multiples
+    of matrices are those of rows; operands carry a leading axis of one, as
+    one slice of a stack.  Products keep the shape:
 
-        RR = X_RR Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR Y_RR + X_TT @ Y_TR.
+        RR = X_RR @ Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR blockdiag(Y_RR) + X_TT @ Y_TR.
     """
 
-    def __init__(self, r: int, tail: int, m: int):
-        self.r, self.tail, self.m = r, tail, m
-        self.cuts = (r * r, r * r + tail * m * m)
-        self.size = self.cuts[1] + tail * m * r
+    def __init__(self, N: int, tail: int, m: int):
+        self.N, self.tail, self.m = N, tail, m
+        self.cuts = (N * m * m, (N + tail) * m * m)
+        self.size = self.cuts[1] + tail * m * m * N
 
     def split(self, X: np.ndarray) -> tuple:
         """Views X_RR, X_TT and X_TR of the matrix X."""
         a, b = self.cuts
         X = X.reshape(-1)
-        return (X[:a].reshape(self.r, self.r),
+        return (X[:a].reshape(self.N, self.m, self.m),
                 X[a:b].reshape(self.tail, self.m, self.m),
-                X[b:].reshape(self.tail, self.m, self.r))
+                X[b:].reshape(self.tail, self.m, self.m * self.N))
 
     def diags(self, X: np.ndarray) -> tuple:
         RR, TT, _ = self.split(X)
-        return np.einsum("ii->i", RR), np.einsum("tii->ti", TT)
+        return np.einsum("nii->ni", RR), np.einsum("tii->ti", TT)
 
     def unbalance(self, X: np.ndarray, d_R: np.ndarray, d_T: np.ndarray) -> None:
-        """X <- D X D^-1 in place, with D = diag(d_R, d_T) and d_T of shape (tail, m)."""
+        """X <- D X D^-1 in place, with D = diag(d_R, d_T), d_R (N, m) and d_T (tail, m)."""
         RR, TT, TR = self.split(X)
-        d_T = d_T[:, :, None]
-        for B, rows, cols in ((RR, d_R[:, None], d_R),
-                              (TT, d_T, d_T.transpose(0, 2, 1)), (TR, d_T, d_R)):
+        d_R, d_T = d_R[:, :, None], d_T[:, :, None]
+        for B, rows, cols in ((RR, d_R, d_R.transpose(0, 2, 1)),
+                              (TT, d_T, d_T.transpose(0, 2, 1)), (TR, d_T, d_R.reshape(-1))):
             B *= rows
             B /= cols
+
+    def _by_retained(self, C: np.ndarray, Y_RR: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """C blockdiag(Y_RR) into out, for C and out of X_TR's shape."""
+        C_n, out_n = (X.reshape(-1, self.N, self.m).transpose(1, 0, 2) for X in (C, out))
+        np.matmul(C_n, Y_RR, out=out_n)
+        return out
 
     def mul(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(X) if out is None else out
@@ -270,17 +275,17 @@ class _Blocks:
     def couple(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> None:
         """Write only the coupling X_TR Y_RR + X_TT @ Y_TR of X Y into out's."""
         (_, XT, XC), (YR, _, YC), (_, _, OC) = map(self.split, (X, Y, out))
-        np.matmul(XC.reshape(-1, self.r), YR, out=OC.reshape(-1, self.r))
+        self._by_retained(XC, YR, OC)
         OC += XT @ YC
 
     def solve(self, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Q^-1 V: X_RR and the stacked X_TT, then X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
+        """Q^-1 V: the stacked X_RR and X_TT, then X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
         (QR, QT, QC), (VR, VT, VC) = self.split(Q), self.split(V)
         X = np.empty_like(V)
         XR, XT, XC = self.split(X)
         XR[:] = np.linalg.solve(QR, VR)
         # One factorization of each Q_TT block serves X_TT and X_TR.
-        rhs = np.concatenate([VT, VC - (QC.reshape(-1, self.r) @ XR).reshape(VC.shape)],
+        rhs = np.concatenate([VT, VC - self._by_retained(QC, XR, np.empty_like(QC))],
                              axis=2)
         sol = np.linalg.solve(QT, rhs)
         XT[:], XC[:] = sol[:, :, :self.m], sol[:, :, self.m:]
@@ -525,11 +530,8 @@ def expm(A) -> np.ndarray:
     1 x 1 slices are handled exactly.
     """
     A = np.asarray(A, dtype=float)
-    g, n = A.shape[:2]
-    if g == 0 or n == 0:
+    if A.size == 0:
         return A.copy()
-    if n == 1:
-        return np.exp(A)
     return _exponentiate(*_scaling(A))
 
 
@@ -538,9 +540,12 @@ def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarra
     """The exponentials of the slices of a stack from its `_scaling`.
 
     Every slice takes its degree-deg Pade approximant and s squarings, and
-    is scaled back by its D; P and work are overwritten, d is not.
+    is scaled back by its D; P and work are overwritten, d is not.  1 x 1
+    slices, which balancing leaves as they were, take their exp.
     """
     g, n = P.shape[1:3]
+    if n == 1:
+        return np.exp(P[0])
     # Triangular slices that square keep an exact band (Code Fragment 2.1),
     # lower triangular ones as their transposes: r(A^T) = r(A)^T for the
     # same (m, s), and D^-1 A D transposes to D A^T D^-1.
@@ -597,36 +602,32 @@ def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarra
 
 
 def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
-    """exp of the block lower triangular [[A_RR, 0], [A_TR, blockdiag(A_TT)]].
+    """exp of the block lower triangular [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]].
 
-    A_RR is r x r, A_TT the (tail, m, m) diagonal blocks and A_TR the
-    (tail, m, r) coupling; returns F_RR, F_TT and F_TR of the same shapes.
-    `_scaling` balances and scales the retained block and the tail stack
-    once each, and F_RR is the retained block's exponential, as `expm`
-    computes it.  The coupling enters the exponential linearly, so the
-    whole matrix takes its balancing D = (d_R, d_T) and its (m, s) from the
-    diagonal blocks alone, as Al-Mohy and Higham scale the block matrix of
-    the Frechet derivative (SIAM J. Matrix Anal. Appl. 30(4), 2009): S is
+    The blocks are those of a `ClosedLoop`; returns F_RR, F_TT and F_TR of
+    the same shapes.  `_scaling` balances and scales the two stacks once
+    each, and F_RR is the retained stack's exponential, as `expm` computes
+    it.  The coupling enters the exponential linearly, so
+    the whole matrix takes its balancing D = (d_R, d_T) and its (m, s) from
+    the diagonal blocks alone, as Al-Mohy and Higham scale the block matrix
+    of the Frechet derivative (SIAM J. Matrix Anal. Appl. 30(4), 2009): S is
     the largest s of any block, with degree 13, or the largest block degree
     where S = 0.  One structured Pade step and S structured squarings then
     give F_TT and F_TR.
     """
-    tail, m, r = A_TR.shape
-    ops = _Blocks(r, tail, m)
-    P_R, work_R, d_R, deg_R, s_R = _scaling(A_RR[None])
+    tail, m, _ = A_TR.shape
+    ops = _Blocks(len(A_RR), tail, m)
+    P_R, work_R, d_R, deg_R, s_R = _scaling(A_RR)
     P_T, _, d_T, deg_T, s_T = _scaling(A_TT)
     # A, A^2, A^4 and A^6 of the balanced matrix: the blocks' own powers on
     # the diagonal, and only the coupling parts formed here.
     P = np.empty((4, 1, ops.size))
     for k in range(4):
         RR, TT, _ = ops.split(P[k])
-        RR[:], TT[:] = P_R[k, 0], P_T[k]
-    # F_RR as expm computes it, before the block step, whose buffers can
-    # then take its pages.
-    F_RR = np.exp(A_RR) if r == 1 else _exponentiate(P_R, work_R, d_R, deg_R, s_R)[0]
-    del P_R, work_R
+        RR[:], TT[:] = P_R[k], P_T[k]
+    F_RR = _exponentiate(P_R, work_R, d_R, deg_R, s_R)
     TR = ops.split(P[0])[2]
-    np.multiply(A_TR, d_R[0], out=TR)
+    np.multiply(A_TR, d_R.reshape(-1), out=TR)
     TR /= d_T[:, :, None]
     ops.couple(P[0], P[0], P[1])
     ops.couple(P[1], P[1], P[2])
@@ -637,7 +638,7 @@ def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
     X = _pade(deg, P, np.array([S]), work, ops)
     for _ in range(S):
         X, work = ops.mul(X, X, out=work), X
-    ops.unbalance(X, d_R[0], d_T)
+    ops.unbalance(X, d_R, d_T)
     _, F_TT, F_TR = ops.split(X)
     return F_RR, F_TT, F_TR
 
@@ -666,26 +667,24 @@ def _spans(count: int, size: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _propagate_tail(out: np.ndarray, z0: np.ndarray, F_TT: np.ndarray,
-                    F_TR: np.ndarray, Z_R: np.ndarray) -> None:
-    """Write the trajectory of the tail modes into `out`, (steps + 1, tail, m).
+def _propagate(out: np.ndarray, z0: np.ndarray, F: np.ndarray,
+               F_TR: np.ndarray | None = None, Z_R: np.ndarray | None = None) -> None:
+    """Write the trajectory of decoupled modes into `out`, (steps + 1, modes, m).
 
-    The tail modes obey x_{j+1} = F_TT x_j + F_TR z_R(j), from x_0 = z0, with
-    z_R(j) the rows of the retained trajectory Z_R.  They are taken in
-    chunks of at most _CHUNK_BYTES of trajectory.  A chunk's buffer X is
+    The modes obey x_{j+1} = F x_j + F_TR z_R(j), from x_0 = z0, with z_R(j)
+    the rows of the retained trajectory Z_R, or no drive without F_TR.  They
+    are taken in chunks of at most _CHUNK_BYTES of trajectory.  A chunk's buffer X is
     loaded at sample j with what enters there, z0 or the drive, which is
     one product over all steps; then the recurrence is summed by a doubling
     scan: after the pass with shift s, X[..., j] holds the terms of the
-    last 2s samples, each carried forward by the matching power of F_TT.
+    last 2s samples, each carried forward by the matching power of F.
     Only the first `live` modes carry a nonzero power: past the last one,
     every product with a finite X is an exact zero, so the pass stops
     carrying them.  Every mode below `live` takes the pass's sum, as in one
-    pass over the whole tail, so a zero term turns a -0.0 into +0.0 there
-    too.
+    pass over all modes, so a zero term turns a -0.0 into +0.0 there too.
     """
-    steps, tail, m = out.shape[0] - 1, out.shape[1], out.shape[2]
-    r = Z_R.shape[1]
-    passes, power, shift = [], F_TT, 1
+    steps, count, m = out.shape[0] - 1, out.shape[1], out.shape[2]
+    passes, power, shift = [], F, 1
     while shift <= steps:
         live = _live_modes(power)
         if not live:
@@ -702,14 +701,14 @@ def _propagate_tail(out: np.ndarray, z0: np.ndarray, F_TT: np.ndarray,
     # one chunk there.
     chunk = max(_CHUNK_BYTES // (m * (steps + 1) * out.itemsize), 4)
     if steps == 1:
-        chunk = max(tail, 1)
-    spans = _spans(tail, chunk)
+        chunk = max(count, 1)
+    spans = _spans(count, chunk)
     X = np.empty((max((b - a for a, b in spans), default=0), m, steps + 1))
     for a, b in spans:
         x = X[:b - a]
         x[:, :, 0] = z0[a:b]
-        x[:, :, 1:] = (F_TR[a:b].reshape((b - a) * m, r)
-                       @ Z_R[:-1].T).reshape(b - a, m, steps)
+        x[:, :, 1:] = 0.0 if F_TR is None else (F_TR[a:b].reshape((b - a) * m, -1)
+                                                 @ Z_R[:-1].T).reshape(b - a, m, steps)
         for shift, live, power in passes:
             hi = min(b, live) - a
             if hi <= 0:
@@ -726,39 +725,30 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     dt_out from 0 up to the last grid point at or before t_final
     (`_output_steps`).
 
-    The step matrix exp(dt_out A) keeps the block form of `loop`.  One
-    `_expm_blocks` call gives F_RR, with the retained block's own scaling,
-    and F_TT and F_TR, scaled as the diagonal blocks ask.  Where no mode is
-    retained, F_TT is the stacked `expm` of the tail blocks, and where every
-    mode is, F_RR is `expm` of dt A_RR.  The retained block steps with
-    F_RR into a trajectory of its own; `_propagate_tail` then writes the
-    tail modes straight into the result, a chunk of at most _CHUNK_BYTES of
-    trajectory at a time, by a doubling scan over the steps, and the norms
-    are taken in row blocks of the same size.  So besides the trajectory and
-    the step matrices, the scratch is the retained block's trajectory and a
-    few buffers of _CHUNK_BYTES, and the chunks give the bits of one pass
-    over the whole tail.
+    The step matrix exp(dt_out A) keeps the block form of `loop`: F_RR is
+    the stacked `expm` of the retained blocks, and F_TT and F_TR come from
+    the same `_expm_blocks` call, or F_TT from `expm` where no mode is
+    retained.  `_propagate` writes the retained modes, then the tail modes
+    driven by them, straight into the result by a doubling scan over the
+    steps, and the norms are taken in row blocks of _CHUNK_BYTES.  So
+    besides the trajectory and the step matrices, the scratch is a few
+    buffers of _CHUNK_BYTES, and the chunks give the bits of one pass.
     """
     z0 = np.asarray(z0, dtype=float)
     M, m = z0.shape
-    tail, r = len(loop.A_TT), len(loop.A_RR)
-    R = M - tail
+    R = len(loop.A_RR)
+    tail = M - R
     steps = _output_steps(t_final, dt_out)
     A_RR = loop.A_RR * dt_out
     if R and tail:
         F_RR, F_TT, F_TR = _expm_blocks(A_RR, loop.A_TT * dt_out, loop.A_TR * dt_out)
     else:
-        F_RR = expm(A_RR[None])[0]
-        F_TT, F_TR = expm(loop.A_TT * dt_out), np.zeros((tail, m, r))
+        F_RR = expm(A_RR)
+        F_TT, F_TR = expm(loop.A_TT * dt_out), np.zeros((tail, m, R * m))
 
-    Z_R = np.empty((steps + 1, r))
-    Z_R[0] = z0[:R].reshape(-1)
-    F_RR_T = np.ascontiguousarray(F_RR.T)
-    for j in range(steps):
-        np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
     modal = np.empty((steps + 1, M, m))
-    modal[:, :R] = Z_R.reshape(steps + 1, R, m)
-    _propagate_tail(modal[:, R:], z0[R:], F_TT, F_TR, Z_R)
+    _propagate(modal[:, :R], z0[:R], F_RR)
+    _propagate(modal[:, R:], z0[R:], F_TT, F_TR, modal[:, :R].reshape(steps + 1, R * m))
 
     # The norms, a block of rows at a time; each row's sum is the same in
     # any block.
@@ -820,8 +810,7 @@ def target_residual(traj: Trajectory, plant: ValidatedPlant,
     lam = extend_basis(basis, N).lam[:N]
     T, _ = mode_transform(family, lam)
     H = closed_blocks(plant, controller.K_Q, lam)
-    A_cl = mode_blocks(plant, lam)  # mode-n closed-loop blocks, -lam_n D + Q + B Kbar_n
-    A_cl[:, 0, :] += controller.Kbar[:N]
+    A_cl = retained_blocks(plant, controller, lam)
 
     # Block n of every product acts on z_n alone: (N, m, samples) stacks.
     Z = traj.modal[:, :N, :].transpose(1, 2, 0)

@@ -92,13 +92,14 @@ def random_plant(rng, m=None, force_sigma=None):
 
 
 def dense_closed_loop(loop: ClosedLoop) -> np.ndarray:
-    """The (mM) x (mM) matrix [[A_RR, 0], [A_TR, blockdiag(A_TT)]] of `loop`."""
-    tail, m, r = loop.A_TR.shape
-    N, M = r // m, r // m + tail
+    """The (mM) x (mM) matrix [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]] of `loop`."""
+    N, m = loop.A_RR.shape[:2]
+    tail, r = len(loop.A_TT), m * N
+    M = N + tail
     A = np.zeros((m * M, m * M))
-    A[:r, :r] = loop.A_RR
     A[r:, :r] = loop.A_TR.reshape(tail * m, r)
-    A.reshape(M, m, M, m)[np.arange(N, M), :, np.arange(N, M), :] = loop.A_TT
+    A.reshape(M, m, M, m)[np.arange(M), :, np.arange(M), :] = np.concatenate(
+        [loop.A_RR, loop.A_TT])
     return A
 
 

@@ -15,6 +15,7 @@ import pytest
 import cascade_stab
 from cascade_stab import cli, model, spectral, synthesis, transform
 from cascade_stab.cli import main
+from cascade_stab.errors import PlantInputError
 from cascade_stab.model import example_plant_dict, save_plant, write_json
 
 from conftest import corrupt_family, failing_exchange, helper_formats_first, random_plant
@@ -435,6 +436,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: malformed gains file: {key} has shape {shape}")
 
+    def test_gains_that_miss_the_factorization_bound(self, tmp_path, plant_file,
+                                                     initial_file, demo_gains, capsys):
+        """The retained modes take Kbar and the tail modes K, so the two must
+        agree: one K entry scaled by 1.5 is refused before any CSV is written."""
+        with open(demo_gains) as fh:
+            gains = json.load(fh)
+        gains["K"][0][0] *= 1.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(gains))
+        rc = main(["simulate", "--plant", plant_file, "--gains", str(bad),
+                   "--initial", initial_file, "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: gains file's K does not factor its Kbar: "
+                              "residual ")
+        assert err.endswith(" exceeds the bound 1e-09\n")
+        with pytest.raises(PlantInputError, match="residual"):
+            cli.load_gains(str(bad))
+        assert not (tmp_path / "sim").exists()
+
     def test_gains_reader_gives_json_values(self, demo_gains):
         """orjson's parse gives the values json's does, floats bit for bit."""
         read = synthesis.gains_to_dict(*cli.load_gains(demo_gains))
@@ -473,7 +494,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error: out of memory for --M-modes 30, "
                               "--t-final 1.0, --dt-out 1e-15: ")
-        assert "(1000000000000001, 9)" in err
+        assert "(1000000000000001, 30, 3)" in err
 
     def test_malformed_initial_file(self, tmp_path, plant_file):
         bad = tmp_path / "initial.json"

@@ -101,8 +101,9 @@ class TestMpmathOracle:
         loop = assemble_closed_loop(demo_plant, demo_controller, demo_basis, 3)
         (stack,) = captured_stacks(monkeypatch, lambda: integrate(
             loop, np.ones((3, 3)), 1.0, 1.0 / 800))
-        assert stack.shape == (1, 9, 9)
-        assert_as_accurate_as_scipy(stack[0])
+        assert stack.shape == (3, 3, 3)
+        for A in stack:
+            assert_as_accurate_as_scipy(A)
 
     @pytest.mark.parametrize("lower", [False, True])
     def test_triangular(self, lower):
@@ -266,7 +267,7 @@ class TestStructuredStep:
     """The block form of exp(dt A) that `integrate` steps with.
 
     `_expm_blocks` gives all three blocks in one call.  F_RR is the
-    retained block's own `expm`; F_TT and F_TR share one balancing and one
+    retained stack's own `expm`; F_TT and F_TR share one balancing and one
     (m, s), both taken from the diagonal blocks alone.  The retained modes
     R with any one tail mode t are a closed subsystem, so exp(dt A)
     restricted to them is the exponential of that (mR + m) square matrix;
@@ -281,10 +282,10 @@ class TestStructuredStep:
     def test_blocks_as_accurate_as_scipy(self, demo_plant, M, tails):
         loop = closed_loop(demo_plant, 3, M)
         A_RR, A_TT, A_TR = (X * (1.0 / 400) for X in (loop.A_RR, loop.A_TT, loop.A_TR))
-        F_RR = expm(A_RR[None])[0]
-        _, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
+        F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
         assert (F_RR.shape, F_TT.shape, F_TR.shape) == (
-            (9, 9), (M - 3, 3, 3), (M - 3, 3, 9))
+            (3, 3, 3), (M - 3, 3, 3), (M - 3, 3, 9))
+        F_RR = scipy.linalg.block_diag(*F_RR)
         system = dense_closed_loop(loop) * (1.0 / 400)
         dense = scipy.linalg.expm(system)
         floor = len(system) * U
@@ -308,22 +309,45 @@ class TestStructuredStep:
     @pytest.mark.parametrize("M, dt, retained_sets_s", [(30, 1.0 / 400, False),
                                                         (4, 1.0 / 10, True)])
     def test_diagonal_blocks_set_the_scaling(self, demo_plant, M, dt, retained_sets_s):
-        """F_RR is the retained block's own `expm`, and the coupling is linear.
+        """F_RR is the retained stack's own `expm`, and the coupling is linear.
 
         The step's balancing and (m, s) come from the diagonal blocks
         alone, so scaling A_TR by a power of two scales F_TR by exactly that
         power and leaves F_RR and F_TT bitwise as they were.  On the demo
         loop the tail blocks set the squarings; on the short loop the
-        retained block does.
+        retained blocks do.
         """
         loop = closed_loop(demo_plant, 3, M)
         A_RR, A_TT, A_TR = (X * dt for X in (loop.A_RR, loop.A_TT, loop.A_TR))
-        s_R = simulator._scaling(A_RR[None])[4][0]
+        s_R = simulator._scaling(A_RR)[4].max()
         assert (s_R > simulator._scaling(A_TT)[4].max()) == retained_sets_s
         F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
-        np.testing.assert_array_equal(F_RR, expm(A_RR[None])[0])
+        np.testing.assert_array_equal(F_RR, expm(A_RR))
         for k in (-40, 40):
             G_RR, G_TT, G_TR = simulator._expm_blocks(A_RR, A_TT, A_TR * 2.0 ** k)
             np.testing.assert_array_equal(G_RR, F_RR)
             np.testing.assert_array_equal(G_TT, F_TT)
             np.testing.assert_array_equal(G_TR, F_TR * 2.0 ** k)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_retained_step_is_expm_of_the_stack(self, m):
+        """F_RR is bitwise `expm` of the retained stack for every m, the
+        exact exp of m = 1 included, so a run of the retained modes alone
+        steps as the full run does."""
+        rng = np.random.default_rng(m)
+        A_RR = rng.standard_normal((4, m, m)) - 3.0 * np.eye(m)
+        A_TT = rng.standard_normal((6, m, m)) - 40.0 * np.eye(m)
+        A_TR = 1e3 * rng.standard_normal((6, m, 4 * m))
+        F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
+        np.testing.assert_array_equal(F_RR, expm(A_RR))
+        if m == 1:
+            np.testing.assert_array_equal(F_RR, np.exp(A_RR))
+        system = np.zeros((10 * m, 10 * m))
+        system.reshape(10, m, 10, m)[np.arange(10), :, np.arange(10), :] = np.concatenate(
+            [A_RR, A_TT])
+        system[4 * m:, :4 * m] = A_TR.reshape(6 * m, 4 * m)
+        dense = scipy.linalg.expm(system)
+        np.testing.assert_allclose(F_TT, dense.reshape(10, m, 10, m)[
+            np.arange(4, 10), :, np.arange(4, 10), :], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(F_TR.reshape(6 * m, 4 * m), dense[4 * m:, :4 * m],
+                                   rtol=1e-10, atol=1e-12 * np.abs(dense).max())

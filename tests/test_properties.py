@@ -42,6 +42,7 @@ from cascade_stab.synthesis import (
     build_controller,
     certificate,
     closed_blocks,
+    factorization_residual,
     modal_gains,
     select_mode_count,
     selection_margin,
@@ -202,18 +203,29 @@ def test_stacked_omega_margins_match_selection_margin(plant, N, extra, rho, delt
         assert selection_margin(plant, float(basis.lam[N]), rate) == margins[0]
 
 
+def projection_row(plant, controller, basis, n):
+    """b_n, the mode-n projections of the N control shapes, by the scalar forms."""
+    return np.array([scalar_shape_projection(b, basis, n)
+                     for b in plant.shapes[:controller.N]])
+
+
 def per_mode_closed_loop(plant, controller, basis, M_modes):
-    """The closed-loop assembly as one Python loop over modes (the oracle)."""
+    """The closed-loop assembly as one Python loop over modes (the oracle).
+
+    The input u = K z^N = Bmat^-1 [Kbar_n z_n]_n reaches mode n through
+    b_n; for a retained mode b_n Bmat^-1 = e_n, so mode n <= N takes
+    Kbar_n z_n alone, in its own block, and a tail mode takes b_n K z^N.
+    """
     m, N = plant.m, controller.N
     A = np.zeros((m * M_modes, m * M_modes))
     D = np.diag(plant.D)
     for n in range(1, M_modes + 1):
         sl = slice((n - 1) * m, n * m)
         A[sl, sl] += -float(basis.lam[n - 1]) * D + plant.Q
-        if N > 0:
-            row = np.array([scalar_shape_projection(b, basis, n)
-                            for b in plant.shapes[:N]])
-            A[(n - 1) * m, : m * N] += row @ controller.K
+        if n <= N:
+            A[(n - 1) * m, sl] += controller.Kbar[n - 1]
+        elif N > 0:
+            A[(n - 1) * m, : m * N] += projection_row(plant, controller, basis, n) @ controller.K
     return A
 
 
@@ -239,15 +251,24 @@ def test_assembly_matches_per_mode_loop(plant, delta, extra):
     N, M, m = ctl.N, ctl.N + extra, plant.m
     loop = assemble_closed_loop(plant, ctl, basis, M)
     A = per_mode_closed_loop(plant, ctl, basis, M)
-    tail = np.arange(N, M)
-    assert loop.A_RR.shape == (m * N, m * N)
-    assert loop.A_RR.tobytes() == A[:m * N, :m * N].tobytes()
+    kept, tail = np.arange(N), np.arange(N, M)
+    assert loop.A_RR.shape == (N, m, m)
+    assert loop.A_RR.tobytes() == A.reshape(M, m, M, m)[kept, :, kept, :].tobytes()
     assert loop.A_TT.shape == (M - N, m, m)
     assert loop.A_TT.tobytes() == A.reshape(M, m, M, m)[tail, :, tail, :].tobytes()
     assert loop.A_TR.shape == (M - N, m, m * N)
     assert loop.A_TR.tobytes() == A[m * N:, :m * N].tobytes()
     # Every other entry of the oracle is zero.
     assert dense_closed_loop(loop).tobytes() == A.tobytes()
+    # The route through K: the retained rows b_n K, b_n being row n of Bmat,
+    # differ from the block form by no more than Bmat K misses
+    # block-rows(Kbar) (`factorization_residual`), plus the rounding of the
+    # two products b_n K and Bmat K, at most N u |Bmat| |K| each.
+    via_K = np.array([projection_row(plant, ctl, basis, n) @ ctl.K for n in range(1, N + 1)])
+    rows = block_diagonal(ctl.Kbar[:, None])
+    scale = max(1.0, float(np.max(np.abs(ctl.Bmat @ ctl.K))), float(np.max(np.abs(rows))))
+    rounding = 2 * N * 2.0 ** -53 * float(np.max(np.abs(ctl.Bmat) @ np.abs(ctl.K)))
+    assert np.max(np.abs(via_K - rows)) <= factorization_residual(ctl) * scale + rounding
 
 
 @given(plant=cascades(), delta=st.floats(0.5, 8.0, **finite),
@@ -261,9 +282,8 @@ def test_retained_only_run_matches_full_run(plant, delta, extra):
     full = integrate(assemble_closed_loop(plant, ctl, basis, M), z0, 0.5, 0.5 / 400)
     kept = integrate(assemble_closed_loop(plant, ctl, basis, N), z0[:N], 0.5,
                      0.5 / 400)
-    reference = full.modal[:, :N].reshape(len(full.times), -1)
-    gap = np.linalg.norm(kept.modal.reshape(len(kept.times), -1) - reference, axis=1)
-    assert np.max(gap / np.linalg.norm(reference, axis=1)) <= 1e-10
+    # Both step the retained modes with expm of the same stack.
+    assert kept.modal.tobytes() == full.modal[:, :N].tobytes()
 
 
 def test_certificate_bound_holds_on_random_cascades():

@@ -116,13 +116,45 @@ def block_shapes(loop: ClosedLoop) -> tuple:
     return loop.A_RR.shape, loop.A_TT.shape, loop.A_TR.shape
 
 
-def retained_only(A: np.ndarray) -> ClosedLoop:
-    """A as the retained block of m = 1 modes, with no tail."""
-    return ClosedLoop(A, np.zeros((0, 1, 1)), np.zeros((0, 1, len(A))))
+def retained_only(blocks: np.ndarray) -> ClosedLoop:
+    """The (N, m, m) stack `blocks` as the retained modes, with no tail."""
+    N, m = blocks.shape[:2]
+    return ClosedLoop(blocks, np.zeros((0, m, m)), np.zeros((0, m, m * N)))
+
+
+def tail_only(blocks: np.ndarray) -> ClosedLoop:
+    """The (M, m, m) stack `blocks` as tail modes, with none retained."""
+    M, m = blocks.shape[:2]
+    return ClosedLoop(np.zeros((0, m, m)), blocks, np.zeros((M, m, 0)))
 
 
 # zdot = -z for one mode of one component, as a tail mode.
-DECAY = ClosedLoop(np.zeros((0, 0)), np.array([[[-1.0]]]), np.zeros((1, 1, 0)))
+DECAY = tail_only(np.array([[[-1.0]]]))
+
+
+def record_passes(mp) -> list:
+    """Record (modes, live) of every doubling pass of `integrate`'s scans.
+
+    It scans the retained modes first; `tail_passes` keeps the tail's.
+    """
+    from cascade_stab import simulator
+
+    calls = []
+    real_live = simulator._live_modes
+
+    def counted(power):
+        calls.append((len(power), real_live(power)))
+        return calls[-1][1]
+
+    mp.setattr(simulator, "_live_modes", counted)
+    return calls
+
+
+def tail_passes(calls: list, loop: ClosedLoop) -> list:
+    """The tail's `live` counts among the `record_passes` records: those
+    from its first pass, the first over len(A_TT) modes, on."""
+    sizes = [size for size, _ in calls]
+    return [live for _, live in calls[sizes.index(len(loop.A_TT)):]]
 
 
 class TestAssembleClosedLoop:
@@ -131,7 +163,7 @@ class TestAssembleClosedLoop:
                          Kbar=np.zeros((0, 3)), Bmat=np.zeros((0, 0)),
                          cond_B=1.0, K=np.zeros((0, 0)))
         loop = assemble_closed_loop(demo_plant, ctl, demo_basis, 5)
-        assert block_shapes(loop) == ((0, 0), (5, 3, 3), (5, 3, 0))
+        assert block_shapes(loop) == ((0, 3, 3), (5, 3, 3), (5, 3, 0))
         A = dense_closed_loop(loop)
         for n in range(5):
             sl = slice(3 * n, 3 * n + 3)
@@ -158,14 +190,17 @@ class TestAssembleClosedLoop:
         loop = assemble_closed_loop(plant, ctl, basis, 1)
         from cascade_stab.spectral import input_projection_row
 
+        assert block_shapes(loop) == ((1, 1, 1), (0, 1, 1), (0, 1, 1))
+        assert loop.A_RR[0, 0, 0] == -basis.lam[0] + 2.0 + ctl.Kbar[0, 0]
+        # The feedback's route through K: b_11 K = Kbar.
         b11 = input_projection_row(plant.shapes, basis, 1)[0]
         expected = -basis.lam[0] + 2.0 + b11 * ctl.K[0, 0]
-        assert block_shapes(loop) == ((1, 1), (0, 1, 1), (0, 1, 1))
-        assert loop.A_RR[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert loop.A_RR[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
-    def test_retained_block_reads_signed_zeros_as_a_sum_onto_zeros(self, demo_plant,
-                                                                   demo_closed_loop):
-        """A -0.0 of Q gives +0.0 in A_RR: the bits of the sum onto zeros."""
+    def test_retained_blocks_keep_the_bits_of_mode_blocks(self, demo_plant,
+                                                          demo_closed_loop):
+        """A_RR is mode_blocks with Kbar_n added to row 0 of block n, and A_TT
+        is mode_blocks: both keep a -0.0 of Q below row 0."""
         _family, ctl, _cert = demo_closed_loop
         Q = demo_plant.Q.copy()
         Q[2, 0] = -0.0
@@ -174,13 +209,17 @@ class TestAssembleClosedLoop:
         basis = build_basis(plant.L, 1.0, 0.0, 8)
         blocks = mode_blocks(plant, basis.lam[:8])
         assert np.signbit(blocks[:, 2, 0]).all()
-        A_RR = np.zeros((9, 9))
-        A_RR.reshape(3, 3, 3, 3)[np.arange(3), :, np.arange(3), :] += blocks[:3]
-        P = shape_projection_matrix(plant.shapes[:3], basis, 8)
-        A_RR[::3] += np.matmul(P[:, None, :], ctl.K)[:, 0][:3]
+        A_RR = blocks[:3].copy()
+        A_RR[:, 0] += ctl.Kbar
         loop = assemble_closed_loop(plant, ctl, basis, 8)
         assert loop.A_RR.tobytes() == A_RR.tobytes()
-        assert not np.signbit(loop.A_RR[2::3, 0::3]).any()
+        assert loop.A_TT.tobytes() == blocks[3:].tobytes()
+        assert np.signbit(loop.A_RR[:, 2, 0]).all()
+        # The tail's drive keeps its bits: one P[n] @ K per tail mode.
+        P = shape_projection_matrix(plant.shapes[:3], basis, 8)
+        drive = np.zeros((5, 3, 9))
+        drive[:, 0] += np.matmul(P[3:, None, :], ctl.K)[:, 0]
+        assert loop.A_TR.tobytes() == drive.tobytes()
 
 
 class TestIntegrate:
@@ -189,8 +228,8 @@ class TestIntegrate:
         assert traj.l2_norm[-1] == pytest.approx(math.exp(-1.0), abs=1e-10)
 
     def test_nilpotent_polynomial_flow(self):
-        loop = retained_only(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        traj = integrate(loop, np.array([[0.0], [1.0]]), 1.0, 0.25)
+        loop = retained_only(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        traj = integrate(loop, np.array([[0.0, 1.0]]), 1.0, 0.25)
         np.testing.assert_allclose(traj.modal[-1].reshape(-1), [1.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("rates", [None, (1e6,), (1.0, 1e6)])
@@ -208,18 +247,11 @@ class TestIntegrate:
                                         build_basis(math.pi, 1.0, 0.0, M), M)
         else:
             M = len(rates)
-            loop = ClosedLoop(np.zeros((0, 0)), -np.array(rates).reshape(M, 1, 1),
-                              np.zeros((M, 1, 0)))
+            loop = tail_only(-np.array(rates).reshape(M, 1, 1))
         z0 = np.random.default_rng(11).standard_normal((M, loop.A_TT.shape[1]))
-        live = []
-        real_live = simulator._live_modes
-
-        def counted(power):
-            live.append(real_live(power))
-            return live[-1]
-
-        monkeypatch.setattr(simulator, "_live_modes", counted)
+        calls = record_passes(monkeypatch)
         traj = integrate(loop, z0, 1.0, 1.0 / 400)
+        live = tail_passes(calls, loop)
         monkeypatch.setattr(simulator, "_live_modes", len)  # every mode, every pass
         full = integrate(loop, z0, 1.0, 1.0 / 400)
         assert traj.modal.tobytes() == full.modal.tobytes()
@@ -248,6 +280,13 @@ class TestIntegrate:
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         assert certificate_bound_holds(traj, cert.M, 9.0) is True
+
+
+def scalar_loop(dense: np.ndarray, R: int) -> ClosedLoop:
+    """The m = 1 closed loop of `dense`, whose first R modes are decoupled
+    and whose tail modes are driven by them alone."""
+    diag = np.diag(dense).reshape(-1, 1, 1)
+    return ClosedLoop(diag[:R], diag[R:], dense[R:, :R].reshape(-1, 1, R))
 
 
 def dense_integrate(loop, z0, t_final, dt_out):
@@ -306,7 +345,7 @@ class TestBlockIntegrator:
                               M, tol):
         _family, ctl, _cert = demo_closed_loop
         basis, loop = self._demo_system(demo_plant, ctl, M)
-        assert block_shapes(loop) == ((9, 9), (M - 3, 3, 3), (M - 3, 3, 9))
+        assert block_shapes(loop) == ((3, 3, 3), (M - 3, 3, 3), (M - 3, 3, 9))
         z0 = project_initial(demo_initial, basis, M)
         traj = integrate(loop, z0, 1.0, 1.0 / 400.0)
         assert worst_relative_gap(traj, dense_integrate(loop, z0, 1.0, 1.0 / 400.0)) <= tol
@@ -317,7 +356,7 @@ class TestBlockIntegrator:
                           Kbar=np.zeros((0, 3)), Bmat=np.zeros((0, 0)),
                           cond_B=1.0, K=np.zeros((0, 0)))
         loop = assemble_closed_loop(demo_plant, zero, demo_basis, 20)
-        assert block_shapes(loop) == ((0, 0), (20, 3, 3), (20, 3, 0))
+        assert block_shapes(loop) == ((0, 3, 3), (20, 3, 3), (20, 3, 0))
         z0 = project_initial(demo_initial, demo_basis, 20)
         traj = integrate(loop, z0, 0.5, 0.5 / 200.0)
         assert worst_relative_gap(traj, dense_integrate(loop, z0, 0.5, 0.5 / 200.0)) <= 1e-10
@@ -331,25 +370,26 @@ class TestBlockIntegrator:
         basis = build_basis(plant.L, 1.0, 0.0, 12)
         ctl = build_controller(plant, 9.0, N=5, basis=basis)
         loop = assemble_closed_loop(plant, ctl, basis, 12)
-        assert block_shapes(loop) == ((15, 15), (7, 3, 3), (7, 3, 15))
+        assert block_shapes(loop) == ((5, 3, 3), (7, 3, 3), (7, 3, 15))
         z0 = np.linspace(1.0, -0.5, 36).reshape(12, 3)
         traj = integrate(loop, z0, 1.0, 1.0 / 400.0)
         assert worst_relative_gap(traj, dense_integrate(loop, z0, 1.0, 1.0 / 400.0)) <= 1e-10
 
-    def test_unstructured_matrix_has_no_tail(self):
+    def test_random_blocks_without_tail(self):
+        """Three unstructured 2 x 2 retained blocks and no tail."""
         rng = np.random.default_rng(6)
-        loop = retained_only(rng.standard_normal((6, 6)))
-        z0 = rng.standard_normal((6, 1))
+        loop = retained_only(rng.standard_normal((3, 2, 2)))
+        z0 = rng.standard_normal((3, 2))
         traj = integrate(loop, z0, 1.0, 0.01)
         assert worst_relative_gap(traj, dense_integrate(loop, z0, 1.0, 0.01)) <= 1e-10
 
     def test_scalar_cascade(self):
-        """m = 1: two retained modes drive five tail modes."""
+        """m = 1: two decoupled retained modes drive five tail modes."""
         rng = np.random.default_rng(8)
         dense = np.diag(-np.arange(1.0, 8.0) ** 2)
         dense[:, :2] += 5.0 * rng.standard_normal((7, 2))
-        loop = ClosedLoop(dense[:2, :2], np.diag(dense)[2:].reshape(5, 1, 1),
-                          dense[2:, :2].reshape(5, 1, 2))
+        dense[0, 1] = dense[1, 0] = 0.0
+        loop = scalar_loop(dense, 2)
         np.testing.assert_array_equal(dense_closed_loop(loop), dense)
         z0 = rng.standard_normal((7, 1))
         traj = integrate(loop, z0, 1.0, 0.01)
@@ -364,19 +404,18 @@ class TestBlockIntegrator:
     @given(drawn=random_closed_loops())
     def test_matches_dense_on_random_cascades(self, drawn):
         loop, N, M, m = drawn
-        assert block_shapes(loop) == ((m * N, m * N), (M - N, m, m), (M - N, m, m * N))
+        assert block_shapes(loop) == ((N, m, m), (M - N, m, m), (M - N, m, m * N))
         z0 = np.linspace(1.0, -0.5, M * m).reshape(M, m)
         traj = integrate(loop, z0, 0.2, 0.2 / 100)
         assert worst_relative_gap(traj, dense_integrate(loop, z0, 0.2, 0.2 / 100)) <= 1e-10
 
-    @pytest.mark.xfail(reason="the 1e-10 bound is at the rounding floor here")
     def test_gains_near_3e9_reach_the_bound(self):
-        """N = 6 against N_min = 3 gives cond(Bmat) = 2.3e7 and gains to 2.8e9.
+        """N = 6 against N_min = 3 gives cond(Bmat) = 2.3e7 and gains K to 2.8e9.
 
-        The tail amplifies rounding in the retained modes by the gains: the
-        step matrices are within a few ulps, yet the trajectory comes out
-        1.09e-10 off the dense oracle, and at M = 36 1.13e-10 off a 30-digit
-        reference.  The same as before the block form, bit for bit.
+        While the retained modes stepped as one dense block of the rows
+        P[:N] K, the trajectory came out 1.09e-10 off the dense oracle.  As
+        the decoupled blocks of Kbar (entries below 76) it is 2.5e-11 off;
+        only the tail's drive still carries K.
         """
         m, N, M = 2, 6, 18
         plant = random_plant(np.random.default_rng(5695), m=m)
@@ -414,36 +453,16 @@ class TestBlockIntegrator:
         np.testing.assert_allclose(traj.l2_norm, recomputed, rtol=1e-12, atol=0.0)
 
 
-def whole_tail_integrate(loop, z0, t_final, dt_out):
-    """`integrate` with the tail in one piece: the reference for its chunks.
-
-    The retained block and the step matrices as `integrate` computes them;
-    the tail in one (tail, m, steps + 1) array, its drive in one product,
-    and the norms of the whole trajectory at once.
-    """
+def whole_scan(z0, F, drive):
+    """The doubling scan of x_{j+1} = F x_j + drive_j over all modes at once,
+    as (modes, m, steps + 1)."""
     from cascade_stab import simulator
 
-    z0 = np.asarray(z0, dtype=float)
-    M, m = z0.shape
-    tail, r = len(loop.A_TT), len(loop.A_RR)
-    R = M - tail
-    steps = simulator._output_steps(t_final, dt_out)
-    A_RR = loop.A_RR * dt_out
-    if R and tail:
-        F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, loop.A_TT * dt_out,
-                                                  loop.A_TR * dt_out)
-    else:
-        F_RR = simulator.expm(A_RR[None])[0]
-        F_TT, F_TR = simulator.expm(loop.A_TT * dt_out), np.zeros((tail, m, r))
-    Z_R = np.empty((steps + 1, r))
-    Z_R[0] = z0[:R].reshape(-1)
-    F_RR_T = np.ascontiguousarray(F_RR.T)
-    for j in range(steps):
-        np.dot(Z_R[j], F_RR_T, out=Z_R[j + 1])
-    X = np.empty((tail, m, steps + 1))
-    X[:, :, 0] = z0[R:]
-    X[:, :, 1:] = (F_TR.reshape(tail * m, r) @ Z_R[:-1].T).reshape(tail, m, steps)
-    power, shift = F_TT, 1
+    steps = drive.shape[2]
+    X = np.empty(drive.shape[:2] + (steps + 1,))
+    X[:, :, 0] = z0
+    X[:, :, 1:] = drive
+    power, shift = F, 1
     while shift <= steps:
         live = simulator._live_modes(power)
         if not live:
@@ -451,9 +470,35 @@ def whole_tail_integrate(loop, z0, t_final, dt_out):
         power = power[:live]
         X[:live, :, shift:] += power @ X[:live, :, :-shift]
         power, shift = power @ power, 2 * shift
+    return X
+
+
+def whole_tail_integrate(loop, z0, t_final, dt_out):
+    """`integrate` with each scan in one piece: the reference for its chunks.
+
+    The step matrices as `integrate` computes them; the retained and the
+    tail modes each in one (modes, m, steps + 1) array, the tail's drive
+    in one product, and the norms of the whole trajectory at once.
+    """
+    from cascade_stab import simulator
+
+    z0 = np.asarray(z0, dtype=float)
+    M, m = z0.shape
+    R = len(loop.A_RR)
+    tail = M - R
+    steps = simulator._output_steps(t_final, dt_out)
+    A_RR = loop.A_RR * dt_out
+    if R and tail:
+        F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, loop.A_TT * dt_out,
+                                                  loop.A_TR * dt_out)
+    else:
+        F_RR = simulator.expm(A_RR)
+        F_TT, F_TR = simulator.expm(loop.A_TT * dt_out), np.zeros((tail, m, R * m))
     modal = np.empty((steps + 1, M, m))
-    modal[:, :R] = Z_R.reshape(steps + 1, R, m)
-    modal[:, R:] = X.transpose(2, 0, 1)
+    modal[:, :R] = whole_scan(z0[:R], F_RR, np.zeros((R, m, steps))).transpose(2, 0, 1)
+    Z_R = modal[:, :R].reshape(steps + 1, R * m)
+    drive = (F_TR.reshape(tail * m, R * m) @ Z_R[:-1].T).reshape(tail, m, steps)
+    modal[:, R:] = whole_scan(z0[R:], F_TT, drive).transpose(2, 0, 1)
     norms = np.linalg.norm(modal.reshape(steps + 1, -1), axis=1)
     return modal, norms
 
@@ -475,22 +520,15 @@ class TestChunkedTail:
         the `live` count of every doubling pass."""
         from cascade_stab import simulator
 
-        live = []
-        real_live = simulator._live_modes
-
-        def counted(power):
-            live.append(real_live(power))
-            return live[-1]
-
         modal, norms = whole_tail_integrate(loop, z0, 1, 1 / steps)
         with pytest.MonkeyPatch.context() as mp:
             # The budget of `chunk` modes of trajectory.
             mp.setattr(simulator, "_CHUNK_BYTES", chunk * z0[0].nbytes * (steps + 1))
-            mp.setattr(simulator, "_live_modes", counted)
+            calls = record_passes(mp)
             traj = integrate(loop, z0, 1, 1 / steps)
         assert traj.modal.tobytes() == modal.tobytes()
         assert traj.l2_norm.tobytes() == norms.tobytes()
-        return live
+        return tail_passes(calls, loop)
 
     @pytest.mark.parametrize("relation", ["below", "at", "one past", "several"])
     @given(drawn=random_closed_loops(), data=st.data())
@@ -512,8 +550,7 @@ class TestChunkedTail:
         from cascade_stab import simulator
 
         rates = np.array([1] * 5 + [10**6] * 6)
-        loop = ClosedLoop(np.zeros((0, 0)), -rates.reshape(-1, 1, 1).astype(float),
-                          np.zeros((11, 1, 0)))
+        loop = tail_only(-rates.reshape(-1, 1, 1).astype(float))
         z0 = with_signed_zeros(np.random.default_rng(3).standard_normal((11, 1)),
                                np.random.default_rng(4))
         assert simulator._spans(11, 4) == [(0, 3), (3, 7), (7, 11)]
@@ -544,8 +581,8 @@ class TestChunkedTail:
         rng = np.random.default_rng(8)
         dense = np.diag(-np.arange(1, 16) ** 2).astype(float)
         dense[:, :2] += 5 * rng.standard_normal((15, 2))
-        loop = ClosedLoop(dense[:2, :2], np.diag(dense)[2:].reshape(13, 1, 1),
-                          dense[2:, :2].reshape(13, 1, 2))
+        dense[0, 1] = dense[1, 0] = 0.0
+        loop = scalar_loop(dense, 2)
         self._check(loop, rng.standard_normal((15, 1)), 64, 1)
 
     def test_traced_peak_is_the_trajectory_and_a_few_chunks(self, demo_plant,
