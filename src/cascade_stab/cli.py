@@ -9,13 +9,17 @@ bench       modal synthesis vs direct Riccati baseline timing table (CSV)
 
 Exit codes: 0 success, 1 input problem, 2 hypothesis-(H) violation,
 3 internal failure, 4 verification failure.
+
+Each handler imports the submodules it runs when it is called, so a
+command loads only its own code: `synthesize` never loads `simulator`.
+Calls go through the module (`synthesis.build_controller`), so a function
+replaced on its module is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -25,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import model, simulator, spectral, synthesis, transform
+from . import model
 from .errors import (
     CascadeStabError,
     FactorizationAtRoundingLevel,
@@ -70,6 +74,8 @@ def load_initial(path: str, m: int):
 # synthesize
 
 def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
+    from . import spectral, synthesis, transform
+
     basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                  max(M_modes, 8))
     family = transform.solve_transform_family(plant)
@@ -83,6 +89,8 @@ def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
 
 
 def _report_text(plant, controller, cert, basis) -> str:
+    from . import synthesis
+
     idx = plant.indices
     lines = [
         "controller synthesis report",
@@ -114,6 +122,8 @@ def _report_text(plant, controller, cert, basis) -> str:
 
 
 def cmd_synthesize(args) -> int:
+    from . import spectral, synthesis, transform
+
     plant = _load_validated(args)
     basis, family, controller, cert = _synthesize_pipeline(
         plant, args.delta, args.N, args.pole_offsets, args.M_modes
@@ -144,6 +154,8 @@ def load_gains(path: str):
     `simulate --gains` runs what `simulate` without it would.  The retained
     modes are fed by Kbar and the tail by K, so the two must factor.
     """
+    from . import synthesis
+
     try:
         obj = model.read_json(path)
         controller = synthesis.controller_from_dict(obj)
@@ -161,6 +173,8 @@ def load_gains(path: str):
 # simulate
 
 def cmd_simulate(args) -> int:
+    from . import simulator, spectral, synthesis
+
     plant = _load_validated(args)
     if args.gains:
         controller, cert = load_gains(args.gains)
@@ -205,6 +219,8 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    from . import simulator, synthesis, transform
+
     plant = _load_validated(args)
     basis, family, controller, cert = _synthesize_pipeline(
         plant, args.delta, args.N, None, args.M_modes
@@ -296,6 +312,8 @@ def _time_pair(plant, basis, family, delta, N) -> tuple[float, float]:
     as a full one.  Direct: the Riccati solve of
     `synthesis.direct_baseline`, without its assembly.
     """
+    from . import synthesis
+
     t_modal = t_direct = 0.0
     for _ in range(_BENCH_LOOPS):
         start = time.perf_counter()
@@ -315,10 +333,12 @@ def bench_rows(plant, delta, N_values, repeats):
     ratio is the median of t_direct / t_modal within each pair, from which
     a change in host speed between pairs cancels.
     """
+    from . import spectral, transform
+
     base = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                 max(N_values) + 1)
     family = transform.solve_transform_family(plant)
-    plants = [dataclasses.replace(plant, shapes=_bench_shapes(plant.L, N))
+    plants = [plant._replace(shapes=_bench_shapes(plant.L, N))
               for N in N_values]
     pairs = [[] for _ in N_values]
     for _ in range(repeats):

@@ -21,7 +21,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -35,8 +35,22 @@ from .errors import (
     PlantInputError,
 )
 
-@dataclass(frozen=True)
-class ShapeFunction:
+
+class _Coerced:
+    """Base of a record (a NamedTuple) whose `__new__` converts or freezes its fields.
+
+    A NamedTuple's `_make`, and with it `_replace`, builds the tuple without
+    calling `__new__`; here both go through it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ShapeFunction(NamedTuple):
     """Control distribution b_j(x) on [0, L].
 
     Kinds
@@ -122,10 +136,7 @@ class ShapeFunction:
         return total
 
 
-@dataclass(frozen=True)
-class PlantSpec:
-    """Raw plant data, prior to validation."""
-
+class _PlantFields(NamedTuple):
     m: int
     D: np.ndarray
     Q: np.ndarray
@@ -134,18 +145,24 @@ class PlantSpec:
     gamma2: float
     shapes: tuple[ShapeFunction, ...]
 
-    def __post_init__(self):
-        D = np.array(self.D, dtype=float)
-        Q = np.array(self.Q, dtype=float)
+
+class PlantSpec(_Coerced, _PlantFields):
+    """Raw plant data, prior to validation.
+
+    D and Q are stored as read-only float copies, and shapes as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m, D, Q, L, gamma1, gamma2, shapes):
+        D = np.array(D, dtype=float)
+        Q = np.array(Q, dtype=float)
         D.flags.writeable = False
         Q.flags.writeable = False
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "shapes", tuple(self.shapes))
+        return super().__new__(cls, m, D, Q, L, gamma1, gamma2, tuple(shapes))
 
 
-@dataclass(frozen=True)
-class DiffusionIndices:
+class DiffusionIndices(NamedTuple):
     """sigma: first index from which all trailing diffusions coincide.
 
     sigma_bar = min{2*sigma - 3, 2m - 4}, clamped at 0, is the polynomial
@@ -156,8 +173,7 @@ class DiffusionIndices:
     sigma_bar: int
 
 
-@dataclass(frozen=True)
-class ValidatedPlant:
+class ValidatedPlant(NamedTuple):
     """A PlantSpec whose invariants have all been confirmed."""
 
     m: int
@@ -249,20 +265,23 @@ def validate_plant(spec: PlantSpec) -> ValidatedPlant:
 # JSON plant files.  All reals round-trip bit-exactly (json uses repr floats).
 
 def record_to_dict(record) -> dict:
-    """A dataclass record as JSON data: one key per field, in field order.
+    """A record (a NamedTuple) as JSON data: one key per field, in field order.
 
     Arrays and tuples become lists, and nested records become objects.
     """
-    return {f.name: _json_data(getattr(record, f.name)) for f in fields(record)}
+    return {name: _json_data(value) for name, value in zip(record._fields, record)}
 
 
 def _json_data(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
+    # A record first: it is a tuple too.
+    if hasattr(value, "_fields"):
+        return record_to_dict(value)
     if isinstance(value, (tuple, list)):
         # Floats inline: a certificate holds a margin per checked mode.
         return [v if type(v) is float else _json_data(v) for v in value]
-    return record_to_dict(value) if is_dataclass(value) else value
+    return value
 
 
 def shape_from_dict(obj: dict) -> ShapeFunction:
@@ -275,7 +294,7 @@ def shape_from_dict(obj: dict) -> ShapeFunction:
 
 def plant_to_dict(plant) -> dict:
     """The plant file of a PlantSpec or ValidatedPlant: PlantSpec's fields alone."""
-    names = {f.name for f in fields(PlantSpec)}
+    names = PlantSpec._fields
     return {k: v for k, v in record_to_dict(plant).items() if k in names}
 
 

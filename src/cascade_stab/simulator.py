@@ -51,7 +51,6 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
@@ -79,8 +78,7 @@ _FIT_WINDOW = (0.2, 1.0)
 _CHUNK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Simulation knobs; defaults suit the shipped examples."""
 
     M_modes: int = 30
@@ -98,8 +96,7 @@ class SimConfig:
             raise ValueError(f"M_modes={self.M_modes} must exceed N={N}")
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Time-stamped modal coefficients with norm history and fitted decay."""
 
     times: np.ndarray          # (T,)
@@ -133,8 +130,7 @@ def project_initial(z0_funcs, basis: SpectralBasis, M_modes: int) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class ClosedLoop:
+class ClosedLoop(NamedTuple):
     """The closed loop [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]] of N retained modes.
 
     A_RR is the (N, m, m) stack of retained blocks (`retained_blocks`), A_TT
@@ -842,10 +838,10 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
     z0 = project_initial(z0_funcs, basis, config.M_modes)
     traj = integrate(loop, z0, config.t_final, config.resolved_dt())
     try:
-        traj.fitted_decay = estimate_decay(traj)
+        decay = estimate_decay(traj)
     except ZeroNorm:
-        traj.fitted_decay = float("inf")
-    return traj
+        decay = float("inf")
+    return traj._replace(fitted_decay=decay)
 
 
 # ---------------------------------------------------------------------------
@@ -884,9 +880,7 @@ class CsvTable(NamedTuple):
     `width` values per step.  A table that formats an array computed for it
     gives the array's `shape` and fill(out), which computes it into `out`,
     a float array that `write_csvs` allocates; its rows read that array as
-    rows(start, stop, out=out), with `out` bound by `write_csvs`.  (A
-    NamedTuple: a frozen dataclass would add about a millisecond to every
-    import.)
+    rows(start, stop, out=out), with `out` bound by `write_csvs`.
     """
 
     path: str

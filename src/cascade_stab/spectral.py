@@ -35,20 +35,17 @@ A length L so small that some lambda_n overflows is an input error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PlantInputError, QuadratureNonConvergence, RootBracketingFailure
-from .model import ShapeFunction
+from .model import ShapeFunction, _Coerced
 
 _BOUNDARY_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    """First `size` eigenpairs of the unit-diffusion problem on (0, L)."""
-
+class _BasisFields(NamedTuple):
     L: float
     gamma1: float
     gamma2: float
@@ -56,9 +53,20 @@ class SpectralBasis:
     lam: np.ndarray  # eigenvalues lambda_n = s_n**2
     c: np.ndarray    # positive normalizers, ||c cos(s x)||_{L2} = 1
 
-    def __post_init__(self):
+
+class SpectralBasis(_Coerced, _BasisFields):
+    """First `size` eigenpairs of the unit-diffusion problem on (0, L).
+
+    The arrays s, lam and c are made read-only.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for arr in (self.s, self.lam, self.c):
             arr.flags.writeable = False
+        return self
 
     @property
     def size(self) -> int:

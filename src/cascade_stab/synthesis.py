@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-@dataclass(frozen=True)
-class Controller:
+class Controller(NamedTuple):
     """Synthesized feedback u = K z^N with its building blocks."""
 
     delta: float
@@ -77,8 +76,7 @@ class Controller:
     K: np.ndarray     # N x (m N) factored gain
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Constants of the closed-loop Lyapunov decay certificate."""
 
     rho: float

@@ -28,12 +28,12 @@ per mode.  Modes past N are not transformed (T_n = I there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ResidualNonzero
-from .model import ValidatedPlant
+from .model import ValidatedPlant, _Coerced
 
 RESIDUAL_TOL = 1e-9
 
@@ -48,17 +48,25 @@ def support_cols(m: int, i: int, j: int) -> range:
     return range(j + math.ceil(i / 2), m + 1)
 
 
-@dataclass(frozen=True)
-class TransformFamily:
-    """Coefficient matrices Tbar_1..Tbar_sigma_bar of the modal transform."""
-
+class _FamilyFields(NamedTuple):
     m: int
     sigma_bar: int
     coeffs: tuple  # tuple of (m, m) ndarrays, strictly upper triangular
 
-    def __post_init__(self):
+
+class TransformFamily(_Coerced, _FamilyFields):
+    """Coefficient matrices Tbar_1..Tbar_sigma_bar of the modal transform.
+
+    The matrices are made read-only.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for c in self.coeffs:
             c.flags.writeable = False
+        return self
 
     @property
     def is_empty(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import json
@@ -716,7 +715,7 @@ class TestBench:
                                      max(args.N_list) + 1)
         family = transform.solve_transform_family(demo_plant)
         for N in args.N_list:
-            plant = dataclasses.replace(demo_plant, shapes=cli._bench_shapes(demo_plant.L, N))
+            plant = demo_plant._replace(shapes=cli._bench_shapes(demo_plant.L, N))
             controller = synthesis.build_controller(plant, args.delta, N=N, basis=basis,
                                                     family=family)
             assert synthesis.factorization_residual(controller) <= synthesis.FACTORIZATION_TOL
@@ -1051,9 +1050,12 @@ def _run_fresh(code: str, *args: str) -> str:
 
 
 class TestColdImport:
-    """Importing the CLI loads none of the modules that only some paths use."""
+    """Importing the CLI loads none of the modules that only some paths use,
+    and each command loads only the submodules it runs."""
 
     DEFERRED = ("statistics", "numpy.polynomial", "scipy", "fcntl", "mmap", "signal")
+    COMMAND_MODULES = ("cascade_stab.simulator", "cascade_stab.synthesis",
+                       "cascade_stab.spectral", "cascade_stab.transform")
 
     def test_import_defers_path_only_modules(self):
         out = _run_fresh(f"""
@@ -1062,6 +1064,78 @@ class TestColdImport:
             print(sorted(m for m in {self.DEFERRED!r} if m in sys.modules))
         """)
         assert out.splitlines()[-1] == "[]"
+
+    def test_import_loads_no_command_module(self):
+        wanted = ("dataclasses", *self.COMMAND_MODULES)
+        out = _run_fresh(f"""
+            import sys
+            import cascade_stab.cli
+            print(sorted(m for m in {wanted!r} if m in sys.modules))
+        """)
+        assert out.splitlines()[-1] == "[]"
+
+    def test_synthesize_loads_no_simulator(self, tmp_path, plant_file):
+        out = _run_fresh("""
+            import contextlib, io, sys
+            from cascade_stab import cli
+            argv = ["synthesize", "--plant", sys.argv[1], "--delta", "9",
+                    "--out-dir", sys.argv[2]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            print(sorted(k for k in sys.modules if k.startswith("cascade_stab.")))
+        """, plant_file, str(tmp_path / "out"))
+        loaded = eval(out.splitlines()[-1])
+        assert "cascade_stab.synthesis" in loaded
+        assert "cascade_stab.simulator" not in loaded
+        assert (tmp_path / "out" / "gains.json").exists()
+
+    def test_help_loads_no_command_module(self):
+        """`python -m cascade_stab --help`, as runpy runs it for -m."""
+        out = _run_fresh("""
+            import runpy, sys
+            try:
+                runpy.run_module("cascade_stab", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                assert exc.code == 0
+            print(sorted(k for k in sys.modules if k.startswith("cascade_stab.")))
+        """, "--help")
+        assert out.startswith("usage: cascade-stab")
+        loaded = eval(out.splitlines()[-1])
+        assert {"cascade_stab.cli", "cascade_stab.model"} <= set(loaded)
+        assert set(loaded).isdisjoint(self.COMMAND_MODULES)
+
+
+class TestPackageNamespace:
+    """`cascade_stab` resolves its public names from their submodules on first use."""
+
+    def test_every_public_name_is_its_modules_object(self):
+        for name in cascade_stab.__all__:
+            value = getattr(cascade_stab, name)
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("cascade_stab.")
+            assert getattr(home, name) is value, name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from cascade_stab import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(cascade_stab.__all__)
+        assert set(cascade_stab.__all__) <= set(dir(cascade_stab))
+
+    def test_unknown_name_is_named(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            cascade_stab.no_such_name  # noqa: B018
+        assert not hasattr(cascade_stab, "no_such_name")
+
+    def test_version_loads_no_submodule(self):
+        out = _run_fresh("""
+            import sys
+            import cascade_stab
+            print(cascade_stab.__version__,
+                  sorted(k for k in sys.modules if k.startswith("cascade_stab.")))
+            # A submodule is still an attribute of the package.
+            print(cascade_stab.spectral is sys.modules["cascade_stab.spectral"])
+        """)
+        assert out.splitlines()[-2:] == ["0.1.0 []", "True"]
 
 
 class TestNoScipyOnCommandPath:

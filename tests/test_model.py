@@ -33,6 +33,7 @@ from cascade_stab.model import (
     write_json,
 )
 
+from cascade_stab.spectral import build_basis
 from cascade_stab.synthesis import Certificate, Controller, zero_controller
 from cascade_stab.transform import TransformFamily
 
@@ -254,7 +255,7 @@ class TestJsonRoundTrip:
 
 
 class TestRecordToDict:
-    """One key per dataclass field, in field order; arrays and tuples as lists."""
+    """One key per record field, in field order; arrays and tuples as lists."""
 
     def test_zero_controller(self):
         assert record_to_dict(zero_controller(9.0, 0, 2)) == {
@@ -308,6 +309,55 @@ class TestRecordToDict:
         # The plant file holds PlantSpec's fields alone, from either record.
         assert plant_to_dict(plant) == plant_to_dict(spec) == fields
         assert list(plant_to_dict(plant)) == list(fields)
+
+
+class TestRecords:
+    """The records are NamedTuples that keep the dataclasses' bytes and invariants."""
+
+    def test_plant_file_writes_shapes_as_objects(self, tmp_path):
+        """A ShapeFunction is a tuple too, but the plant file holds it as an object."""
+        path = tmp_path / "plant.json"
+        save_plant(plant_from_dict(example_plant_dict()), str(path))
+        assert path.read_text() == json.dumps(example_plant_dict(), indent=2) + "\n"
+
+    def test_plant_spec_coerces_its_fields(self):
+        D, Q = [4, 5, 6], [[10, 4, 8], [1, 10, 2], [0, 1, 20]]
+        shapes = [ShapeFunction.indicator(0.1, 0.2)]
+        spec = make_spec(D=D, Q=Q, shapes=shapes)
+        for built in (spec, spec._replace(D=D, Q=Q, shapes=shapes),
+                      PlantSpec._make([3, D, Q, math.pi, 1.0, 0.0, shapes])):
+            for arr, given in ((built.D, D), (built.Q, Q)):
+                assert arr.dtype == np.float64 and not arr.flags.writeable
+                np.testing.assert_array_equal(arr, given)
+            assert built.shapes == tuple(shapes) and type(built.shapes) is tuple
+        D_in = np.array([4.0, 5.0, 6.0])
+        spec = make_spec(D=D_in)
+        D_in[0] = -1.0
+        assert spec.D[0] == 4.0  # a copy, so the caller's array stays writable
+        assert D_in.flags.writeable
+
+    def test_basis_arrays_are_read_only(self):
+        basis = build_basis(math.pi, 1.0, 0.0, 4)
+        for built in (basis, basis._replace(s=np.arange(4.0), lam=np.arange(4.0),
+                                            c=np.ones(4))):
+            for arr in (built.s, built.lam, built.c):
+                assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis.lam[0] = 0.0
+
+    def test_family_coefficients_are_read_only(self):
+        coeffs = (np.array([[0.0, 0.5], [0.0, 0.0]]),)
+        family = TransformFamily(m=2, sigma_bar=1, coeffs=coeffs)
+        replaced = family._replace(coeffs=(np.zeros((2, 2)),))
+        assert not family.coeffs[0].flags.writeable
+        assert not replaced.coeffs[0].flags.writeable
+
+    def test_records_are_named_tuples(self):
+        """A record compares equal to the plain tuple of its values."""
+        shape = ShapeFunction.indicator(0.1, 0.2)
+        assert shape == ("indicator", (0.1, 0.2))
+        assert shape._fields == ("kind", "params")
+        assert shape._replace(params=(0.2, 0.3)) == ShapeFunction.indicator(0.2, 0.3)
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ synthesized controllers.  Example counts come from the hypothesis profile
 in conftest.py unless a test sets its own.
 """
 
-import dataclasses
 import math
 
 import mpmath
@@ -307,7 +306,7 @@ def test_certificate_bound_holds_on_random_cascades():
         drawn.append(plant.m)
         basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 80)
         N = max(1, select_mode_count(plant, basis, delta))
-        plant = dataclasses.replace(plant, shapes=tuple(
+        plant = plant._replace(shapes=tuple(
             ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1) for j in range(1, N + 1)))
         try:
             ctl = build_controller(plant, delta, N=N, basis=basis)
@@ -348,7 +347,7 @@ def test_certificate_signs_in_50_digits_on_random_cascades():
         drawn.append(plant.m)
         basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 80)
         N = max(1, select_mode_count(plant, basis, delta))
-        plant = dataclasses.replace(plant, shapes=tuple(
+        plant = plant._replace(shapes=tuple(
             ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1) for j in range(1, N + 1)))
         try:
             ctl = build_controller(plant, delta, N=N, basis=basis)
@@ -553,7 +552,7 @@ def test_target_residual_matches_block_diagonal_form(plant, delta, scale):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
     ctl = synthesized(plant, delta, basis)
     assume(ctl is not None)
-    ctl = dataclasses.replace(ctl, Kbar=ctl.Kbar * scale)  # a nonzero defect too
+    ctl = ctl._replace(Kbar=ctl.Kbar * scale)  # a nonzero defect too
     N, m = ctl.N, plant.m
     family = solve_transform_family(plant)
     z0 = np.array([[1.0 / n] * m for n in range(1, N + 1)])
