@@ -139,10 +139,9 @@ def cmd_synthesize(args) -> int:
         model.write_json(os.path.join(args.out_dir, "basis.json"),
                          spectral.basis_to_dict(basis))
     if args.dump_transform:
-        dump = model.record_to_dict(family)
         T, _ = transform.mode_transform(family, basis.lam[:controller.N])
-        dump["modes"] = T.tolist()
-        model.write_json(os.path.join(args.out_dir, "transform.json"), dump)
+        model.write_json(os.path.join(args.out_dir, "transform.json"),
+                         {**model.record_to_dict(family), "modes": T})
     return 0
 
 

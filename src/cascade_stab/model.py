@@ -279,8 +279,7 @@ def _json_data(value):
     if hasattr(value, "_fields"):
         return record_to_dict(value)
     if isinstance(value, (tuple, list)):
-        # Floats inline: a certificate holds a margin per checked mode.
-        return [v if type(v) is float else _json_data(v) for v in value]
+        return [_json_data(v) for v in value]
     return value
 
 
@@ -316,7 +315,8 @@ def plant_from_dict(obj: dict) -> PlantSpec:
 def read_json(path: str):
     """The data of the UTF-8 JSON file at path.
 
-    orjson parses it: 1.1 ms against json's 6.8 ms on a 391 kB gains file.
+    orjson parses it: 0.47 ms against json's 2.7 ms on the 391 kB gains file
+    of the wide-actuation benchmark workload.
     A file that orjson refuses, such as one holding the NaN and Infinity
     literals that `write_json` writes for non-finite floats, is parsed by
     json, so a file that neither parses raises json's JSONDecodeError.
@@ -404,12 +404,14 @@ def atomic_write(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Float text.  Every value in the CSVs, and every finite float in the JSON
-# files, is written by _csv_lines, byte for byte ",".join(map(repr, row)).
+# Float text.  The CSVs hold every row as ",".join(map(repr, row)), and the
+# JSON files are written as json.dump(obj, fh, indent=2) writes them.  orjson
+# writes both, and the float text is then edited into repr's.
 #
-# orjson writes the same shortest round-trip digits as repr (Ryu), in a
-# different layout.  Which values it lays out differently follows from the
-# value alone, by where its magnitude lies among the cuts in _CUTS:
+# orjson writes the same shortest round-trip digits as repr (Ryu), and with
+# OPT_INDENT_2 json.dump's indent=2 layout.  Which values it writes
+# differently follows from the value alone, by where its magnitude lies among
+# the cuts in _CUTS:
 #
 #   [1e-9, 1e-5)   e-6 ... e-9, where repr writes e-06 ... e-09;
 #   [1e-5, 1e-4)   positional 0.000015, where repr writes 1.5e-05;
@@ -419,21 +421,60 @@ def atomic_write(path: str):
 # double's rounding interval, and no power of ten is the midpoint of two
 # doubles, so a double below the double 1e-9 never prints as 1e-09.
 #
-# orjson writes the block as one list, [v1,v2,...,vn].  Its commas, found in
-# the one scan of the text, end the values: they place every edit, and the
-# comma after the last value of each row becomes a newline.  Each edit is
-# written into the buffer in place.  Where it inserts or drops bytes, it
-# writes a marker byte that orjson never writes, and one bytes.replace per
-# kind of marker written (a memchr and memcpy pass) then splices the text.
+# _repr_floats writes each edit into the text in place.  Where it inserts or
+# drops bytes, it writes a marker byte that orjson never writes, and one
+# bytes.replace per kind of marker written (a memchr and memcpy pass) then
+# splices the text.
 #
-# orjson writes NaN and +-inf as null, so a block holding any of them is
-# formatted by repr instead.
+# orjson writes NaN and +-inf as null, so a CSV block holding any of them is
+# formatted by repr instead, and a JSON document by json (see write_json).
 #
-# The text is returned as the ASCII bytes it was spliced in, and written to
-# the files as they are: decoding it to a str only for the file to encode it
-# again would copy every byte twice.
+# The text is kept as the ASCII bytes it was spliced in, and written to the
+# files as it is: decoding it to a str only for the file to encode it again
+# would copy every byte twice.
 
 _CUTS = np.array([[1e-9], [1e-5], [1e-4], [1e16], [1e100]])
+
+
+def _repr_floats(b: np.ndarray, before, ends, values) -> list:
+    """Edit orjson's text of the finite floats `values` in the byte array `b` into repr's.
+
+    Value i lies strictly between bytes before[i] and ends[i], and b[ends[i]]
+    is a comma or a newline.  Returns the (marker, replacement) pairs of the
+    markers written, to be replaced, in any order, in the bytes of `b`.
+    """
+    # over[j, i]: |v_i| is at least cut j, so over[j] > over[j + 1] is the
+    # band [cut j, cut j + 1).
+    over = np.abs(values) >= _CUTS
+    splices = []
+    # ...e-d: the minus becomes -0.
+    tiny = np.flatnonzero(over[0] > over[1])
+    if tiny.size:
+        b[ends[tiny] - 2] = 1
+        splices.append((b"\1", b"-0"))
+    # ...edd or ...eddd: the e becomes e+.
+    big = np.flatnonzero(over[3])
+    if big.size:
+        b[ends[big] - 3 - over[4, big]] = 2
+        splices.append((b"\2", b"e+"))
+    # [-]0.0000d1[d2...dk]: 0.000 is dropped, d1 moves onto the last 0 and is
+    # followed by a dot if more digits follow, and e-05 goes in before the
+    # separator.
+    pos = np.flatnonzero(over[1] > over[2])
+    if pos.size:
+        start = before[pos] + 1 + (values[pos] < 0)
+        dotted = ends[pos] > start + 7
+        b[start + 5] = b[start + 6]
+        b[start + 6] = np.where(dotted, ord("."), 0)
+        b[start[:, None] + np.arange(5)] = 0
+        line_end = b[ends[pos]] == ord("\n")
+        b[ends[pos]] = np.where(line_end, 4, 3)
+        splices.append((b"\0", b""))
+        if not line_end.all():
+            splices.append((b"\3", b"e-05,"))
+        if line_end.any():
+            splices.append((b"\4", b"e-05\n"))
+    return splices
 
 
 def _csv_lines(block: np.ndarray) -> bytes:
@@ -446,120 +487,127 @@ def _csv_lines(block: np.ndarray) -> bytes:
         return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
     b = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY),
                       dtype=np.uint8).copy()  # [v1,v2,...,vn]
-    # Value i lies strictly between bytes bounds[i] and bounds[i + 1].
+    # Value i lies strictly between bytes bounds[i] and bounds[i + 1]: the
+    # commas, found in one scan, end the values, and the one after the last
+    # value of each row becomes a newline.
     bounds = np.concatenate(([0], np.flatnonzero(b == ord(",")), [b.size - 1]))
     ends = bounds[1:]
     cols = block.shape[1]
     b[ends[cols - 1::cols]] = ord("\n")
-    # over[j, i]: |v_i| is at least cut j, so over[j] > over[j + 1] is the
-    # band [cut j, cut j + 1).
-    over = np.abs(flat) >= _CUTS
-    # ...e-d: the minus becomes -0.
-    tiny = np.flatnonzero(over[0] > over[1])
-    b[ends[tiny] - 2] = 1
-    # ...edd or ...eddd: the e becomes e+.
-    big = np.flatnonzero(over[3])
-    b[ends[big] - 3 - over[4, big]] = 2
-    # [-]0.0000d1[d2...dk]: 0.000 is dropped, d1 moves onto the last 0 and is
-    # followed by a dot if more digits follow, and e-05 goes in before the
-    # separator.
-    pos = np.flatnonzero(over[1] > over[2])
-    start = bounds[pos] + 1 + (flat[pos] < 0)
-    dotted = ends[pos] > start + 7
-    b[start + 5] = b[start + 6]
-    b[start + 6] = np.where(dotted, ord("."), 0)
-    b[start[:, None] + np.arange(5)] = 0
-    row_end = b[ends[pos]] == ord("\n")
-    b[ends[pos]] = np.where(row_end, 4, 3)
+    splices = _repr_floats(b, bounds, ends, flat)
     # One copy of the text alive at a time: with the array kept through the
     # splices, the benchmark's peak RSS read about 0.3 MB higher.  The copy
     # drops the opening bracket.
     text = b[1:].tobytes()
     del b
-    for marker, replacement, written in (
-            (b"\0", b"", pos.size), (b"\1", b"-0", tiny.size), (b"\2", b"e+", big.size),
-            (b"\3", b"e-05,", pos.size > row_end.sum()), (b"\4", b"e-05\n", row_end.any())):
-        if written:
-            text = text.replace(marker, replacement)
+    for marker, replacement in splices:
+        text = text.replace(marker, replacement)
     return text
 
 
-def _json_layout(obj, pad: str, parts: list, slots: list, values: list) -> None:
-    """Append the indent=2 text of `obj` to `parts`, as json.dump lays it out.
+def _json_default(obj):
+    """A float ndarray as its tolist(), for orjson and json; TypeError for anything else."""
+    if type(obj) is np.ndarray and obj.dtype.type is np.float64:
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    `pad` is the newline and indentation of the line `obj` starts on.  A
-    finite float, or a non-empty list or tuple of finite floats, leaves a
-    None in `parts` and a slot (position in `parts`, len(values) after its
-    values, separator); its values go to `values`.  Every other leaf is
-    json.dumps's text of it.
+
+def _float_places(obj):
+    """(lines, columns, values) of the floats in the indent=2 text of `obj`, or None.
+
+    In json.dump's layout a non-empty list, tuple or dict puts each item on a
+    line of its own and closes on the next, and a dict value follows its key.
+    A list of floats, or a 1-D or 2-D float ndarray, is one block: value
+    (i, j) of an (r, c) block lies 2 + i(c + 2) + j lines below its opening
+    bracket, and value j of a 1-D block 1 + j.  Raises orjson's
+    JSONEncodeError where orjson writes `obj` unlike json.dump (see
+    write_json), and TypeError at a value json.dump cannot write.
     """
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {type(key).__name__}")
-                key = json.dumps(key)
-            # The text json.dumps gives a str.
-            parts.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
-            _json_layout(value, inner, parts, slots, values)
-            sep = "," + inner
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = pad + "  "
-        # sum() is finite only if every term is: inf and nan propagate.  An
-        # overflowing sum of finite floats just takes the per-item branch.
-        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            values.extend(obj)
-            parts.append("[" + inner)
-            slots.append((len(parts), len(values), "," + inner))
-            parts.append(None)
-        else:
-            sep = "[" + inner
-            for item in obj:
-                parts.append(sep)
-                _json_layout(item, inner, parts, slots, values)
-                sep = "," + inner
-        parts.append(pad + "]")
-    elif type(obj) is float and math.isfinite(obj):
-        values.append(obj)
-        slots.append((len(parts), len(values), ""))
-        parts.append(None)
-    else:
-        parts.append(json.dumps(obj))
+    scalars, blocks = [], []  # (line, column, value), (lines, columns, values)
+
+    def walk(obj, line, col, pad):
+        """The line `obj` ends on, when it starts at (line, col) on a line indented by pad."""
+        if isinstance(obj, float):
+            scalars.append((line, col, obj))
+            return line
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                if type(key) is not str or not (key.isascii() and key.isprintable()):
+                    raise orjson.JSONEncodeError
+                key_text = json.encoder.encode_basestring_ascii(key)
+                line = walk(value, line + 1, pad + 4 + len(key_text), pad + 2)
+            return line + 1 if obj else line
+        if isinstance(obj, str) and not (obj.isascii() and obj.isprintable()):
+            raise orjson.JSONEncodeError
+        if obj is None or isinstance(obj, (str, int)):
+            return line
+        if isinstance(obj, (list, tuple)):
+            if not (obj and set(map(type, obj)) == {float}):
+                for item in obj:
+                    line = walk(item, line + 1, pad + 2, pad + 2)
+                return line + 1 if obj else line
+            obj = np.array(obj)
+        elif type(obj) is not np.ndarray or obj.dtype.type is not np.float64:
+            _json_default(obj)  # raises TypeError
+        elif not 0 < obj.ndim < 3:
+            return walk(obj.tolist(), line, col, pad)
+        if obj.size:
+            r, c = obj.shape if obj.ndim == 2 else (1, obj.size)
+            first = line + obj.ndim + (c + 2) * np.arange(r)
+            blocks.append(((first[:, None] + np.arange(c)).ravel(),
+                           np.full(obj.size, pad + 2 * obj.ndim), obj.ravel()))
+        # The lines from the opening bracket to the closing one.
+        span = 1
+        for n in reversed(obj.shape):
+            span = n * span + 2 if n else 1
+        return line + span - 1
+
+    walk(obj, 0, 0, 0)
+    if scalars:
+        blocks.append(tuple(map(np.array, zip(*scalars))))
+    if not blocks:
+        return None
+    lines, cols, values = map(np.concatenate, zip(*blocks))
+    if not np.isfinite(values).all():
+        raise orjson.JSONEncodeError
+    return lines, cols, values
 
 
 def write_json(path: str, obj) -> None:
     """Atomically write `obj` as json.dump(obj, fh, indent=2) does, plus a newline.
 
-    The layout comes from `_json_layout`; the finite floats are formatted
-    together by one `_csv_lines` call, as one row, whose bytes are cut into
-    the layout, and the document is written with one write.  Unserializable
-    objects raise TypeError before the file is opened.
+    A float ndarray may stand as a leaf, and is written as json.dump writes
+    its tolist().  orjson lays the document out, `_float_places` places each
+    float on its line, one scan for newlines gives each float's end, and
+    `_repr_floats` edits the float text.  A document that orjson writes
+    unlike json.dump or not at all, one holding a non-finite float, a string
+    or key outside printable ASCII, a key that is not a str or an int beyond
+    64 bits, is written by json.dumps(obj, indent=2) itself, arrays through
+    tolist().  Unserializable objects raise TypeError before the file is
+    opened.
     """
-    parts, slots, values = [], [], []
-    _json_layout(obj, "\n", parts, slots, values)
-    text = _csv_lines(np.array(values, dtype=float).reshape(1, -1))  # v1,...,vn\n
-    # No value holds a comma, so value i ends at comma i, or at the final
-    # newline.  One scan finds them; a split into one object per value
-    # raised the benchmark's peak RSS by about 2 MB.
-    commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
-    ends = np.append(commas, len(text) - 1)[[stop - 1 for _, stop, _ in slots]].tolist()
-    start = 0
-    for (at, _, sep), end in zip(slots, ends):
-        parts[at] = text[start:end].replace(b",", sep.encode())
-        start = end + 1
-    parts.append("\n")
+    try:
+        places = _float_places(obj)
+        text = orjson.dumps(obj, default=_json_default, option=orjson.OPT_INDENT_2
+                            | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        text = (json.dumps(obj, indent=2, default=_json_default) + "\n").encode()
+    else:
+        if places:
+            lines, cols, values = places
+            # Edited in place through an array view, and written as it is.
+            text = bytearray(text)
+            b = np.frombuffer(text, dtype=np.uint8)
+            newlines = np.flatnonzero(b == ord("\n"))
+            # Each float is the last value on its line.
+            ends = newlines[lines]
+            ends -= b[ends - 1] == ord(",")
+            splices = _repr_floats(b, np.append(-1, newlines)[lines] + cols, ends, values)
+            del b
+            for marker, replacement in splices:
+                text = text.replace(marker, replacement)
     with atomic_write(path) as fh:
-        fh.write(b"".join(p if type(p) is bytes else p.encode() for p in parts))
+        fh.write(text)
 
 
 def save_plant(plant, path: str) -> None:

@@ -38,7 +38,7 @@ from .errors import (
     PolePlacementSingular,
     RiccatiFailure,
 )
-from .model import ValidatedPlant, record_to_dict
+from .model import ValidatedPlant
 from .spectral import SpectralBasis, build_basis, extend_basis, shape_projection_matrix
 from .transform import (
     TransformFamily,
@@ -491,10 +491,14 @@ def certificate_from_dict(obj: dict) -> Certificate:
 
 
 def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> dict:
-    """The gains file: the controller's fields, then the certificate's, if given."""
-    out = record_to_dict(controller)
+    """The gains file: the controller's fields, then the certificate's, if given.
+
+    The arrays and tuples stay as they are, for `model.write_json`, which
+    writes them as lists; `model.record_to_dict` gives JSON-native lists.
+    """
+    out = controller._asdict()
     if cert is not None:
-        out["certificate"] = record_to_dict(cert)
+        out["certificate"] = cert._asdict()
     return out
 
 

@@ -459,7 +459,7 @@ class TestSimulate:
         """orjson's parse gives the values json's does, floats bit for bit."""
         read = synthesis.gains_to_dict(*cli.load_gains(demo_gains))
         with open(demo_gains) as fh:
-            assert json.dumps(read) == json.dumps(json.load(fh))
+            assert json.dumps(read, default=np.ndarray.tolist) == json.dumps(json.load(fh))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_certificate_constant_is_parsed(self, tmp_path, plant_file,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cascade_stab import model
 
@@ -530,6 +531,45 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
+class _Float(float):
+    pass
+
+
+def _tolist(obj):
+    """obj with every ndarray replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _tolist(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tolist(item) for item in obj]
+    return obj
+
+
+# Each cut of the float fix-up, the doubles either side of it, a value inside
+# each band it bounds, and the zeros.
+_CUTS = (1e-9, 1e-5, 1e-4, 1e16, 1e100)
+_BAND_FLOATS = [sign * float(v) for cut in _CUTS
+                for v in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf), 2.5 * cut)
+                for sign in (1.0, -1.0)] + [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+_array_floats = st.one_of(st.sampled_from(_BAND_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+# 1-D and 2-D, empty ones too, and some transposed (not C-contiguous).
+_float_arrays = st.builds(
+    lambda a, transpose: a.T if transpose else a,
+    arrays(np.float64, st.one_of(st.tuples(st.integers(0, 6)),
+                                 st.tuples(st.integers(0, 4), st.integers(0, 6))),
+           elements=_array_floats),
+    st.booleans())
+_ascii_keys = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+_array_documents = st.recursive(
+    st.one_of(_float_arrays, _array_floats, _array_floats.map(np.float64), st.integers(),
+              st.booleans(), st.none(), _ascii_keys, st.lists(_array_floats, max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_ascii_keys, inner, max_size=4)),
+    max_leaves=10)
+
+
 class TestWriteJson:
     """write_json writes json.dump(obj, fh, indent=2) plus a newline, byte for byte."""
 
@@ -552,8 +592,31 @@ class TestWriteJson:
         write_json(str(path), obj)
         assert path.read_bytes() == _json_bytes(obj)
 
+    @settings(max_examples=120)
+    @given(_array_documents)
+    def test_array_leaves_match_json_dump_of_tolist(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "arrays.json"
+        write_json(str(path), obj)
+        assert path.read_bytes() == _json_bytes(_tolist(obj))
+
+    @pytest.mark.parametrize("obj", [
+        np.zeros(3), np.zeros((0, 3)), np.zeros((3, 0)), np.array(-0.0),
+        np.arange(24.0).reshape(2, 3, 4) * 1.5e-5,
+        {"K": np.array([[1.0, math.nan], [math.inf, -math.inf]]), "x": [np.float64(2.0)]},
+        [np.array([1.5e-5, math.nan])], {"a": [np.zeros((2, 2)), {"b": np.ones(2) * -1e16}]},
+        np.float64(1.5e-5), [np.float64(-2.5e-7), np.float64(1e16)], {"x": np.float64(0.1)},
+        {"s\"q\\b": np.eye(2) * 1.5e-5}, {"\u00e9": np.ones(2)},
+        {"del\x7f": 1.5e-5}, [1.5e-5, "\x7f", "\x1f\n"], {"q\"": 1.5e-5, "b\\": -2.5e-5},
+        {"a": np.zeros((3, 0)), "b": np.zeros((0, 2)), "c": [np.zeros(0), 1.5e-5]},
+        {"f": _Float(1.5e-5), "t": model.DiffusionIndices(2, 1), "g": 1e-7},
+    ])
+    def test_array_and_numpy_float_documents(self, tmp_path, obj):
+        path = tmp_path / "doc.json"
+        write_json(str(path), obj)
+        assert path.read_bytes() == _json_bytes(_tolist(obj))
+
     @pytest.mark.parametrize("obj", [{"K": [1.0, object()]}, [{1, 2}],
-                                     {(1, 2): 0.5}, np.zeros(3)])
+                                     {(1, 2): 0.5}, np.arange(3), [np.zeros(2, np.float32)]])
     def test_unserializable_leaves_target_untouched(self, tmp_path, obj):
         target = tmp_path / "gains.json"
         target.write_text("old\n")
@@ -562,13 +625,19 @@ class TestWriteJson:
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["gains.json"]
 
-    def test_one_formatter_call_and_one_write(self, tmp_path, monkeypatch):
-        calls, writes = [], []
-        real_lines, real_write = model._csv_lines, model.atomic_write
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_one_formatter_call_and_one_write(self, tmp_path, monkeypatch, arrays):
+        """One orjson dump lays out the whole document, and one write stores it."""
+        dumps, writes = [], []
+        real_orjson, real_write = model.orjson, model.atomic_write
 
-        def counted_lines(block, *stops):
-            calls.append(block.shape)
-            return real_lines(block, *stops)
+        class CountedOrjson:
+            def __getattr__(self, name):
+                return getattr(real_orjson, name)
+
+            def dumps(self, *args, **kwargs):
+                dumps.append(args)
+                return real_orjson.dumps(*args, **kwargs)
 
         class Counted:
             def __init__(self, fh):
@@ -588,10 +657,11 @@ class TestWriteJson:
             def __exit__(self, *exc):
                 return self.inner.__exit__(*exc)
 
-        monkeypatch.setattr(model, "_csv_lines", counted_lines)
+        monkeypatch.setattr(model, "orjson", CountedOrjson())
         monkeypatch.setattr(model, "atomic_write", counted_write)
-        obj = {"K": [[float(i + j) for j in range(300)] for i in range(3)],
+        K = [[float(i + j) for j in range(300)] for i in range(3)]
+        obj = {"K": np.array(K) if arrays else K,
                "delta": 9.0, "N": 3, "cert": {"rho": 0.5, "margins": [-1.0, -2.0]}}
         write_json(str(tmp_path / "gains.json"), obj)
-        assert calls == [(1, 904)] and len(writes) == 1
-        assert (tmp_path / "gains.json").read_bytes() == _json_bytes(obj)
+        assert len(dumps) == 1 and len(writes) == 1
+        assert (tmp_path / "gains.json").read_bytes() == _json_bytes(_tolist(obj))

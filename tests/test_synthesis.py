@@ -410,7 +410,7 @@ class TestGainsSerialization:
         family = solve_transform_family(demo_plant)
         ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
         cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
-        blob = json.dumps(gains_to_dict(ctl, cert))
+        blob = json.dumps(gains_to_dict(ctl, cert), default=np.ndarray.tolist)
         obj = json.loads(blob)
         ctl2 = controller_from_dict(obj)
         cert2 = certificate_from_dict(obj["certificate"])
@@ -423,7 +423,7 @@ class TestGainsSerialization:
     def test_empty_controller_round_trip(self):
         plant = simple_plant([1.0], [[-5.0]])
         ctl = build_controller(plant, 0.01)
-        obj = json.loads(json.dumps(gains_to_dict(ctl)))
+        obj = json.loads(json.dumps(gains_to_dict(ctl), default=np.ndarray.tolist))
         ctl2 = controller_from_dict(obj)
         assert ctl2.N == 0
         assert ctl2.K.size == 0

@@ -3,8 +3,10 @@
 
 Runs `synthesize`, `simulate --gains` and `verify` in-process through
 `cascade_stab.cli.main`, with the argv that `perfbench/workloads.py` gives
-each workload, on inputs drawn from one seed.  Prints one line per command
-and one per file it wrote:
+each workload, on inputs drawn from one seed, and then `synthesize
+--dump-basis --dump-transform` (command `synthesize-dumps`) into a directory
+of its own, so that every file the JSON writer makes is hashed.  Prints one
+line per command and one per file it wrote:
 
     <workload> <command> exit+stdout <md5>
     <workload> <command> <file> <md5>
@@ -50,16 +52,22 @@ def _files(directory: str) -> dict:
 
 def workload_lines(name: str, seed: int) -> list[str]:
     lines = []
-    with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out, \
+            tempfile.TemporaryDirectory() as dumps:
         plant, initial = write_inputs(WORKLOADS[name], seed, inputs)
+        runs = [(command, argv, out) for command, argv
+                in WORKLOADS[name].cli_args(plant, initial, out).items()]
+        synthesize = WORKLOADS[name].cli_args(plant, initial, dumps)["synthesize"]
+        runs.append(("synthesize-dumps", [*synthesize, "--dump-basis", "--dump-transform"],
+                     dumps))
         before = {}
-        for command, argv in WORKLOADS[name].cli_args(plant, initial, out).items():
+        for command, argv, directory in runs:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 rc = cli.main(argv)
             digest = _md5(f"{rc}\n{stdout.getvalue()}".encode())
             lines.append(f"{name} {command} exit+stdout {digest}")
-            after = _files(out)
+            after = _files(directory)
             lines += [f"{name} {command} {file} {digest}"
                       for file, digest in after.items() if before.get(file) != digest]
             before = after
