@@ -517,18 +517,22 @@ def _float_places(obj):
 
     In json.dump's layout a non-empty list, tuple or dict puts each item on a
     line of its own and closes on the next, and a dict value follows its key.
-    A list of floats, or a 1-D or 2-D float ndarray, is one block: value
-    (i, j) of an (r, c) block lies 2 + i(c + 2) + j lines below its opening
-    bracket, and value j of a 1-D block 1 + j.  Raises orjson's
-    JSONEncodeError where orjson writes `obj` unlike json.dump (see
-    write_json), and TypeError at a value json.dump cannot write.
+    The floats of a list lie on the lines after its opening bracket.  A 1-D
+    or 2-D float ndarray is placed as one block: value (i, j) of an (r, c)
+    block lies 2 + i(c + 2) + j lines below its opening bracket, and value j
+    of a 1-D block 1 + j.  Raises orjson's JSONEncodeError where orjson
+    writes `obj` unlike json.dump (see write_json), and TypeError at a value
+    json.dump cannot write.
     """
-    scalars, blocks = [], []  # (line, column, value), (lines, columns, values)
+    lines, cols, values = [], [], []  # of the Python floats
+    blocks = []  # (lines, columns, values) of each array
 
     def walk(obj, line, col, pad):
         """The line `obj` ends on, when it starts at (line, col) on a line indented by pad."""
         if isinstance(obj, float):
-            scalars.append((line, col, obj))
+            lines.append(line)
+            cols.append(col)
+            values.append(obj)
             return line
         if isinstance(obj, dict):
             for key, value in obj.items():
@@ -542,14 +546,17 @@ def _float_places(obj):
         if obj is None or isinstance(obj, (str, int)):
             return line
         if isinstance(obj, (list, tuple)):
-            if not (obj and set(map(type, obj)) == {float}):
-                for item in obj:
-                    line = walk(item, line + 1, pad + 2, pad + 2)
-                return line + 1 if obj else line
-            obj = np.array(obj)
-        elif type(obj) is not np.ndarray or obj.dtype.type is not np.float64:
+            if obj and set(map(type, obj)) == {float}:
+                lines.extend(range(line + 1, line + 1 + len(obj)))
+                cols.extend([pad + 2] * len(obj))
+                values.extend(obj)
+                return line + len(obj) + 1
+            for item in obj:
+                line = walk(item, line + 1, pad + 2, pad + 2)
+            return line + 1 if obj else line
+        if type(obj) is not np.ndarray or obj.dtype.type is not np.float64:
             _json_default(obj)  # raises TypeError
-        elif not 0 < obj.ndim < 3:
+        if not 0 < obj.ndim < 3:
             return walk(obj.tolist(), line, col, pad)
         if obj.size:
             r, c = obj.shape if obj.ndim == 2 else (1, obj.size)
@@ -563,14 +570,14 @@ def _float_places(obj):
         return line + span - 1
 
     walk(obj, 0, 0, 0)
-    if scalars:
-        blocks.append(tuple(map(np.array, zip(*scalars))))
+    if values:
+        blocks.append((np.array(lines), np.array(cols), np.array(values, dtype=float)))
     if not blocks:
         return None
-    lines, cols, values = map(np.concatenate, zip(*blocks))
-    if not np.isfinite(values).all():
+    places = tuple(map(np.concatenate, zip(*blocks)))
+    if not np.isfinite(places[2]).all():
         raise orjson.JSONEncodeError
-    return lines, cols, values
+    return places
 
 
 def write_json(path: str, obj) -> None:
