@@ -27,7 +27,7 @@ _EXPORTS = {
                   "solve_transform_family"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "errors", *_EXPORTS)
+_SUBMODULES = ("checks", "cli", "errors", *_EXPORTS)
 
 __all__ = sorted(_HOME)
 

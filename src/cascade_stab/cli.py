@@ -4,7 +4,7 @@ Subcommands
 -----------
 synthesize  plant file + decay rate -> gains JSON + human-readable report
 simulate    closed-loop run -> modal/field/norm CSVs, prints fitted decay
-verify      identity and certificate suite -> pass/fail report per check
+verify      `checks` rows of the paper's identities -> PASS/FAIL per row
 bench       modal synthesis vs direct Riccati baseline timing table (CSV)
 
 Exit codes: 0 success, 1 input problem, 2 hypothesis-(H) violation,
@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 input problem, 2 hypothesis-(H) violation,
 Each handler imports the submodules it runs when it is called, so a
 command loads only its own code: `synthesize` never loads `simulator`.
 Calls go through the module (`synthesis.build_controller`), so a function
-replaced on its module is the one called.
+replaced on its module is the one called.  Every bound lives in `checks`.
 """
 
 from __future__ import annotations
@@ -150,10 +150,10 @@ def load_gains(path: str):
 
     `model.read_json` parses a non-finite float (an overflowed certificate
     constant M, say) to the value that `synthesize` held, so
-    `simulate --gains` runs what `simulate` without it would.  The retained
-    modes are fed by Kbar and the tail by K, so the two must factor.
+    `simulate --gains` runs what `simulate` without it would.  Gains that
+    fail `checks.factorization` are refused.
     """
-    from . import synthesis
+    from . import checks, synthesis
 
     try:
         obj = model.read_json(path)
@@ -161,10 +161,10 @@ def load_gains(path: str):
         cert = synthesis.certificate_from_dict(obj["certificate"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PlantInputError(f"malformed gains file: {exc}")
-    residual = synthesis.factorization_residual(controller) if controller.N else 0.0
-    if not residual <= synthesis.FACTORIZATION_TOL:
-        raise PlantInputError(f"gains file's K does not factor its Kbar: residual {residual:.3e} "
-                              f"exceeds the bound {synthesis.FACTORIZATION_TOL:.0e}")
+    for check in checks.factorization(controller):
+        if not check.ok:
+            raise PlantInputError(f"gains file's K does not factor its Kbar: residual "
+                                  f"{check.value:.3e} exceeds the bound {check.bound:.0e}")
     return controller, cert
 
 
@@ -218,50 +218,17 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    from . import simulator, synthesis, transform
+    from . import checks, simulator
 
     plant = _load_validated(args)
     basis, family, controller, cert = _synthesize_pipeline(
         plant, args.delta, args.N, None, args.M_modes
     )
-
-    checks = []  # (name, margin, ok)
-
-    residuals = transform.sylvester_residuals(plant, family)
-    for i, res in enumerate(residuals, start=1):
-        checks.append((f"sylvester residual i={i}", res, res <= transform.RESIDUAL_TOL))
-    if not residuals:
-        checks.append(("sylvester residual (empty family)", 0.0, True))
-
     N = controller.N
-    lam = basis.lam[:N]
-    T, T_inv = transform.mode_transform(family, lam)
-    G = transform.coupling_row(plant, lam, T, T_inv)
-    det_err = np.abs(np.linalg.det(T) - 1.0)
-    inv_err = np.max(np.abs(T @ T_inv - np.eye(plant.m)), axis=(1, 2))
-    scale = np.maximum(
-        np.maximum(1.0, np.max(np.abs(plant.Q)) * np.max(np.abs(T), axis=(1, 2))),
-        np.max(np.abs(G), axis=1))
-    cancel = transform.cancellation_residual(plant, lam, T, G) / scale
-    # Kbar_n = (K_Q - G_n) T_n, the second route to the same gains.
-    other = np.matmul((controller.K_Q - G)[:, None, :], T)[:, 0]
-    gain_err = synthesis.relative_error(controller.Kbar, other, axis=1)
-    for n, d, i, c, g in zip(range(1, N + 1), det_err.tolist(), inv_err.tolist(),
-                             cancel.tolist(), gain_err.tolist()):
-        checks += [(f"det T_{n} = 1", d, d <= 1e-10),
-                   (f"T_{n} inverse", i, i <= 1e-12),
-                   (f"mode cancellation n={n}", c, c <= 1e-9),
-                   (f"gain route equality n={n}", g, g <= 1e-9)]
-
-    if N > 0:
-        fact_err = synthesis.factorization_residual(controller)
-        checks.append(("gain factorization", fact_err,
-                       fact_err <= synthesis.FACTORIZATION_TOL))
-
-    gmax = max(cert.gamma_margins) if cert.gamma_margins else -math.inf
-    checks.append(("certificate gamma < 0", gmax, gmax < 0.0))
-    wmax = max(cert.omega_margins) if cert.omega_margins else -math.inf
-    checks.append(("certificate omega < 0", wmax, wmax < 0.0))
+    rows = [*checks.sylvester(plant, family),
+            *checks.per_mode(plant, family, controller, basis.lam[:N]),
+            *checks.factorization(controller),
+            *checks.certificate_signs(cert)]
 
     # Target-coordinate residual along a short deterministic run.  It reads
     # z^N only, and the retained modes never depend on the tail, so only
@@ -274,14 +241,12 @@ def cmd_verify(args) -> int:
         z0 = np.array([[1.0 / n] * plant.m for n in range(1, N + 1)])
         traj = simulator.integrate(loop, z0, config.t_final, config.resolved_dt())
         tres = simulator.target_residual(traj, plant, controller, family, basis)
-    checks.append(("target-coordinate residual", tres, tres <= 1e-6))
+    rows.append(checks.at_most("target-coordinate residual", tres, checks.TARGET_RESIDUAL_TOL))
 
-    width = max(len(name) for name, _, _ in checks)
-    all_ok = True
-    for name, margin, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        sys.stdout.write(f"{name:<{width}}  {margin: .3e}  {status}\n")
-        all_ok &= ok
+    width = max(len(row.name) for row in rows)
+    for name, value, _, ok in rows:
+        sys.stdout.write(f"{name:<{width}}  {value: .3e}  {'PASS' if ok else 'FAIL'}\n")
+    all_ok = all(row.ok for row in rows)
     sys.stdout.write("verification " + ("PASSED" if all_ok else "FAILED") + "\n")
     return 0 if all_ok else EXIT_VERIFY
 

@@ -76,10 +76,6 @@ class SpectralBasis(_Coerced, _BasisFields):
         """Evaluate phi_n (1-based mode index) at scalar or array x."""
         return self.c[n - 1] * np.cos(self.s[n - 1] * np.asarray(x, dtype=float))
 
-    def phi_prime(self, n: int, x):
-        sn = self.s[n - 1]
-        return -self.c[n - 1] * sn * np.sin(sn * np.asarray(x, dtype=float))
-
 
 def _characteristic(gamma1: float, gamma2: float, L: float):
     def chi(s):

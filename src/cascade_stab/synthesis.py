@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import block_diagonal, certificate_signs, factorization
 from .errors import (
     CertificateAtRoundingLevel,
     CertificateViolation,
@@ -50,7 +51,6 @@ from .transform import (
 HYPOTHESIS_COND_LIMIT = 1e12
 MAX_MODES = 100_000
 LYAPUNOV_RESIDUAL_TOL = 1e-8
-FACTORIZATION_TOL = 1e-9
 
 # Factor-2 slack over the Schur-complement minimum of the residual-mode LMI;
 # the target-block LMI gets the same slack (see `certificate`).
@@ -95,11 +95,6 @@ def selection_margins(plant: ValidatedPlant, lambdas, delta: float) -> np.ndarra
     lam = np.asarray(lambdas, dtype=float)
     M = -lam[:, None, None] * np.diag(plant.D) + sym(plant.Q) + delta * np.eye(plant.m)
     return np.linalg.eigvalsh(M)[:, -1]
-
-
-def selection_margin(plant: ValidatedPlant, lam: float, delta: float) -> float:
-    """`selection_margins` at one eigenvalue lam."""
-    return float(selection_margins(plant, [lam], delta)[0])
 
 
 def select_mode_count(plant: ValidatedPlant, basis: SpectralBasis, delta: float) -> int:
@@ -271,18 +266,6 @@ def closed_blocks(plant: ValidatedPlant, K_Q: np.ndarray, lambdas) -> np.ndarray
             + np.outer(_e1(m), K_Q))
 
 
-def block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The (N p) x (N q) block-diagonal matrix of an (N, p, q) stack of blocks.
-
-    blocks[:, None] of an (N, m) stack of rows gives the N x (m N) matrix
-    whose row n holds row n in block column n.
-    """
-    N, p, q = blocks.shape
-    out = np.zeros((N * p, N * q))
-    out.reshape(N, p, N, q)[np.arange(N), :, np.arange(N), :] = blocks
-    return out
-
-
 def zero_controller(delta: float, N_min: int, m: int) -> Controller:
     """The N = 0 controller, u = 0: no channels and no gains."""
     return Controller(delta=float(delta), N=0, N_min=N_min,
@@ -324,26 +307,13 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     K = np.linalg.solve(Bmat, block_diagonal(Kbar[:, None]))
     controller = Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
                             Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
-    residual = factorization_residual(controller)
-    if not residual <= FACTORIZATION_TOL:
+    [check] = factorization(controller)
+    if not check.ok:
         raise FactorizationAtRoundingLevel(
-            f"N={N}: gain factorization residual {residual:.3e} exceeds the "
-            f"bound {FACTORIZATION_TOL:.0e} (cond(Bmat)={cond_B:.3e})"
+            f"N={N}: gain factorization residual {check.value:.3e} exceeds the "
+            f"bound {check.bound:.0e} (cond(Bmat)={cond_B:.3e})"
         )
     return controller
-
-
-def relative_error(a: np.ndarray, b: np.ndarray, axis=None):
-    """Max-abs difference over max(1, max|a|, max|b|), over `axis` (all by default)."""
-    scale = np.maximum(np.maximum(1.0, np.max(np.abs(a), axis=axis)),
-                       np.max(np.abs(b), axis=axis))
-    return np.max(np.abs(a - b), axis=axis) / scale
-
-
-def factorization_residual(controller: Controller) -> float:
-    """`relative_error` of Bmat K against blockdiag-rows(Kbar)."""
-    rows = block_diagonal(controller.Kbar[:, None])
-    return float(relative_error(controller.Bmat @ controller.K, rows))
 
 
 def certificate(plant: ValidatedPlant, controller: Controller,
@@ -365,7 +335,7 @@ def certificate(plant: ValidatedPlant, controller: Controller,
     m = plant.m
     basis = extend_basis(basis, max(M_modes, N + 1))
 
-    mu = -selection_margin(plant, float(basis.lam[N]), delta)
+    mu = -float(selection_margins(plant, [basis.lam[N]], delta)[0])
     if mu <= 0.0:
         raise CertificateViolation("residual-mode inequality fails at lambda_{N+1}")
     rho = 1.0 / mu
@@ -420,9 +390,10 @@ def _omega_margins(plant, basis, rho, delta, N, M_modes):
 
 
 def _check_margins(cert: Certificate) -> None:
-    bad_gamma = [g for g in cert.gamma_margins if g >= 0.0]
-    bad_omega = [w for w in cert.omega_margins if w >= 0.0]
-    if bad_gamma or bad_omega:
+    """Refuse a certificate that fails `certificate_signs`, naming each bad margin."""
+    if not all(check.ok for check in certificate_signs(cert)):
+        bad_gamma = [g for g in cert.gamma_margins if g >= 0.0]
+        bad_omega = [w for w in cert.omega_margins if w >= 0.0]
         raise CertificateViolation(
             f"certificate sign conditions failed: gamma={bad_gamma}, omega={bad_omega}"
         )

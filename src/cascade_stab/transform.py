@@ -16,7 +16,11 @@ k = j+ceil(i/2)..m.  Each unknown entry (j, k) is obtained by eliminating
 entry (j+1, k) of the masked residual, sweeping j downward and k rightmost
 first; the pivot is the subdiagonal entry q_{j+1,j}, nonzero by the
 controllability condition.  The elimination is the only solver; the
-closed-form recursion in tests/test_transform.py cross-checks it.
+closed-form recursion in tests/test_transform.py cross-checks it.  Each
+equation's masked residual, scaled by max(1, max|Q| max|Tbar_i|), is
+computed in one place: the solver refuses a family whose scaled residual
+exceeds RESIDUAL_TOL, and `sylvester_residuals` gives the same values to
+`checks.sylvester`, which bounds them by the same constant.
 
 The family is solved once, independently of the number N of retained
 modes.  `mode_transform` then evaluates it on all N retained eigenvalues at
@@ -68,10 +72,6 @@ class TransformFamily(_Coerced, _FamilyFields):
             c.flags.writeable = False
         return self
 
-    @property
-    def is_empty(self) -> bool:
-        return self.sigma_bar == 0
-
 
 def _masked_residual(Q: np.ndarray, Ti: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """(I - B B^T)(Q Ti - Ti Q + forcing); the mask zeroes row one."""
@@ -102,35 +102,32 @@ def solve_transform_family(plant: ValidatedPlant) -> TransformFamily:
             for k in reversed(support_cols(m, i, j)):
                 r = _masked_residual(Q, Ti, forcing)[j, k - 1]  # entry (j+1, k), 1-based
                 Ti[j - 1, k - 1] = -r / Q[j, j - 1]
-        _verify_residual(Q, Ti, forcing, i)
+        R, residual = _scaled_residual(Q, Ti, forcing)
+        if residual > RESIDUAL_TOL:
+            row, col = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+            raise ResidualNonzero(i, row + 1, col + 1, float(R[row, col]))
         coeffs.append(Ti)
         prev = Ti
     return TransformFamily(m=m, sigma_bar=sigma_bar, coeffs=tuple(coeffs))
 
 
-def _residual_scale(Q: np.ndarray, Ti: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(Q)) * np.max(np.abs(Ti))))
+def _scaled_residual(Q: np.ndarray, Ti: np.ndarray, forcing: np.ndarray):
+    """Masked residual R of one family equation, and max|R| / max(1, max|Q| max|Ti|).
 
-
-def _verify_residual(Q, Ti, forcing, i) -> None:
+    The second is the value that RESIDUAL_TOL bounds, in the solver and in
+    `sylvester_residuals` alike.
+    """
     R = _masked_residual(Q, Ti, forcing)
-    scale = _residual_scale(Q, Ti)
-    worst = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-    if abs(R[worst]) > RESIDUAL_TOL * scale:
-        raise ResidualNonzero(i, worst[0] + 1, worst[1] + 1, float(R[worst]))
+    scale = max(1.0, float(np.max(np.abs(Q)) * np.max(np.abs(Ti))))
+    return R, float(np.max(np.abs(R))) / scale
 
 
-def sylvester_residuals(plant: ValidatedPlant, family: TransformFamily):
-    """Scaled max-abs masked residual of each family equation (diagnostics)."""
+def sylvester_residuals(plant: ValidatedPlant, family: TransformFamily) -> list[float]:
+    """Scaled max-abs masked residual of each family equation, as the solver bounds it."""
     Q = np.asarray(plant.Q, dtype=float)
     shift = np.diag(plant.D - plant.D[-1])
-    out = []
-    prev = np.eye(plant.m)
-    for i, Ti in enumerate(family.coeffs, start=1):
-        R = _masked_residual(Q, Ti, prev @ shift)
-        out.append(float(np.max(np.abs(R))) / _residual_scale(Q, Ti))
-        prev = Ti
-    return out
+    prevs = (np.eye(plant.m), *family.coeffs[:-1])  # Tbar_0 = I
+    return [_scaled_residual(Q, Ti, prev @ shift)[1] for prev, Ti in zip(prevs, family.coeffs)]
 
 
 def mode_transform(family: TransformFamily, lam) -> tuple[np.ndarray, np.ndarray]:

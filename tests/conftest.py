@@ -109,7 +109,7 @@ def corrupt_family(plant, family: TransformFamily) -> TransformFamily:
     An empty family becomes one whose only coefficient is that entry, so
     every plant's transform breaks its Sylvester equations.
     """
-    if family.is_empty:
+    if family.sigma_bar == 0:
         bad = np.zeros((plant.m, plant.m))
         bad[0, plant.m - 1] = 1e-3
         return TransformFamily(m=plant.m, sigma_bar=1, coeffs=(bad,))

@@ -26,7 +26,7 @@ from cascade_stab.synthesis import (
     certificate,
     modal_gains,
     select_mode_count,
-    selection_margin,
+    selection_margins,
     sym,
     zero_controller,
 )
@@ -92,9 +92,9 @@ class TestCriterion2ModeSelection:
     def test_minimum_and_forced_count(self, demo_plant, demo_basis):
         assert select_mode_count(demo_plant, demo_basis, 9.0) == 2
         # definiteness margins at tolerance 1e-9
-        m1 = selection_margin(demo_plant, float(demo_basis.lam[1]), 9.0)
-        m2 = selection_margin(demo_plant, float(demo_basis.lam[2]), 9.0)
-        m3 = selection_margin(demo_plant, float(demo_basis.lam[3]), 9.0)
+        m1 = selection_margins(demo_plant, [demo_basis.lam[1]], 9.0)[0]
+        m2 = selection_margins(demo_plant, [demo_basis.lam[2]], 9.0)[0]
+        m3 = selection_margins(demo_plant, [demo_basis.lam[3]], 9.0)[0]
         assert m1 > 1e-9          # N = 1 fails
         assert m2 < -1e-9         # N = 2 satisfies the inequality
         assert m3 < -1e-9         # the forced N = 3 satisfies it as well
@@ -218,7 +218,7 @@ class TestCriterion8DegenerateDiffusions:
         for m in (2, 3, 4, 5):
             plant = random_plant(rng, m=m, force_sigma=1)
             family = solve_transform_family(plant)
-            assert family.is_empty or all(
+            assert family.sigma_bar == 0 or all(
                 not c.any() for c in family.coeffs
             )
             K_Q = rng.uniform(-2.0, 2.0, m)

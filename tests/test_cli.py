@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import cascade_stab
-from cascade_stab import cli, model, spectral, synthesis, transform
+from cascade_stab import checks, cli, model, spectral, synthesis, transform
 from cascade_stab.cli import main
-from cascade_stab.errors import PlantInputError
+from cascade_stab.errors import CertificateViolation, PlantInputError
 from cascade_stab.model import example_plant_dict, save_plant, write_json
 
 from conftest import corrupt_family, failing_exchange, helper_formats_first, random_plant
@@ -637,6 +637,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "verification PASSED" in out
         assert "FAIL" not in out
+        # The whole table, byte for byte (one row per `checks.Check`).
+        assert hashlib.md5(out.encode()).hexdigest() == "023c8662befdda84a6adf60871246c62"
 
     def test_corruption_detected(self, plant_file, capsys, monkeypatch):
         pipeline = cli._synthesize_pipeline
@@ -678,6 +680,7 @@ class TestVerify:
         assert "gain factorization" not in out  # N = 0: no gains to check
         assert "target-coordinate residual   0.000e+00  PASS" in out
         assert "verification PASSED" in out
+        assert hashlib.md5(out.encode()).hexdigest() == "ae0b33c0dc4d97ff7c6a1003b58b1ac2"
 
     def test_sigma_one_plant_passes(self, tmp_path, capsys):
         obj = example_plant_dict()
@@ -687,6 +690,43 @@ class TestVerify:
         rc = main(["verify", "--plant", str(path), "--delta", "9", "--N", "3"])
         assert rc == 0
         assert "verification PASSED" in capsys.readouterr().out
+
+
+class TestRefusalsReadChecks:
+    """A refusal fails exactly when its `checks` row does, and names that
+    row's value and bound."""
+
+    def test_gains_file_missing_the_factorization_bound(self, tmp_path, plant_file):
+        out = tmp_path / "syn"
+        assert main(["synthesize", "--plant", plant_file, "--delta", "9", "--N", "3",
+                     "--out-dir", str(out)]) == 0
+        gains = json.loads((out / "gains.json").read_text())
+        [good] = checks.factorization(synthesis.controller_from_dict(gains))
+        assert good.ok
+        gains["K"][0][0] *= 1.5
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(gains))
+        [bad] = checks.factorization(synthesis.controller_from_dict(gains))
+        assert (bad.name, bad.bound, bad.ok) == ("gain factorization", 1e-9, False)
+        with pytest.raises(PlantInputError) as exc_info:
+            cli.load_gains(str(bad_file))
+        assert str(exc_info.value) == (f"gains file's K does not factor its Kbar: residual "
+                                       f"{bad.value:.3e} exceeds the bound 1e-09")
+
+    def test_certificate_with_a_non_negative_gamma_margin(self, demo_plant, demo_basis):
+        family = transform.solve_transform_family(demo_plant)
+        controller = synthesis.build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
+                                                family=family)
+        cert = synthesis.certificate(demo_plant, controller, family, demo_basis)
+        assert all(row.ok for row in checks.certificate_signs(cert))
+        synthesis._check_margins(cert)
+        bad = cert._replace(gamma_margins=(*cert.gamma_margins[:-1], 0.0))
+        gamma, omega = checks.certificate_signs(bad)
+        assert (gamma.name, gamma.value, gamma.bound, gamma.ok) == (
+            "certificate gamma < 0", 0.0, 0.0, False)
+        assert omega.ok
+        with pytest.raises(CertificateViolation, match=r"gamma=\[0\.0\], omega=\[\]"):
+            synthesis._check_margins(bad)
 
 
 class TestBench:
@@ -718,7 +758,7 @@ class TestBench:
             plant = demo_plant._replace(shapes=cli._bench_shapes(demo_plant.L, N))
             controller = synthesis.build_controller(plant, args.delta, N=N, basis=basis,
                                                     family=family)
-            assert synthesis.factorization_residual(controller) <= synthesis.FACTORIZATION_TOL
+            assert checks.factorization(controller)[0].ok
 
     @pytest.mark.parametrize("value, item", [("2,x", "x"), ("", ""), ("3,0", "0"),
                                              ("2,,3", "")])
@@ -1055,7 +1095,8 @@ class TestColdImport:
 
     DEFERRED = ("statistics", "numpy.polynomial", "scipy", "fcntl", "mmap", "signal")
     COMMAND_MODULES = ("cascade_stab.simulator", "cascade_stab.synthesis",
-                       "cascade_stab.spectral", "cascade_stab.transform")
+                       "cascade_stab.spectral", "cascade_stab.transform",
+                       "cascade_stab.checks")
 
     def test_import_defers_path_only_modules(self):
         out = _run_fresh(f"""
@@ -1085,7 +1126,7 @@ class TestColdImport:
             print(sorted(k for k in sys.modules if k.startswith("cascade_stab.")))
         """, plant_file, str(tmp_path / "out"))
         loaded = eval(out.splitlines()[-1])
-        assert "cascade_stab.synthesis" in loaded
+        assert {"cascade_stab.synthesis", "cascade_stab.checks"} <= set(loaded)
         assert "cascade_stab.simulator" not in loaded
         assert (tmp_path / "out" / "gains.json").exists()
 

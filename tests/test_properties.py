@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import scipy.linalg
 
+from cascade_stab.checks import block_diagonal, factorization
 from cascade_stab.errors import CertificateAtRoundingLevel, HypothesisHViolated
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.simulator import (
@@ -37,14 +38,12 @@ from cascade_stab.spectral import build_basis, extend_basis, project, shape_proj
 from cascade_stab.synthesis import (
     RHO_BAR,
     _omega_margins,
-    block_diagonal,
     build_controller,
     certificate,
     closed_blocks,
-    factorization_residual,
     modal_gains,
     select_mode_count,
-    selection_margin,
+    selection_margins,
     sym,
 )
 from cascade_stab.transform import (
@@ -153,7 +152,7 @@ def scanned_mode_count(plant, basis, delta):
     while True:
         if N >= basis.size:
             basis = extend_basis(basis, max(2 * basis.size, N + 1))
-        if selection_margin(plant, float(basis.lam[N]), delta) < 0.0:
+        if selection_margins(plant, [basis.lam[N]], delta)[0] < 0.0:
             return N
         N += 1
 
@@ -199,7 +198,7 @@ def test_stacked_omega_margins_match_selection_margin(plant, N, extra, rho, delt
         for n in range(N + 1, N + extra + 1))
     assert margins == expected  # bitwise
     if extra:
-        assert selection_margin(plant, float(basis.lam[N]), rate) == margins[0]
+        assert selection_margins(plant, [basis.lam[N]], rate)[0] == margins[0]
 
 
 def projection_row(plant, controller, basis, n):
@@ -261,13 +260,13 @@ def test_assembly_matches_per_mode_loop(plant, delta, extra):
     assert dense_closed_loop(loop).tobytes() == A.tobytes()
     # The route through K: the retained rows b_n K, b_n being row n of Bmat,
     # differ from the block form by no more than Bmat K misses
-    # block-rows(Kbar) (`factorization_residual`), plus the rounding of the
+    # block-rows(Kbar) (`checks.factorization`), plus the rounding of the
     # two products b_n K and Bmat K, at most N u |Bmat| |K| each.
     via_K = np.array([projection_row(plant, ctl, basis, n) @ ctl.K for n in range(1, N + 1)])
     rows = block_diagonal(ctl.Kbar[:, None])
     scale = max(1.0, float(np.max(np.abs(ctl.Bmat @ ctl.K))), float(np.max(np.abs(rows))))
     rounding = 2 * N * 2.0 ** -53 * float(np.max(np.abs(ctl.Bmat) @ np.abs(ctl.K)))
-    assert np.max(np.abs(via_K - rows)) <= factorization_residual(ctl) * scale + rounding
+    assert np.max(np.abs(via_K - rows)) <= factorization(ctl)[0].value * scale + rounding
 
 
 @given(plant=cascades(), delta=st.floats(0.5, 8.0, **finite),
@@ -398,7 +397,7 @@ def per_mode_transform(family, lam):
     m = family.m
     eye = np.eye(m)
     S = np.zeros((m, m))
-    if family.is_empty or lam == 0.0:
+    if family.sigma_bar == 0 or lam == 0.0:
         return eye.copy(), eye.copy(), S
     power = 1.0
     for Ti in family.coeffs:

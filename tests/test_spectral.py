@@ -77,9 +77,9 @@ class TestBuildBasis:
         for g1, g2 in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 2.0)]:
             basis = build_basis(1.7, g1, g2, 25)
             for n in range(1, basis.size + 1):
-                res = abs(
-                    g1 * basis.phi(n, basis.L) + g2 * basis.phi_prime(n, basis.L)
-                )
+                s, c = basis.s[n - 1], basis.c[n - 1]
+                phi_prime = -c * s * np.sin(s * basis.L)  # phi_n'(L)
+                res = abs(g1 * basis.phi(n, basis.L) + g2 * phi_prime)
                 assert res <= 1e-10
 
     def test_robin_high_modes_build(self):

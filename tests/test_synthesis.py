@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cascade_stab.checks import block_diagonal
 from cascade_stab.errors import (
     CertificateAtRoundingLevel,
     HypothesisHViolated,
@@ -13,7 +14,6 @@ from cascade_stab.errors import (
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.spectral import build_basis
 from cascade_stab.synthesis import (
-    block_diagonal,
     build_controller,
     certificate,
     certificate_from_dict,
@@ -25,7 +25,7 @@ from cascade_stab.synthesis import (
     input_matrix,
     modal_gains,
     select_mode_count,
-    selection_margin,
+    selection_margins,
     stabilize_coupling,
     sym,
 )
@@ -58,7 +58,7 @@ class TestSelectModeCount:
         assert select_mode_count(demo_plant, demo_basis, 9.0) == 2
 
     def test_demo_condition_fails_at_one(self, demo_plant, demo_basis):
-        margin = selection_margin(demo_plant, float(demo_basis.lam[1]), 9.0)
+        margin = selection_margins(demo_plant, [demo_basis.lam[1]], 9.0)[0]
         assert margin > 1e-9
         M = (-demo_basis.lam[1] * np.diag(demo_plant.D)
              + sym(demo_plant.Q) + 9.0 * np.eye(3))
@@ -67,7 +67,7 @@ class TestSelectModeCount:
     def test_demo_condition_holds_at_two_and_three(self, demo_plant, demo_basis):
         for N in (2, 3):
             lam = float(demo_basis.lam[N])
-            assert selection_margin(demo_plant, lam, 9.0) < -1e-9
+            assert selection_margins(demo_plant, [lam], 9.0)[0] < -1e-9
             M = -lam * np.diag(demo_plant.D) + sym(demo_plant.Q) + 9.0 * np.eye(3)
             assert leading_minors_negative_definite(M)
 
@@ -82,9 +82,9 @@ class TestSelectModeCount:
             plant = random_plant(rng)
             delta = float(rng.uniform(0.5, 6.0))
             N = select_mode_count(plant, basis, delta)
-            assert selection_margin(plant, float(basis.lam[N]), delta) < 0.0
+            assert selection_margins(plant, [basis.lam[N]], delta)[0] < 0.0
             if N >= 1:
-                assert selection_margin(plant, float(basis.lam[N - 1]), delta) >= 0.0
+                assert selection_margins(plant, [basis.lam[N - 1]], delta)[0] >= 0.0
 
     def test_basis_auto_extends(self, demo_plant):
         tiny = build_basis(math.pi, 1.0, 0.0, 1)

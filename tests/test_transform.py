@@ -118,13 +118,13 @@ class TestSolveFamily:
         plant = simple_plant([2.0, 2.0, 2.0],
                              [[1.0, 0.5, 0.2], [1.0, -1.0, 0.3], [0.0, 0.7, 2.0]])
         family = solve_transform_family(plant)
-        assert family.is_empty
+        assert family.sigma_bar == 0
 
     def test_two_equations_distinct_diffusions_empty_family(self):
         plant = simple_plant([2.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
         assert plant.indices.sigma_bar == 0
         family = solve_transform_family(plant)
-        assert family.is_empty
+        assert family.sigma_bar == 0
 
     def test_sigma_two_family_vanishes(self):
         # d1 != d2 = d3: the forcing is masked away, so Tbar_1 = 0.
@@ -147,16 +147,14 @@ class TestSolveFamily:
                             assert Ti[j - 1, k - 1] == 0.0
 
     def test_residual_check_detects_corruption(self, demo_plant):
-        Q = demo_plant.Q
-        bad = np.zeros((3, 3))
-        bad[0, 1] = 1.0
-        bad[0, 2] = 0.5  # inconsistent with the equation
-        forcing = np.diag(demo_plant.D - demo_plant.D[-1])
-        from cascade_stab.transform import _verify_residual
-
+        # A coupling below the first subdiagonal, which validation refuses,
+        # leaves a residual entry that no elimination step can zero.
+        Q = demo_plant.Q.copy()
+        Q[2, 0] = 0.5
         with pytest.raises(ResidualNonzero) as exc_info:
-            _verify_residual(Q, bad, forcing, 1)
-        assert exc_info.value.i == 1
+            solve_transform_family(demo_plant._replace(Q=Q))
+        error = exc_info.value
+        assert (error.i, error.row, error.col, error.value) == (1, 3, 2, 0.5)
 
 
 class TestClosedForm:
