@@ -4,14 +4,16 @@ One function per identity returns a list of `Check` rows:
 
 - `sylvester`: the masked Sylvester residual of each transform coefficient;
 - `per_mode`: per retained mode, det T_n = 1, T_n T_n^{-1} = I, the mode
-  cancellation, and the gain route Kbar_n = (K_Q - G_n) T_n;
+  cancellation, and the gain route Kbar_n = (K_Q - G_n) T_n, from the
+  stacks that the synthesis evaluated;
 - `factorization`: Bmat K = block-rows(Kbar);
 - `certificate_signs`: the largest gamma and omega margins are negative.
 
 `verify` prints the rows, and the refusals read the same rows, so each
 bound is defined once: `build_controller` and `cli.load_gains` refuse gains
-that fail `factorization`, and `synthesis.certificate` a certificate that
-fails `certificate_signs`.  The Sylvester bound is `transform.RESIDUAL_TOL`,
+that fail `factorization`, and `synthesis.certificate_margins` margins that
+fail `certificate_signs`; `verify` prints the factorization row that
+`build_controller` refused on.  The Sylvester bound is `transform.RESIDUAL_TOL`,
 by which the transform solver refuses a family too.  `block_diagonal`
 assembles block-rows(Kbar), the right side that `build_controller` solves
 for K.
@@ -70,13 +72,13 @@ def sylvester(plant, family) -> list[Check]:
     return rows or [Check("sylvester residual (empty family)", 0.0, transform.RESIDUAL_TOL, True)]
 
 
-def per_mode(plant, family, controller, lam) -> list[Check]:
-    """Four rows per retained mode n, from one stacked evaluation of the family.
+def per_mode(plant, controller, retained) -> list[Check]:
+    """Four rows per retained mode n, from the stacks of a `synthesis.Retained`.
 
     The cancellation residual is relative to the size of its terms, and the
     gain route compares the controller's Kbar_n with (K_Q - G_n) T_n.
     """
-    T, T_inv = transform.mode_transform(family, lam)
+    lam, T, T_inv = retained.lam, retained.T, retained.T_inv
     G = transform.coupling_row(plant, lam, T, T_inv)
     det_err = np.abs(np.linalg.det(T) - 1.0)
     inv_err = np.max(np.abs(T @ T_inv - np.eye(plant.m)), axis=(1, 2))
@@ -108,7 +110,8 @@ def factorization(controller) -> list[Check]:
 
 
 def certificate_signs(cert) -> list[Check]:
-    """The largest gamma and omega margins are negative (-inf when there are none)."""
+    """The largest gamma and omega margins of a certificate or of its
+    `synthesis.Margins` are negative (-inf when there are none)."""
     gmax = max(cert.gamma_margins) if cert.gamma_margins else -math.inf
     wmax = max(cert.omega_margins) if cert.omega_margins else -math.inf
     return [Check("certificate gamma < 0", gmax, 0.0, gmax < 0.0),

@@ -74,6 +74,11 @@ def load_initial(path: str, m: int):
 # synthesize
 
 def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
+    """The basis, the transform family, the controller and its `synthesis.Retained`.
+
+    The commands add the certificate they print: `synthesize` and
+    `simulate` the whole of it, `verify` its sign margins.
+    """
     from . import spectral, synthesis, transform
 
     basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
@@ -82,15 +87,13 @@ def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
     controller = synthesis.build_controller(plant, delta, N=N,
                                             pole_offsets=pole_offsets,
                                             basis=basis, family=family)
-    cert = synthesis.certificate(plant, controller, family, basis, M_modes=M_modes)
-    # The report and verify read lambda_1..lambda_N from the returned basis.
+    # The commands read lambda_1..lambda_N from the returned basis.
     basis = spectral.extend_basis(basis, controller.N + 1)
-    return basis, family, controller, cert
+    return basis, family, controller, controller.retained
 
 
-def _report_text(plant, controller, cert, basis) -> str:
-    from . import synthesis
-
+def _report_text(plant, controller, cert, H) -> str:
+    """The synthesis report; H is the stack of the retained target blocks."""
     idx = plant.indices
     lines = [
         "controller synthesis report",
@@ -101,7 +104,6 @@ def _report_text(plant, controller, cert, basis) -> str:
         f"  N (chosen)           : {controller.N}",
         f"  cond(Bmat)           : {controller.cond_B:.6e}",
     ]
-    H = synthesis.closed_blocks(plant, controller.K_Q, basis.lam[:controller.N])
     abscissae = np.max(np.linalg.eigvals(H).real, axis=1)
     lines += [f"  block abscissa n={n}   : {absc:.6f}"
               for n, absc in enumerate(abscissae.tolist(), start=1)]
@@ -122,16 +124,17 @@ def _report_text(plant, controller, cert, basis) -> str:
 
 
 def cmd_synthesize(args) -> int:
-    from . import spectral, synthesis, transform
+    from . import spectral, synthesis
 
     plant = _load_validated(args)
-    basis, family, controller, cert = _synthesize_pipeline(
+    basis, family, controller, retained = _synthesize_pipeline(
         plant, args.delta, args.N, args.pole_offsets, args.M_modes
     )
+    cert = synthesis.certificate(plant, controller, family, basis, args.M_modes, retained)
     os.makedirs(args.out_dir, exist_ok=True)
     gains_path = os.path.join(args.out_dir, "gains.json")
     model.write_json(gains_path, synthesis.gains_to_dict(controller, cert))
-    report = _report_text(plant, controller, cert, basis)
+    report = _report_text(plant, controller, cert, retained.H)
     with model.atomic_write(os.path.join(args.out_dir, "report.txt")) as fh:
         fh.write(report.encode())
     sys.stdout.write(report)
@@ -139,9 +142,8 @@ def cmd_synthesize(args) -> int:
         model.write_json(os.path.join(args.out_dir, "basis.json"),
                          spectral.basis_to_dict(basis))
     if args.dump_transform:
-        T, _ = transform.mode_transform(family, basis.lam[:controller.N])
         model.write_json(os.path.join(args.out_dir, "transform.json"),
-                         {**model.record_to_dict(family), "modes": T})
+                         {**model.record_to_dict(family), "modes": retained.T})
     return 0
 
 
@@ -187,9 +189,11 @@ def cmd_simulate(args) -> int:
         basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                      max(args.M_modes, controller.N + 1))
     else:
-        basis, _family, controller, cert = _synthesize_pipeline(
+        basis, family, controller, retained = _synthesize_pipeline(
             plant, args.delta, args.N, None, args.M_modes
         )
+        cert = synthesis.certificate(plant, controller, family, basis, args.M_modes,
+                                     retained)
     z0_funcs = load_initial(args.initial, plant.m)
     config = simulator.SimConfig(M_modes=args.M_modes, t_final=args.t_final,
                                  dt_out=args.dt_out)
@@ -218,17 +222,23 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    from . import checks, simulator
+    from . import checks, simulator, synthesis, transform
 
     plant = _load_validated(args)
-    basis, family, controller, cert = _synthesize_pipeline(
+    basis, family, controller, retained = _synthesize_pipeline(
         plant, args.delta, args.N, None, args.M_modes
     )
+    margins = synthesis.certificate_margins(plant, controller, basis, retained.H,
+                                            args.M_modes)
+    if retained.family is not family:
+        # The rows check the family returned here, whose stacks are its own.
+        T, T_inv = transform.mode_transform(family, retained.lam)
+        retained = retained._replace(family=family, T=T, T_inv=T_inv)
     N = controller.N
     rows = [*checks.sylvester(plant, family),
-            *checks.per_mode(plant, family, controller, basis.lam[:N]),
-            *checks.factorization(controller),
-            *checks.certificate_signs(cert)]
+            *checks.per_mode(plant, controller, retained),
+            *retained.factorization,
+            *checks.certificate_signs(margins)]
 
     # Target-coordinate residual along a short deterministic run.  It reads
     # z^N only, and the retained modes never depend on the tail, so only
@@ -240,7 +250,7 @@ def cmd_verify(args) -> int:
         loop = simulator.assemble_closed_loop(plant, controller, basis, N)
         z0 = np.array([[1.0 / n] * plant.m for n in range(1, N + 1)])
         traj = simulator.integrate(loop, z0, config.t_final, config.resolved_dt())
-        tres = simulator.target_residual(traj, plant, controller, family, basis)
+        tres = simulator.target_residual(traj, plant, controller, family, basis, retained)
     rows.append(checks.at_most("target-coordinate residual", tres, checks.TARGET_RESIDUAL_TOL))
 
     width = max(len(row.name) for row in rows)

@@ -38,7 +38,8 @@ exact 1-norms of A^4 and A^6, and of A^8 and A^10 where bounds on them do
 not settle the choice, each slice takes the least Pade degree m in
 {3, 5, 7, 9, 13} whose backward error bound holds, or m = 13 with s
 squarings; the bound's correction ell needs the 1-norm of |A|^(2m+1) only
-where ||A||^(2m+1) does not already settle it.  Each degree's approximants
+where ||A||^(2m+1) does not already settle it, and every degree reads it
+from one sequence of powers per stack (`_AbsPowers`).  Each degree's approximants
 come from one stacked solve, the squarings run on the slices that still
 need them, and the result is scaled back by D.  The Pade step reaches the
 matrices only through an operations object, `_Stack` for a stack or
@@ -64,8 +65,8 @@ from .spectral import (
     project_callable,
     shape_projection_matrix,
 )
-from .synthesis import Controller, closed_blocks, mode_blocks
-from .transform import TransformFamily, mode_transform
+from .synthesis import Controller, Retained, mode_blocks, retained_maps
+from .transform import TransformFamily
 
 _NORM_FLOOR = 1e-300
 # certificate_bound_holds allows this relative rounding slack over the bound.
@@ -158,9 +159,10 @@ def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
         raise ValueError(f"M_modes={M_modes} cannot be below N={N}")
     basis = extend_basis(basis, M_modes)
     A_TR = np.zeros((M_modes - N, m, m * N))
-    P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
-    # One P[n] @ K per tail mode, stacked: P @ K would round differently.
-    A_TR[:, 0] += np.matmul(P[N:, None, :], controller.K)[:, 0]
+    if M_modes > N:  # the tail's drive; there is none without a tail
+        P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
+        # One P[n] @ K per tail mode, stacked: P @ K would round differently.
+        A_TR[:, 0] += np.matmul(P[N:, None, :], controller.K)[:, 0]
     return ClosedLoop(A_RR=retained_blocks(plant, controller, basis.lam),
                       A_TT=mode_blocks(plant, basis.lam[N:M_modes]), A_TR=A_TR)
 
@@ -200,6 +202,7 @@ _PADE_COMBOS = {
 }
 # Balancing stops at the first sweep that lowers no slice's 1-norm by 1%;
 # the cap is only a guard.
+_ELL_POWERS = frozenset(2 * m + 1 for m in _PADE_ERROR_COEFF)
 _BALANCE_GAIN = 0.99
 _BALANCE_SWEEPS = 64
 
@@ -330,7 +333,49 @@ def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, np.where(keep, norm, original)
 
 
-def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
+class _AbsPowers:
+    """log2 of ||abs(A)^p||_1 / ||A||_1^p for slices of a stack, grown as degrees ask.
+
+    The power is formed as the largest entry of 1^T abs(A)^p, with abs(A)
+    scaled to 1-norm one and the vector renormalized at every step so that
+    nothing overflows.  A slice's sequence starts when a degree first asks
+    for it and grows to the highest p asked, one step per p, so every value
+    has the bits of a fresh loop up to that p.  norm holds the 1-norms of
+    all slices of A.
+    """
+
+    def __init__(self, A: np.ndarray, norm: np.ndarray):
+        self.A, self.norm = A, norm
+        self.v = np.ones(A.shape[:2])
+        # Row p holds the values after p steps, kept for p = 2m + 1 of each
+        # Pade degree m, the powers that `_ell` asks for.
+        self.log2 = np.zeros((2 * max(_PADE_ERROR_COEFF) + 2, len(A)))
+        self.steps = np.zeros(len(A), dtype=int)
+
+    def log2_ratio(self, j: np.ndarray, p: int) -> np.ndarray:
+        """The values at power p = 2m + 1 of the slices j."""
+        behind = j[self.steps[j] < p]
+        if behind.size:
+            start = self.steps[behind]
+            k0 = int(start.max())
+            if start.min() < k0:  # first bring the slices that lag to step k0
+                self.log2_ratio(behind[start < k0], k0)
+            absA = np.abs(self.A[behind])
+            absA /= self.norm[behind, None, None]
+            v, value = self.v[behind], self.log2[k0, behind]
+            with np.errstate(divide="ignore"):
+                for k in range(k0, p):
+                    v = (v[:, None, :] @ absA)[:, 0]
+                    top = v.max(axis=1)
+                    value += np.log2(top)
+                    v /= np.where(top > 0.0, top, 1.0)[:, None]
+                    if k + 1 in _ELL_POWERS:
+                        self.log2[k + 1, behind] = value
+            self.v[behind], self.steps[behind] = v, p
+        return self.log2[p, j]
+
+
+def _ell(A, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
     """Extra squarings ell(2^-s A, m) of Al-Mohy and Higham for slices i of A.
 
     ell = max(0, ceil(log2(alpha / u) / 2m)) with u = 2^-53 and
@@ -338,10 +383,9 @@ def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarra
     e_m = _PADE_ERROR_COEFF[m]: the squarings that the degree-m backward
     error bound needs beyond the norm-based choice.  As
     ||abs(B)^(2m+1)||_1 <= ||B||_1^(2m+1), ell = 0 wherever
-    ||B||_1^2m <= u e_m.  Elsewhere the power is formed as
-    the largest entry of 1^T abs(A)^(2m+1), with abs(A) scaled to 1-norm
-    one and the vector renormalized at every step so that nothing
-    overflows.  norm holds the 1-norms of all slices of A.
+    ||B||_1^2m <= u e_m; elsewhere the power's norm is read from A's
+    `_AbsPowers`, which A may already be, so that the degrees share one
+    sequence.  norm holds the 1-norms of all slices of A.
     """
     with np.errstate(divide="ignore"):
         log2_bound = (2 * m * (np.log2(norm[i]) - s)
@@ -349,16 +393,8 @@ def _ell(A: np.ndarray, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarra
     ell = np.zeros(len(i), dtype=int)
     need = np.flatnonzero(log2_bound > 0.0)
     if need.size:
-        absA = np.abs(A[i[need]])
-        absA /= norm[i[need], None, None]
-        v = np.ones((need.size, A.shape[-1]))
-        log2_ratio = np.zeros(need.size)  # log2 of ||abs(A)^p|| / ||A||^p
-        with np.errstate(divide="ignore"):
-            for _ in range(2 * m + 1):
-                v = (v[:, None, :] @ absA)[:, 0]
-                top = v.max(axis=1)
-                log2_ratio += np.log2(top)
-                v /= np.where(top > 0.0, top, 1.0)[:, None]
+        powers = A if isinstance(A, _AbsPowers) else _AbsPowers(A, norm)
+        log2_ratio = powers.log2_ratio(i[need], 2 * m + 1)
         extra = np.ceil((log2_ratio + log2_bound[need]) / (2 * m))
         ell[need] = np.maximum(np.nan_to_num(extra, nan=0.0, neginf=0.0), 0.0)
     return ell
@@ -371,10 +407,11 @@ def _squarings(eta: np.ndarray) -> np.ndarray:
     return np.where(eta > 0.0, np.maximum(s, 0.0), 0.0).astype(int)
 
 
-def _choose(A: np.ndarray, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
+def _choose(A, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
     """Pade degree m in (7, 9, 13) and squarings s for slices i of A.
 
-    For slices that degrees 3 and 5 do not serve (Al-Mohy and Higham):
+    A is a stack or its `_AbsPowers`.  For slices that degrees 3 and 5 do
+    not serve (Al-Mohy and Higham):
     d_p = ||A^p||_1^(1/p), m the least of 7 and 9 with eta = max(d6, d8)
     below theta_m and ell 0; else m = 13 with s from eta_13 = min(eta,
     max(d8, d10)), plus ell.  Both m and s grow with d8 and d10.
@@ -417,10 +454,11 @@ def _scaling(A: np.ndarray) -> tuple:
     deg = np.full(len(norm), 13)
     s = np.zeros(len(norm), dtype=int)
     eta = np.maximum(d4, d6)
+    powers = _AbsPowers(P[0], norm)  # one |A|^p sequence for every degree's ell
     for m in (3, 5):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(P[0], cand, norm, m, 0) == 0]] = m
+            deg[cand[_ell(powers, cand, norm, m, 0) == 0]] = m
     i = np.flatnonzero(deg == 13)
     if i.size:
         # ||A^8|| and ||A^10|| lie between ||A^8 x|| and ||A^4||^2, and
@@ -433,8 +471,8 @@ def _scaling(A: np.ndarray) -> tuple:
         x = P[2][i] @ e[:, :, None]
         low8 = np.abs(P[2][i] @ x)[:, :, 0].sum(axis=1) ** (1 / 8)
         low10 = np.abs(P[3][i] @ x)[:, :, 0].sum(axis=1) ** (1 / 10)
-        low = _choose(P[0], i, norm, d6[i], low8, low10)
-        high = _choose(P[0], i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10))
+        low = _choose(powers, i, norm, d6[i], low8, low10)
+        high = _choose(powers, i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10))
         deg[i], s[i] = low
         i = i[(low[0] != high[0]) | (low[1] != high[1])]
         if i.size:
@@ -442,7 +480,7 @@ def _scaling(A: np.ndarray) -> tuple:
                 return (ones @ np.abs(X, out=work[i])).max(axis=1) ** (1 / p)
             d8 = d_p(np.matmul(P[3][i], P[1][i]), 8)
             d10 = d_p(np.matmul(P[2][i], P[3][i]), 10)
-            deg[i], s[i] = _choose(P[0], i, norm, d6[i], d8, d10)
+            deg[i], s[i] = _choose(powers, i, norm, d6[i], d8, d10)
     return P, work, d, deg, s
 
 
@@ -793,19 +831,21 @@ def certificate_bound_holds(traj: Trajectory, M_cert: float, delta: float) -> bo
 
 def target_residual(traj: Trajectory, plant: ValidatedPlant,
                     controller: Controller, family: TransformFamily,
-                    basis: SpectralBasis) -> float:
+                    basis: SpectralBasis, retained: Retained | None = None) -> float:
     """Relative defect of ydot^N = H y^N along the trajectory, y_n = T_n z_n.
 
     The derivative is evaluated through the exact closed-loop generator of
     the retained block, so the residual isolates the transform identity
-    rather than finite differencing error.
+    rather than finite differencing error.  T_n and H_n are the stacks of
+    `retained`, evaluated from family unless given.
     """
     N = controller.N
     if N == 0:
         return 0.0
-    lam = extend_basis(basis, N).lam[:N]
-    T, _ = mode_transform(family, lam)
-    H = closed_blocks(plant, controller.K_Q, lam)
+    if retained is None:
+        lam = extend_basis(basis, N).lam[:N]
+        retained = retained_maps(plant, family, controller.K_Q, lam)
+    lam, T, H = retained.lam, retained.T, retained.H
     A_cl = retained_blocks(plant, controller, lam)
 
     # Block n of every product acts on z_n alone: (N, m, samples) stacks.

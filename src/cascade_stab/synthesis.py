@@ -32,6 +32,7 @@ from .checks import block_diagonal, certificate_signs, factorization
 from .errors import (
     CertificateAtRoundingLevel,
     CertificateViolation,
+    ControllabilityViolation,
     FactorizationAtRoundingLevel,
     HypothesisHViolated,
     InternalError,
@@ -74,6 +75,45 @@ class Controller(NamedTuple):
     Bmat: np.ndarray  # N x N input-projection matrix
     cond_B: float
     K: np.ndarray     # N x (m N) factored gain
+
+
+class Retained(NamedTuple):
+    """What the synthesis evaluated on the N retained modes, for its readers to reuse.
+
+    T and T_inv are `mode_transform(family, lam)` on the retained eigenvalues
+    lam, H the target blocks `closed_blocks(plant, K_Q, lam)`, and
+    factorization the `checks.factorization` rows by which `build_controller`
+    refuses the gains.
+    """
+
+    family: TransformFamily | None
+    lam: np.ndarray
+    T: np.ndarray      # (N, m, m)
+    T_inv: np.ndarray  # (N, m, m)
+    H: np.ndarray      # (N, m, m)
+    factorization: list
+
+
+class Designed(Controller):
+    """A `Controller` as `build_controller` made it, with the maps it evaluated.
+
+    `retained` is an attribute, not a field: the gains file and
+    `model.record_to_dict` hold the controller's fields alone, and a copy
+    made by `_replace`, whose maps may differ, has none.
+    """
+
+    def __new__(cls, controller: Controller, retained: Retained):
+        self = super().__new__(cls, *controller)
+        self.retained = retained
+        return self
+
+
+class Margins(NamedTuple):
+    """The certificate's sign conditions: rho and the gamma and omega margins."""
+
+    rho: float
+    gamma_margins: tuple  # max eigenvalue of each retained-mode block, all < 0
+    omega_margins: tuple  # max eigenvalue of each checked residual mode, all < 0
 
 
 class Certificate(NamedTuple):
@@ -162,6 +202,16 @@ def stabilize_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
     poles = -shift - offsets
 
     C = _controllability_matrix(Q)
+    # C is upper triangular, and C[k, k] is the product of the subdiagonal
+    # entries Q[1, 0] .. Q[k, k-1]; where that product underflows, C is
+    # singular although every entry is nonzero.
+    lost = np.flatnonzero(np.diag(C) == 0.0)
+    if lost.size:
+        k = int(lost[0])
+        raise ControllabilityViolation(
+            f"subdiagonal entry Q[{k + 1},{k}] = {float(Q[k, k - 1])!r} leaves (Q, B) "
+            f"numerically uncontrollable: the product of the subdiagonal entries "
+            f"through it underflows to zero")
     char = np.poly(poles)  # monic, real
     pQ = np.eye(m)
     for coeff in char[1:]:
@@ -226,12 +276,17 @@ def _solve_lyapunov_identity(Abar: np.ndarray) -> np.ndarray:
 
 
 def modal_gains(plant: ValidatedPlant, family: TransformFamily, lambdas,
-                K_Q: np.ndarray, N: int) -> np.ndarray:
-    """Row gains Kbar_n, n = 1..N, one per retained mode: shape (N, m)."""
+                K_Q: np.ndarray, N: int, T: np.ndarray | None = None) -> np.ndarray:
+    """Row gains Kbar_n, n = 1..N, one per retained mode: shape (N, m).
+
+    T is the stack of `mode_transform(family, lambdas[:N])`, evaluated here
+    unless given.
+    """
     lam = np.asarray(lambdas, dtype=float)[:N]
     if lam.size < N:
         raise ValueError(f"{N} modal gains need {N} eigenvalues, got {lam.size}")
-    T, _ = mode_transform(family, lam)
+    if T is None:
+        T, _ = mode_transform(family, lam)
     return sylvester_map(plant, lam, T)[:, 0, :] + np.matmul(K_Q, T)
 
 
@@ -274,14 +329,23 @@ def zero_controller(delta: float, N_min: int, m: int) -> Controller:
                       cond_B=1.0, K=np.zeros((0, 0)))
 
 
+def retained_maps(plant: ValidatedPlant, family: TransformFamily, K_Q: np.ndarray,
+                  lam) -> Retained:
+    """T_n, T_n^-1 and H_n on the retained eigenvalues lam, each stack evaluated once."""
+    T, T_inv = mode_transform(family, lam)
+    return Retained(family=family, lam=lam, T=T, T_inv=T_inv,
+                    H=closed_blocks(plant, K_Q, lam), factorization=[])
+
+
 def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
                      pole_offsets=None, basis: SpectralBasis | None = None,
-                     family: TransformFamily | None = None) -> Controller:
+                     family: TransformFamily | None = None) -> Designed:
     """End-to-end synthesis for a validated plant and decay rate delta.
 
     When N is omitted the minimal mode count is used; a user-supplied N must
     be at least that minimum.  The first N plant shapes feed the N control
-    channels.
+    channels.  The gains are refused by their `checks.factorization` rows,
+    which the controller's `retained` maps hold.
     """
     if basis is None:
         basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 8)
@@ -291,7 +355,10 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     elif N < N_min:
         raise PlantInputError(f"N={N} is below the minimal mode count {N_min}")
     if N == 0:
-        return zero_controller(delta, N_min, plant.m)
+        empty = np.zeros((0, plant.m, plant.m))
+        return Designed(zero_controller(delta, N_min, plant.m), Retained(
+            family=family, lam=basis.lam[:0], T=empty, T_inv=empty, H=empty,
+            factorization=[]))
     if len(plant.shapes) < N:
         raise HypothesisHViolated(
             f"N={N} control channels need {N} shape functions, plant has "
@@ -302,85 +369,96 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     check_coupling(plant, delta, float(basis.lam[0]), K_Q, P)
     if family is None:
         family = solve_transform_family(plant)
-    Kbar = modal_gains(plant, family, basis.lam, K_Q, N)
+    maps = retained_maps(plant, family, K_Q, basis.lam[:N])
+    Kbar = modal_gains(plant, family, maps.lam, K_Q, N, maps.T)
     Bmat, cond_B = input_matrix(plant.shapes[:N], basis, N)
     K = np.linalg.solve(Bmat, block_diagonal(Kbar[:, None]))
     controller = Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
                             Kbar=Kbar, Bmat=Bmat, cond_B=cond_B, K=K)
-    [check] = factorization(controller)
+    rows = factorization(controller)
+    [check] = rows
     if not check.ok:
         raise FactorizationAtRoundingLevel(
             f"N={N}: gain factorization residual {check.value:.3e} exceeds the "
             f"bound {check.bound:.0e} (cond(Bmat)={cond_B:.3e})"
         )
-    return controller
+    return Designed(controller, maps._replace(factorization=rows))
 
 
-def certificate(plant: ValidatedPlant, controller: Controller,
-                family: TransformFamily, basis: SpectralBasis,
-                M_modes: int = 30) -> Certificate:
-    """Compute the decay-certificate constants and verify the sign conditions.
+def certificate_margins(plant: ValidatedPlant, controller: Controller,
+                        basis: SpectralBasis, H: np.ndarray,
+                        M_modes: int = 30) -> Margins:
+    """The certificate's sign conditions, refused unless every margin is negative.
 
     rho is 1/mu with mu the definiteness margin of the residual-mode
     inequality at lambda_{N+1} (factor-2 slack over the Schur-complement
     minimum 1/(2 mu)).  rho_bar = 4 leaves the same factor-2 slack in the
     retained-mode inequality, whose Schur minimum is 2 under the
-    normalization Abar^T P + P Abar = -I.  The overshoot constant is
-
-        M = sqrt(c_upper * max(eig_max P, rho0) /
-                 (c_lower * min(eig_min P, rho0))).
+    normalization Abar^T P + P Abar = -I.  H is the stack of target blocks
+    H_n of the retained modes (`closed_blocks`); the gamma margins are those
+    of Sym(P H_n) + I / rho_bar + delta P, and the omega margins those of the
+    residual modes N+1..M_modes.
     """
     N = controller.N
     delta = controller.delta
-    m = plant.m
     basis = extend_basis(basis, max(M_modes, N + 1))
 
     mu = -float(selection_margins(plant, [basis.lam[N]], delta)[0])
     if mu <= 0.0:
         raise CertificateViolation("residual-mode inequality fails at lambda_{N+1}")
     rho = 1.0 / mu
-    rho_bar = RHO_BAR
+    gamma_margins = ()
+    if N:
+        G = sym(controller.P @ H) + np.eye(plant.m) / RHO_BAR + delta * controller.P
+        gamma_margins = tuple(np.linalg.eigvalsh(G)[:, -1].tolist())
+    margins = Margins(rho=rho, gamma_margins=gamma_margins,
+                      omega_margins=_omega_margins(plant, basis, rho, delta, N, M_modes))
+    _check_margins(margins)
+    return margins
 
+
+def certificate(plant: ValidatedPlant, controller: Controller,
+                family: TransformFamily, basis: SpectralBasis,
+                M_modes: int = 30, retained: Retained | None = None) -> Certificate:
+    """The sign conditions (`certificate_margins`), then the certificate's constants.
+
+    retained holds the maps of the retained modes; they are evaluated from
+    family unless given.  The overshoot constant is
+
+        M = sqrt(c_upper * max(eig_max P, rho0) /
+                 (c_lower * min(eig_min P, rho0))).
+
+    No constant can refuse: P > 0 holds since `check_coupling` passed.
+    """
+    N = controller.N
+    if retained is None:
+        lam = extend_basis(basis, max(M_modes, N + 1)).lam[:N]
+        retained = retained_maps(plant, family, controller.K_Q, lam)
+    margins = certificate_margins(plant, controller, basis, retained.H, M_modes)
     if N == 0:
         # No retained modes: V = sum |z_n|^2 decays at rate delta directly.
-        cert = Certificate(rho=rho, rho_bar=rho_bar, beta=0.0, rho0=1.0,
-                           c_lower=1.0, c_upper=1.0, M=1.0,
-                           gamma_margins=(),
-                           omega_margins=_omega_margins(plant, basis, rho, delta,
-                                                        0, M_modes))
-        _check_margins(cert)
-        return cert
+        return Certificate(rho=margins.rho, rho_bar=RHO_BAR, beta=0.0, rho0=1.0,
+                           c_lower=1.0, c_upper=1.0, M=1.0, gamma_margins=(),
+                           omega_margins=margins.omega_margins)
 
-    lam = basis.lam[:N]
-    T, T_inv = mode_transform(family, lam)
-    inv_sq = float(np.max(np.linalg.norm(T_inv, 2, axis=(1, 2)))) ** 2
-    fwd_sq = float(np.max(np.linalg.norm(T, 2, axis=(1, 2)))) ** 2
+    inv_sq = float(np.max(np.linalg.norm(retained.T_inv, 2, axis=(1, 2)))) ** 2
+    fwd_sq = float(np.max(np.linalg.norm(retained.T, 2, axis=(1, 2)))) ** 2
     # T_n = I for n > N contributes norm 1 to both envelopes.
     c_lower = 1.0 / max(1.0, inv_sq)
     c_upper = max(1.0, fwd_sq)
 
     beta = inv_sq * sum(s.l2_norm_sq(plant.L) for s in plant.shapes[:N])
     K_norm = float(np.linalg.norm(controller.K, 2))
-    rho0 = 2.0 / (rho * rho_bar * beta * K_norm**2)
+    rho0 = 2.0 / (margins.rho * RHO_BAR * beta * K_norm**2)
 
     eig_P = np.linalg.eigvalsh(controller.P)
-    if eig_P[0] <= 0.0:
-        raise CertificateViolation("Lyapunov matrix P is not positive definite")
     M_over = float(np.sqrt(
         c_upper * max(eig_P[-1], rho0) / (c_lower * min(eig_P[0], rho0))
     ))
-
-    H = closed_blocks(plant, controller.K_Q, lam)
-    G = sym(controller.P @ H) + np.eye(m) / rho_bar + delta * controller.P
-    gamma_margins = np.linalg.eigvalsh(G)[:, -1].tolist()
-
-    cert = Certificate(rho=rho, rho_bar=rho_bar, beta=beta, rho0=rho0,
+    return Certificate(rho=margins.rho, rho_bar=RHO_BAR, beta=beta, rho0=rho0,
                        c_lower=c_lower, c_upper=c_upper, M=M_over,
-                       gamma_margins=tuple(gamma_margins),
-                       omega_margins=_omega_margins(plant, basis, rho, delta,
-                                                    N, M_modes))
-    _check_margins(cert)
-    return cert
+                       gamma_margins=margins.gamma_margins,
+                       omega_margins=margins.omega_margins)
 
 
 def _omega_margins(plant, basis, rho, delta, N, M_modes):
@@ -389,8 +467,8 @@ def _omega_margins(plant, basis, rho, delta, N, M_modes):
     return tuple(selection_margins(plant, lam, delta + 1.0 / (2.0 * rho)).tolist())
 
 
-def _check_margins(cert: Certificate) -> None:
-    """Refuse a certificate that fails `certificate_signs`, naming each bad margin."""
+def _check_margins(cert: Margins | Certificate) -> None:
+    """Refuse margins that fail `certificate_signs`, naming each bad margin."""
     if not all(check.ok for check in certificate_signs(cert)):
         bad_gamma = [g for g in cert.gamma_margins if g >= 0.0]
         bad_omega = [w for w in cert.omega_margins if w >= 0.0]

@@ -19,7 +19,7 @@ controllability condition.  The elimination is the only solver; the
 closed-form recursion in tests/test_transform.py cross-checks it.  Each
 equation's masked residual, scaled by max(1, max|Q| max|Tbar_i|), is
 computed in one place: the solver refuses a family whose scaled residual
-exceeds RESIDUAL_TOL, and `sylvester_residuals` gives the same values to
+exceeds RESIDUAL_TOL or is NaN, and `sylvester_residuals` gives the same values to
 `checks.sylvester`, which bounds them by the same constant.
 
 The family is solved once, independently of the number N of retained
@@ -84,8 +84,8 @@ def solve_transform_family(plant: ValidatedPlant) -> TransformFamily:
     """Solve the masked Sylvester recursion by structured elimination.
 
     Raises ResidualNonzero if the computed family fails to zero the complete
-    masked residual, which cannot happen for plants satisfying the cascade
-    and controllability conditions.
+    masked residual, or if its residual is NaN: a subdiagonal pivot so small
+    that an entry overflows leaves inf and NaN in the family.
     """
     m = plant.m
     Q = np.asarray(plant.Q, dtype=float)
@@ -103,7 +103,7 @@ def solve_transform_family(plant: ValidatedPlant) -> TransformFamily:
                 r = _masked_residual(Q, Ti, forcing)[j, k - 1]  # entry (j+1, k), 1-based
                 Ti[j - 1, k - 1] = -r / Q[j, j - 1]
         R, residual = _scaled_residual(Q, Ti, forcing)
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:  # NaN, from an overflowed pivot, fails too
             row, col = np.unravel_index(np.argmax(np.abs(R)), R.shape)
             raise ResidualNonzero(i, row + 1, col + 1, float(R[row, col]))
         coeffs.append(Ti)

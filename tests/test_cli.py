@@ -1080,6 +1080,76 @@ class TestFactorizationRefusal:
         assert not out.exists()
 
 
+class TestVerifyEvaluatesOnce:
+    """`verify` does each piece of work once, and only what it prints."""
+
+    def test_wide_family_call_counts(self, tmp_path, capsys, monkeypatch):
+        """At the benchmark's wide-actuation sizes (N = 60, M = 120): one
+        stack of T_n, one projection (Bmat, no tail), one factorization row,
+        and the certificate's margins without its constants."""
+        calls = {}
+
+        def count(home, name):
+            real = getattr(home, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            # Every module that bound the name, `from .x import name` included.
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("cascade_stab")
+                        and module.__dict__.get(name) is real):
+                    monkeypatch.setattr(module, name, counted)
+
+        for home, name in ((transform, "mode_transform"),
+                           (spectral, "shape_projection_matrix"),
+                           (checks, "factorization"), (synthesis, "closed_blocks"),
+                           (synthesis, "certificate_margins"),
+                           (synthesis, "certificate")):
+            count(home, name)
+        monkeypatch.setattr(model.ShapeFunction, "l2_norm_sq", None)  # beta's norms
+        assert main(["verify", *TestFactorizationRefusal._plant(tmp_path, 60)]) == 0
+        assert "verification PASSED" in capsys.readouterr().out
+        assert calls == {"mode_transform": 1, "shape_projection_matrix": 1,
+                         "factorization": 1, "closed_blocks": 1,
+                         "certificate_margins": 1}
+
+
+class TestNumericalRefusals:
+    """Plants that validation accepts but double precision cannot synthesize
+    are refused by name, and no file is written."""
+
+    def test_underflowing_controllability_product(self, tmp_path, capsys):
+        obj = example_plant_dict()
+        obj["Q"] = [[-1.0, 0.5, 0.0], [1e-300, -1.0, 0.5], [0.0, 1e-300, -1.0]]
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--plant", str(path), "--delta", "9",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: subdiagonal entry Q[3,2] = 1e-300 leaves (Q, B) numerically "
+            "uncontrollable: the product of the subdiagonal entries through it "
+            "underflows to zero\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_transform_family(self, tmp_path, capsys):
+        obj = example_plant_dict()
+        Q = -np.eye(5) + 0.5 * np.eye(5, k=1) + 1e-200 * np.eye(5, k=-1)
+        obj.update(m=5, D=[1.0, 2.0, 3.0, 4.0, 5.0], Q=Q.tolist())
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        # delta = 0.5 retains no mode, so only the family could fail.
+        assert main(["synthesize", "--plant", str(path), "--delta", "0.5",
+                     "--dump-transform", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "internal error: masked Sylvester residual nan at family index 1")
+        assert not out.exists()
+
+
 def _run_fresh(code: str, *args: str) -> str:
     """Run `code` in a fresh interpreter that imports this package; its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cascade_stab.__file__)))

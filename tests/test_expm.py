@@ -255,6 +255,48 @@ def test_no_overflow_in_error_bound():
     assert math.isclose(X[1, 0, 0], math.cos(1.0), rel_tol=1e-12)
 
 
+def fresh_ell(A, i, norm, m, s):
+    """ell(2^-s A, m) with abs(A)^(2m+1) formed afresh for this degree alone."""
+    with np.errstate(divide="ignore"):
+        log2_bound = (2 * m * (np.log2(norm[i]) - s)
+                      - np.log2(simulator._PADE_ERROR_COEFF[m]) + 53.0)
+    ell = np.zeros(len(i), dtype=int)
+    need = np.flatnonzero(log2_bound > 0.0)
+    for k in need:
+        absA = np.abs(A[i[k]]) / norm[i[k]]
+        v, log2_ratio = np.ones(A.shape[-1]), 0.0
+        with np.errstate(divide="ignore"):
+            for _ in range(2 * m + 1):
+                v = v @ absA
+                top = v.max()
+                log2_ratio += np.log2(top)
+                v = v / (top if top > 0.0 else 1.0)
+        extra = np.ceil((log2_ratio + log2_bound[k]) / (2 * m))
+        ell[k] = max(np.nan_to_num(extra, nan=0.0, neginf=0.0), 0.0)
+    return ell
+
+
+def test_shared_powers_give_fresh_ell():
+    """One `_AbsPowers` serves every degree's ell: slice subsets asked in any
+    order, with degrees up and down, give what a fresh loop per degree gives."""
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 5, 5)) * np.exp2(rng.integers(-4, 8, (40, 1, 1)))
+    A[:4] = np.triu(A[:4], 1)  # nilpotent slices: powers of abs(A) reach zero
+    _, norm = simulator._balance(A, np.empty_like(A))
+    powers = simulator._AbsPowers(A, norm)
+    requests = [(m, np.sort(rng.choice(40, size, replace=False)))
+                for m in (3, 5, 7, 9, 13) for size in (1, 7, 25, 40)]
+    needed = 0
+    for r in rng.permutation(len(requests)):
+        m, i = requests[r]
+        s = rng.integers(0, 3, len(i)) if m == 13 else 0
+        ell = simulator._ell(powers, i, norm, m, s)
+        assert np.array_equal(ell, fresh_ell(A, i, norm, m, s))
+        assert np.array_equal(ell, simulator._ell(A, i, norm, m, s))  # a plain stack
+        needed += np.count_nonzero(ell)
+    assert needed > 0
+
+
 def closed_loop(plant, N: int, M: int) -> simulator.ClosedLoop:
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
     ctl = build_controller(plant, 9.0, N=N, basis=basis,

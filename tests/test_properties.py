@@ -40,6 +40,7 @@ from cascade_stab.synthesis import (
     _omega_margins,
     build_controller,
     certificate,
+    certificate_margins,
     closed_blocks,
     modal_gains,
     select_mode_count,
@@ -496,6 +497,20 @@ def test_certificate_matches_per_mode(plant, delta):
                                  + eye / RHO_BAR + ctl.delta * ctl.P)[-1])
         for l in lam)
     assert cert.gamma_margins == gamma  # bitwise
+
+
+@given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
+def test_margins_alone_match_certificate(plant, delta):
+    """`verify`'s route, the margins from the maps that synthesis evaluated,
+    gives the certificate's rho, gamma and omega margins bit for bit."""
+    basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
+    ctl = synthesized(plant, delta, basis)
+    assume(ctl is not None)
+    cert = certificate(plant, ctl, solve_transform_family(plant), basis, M_modes=30)
+    margins = certificate_margins(plant, ctl, basis, ctl.retained.H, M_modes=30)
+    for name in ("rho", "gamma_margins", "omega_margins"):
+        assert (np.array(getattr(margins, name)).tobytes()
+                == np.array(getattr(cert, name)).tobytes())
 
 
 def relative(a, b):
