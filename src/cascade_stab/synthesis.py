@@ -102,8 +102,10 @@ class Designed(Controller):
     made by `_replace`, whose maps may differ, has none.
     """
 
-    def __new__(cls, controller: Controller, retained: Retained):
-        self = super().__new__(cls, *controller)
+    @classmethod
+    def of(cls, controller: Controller, retained: Retained) -> Designed:
+        """controller's fields, with its maps; pickles and copies keep both."""
+        self = cls._make(controller)
         self.retained = retained
         return self
 
@@ -356,7 +358,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
         raise PlantInputError(f"N={N} is below the minimal mode count {N_min}")
     if N == 0:
         empty = np.zeros((0, plant.m, plant.m))
-        return Designed(zero_controller(delta, N_min, plant.m), Retained(
+        return Designed.of(zero_controller(delta, N_min, plant.m), Retained(
             family=family, lam=basis.lam[:0], T=empty, T_inv=empty, H=empty,
             factorization=[]))
     if len(plant.shapes) < N:
@@ -382,7 +384,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
             f"N={N}: gain factorization residual {check.value:.3e} exceeds the "
             f"bound {check.bound:.0e} (cond(Bmat)={cond_B:.3e})"
         )
-    return Designed(controller, maps._replace(factorization=rows))
+    return Designed.of(controller, maps._replace(factorization=rows))
 
 
 def certificate_margins(plant: ValidatedPlant, controller: Controller,

@@ -14,6 +14,7 @@ from cascade_stab.errors import (
 from cascade_stab.model import PlantSpec, ShapeFunction, validate_plant
 from cascade_stab.spectral import build_basis
 from cascade_stab.synthesis import (
+    Controller,
     build_controller,
     certificate,
     certificate_from_dict,
@@ -322,6 +323,21 @@ class TestBuildController:
             pytest.skip("plant already stable at this rate")
         for row in ctl.Kbar:
             np.testing.assert_allclose(row, ctl.K_Q, atol=1e-11)
+
+    def test_retained_maps_travel_with_the_controller(self, demo_plant, demo_basis):
+        """The maps are an attribute, not a field: the record, a pickled copy
+        and the gains file keep the controller's fields; `_replace` drops them."""
+        import pickle
+
+        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis)
+        T, _ = mode_transform(solve_transform_family(demo_plant), demo_basis.lam[:3])
+        assert ctl.retained.T.tobytes() == T.tobytes()
+        assert ctl.retained.factorization[0].name == "gain factorization"
+        copy = pickle.loads(pickle.dumps(ctl))
+        assert copy.retained.H.tobytes() == ctl.retained.H.tobytes()
+        assert copy.K.tobytes() == ctl.K.tobytes()
+        assert list(gains_to_dict(ctl)) == list(Controller._fields)
+        assert not hasattr(ctl._replace(N=3), "retained")
 
     def test_too_few_shapes_raises(self, demo_basis):
         plant = simple_plant([4.0, 5.0, 6.0],
