@@ -39,9 +39,9 @@ not settle the choice, each slice takes the least Pade degree m in
 {3, 5, 7, 9, 13} whose backward error bound holds, or m = 13 with s
 squarings; the bound's correction ell needs the 1-norm of |A|^(2m+1) only
 where ||A||^(2m+1) does not already settle it, and every degree reads it
-from one sequence of powers per stack (`_AbsPowers`).  Each degree's approximants
-come from one stacked solve, the squarings run on the slices that still
-need them, and the result is scaled back by D.  The Pade step reaches the
+from one sequence of powers per stack (`_AbsPowers`).  Each degree's
+approximants come from one stacked solve, the squarings run on the slices
+that still need them, and the result is scaled back by D.  The Pade step reaches the
 matrices only through an operations object, `_Stack` for a stack or
 `_Blocks` for the block form.
 """
@@ -200,9 +200,10 @@ _PADE_COMBOS = {
     else np.array([b[9::2], b[8::2], b[3:9:2], b[2:8:2]])
     for m, b in _PADE_COEFFS.items()
 }
+# The powers p = 2m + 1 of abs(A) whose norms the degrees' ell read.
+_ELL_POWERS = frozenset(2 * m + 1 for m in _PADE_ERROR_COEFF)
 # Balancing stops at the first sweep that lowers no slice's 1-norm by 1%;
 # the cap is only a guard.
-_ELL_POWERS = frozenset(2 * m + 1 for m in _PADE_ERROR_COEFF)
 _BALANCE_GAIN = 0.99
 _BALANCE_SWEEPS = 64
 

@@ -430,7 +430,8 @@ def certificate(plant: ValidatedPlant, controller: Controller,
         M = sqrt(c_upper * max(eig_max P, rho0) /
                  (c_lower * min(eig_min P, rho0))).
 
-    No constant can refuse: P > 0 holds since `check_coupling` passed.
+    The constants refuse only a P that is not positive definite, which
+    `check_coupling` has refused already for a synthesized controller.
     """
     N = controller.N
     if retained is None:
@@ -454,6 +455,8 @@ def certificate(plant: ValidatedPlant, controller: Controller,
     rho0 = 2.0 / (margins.rho * RHO_BAR * beta * K_norm**2)
 
     eig_P = np.linalg.eigvalsh(controller.P)
+    if eig_P[0] <= 0.0:  # only a controller that `check_coupling` did not pass
+        raise CertificateViolation("Lyapunov matrix P is not positive definite")
     M_over = float(np.sqrt(
         c_upper * max(eig_P[-1], rho0) / (c_lower * min(eig_P[0], rho0))
     ))

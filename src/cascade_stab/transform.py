@@ -19,8 +19,8 @@ controllability condition.  The elimination is the only solver; the
 closed-form recursion in tests/test_transform.py cross-checks it.  Each
 equation's masked residual, scaled by max(1, max|Q| max|Tbar_i|), is
 computed in one place: the solver refuses a family whose scaled residual
-exceeds RESIDUAL_TOL or is NaN, and `sylvester_residuals` gives the same values to
-`checks.sylvester`, which bounds them by the same constant.
+exceeds RESIDUAL_TOL or is NaN, and `sylvester_residuals` gives the same
+values to `checks.sylvester`, which bounds them by the same constant.
 
 The family is solved once, independently of the number N of retained
 modes.  `mode_transform` then evaluates it on all N retained eigenvalues at
