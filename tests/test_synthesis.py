@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -327,8 +328,6 @@ class TestBuildController:
     def test_retained_maps_travel_with_the_controller(self, demo_plant, demo_basis):
         """The maps are an attribute, not a field: the record, a pickled copy
         and the gains file keep the controller's fields; `_replace` drops them."""
-        import pickle
-
         ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis)
         T, _ = mode_transform(solve_transform_family(demo_plant), demo_basis.lam[:3])
         assert ctl.retained.T.tobytes() == T.tobytes()
