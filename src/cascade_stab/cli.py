@@ -84,12 +84,12 @@ def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
     basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                  max(M_modes, 8))
     family = transform.solve_transform_family(plant)
-    controller = synthesis.build_controller(plant, delta, N=N,
-                                            pole_offsets=pole_offsets,
-                                            basis=basis, family=family)
+    controller, retained = synthesis.build_controller(plant, delta, N=N,
+                                                      pole_offsets=pole_offsets,
+                                                      basis=basis, family=family)
     # The commands read lambda_1..lambda_N from the returned basis.
     basis = spectral.extend_basis(basis, controller.N + 1)
-    return basis, family, controller, controller.retained
+    return basis, family, controller, retained
 
 
 def _report_text(plant, controller, cert, H) -> str:
@@ -130,7 +130,7 @@ def cmd_synthesize(args) -> int:
     basis, family, controller, retained = _synthesize_pipeline(
         plant, args.delta, args.N, args.pole_offsets, args.M_modes
     )
-    cert = synthesis.certificate(plant, controller, family, basis, args.M_modes, retained)
+    cert = synthesis.certificate(plant, controller, retained, basis, args.M_modes)
     os.makedirs(args.out_dir, exist_ok=True)
     gains_path = os.path.join(args.out_dir, "gains.json")
     model.write_json(gains_path, synthesis.gains_to_dict(controller, cert))
@@ -189,11 +189,10 @@ def cmd_simulate(args) -> int:
         basis = spectral.build_basis(plant.L, plant.gamma1, plant.gamma2,
                                      max(args.M_modes, controller.N + 1))
     else:
-        basis, family, controller, retained = _synthesize_pipeline(
+        basis, _, controller, retained = _synthesize_pipeline(
             plant, args.delta, args.N, None, args.M_modes
         )
-        cert = synthesis.certificate(plant, controller, family, basis, args.M_modes,
-                                     retained)
+        cert = synthesis.certificate(plant, controller, retained, basis, args.M_modes)
     z0_funcs = load_initial(args.initial, plant.m)
     config = simulator.SimConfig(M_modes=args.M_modes, t_final=args.t_final,
                                  dt_out=args.dt_out)
@@ -222,7 +221,7 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    from . import checks, simulator, synthesis, transform
+    from . import checks, simulator, synthesis
 
     plant = _load_validated(args)
     basis, family, controller, retained = _synthesize_pipeline(
@@ -230,10 +229,6 @@ def cmd_verify(args) -> int:
     )
     margins = synthesis.certificate_margins(plant, controller, basis, retained.H,
                                             args.M_modes)
-    if retained.family is not family:
-        # The rows check the family returned here, whose stacks are its own.
-        T, T_inv = transform.mode_transform(family, retained.lam)
-        retained = retained._replace(family=family, T=T, T_inv=T_inv)
     N = controller.N
     rows = [*checks.sylvester(plant, family),
             *checks.per_mode(plant, controller, retained),
@@ -250,7 +245,7 @@ def cmd_verify(args) -> int:
         loop = simulator.assemble_closed_loop(plant, controller, basis, N)
         z0 = np.array([[1.0 / n] * plant.m for n in range(1, N + 1)])
         traj = simulator.integrate(loop, z0, config.t_final, config.resolved_dt())
-        tres = simulator.target_residual(traj, plant, controller, family, basis, retained)
+        tres = simulator.target_residual(traj, retained, loop.A_RR)
     rows.append(checks.at_most("target-coordinate residual", tres, checks.TARGET_RESIDUAL_TOL))
 
     width = max(len(row.name) for row in rows)

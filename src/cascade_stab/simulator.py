@@ -65,8 +65,7 @@ from .spectral import (
     project_callable,
     shape_projection_matrix,
 )
-from .synthesis import Controller, Retained, mode_blocks, retained_maps
-from .transform import TransformFamily
+from .synthesis import Controller, Retained, mode_blocks
 
 _NORM_FLOOR = 1e-300
 # certificate_bound_holds allows this relative rounding slack over the bound.
@@ -134,21 +133,14 @@ def project_initial(z0_funcs, basis: SpectralBasis, M_modes: int) -> np.ndarray:
 class ClosedLoop(NamedTuple):
     """The closed loop [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]] of N retained modes.
 
-    A_RR is the (N, m, m) stack of retained blocks (`retained_blocks`), A_TT
-    the (M - N, m, m) stack of tail blocks and A_TR the (M - N, m, mN) drive
-    of the tail by the retained modes.
+    A_RR is the (N, m, m) stack of retained blocks -lam_n D + Q + B Kbar_n,
+    A_TT the (M - N, m, m) stack of tail blocks and A_TR the (M - N, m, mN)
+    drive of the tail by the retained modes.
     """
 
     A_RR: np.ndarray
     A_TT: np.ndarray
     A_TR: np.ndarray
-
-
-def retained_blocks(plant: ValidatedPlant, controller: Controller, lam) -> np.ndarray:
-    """The (N, m, m) closed-loop blocks -lam_n D + Q + B Kbar_n, n <= N, of lam[:N]."""
-    blocks = mode_blocks(plant, lam[:controller.N])
-    blocks[:, 0, :] += controller.Kbar
-    return blocks
 
 
 def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
@@ -163,8 +155,9 @@ def assemble_closed_loop(plant: ValidatedPlant, controller: Controller,
         P = shape_projection_matrix(plant.shapes[:N], basis, M_modes)
         # One P[n] @ K per tail mode, stacked: P @ K would round differently.
         A_TR[:, 0] += np.matmul(P[N:, None, :], controller.K)[:, 0]
-    return ClosedLoop(A_RR=retained_blocks(plant, controller, basis.lam),
-                      A_TT=mode_blocks(plant, basis.lam[N:M_modes]), A_TR=A_TR)
+    A_RR = mode_blocks(plant, basis.lam[:N])
+    A_RR[:, 0, :] += controller.Kbar
+    return ClosedLoop(A_RR=A_RR, A_TT=mode_blocks(plant, basis.lam[N:M_modes]), A_TR=A_TR)
 
 
 # ---------------------------------------------------------------------------
@@ -830,29 +823,23 @@ def certificate_bound_holds(traj: Trajectory, M_cert: float, delta: float) -> bo
     return bool(np.all(traj.l2_norm <= bound * (1.0 + _BOUND_SLACK) + _NORM_FLOOR))
 
 
-def target_residual(traj: Trajectory, plant: ValidatedPlant,
-                    controller: Controller, family: TransformFamily,
-                    basis: SpectralBasis, retained: Retained | None = None) -> float:
+def target_residual(traj: Trajectory, retained: Retained, A_RR: np.ndarray) -> float:
     """Relative defect of ydot^N = H y^N along the trajectory, y_n = T_n z_n.
 
-    The derivative is evaluated through the exact closed-loop generator of
-    the retained block, so the residual isolates the transform identity
-    rather than finite differencing error.  T_n and H_n are the stacks of
-    `retained`, evaluated from family unless given.
+    The derivative is evaluated through A_RR, the exact closed-loop
+    generator of the retained block (`ClosedLoop.A_RR`), so the residual
+    isolates the transform identity rather than finite differencing error.
+    T_n and H_n are the stacks of `retained`.
     """
-    N = controller.N
+    T, H = retained.T, retained.H
+    N = len(T)
     if N == 0:
         return 0.0
-    if retained is None:
-        lam = extend_basis(basis, N).lam[:N]
-        retained = retained_maps(plant, family, controller.K_Q, lam)
-    lam, T, H = retained.lam, retained.T, retained.H
-    A_cl = retained_blocks(plant, controller, lam)
 
     # Block n of every product acts on z_n alone: (N, m, samples) stacks.
     Z = traj.modal[:, :N, :].transpose(1, 2, 0)
     samples = len(traj.times)
-    defect = (T @ A_cl - H @ T) @ Z
+    defect = (T @ A_RR - H @ T) @ Z
     target = H @ (T @ Z)
     worst = float(np.max(np.linalg.norm(defect.reshape(-1, samples), axis=0)))
     scale = max(_NORM_FLOOR,

@@ -80,34 +80,17 @@ class Controller(NamedTuple):
 class Retained(NamedTuple):
     """What the synthesis evaluated on the N retained modes, for its readers to reuse.
 
-    T and T_inv are `mode_transform(family, lam)` on the retained eigenvalues
-    lam, H the target blocks `closed_blocks(plant, K_Q, lam)`, and
-    factorization the `checks.factorization` rows by which `build_controller`
-    refuses the gains.
+    `build_controller` returns it beside the controller.  T and T_inv are
+    `mode_transform(family, lam)` on the retained eigenvalues lam, H the
+    target blocks `closed_blocks(plant, K_Q, lam)`, and factorization the
+    `checks.factorization` rows by which `build_controller` refuses the gains.
     """
 
-    family: TransformFamily | None
     lam: np.ndarray
     T: np.ndarray      # (N, m, m)
     T_inv: np.ndarray  # (N, m, m)
     H: np.ndarray      # (N, m, m)
     factorization: list
-
-
-class Designed(Controller):
-    """A `Controller` as `build_controller` made it, with the maps it evaluated.
-
-    `retained` is an attribute, not a field: the gains file and
-    `model.record_to_dict` hold the controller's fields alone, and a copy
-    made by `_replace`, whose maps may differ, has none.
-    """
-
-    @classmethod
-    def of(cls, controller: Controller, retained: Retained) -> Designed:
-        """controller's fields, with its maps; pickles and copies keep both."""
-        self = cls._make(controller)
-        self.retained = retained
-        return self
 
 
 class Margins(NamedTuple):
@@ -277,18 +260,13 @@ def _solve_lyapunov_identity(Abar: np.ndarray) -> np.ndarray:
     return sym(vec.reshape(m, m))
 
 
-def modal_gains(plant: ValidatedPlant, family: TransformFamily, lambdas,
-                K_Q: np.ndarray, N: int, T: np.ndarray | None = None) -> np.ndarray:
-    """Row gains Kbar_n, n = 1..N, one per retained mode: shape (N, m).
+def modal_gains(plant: ValidatedPlant, lambdas, K_Q: np.ndarray,
+                T: np.ndarray) -> np.ndarray:
+    """Row gains Kbar_n, one per eigenvalue lambda_n: shape (len(lambdas), m).
 
-    T is the stack of `mode_transform(family, lambdas[:N])`, evaluated here
-    unless given.
+    T is the stack of `mode_transform(family, lambdas)`.
     """
-    lam = np.asarray(lambdas, dtype=float)[:N]
-    if lam.size < N:
-        raise ValueError(f"{N} modal gains need {N} eigenvalues, got {lam.size}")
-    if T is None:
-        T, _ = mode_transform(family, lam)
+    lam = np.asarray(lambdas, dtype=float)
     return sylvester_map(plant, lam, T)[:, 0, :] + np.matmul(K_Q, T)
 
 
@@ -335,19 +313,21 @@ def retained_maps(plant: ValidatedPlant, family: TransformFamily, K_Q: np.ndarra
                   lam) -> Retained:
     """T_n, T_n^-1 and H_n on the retained eigenvalues lam, each stack evaluated once."""
     T, T_inv = mode_transform(family, lam)
-    return Retained(family=family, lam=lam, T=T, T_inv=T_inv,
-                    H=closed_blocks(plant, K_Q, lam), factorization=[])
+    return Retained(lam=lam, T=T, T_inv=T_inv, H=closed_blocks(plant, K_Q, lam),
+                    factorization=[])
 
 
 def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
                      pole_offsets=None, basis: SpectralBasis | None = None,
-                     family: TransformFamily | None = None) -> Designed:
+                     family: TransformFamily | None = None
+                     ) -> tuple[Controller, Retained]:
     """End-to-end synthesis for a validated plant and decay rate delta.
 
+    Returns the controller and the maps it evaluated on the retained modes.
     When N is omitted the minimal mode count is used; a user-supplied N must
     be at least that minimum.  The first N plant shapes feed the N control
     channels.  The gains are refused by their `checks.factorization` rows,
-    which the controller's `retained` maps hold.
+    which the maps hold.
     """
     if basis is None:
         basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 8)
@@ -358,9 +338,8 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
         raise PlantInputError(f"N={N} is below the minimal mode count {N_min}")
     if N == 0:
         empty = np.zeros((0, plant.m, plant.m))
-        return Designed.of(zero_controller(delta, N_min, plant.m), Retained(
-            family=family, lam=basis.lam[:0], T=empty, T_inv=empty, H=empty,
-            factorization=[]))
+        return zero_controller(delta, N_min, plant.m), Retained(
+            lam=basis.lam[:0], T=empty, T_inv=empty, H=empty, factorization=[])
     if len(plant.shapes) < N:
         raise HypothesisHViolated(
             f"N={N} control channels need {N} shape functions, plant has "
@@ -372,7 +351,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
     if family is None:
         family = solve_transform_family(plant)
     maps = retained_maps(plant, family, K_Q, basis.lam[:N])
-    Kbar = modal_gains(plant, family, maps.lam, K_Q, N, maps.T)
+    Kbar = modal_gains(plant, maps.lam, K_Q, maps.T)
     Bmat, cond_B = input_matrix(plant.shapes[:N], basis, N)
     K = np.linalg.solve(Bmat, block_diagonal(Kbar[:, None]))
     controller = Controller(delta=float(delta), N=N, N_min=N_min, K_Q=K_Q, P=P,
@@ -384,7 +363,7 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
             f"N={N}: gain factorization residual {check.value:.3e} exceeds the "
             f"bound {check.bound:.0e} (cond(Bmat)={cond_B:.3e})"
         )
-    return Designed.of(controller, maps._replace(factorization=rows))
+    return controller, maps._replace(factorization=rows)
 
 
 def certificate_margins(plant: ValidatedPlant, controller: Controller,
@@ -419,13 +398,12 @@ def certificate_margins(plant: ValidatedPlant, controller: Controller,
     return margins
 
 
-def certificate(plant: ValidatedPlant, controller: Controller,
-                family: TransformFamily, basis: SpectralBasis,
-                M_modes: int = 30, retained: Retained | None = None) -> Certificate:
+def certificate(plant: ValidatedPlant, controller: Controller, retained: Retained,
+                basis: SpectralBasis, M_modes: int = 30) -> Certificate:
     """The sign conditions (`certificate_margins`), then the certificate's constants.
 
-    retained holds the maps of the retained modes; they are evaluated from
-    family unless given.  The overshoot constant is
+    retained holds the maps of the retained modes, as `build_controller`
+    returns them.  The overshoot constant is
 
         M = sqrt(c_upper * max(eig_max P, rho0) /
                  (c_lower * min(eig_min P, rho0))).
@@ -434,9 +412,6 @@ def certificate(plant: ValidatedPlant, controller: Controller,
     `check_coupling` has refused already for a synthesized controller.
     """
     N = controller.N
-    if retained is None:
-        lam = extend_basis(basis, max(M_modes, N + 1)).lam[:N]
-        retained = retained_maps(plant, family, controller.K_Q, lam)
     margins = certificate_margins(plant, controller, basis, retained.H, M_modes)
     if N == 0:
         # No retained modes: V = sum |z_n|^2 decays at rate delta directly.

@@ -123,8 +123,8 @@ class TestCriterion3GainIdentities:
             plant = random_plant(rng, m=sizes[trial % len(sizes)])
             family = solve_transform_family(plant)
             K_Q = rng.uniform(-1.0, 1.0, plant.m)
-            rows = modal_gains(plant, family, lambdas, K_Q, len(lambdas))
             T, T_inv = mode_transform(family, lambdas)
+            rows = modal_gains(plant, lambdas, K_Q, T)
             G = coupling_row(plant, lambdas, T, T_inv)
             for n in range(len(lambdas)):
                 assert abs(np.linalg.det(T[n]) - 1.0) <= 1e-10
@@ -140,9 +140,9 @@ class TestCriterion4ClosedLoopDecay:
     def test_decay_bound_and_open_loop(self, demo_plant, demo_basis, demo_initial):
         start = time.perf_counter()
         family = solve_transform_family(demo_plant)
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
-                               family=family, pole_offsets=DEMO_OFFSETS)
-        cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
+        ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
+                                     family=family, pole_offsets=DEMO_OFFSETS)
+        cert = certificate(demo_plant, ctl, maps, demo_basis, M_modes=30)
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         assert traj.fitted_decay >= 8.5
@@ -159,8 +159,8 @@ class TestCriterion5TargetEquivalence:
     def test_independent_target_propagation(self, demo_plant, demo_basis,
                                             demo_initial):
         family = solve_transform_family(demo_plant)
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
-                               family=family, pole_offsets=DEMO_OFFSETS)
+        ctl, _ = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
+                                  family=family, pole_offsets=DEMO_OFFSETS)
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
 
@@ -186,9 +186,9 @@ class TestCriterion5TargetEquivalence:
 class TestCriterion6CertificateSigns:
     def test_margins_strictly_negative(self, demo_plant, demo_basis):
         family = solve_transform_family(demo_plant)
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
-                               family=family, pole_offsets=DEMO_OFFSETS)
-        cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
+        ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
+                                     family=family, pole_offsets=DEMO_OFFSETS)
+        cert = certificate(demo_plant, ctl, maps, demo_basis, M_modes=30)
         assert len(cert.gamma_margins) == 3
         assert len(cert.omega_margins) == 27  # n = 4..30
         assert all(g < 0.0 for g in cert.gamma_margins)
@@ -222,7 +222,7 @@ class TestCriterion8DegenerateDiffusions:
                 not c.any() for c in family.coeffs
             )
             K_Q = rng.uniform(-2.0, 2.0, m)
-            rows = modal_gains(plant, family, lambdas, K_Q, 3)
+            rows = modal_gains(plant, lambdas, K_Q, mode_transform(family, lambdas)[0])
             for row in rows:
                 assert np.array_equal(row, K_Q)
 
@@ -233,7 +233,7 @@ class TestCriterion8DegenerateDiffusions:
             plant = random_plant(rng, m=m, force_sigma=2)
             family = solve_transform_family(plant)
             K_Q = rng.uniform(-2.0, 2.0, m)
-            rows = modal_gains(plant, family, lambdas, K_Q, 3)
+            rows = modal_gains(plant, lambdas, K_Q, mode_transform(family, lambdas)[0])
             shift = plant.D[0] - plant.D[-1]
             for n, lam in enumerate(lambdas):
                 expected = K_Q.copy()

@@ -644,8 +644,10 @@ class TestVerify:
         pipeline = cli._synthesize_pipeline
 
         def corrupted(plant, *args):
-            basis, family, controller, cert = pipeline(plant, *args)
-            return basis, corrupt_family(plant, family), controller, cert
+            basis, family, controller, retained = pipeline(plant, *args)
+            bad = corrupt_family(plant, family)
+            T, T_inv = transform.mode_transform(bad, retained.lam)
+            return basis, bad, controller, retained._replace(T=T, T_inv=T_inv)
 
         monkeypatch.setattr(cli, "_synthesize_pipeline", corrupted)
         rc = main(["verify", "--plant", plant_file, "--delta", "9", "--N", "3"])
@@ -715,9 +717,9 @@ class TestRefusalsReadChecks:
 
     def test_certificate_with_a_non_negative_gamma_margin(self, demo_plant, demo_basis):
         family = transform.solve_transform_family(demo_plant)
-        controller = synthesis.build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
-                                                family=family)
-        cert = synthesis.certificate(demo_plant, controller, family, demo_basis)
+        controller, maps = synthesis.build_controller(demo_plant, 9.0, N=3,
+                                                      basis=demo_basis, family=family)
+        cert = synthesis.certificate(demo_plant, controller, maps, demo_basis)
         assert all(row.ok for row in checks.certificate_signs(cert))
         synthesis._check_margins(cert)
         bad = cert._replace(gamma_margins=(*cert.gamma_margins[:-1], 0.0))
@@ -756,8 +758,8 @@ class TestBench:
         family = transform.solve_transform_family(demo_plant)
         for N in args.N_list:
             plant = demo_plant._replace(shapes=cli._bench_shapes(demo_plant.L, N))
-            controller = synthesis.build_controller(plant, args.delta, N=N, basis=basis,
-                                                    family=family)
+            controller, _ = synthesis.build_controller(plant, args.delta, N=N, basis=basis,
+                                                       family=family)
             assert checks.factorization(controller)[0].ok
 
     @pytest.mark.parametrize("value, item", [("2,x", "x"), ("", ""), ("3,0", "0"),
@@ -1086,7 +1088,8 @@ class TestVerifyEvaluatesOnce:
     def test_wide_family_call_counts(self, tmp_path, capsys, monkeypatch):
         """At the benchmark's wide-actuation sizes (N = 60, M = 120): one
         stack of T_n, one projection (Bmat, no tail), one factorization row,
-        and the certificate's margins without its constants."""
+        the certificate's margins without its constants, and the retained and
+        (empty) tail stacks of mode blocks, which the target residual reuses."""
         calls = {}
 
         def count(home, name):
@@ -1105,14 +1108,14 @@ class TestVerifyEvaluatesOnce:
                            (spectral, "shape_projection_matrix"),
                            (checks, "factorization"), (synthesis, "closed_blocks"),
                            (synthesis, "certificate_margins"),
-                           (synthesis, "certificate")):
+                           (synthesis, "certificate"), (synthesis, "mode_blocks")):
             count(home, name)
         monkeypatch.setattr(model.ShapeFunction, "l2_norm_sq", None)  # beta's norms
         assert main(["verify", *TestFactorizationRefusal._plant(tmp_path, 60)]) == 0
         assert "verification PASSED" in capsys.readouterr().out
         assert calls == {"mode_transform": 1, "shape_projection_matrix": 1,
                          "factorization": 1, "closed_blocks": 1,
-                         "certificate_margins": 1}
+                         "certificate_margins": 1, "mode_blocks": 2}
 
 
 class TestNumericalRefusals:

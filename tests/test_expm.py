@@ -81,7 +81,7 @@ def captured_stacks(monkeypatch, run) -> list:
 def demo_controller(demo_plant, demo_basis):
     family = solve_transform_family(demo_plant)
     return build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family,
-                            pole_offsets=DEMO_OFFSETS)
+                            pole_offsets=DEMO_OFFSETS)[0]
 
 
 class TestMpmathOracle:
@@ -172,9 +172,9 @@ class TestBalancing:
         plant = wide_plant(N)
         M = 2 * N
         basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
-        ctl = build_controller(plant, 9.0, N=N, basis=basis,
-                               family=solve_transform_family(plant),
-                               pole_offsets=DEMO_OFFSETS)
+        ctl, _ = build_controller(plant, 9.0, N=N, basis=basis,
+                                  family=solve_transform_family(plant),
+                                  pole_offsets=DEMO_OFFSETS)
         system = dense_closed_loop(assemble_closed_loop(plant, ctl, basis, M))
         stack = group_stack(system * (2.0 / 400), 3, N, k)
         assert 45 <= stack.shape[1] <= 60
@@ -299,9 +299,9 @@ def test_shared_powers_give_fresh_ell():
 
 def closed_loop(plant, N: int, M: int) -> simulator.ClosedLoop:
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, M)
-    ctl = build_controller(plant, 9.0, N=N, basis=basis,
-                           family=solve_transform_family(plant),
-                           pole_offsets=DEMO_OFFSETS)
+    ctl, _ = build_controller(plant, 9.0, N=N, basis=basis,
+                              family=solve_transform_family(plant),
+                              pole_offsets=DEMO_OFFSETS)
     return assemble_closed_loop(plant, ctl, basis, M)
 
 

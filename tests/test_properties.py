@@ -229,23 +229,24 @@ def per_mode_closed_loop(plant, controller, basis, M_modes):
 
 
 def synthesized(plant, delta, basis):
-    """Controller at the minimal N, or None when N is 0 or synthesis refuses.
+    """Controller at the minimal N and its retained-mode maps, or (None, None)
+    when N is 0 or synthesis refuses.
 
     Synthesis refuses when N exceeds the shapes, and when the gains are so
     large that the coupling certificate is at the rounding level of P.
     """
     try:
-        ctl = build_controller(plant, delta, basis=basis)
+        ctl, maps = build_controller(plant, delta, basis=basis)
     except (HypothesisHViolated, CertificateAtRoundingLevel):
-        return None
-    return ctl if ctl.N > 0 else None
+        return None, None
+    return (ctl, maps) if ctl.N > 0 else (None, None)
 
 
 @given(plant=cascades(), delta=st.floats(0.5, 8.0, **finite),
        extra=st.integers(0, 40))
 def test_assembly_matches_per_mode_loop(plant, delta, extra):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 60)
-    ctl = synthesized(plant, delta, basis)
+    ctl, _ = synthesized(plant, delta, basis)
     assume(ctl is not None)
     N, M, m = ctl.N, ctl.N + extra, plant.m
     loop = assemble_closed_loop(plant, ctl, basis, M)
@@ -274,7 +275,7 @@ def test_assembly_matches_per_mode_loop(plant, delta, extra):
        extra=st.integers(1, 60))
 def test_retained_only_run_matches_full_run(plant, delta, extra):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 80)
-    ctl = synthesized(plant, delta, basis)
+    ctl, _ = synthesized(plant, delta, basis)
     assume(ctl is not None)
     N, M, m = ctl.N, ctl.N + extra, plant.m
     z0 = np.array([[1.0 / n] * m for n in range(1, M + 1)])  # verify's run
@@ -309,11 +310,11 @@ def test_certificate_bound_holds_on_random_cascades():
         plant = plant._replace(shapes=tuple(
             ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1) for j in range(1, N + 1)))
         try:
-            ctl = build_controller(plant, delta, N=N, basis=basis)
+            ctl, maps = build_controller(plant, delta, N=N, basis=basis)
         except CertificateAtRoundingLevel:
             return
         M = N + extra
-        cert = certificate(plant, ctl, solve_transform_family(plant), basis, M_modes=M)
+        cert = certificate(plant, ctl, maps, basis, M_modes=M)
         z0 = [ShapeFunction.polynomial(1.0, -0.3 * i, 0.1) for i in range(plant.m)]
         traj = run_closed_loop(plant, ctl, basis, z0,
                                SimConfig(M_modes=M, t_final=0.2, dt_out=0.002))
@@ -350,11 +351,10 @@ def test_certificate_signs_in_50_digits_on_random_cascades():
         plant = plant._replace(shapes=tuple(
             ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1) for j in range(1, N + 1)))
         try:
-            ctl = build_controller(plant, delta, N=N, basis=basis)
+            ctl, maps = build_controller(plant, delta, N=N, basis=basis)
         except CertificateAtRoundingLevel:
             return
-        cert = certificate(plant, ctl, solve_transform_family(plant), basis,
-                           M_modes=N + 1)
+        cert = certificate(plant, ctl, maps, basis, M_modes=N + 1)
         certified.append(plant.m)
         with mpmath.workdps(50):
             eye = mpmath.eye(plant.m)
@@ -461,7 +461,7 @@ def test_stacked_transform_matches_per_mode(plant, basis, data):
     T, T_inv = mode_transform(family, lam)
     G = coupling_row(plant, lam, T, T_inv)
     cancel = cancellation_residual(plant, lam, T, G)
-    gains = modal_gains(plant, family, lam, K_Q, N)
+    gains = modal_gains(plant, lam, K_Q, T)
     H = closed_blocks(plant, K_Q, lam)
     assert T.shape == T_inv.shape == H.shape == (N, plant.m, plant.m)
     assert G.shape == gains.shape == (N, plant.m) and cancel.shape == (N,)
@@ -481,10 +481,10 @@ def test_stacked_transform_matches_per_mode(plant, basis, data):
 @given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
 def test_certificate_matches_per_mode(plant, delta):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
-    ctl = synthesized(plant, delta, basis)
+    ctl, maps = synthesized(plant, delta, basis)
     assume(ctl is not None)
     family = solve_transform_family(plant)
-    cert = certificate(plant, ctl, family, basis, M_modes=30)
+    cert = certificate(plant, ctl, maps, basis, M_modes=30)
     lam = basis.lam[:ctl.N].tolist()
     forms = [per_mode_transform(family, l) for l in lam]
     inv_sq = max(float(np.linalg.norm(inverse, 2)) ** 2 for _T, inverse, _S in forms)
@@ -504,10 +504,10 @@ def test_margins_alone_match_certificate(plant, delta):
     """`verify`'s route, the margins from the maps that synthesis evaluated,
     gives the certificate's rho, gamma and omega margins bit for bit."""
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
-    ctl = synthesized(plant, delta, basis)
+    ctl, maps = synthesized(plant, delta, basis)
     assume(ctl is not None)
-    cert = certificate(plant, ctl, solve_transform_family(plant), basis, M_modes=30)
-    margins = certificate_margins(plant, ctl, basis, ctl.retained.H, M_modes=30)
+    cert = certificate(plant, ctl, maps, basis, M_modes=30)
+    margins = certificate_margins(plant, ctl, basis, maps.H, M_modes=30)
     for name in ("rho", "gamma_margins", "omega_margins"):
         assert (np.array(getattr(margins, name)).tobytes()
                 == np.array(getattr(cert, name)).tobytes())
@@ -523,7 +523,7 @@ def relative(a, b):
 @given(plant=cascades(max_m=5), delta=st.floats(0.5, 8.0, **finite))
 def test_gain_route_and_factorization(plant, delta):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
-    ctl = synthesized(plant, delta, basis)
+    ctl, _ = synthesized(plant, delta, basis)
     assume(ctl is not None)
     N, m = ctl.N, plant.m
     lam = basis.lam[:N]
@@ -551,7 +551,7 @@ def test_coupling_gain_does_not_depend_on_N(plant, delta):
     gains = []
     for N in range(max(N_min, 1), len(plant.shapes) + 1):
         try:
-            ctl = build_controller(plant, delta, N=N, basis=basis)
+            ctl, _ = build_controller(plant, delta, N=N, basis=basis)
         except (HypothesisHViolated, CertificateAtRoundingLevel):
             continue
         gains.append((ctl.K_Q, ctl.P))
@@ -564,13 +564,14 @@ def test_coupling_gain_does_not_depend_on_N(plant, delta):
        scale=st.floats(0.5, 1.5, **finite))
 def test_target_residual_matches_block_diagonal_form(plant, delta, scale):
     basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 40)
-    ctl = synthesized(plant, delta, basis)
+    ctl, maps = synthesized(plant, delta, basis)
     assume(ctl is not None)
     ctl = ctl._replace(Kbar=ctl.Kbar * scale)  # a nonzero defect too
     N, m = ctl.N, plant.m
     family = solve_transform_family(plant)
     z0 = np.array([[1.0 / n] * m for n in range(1, N + 1)])
-    traj = integrate(assemble_closed_loop(plant, ctl, basis, N), z0, 0.1, 0.1 / 50)
+    loop = assemble_closed_loop(plant, ctl, basis, N)
+    traj = integrate(loop, z0, 0.1, 0.1 / 50)
     lam = basis.lam[:N].tolist()
     T = scipy.linalg.block_diag(*[per_mode_transform(family, l)[0] for l in lam])
     H = scipy.linalg.block_diag(*[per_mode_closed_block(plant, ctl.K_Q, l) for l in lam])
@@ -583,5 +584,5 @@ def test_target_residual_matches_block_diagonal_form(plant, delta, scale):
     defect = (T @ scipy.linalg.block_diag(*blocks) - H @ T) @ Z
     expected = (np.max(np.linalg.norm(defect, axis=0))
                 / np.max(np.linalg.norm(H @ (T @ Z), axis=0)))
-    res = target_residual(traj, plant, ctl, family, basis)
+    res = target_residual(traj, maps, loop.A_RR)
     assert res == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -53,7 +53,6 @@ from cascade_stab.synthesis import (
     select_mode_count,
     zero_controller,
 )
-from cascade_stab.transform import mode_transform, solve_transform_family
 
 from conftest import dense_closed_loop, random_plant
 
@@ -62,11 +61,10 @@ DEMO_OFFSETS = (4.0, 6.0, 9.0)
 
 @pytest.fixture(scope="module")
 def demo_closed_loop(demo_plant, demo_basis):
-    family = solve_transform_family(demo_plant)
-    ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family,
-                           pole_offsets=DEMO_OFFSETS)
-    cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
-    return family, ctl, cert
+    ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis,
+                                 pole_offsets=DEMO_OFFSETS)
+    cert = certificate(demo_plant, ctl, maps, demo_basis, M_modes=30)
+    return maps, ctl, cert
 
 
 class TestProjectInitial:
@@ -175,7 +173,7 @@ class TestAssembleClosedLoop:
         assert np.all(off == 0.0)
 
     def test_demo_closed_loop_is_stable(self, demo_plant, demo_basis, demo_closed_loop):
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         A = dense_closed_loop(assemble_closed_loop(demo_plant, ctl, demo_basis, 30))
         assert A.shape == (90, 90)
         assert np.max(np.linalg.eigvals(A).real) < 0.0
@@ -186,7 +184,7 @@ class TestAssembleClosedLoop:
             gamma1=1.0, gamma2=0.0, shapes=(ShapeFunction.indicator(0.1, 0.2),)))
         basis = build_basis(math.pi, 1.0, 0.0, 1)
         # delta = 0.1: mode 1 is unstable, mode 2 already decays fast enough
-        ctl = build_controller(plant, 0.1, N=1, basis=build_basis(math.pi, 1, 0, 3))
+        ctl, _ = build_controller(plant, 0.1, N=1, basis=build_basis(math.pi, 1, 0, 3))
         loop = assemble_closed_loop(plant, ctl, basis, 1)
         from cascade_stab.spectral import input_projection_row
 
@@ -201,7 +199,7 @@ class TestAssembleClosedLoop:
                                                           demo_closed_loop):
         """A_RR is mode_blocks with Kbar_n added to row 0 of block n, and A_TT
         is mode_blocks: both keep a -0.0 of Q below row 0."""
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         Q = demo_plant.Q.copy()
         Q[2, 0] = -0.0
         plant = validate_plant(PlantSpec(m=3, D=demo_plant.D, Q=Q, L=demo_plant.L,
@@ -267,7 +265,7 @@ class TestIntegrate:
 
     def test_norm_consistent_with_coefficients(self, demo_plant, demo_basis,
                                                demo_initial, demo_closed_loop):
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         cfg = SimConfig(M_modes=10, t_final=0.2)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         for k in range(len(traj.times)):
@@ -276,7 +274,7 @@ class TestIntegrate:
 
     def test_demo_certificate_bound(self, demo_plant, demo_basis, demo_initial,
                                     demo_closed_loop):
-        _family, ctl, cert = demo_closed_loop
+        _maps, ctl, cert = demo_closed_loop
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         assert certificate_bound_holds(traj, cert.M, 9.0) is True
@@ -326,7 +324,7 @@ def random_closed_loops(draw):
     plant = validate_plant(PlantSpec(m=m, D=plant.D, Q=plant.Q, L=plant.L, gamma1=1.0,
                                      gamma2=0.0, shapes=shapes))
     try:
-        ctl = build_controller(plant, delta, N=N, basis=basis)
+        ctl, _ = build_controller(plant, delta, N=N, basis=basis)
     except CertificateAtRoundingLevel:
         assume(False)
     M = N + draw(st.integers(1, 40))
@@ -343,7 +341,7 @@ class TestBlockIntegrator:
     @pytest.mark.parametrize("M, tol", [(30, 1e-10), (200, 1e-9)])
     def test_demo_closed_loop(self, demo_plant, demo_initial, demo_closed_loop,
                               M, tol):
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         basis, loop = self._demo_system(demo_plant, ctl, M)
         assert block_shapes(loop) == ((3, 3, 3), (M - 3, 3, 3), (M - 3, 3, 9))
         z0 = project_initial(demo_initial, basis, M)
@@ -368,7 +366,7 @@ class TestBlockIntegrator:
             m=3, D=demo_plant.D, Q=demo_plant.Q, L=demo_plant.L,
             gamma1=1.0, gamma2=0.0, shapes=shapes))
         basis = build_basis(plant.L, 1.0, 0.0, 12)
-        ctl = build_controller(plant, 9.0, N=5, basis=basis)
+        ctl, _ = build_controller(plant, 9.0, N=5, basis=basis)
         loop = assemble_closed_loop(plant, ctl, basis, 12)
         assert block_shapes(loop) == ((5, 3, 3), (7, 3, 3), (7, 3, 15))
         z0 = np.linspace(1.0, -0.5, 36).reshape(12, 3)
@@ -424,7 +422,7 @@ class TestBlockIntegrator:
                        for j in range(1, N + 1))
         plant = validate_plant(PlantSpec(m=m, D=plant.D, Q=plant.Q, L=plant.L,
                                          gamma1=1.0, gamma2=0.0, shapes=shapes))
-        ctl = build_controller(plant, 5.282588370854574, N=N, basis=basis)
+        ctl, _ = build_controller(plant, 5.282588370854574, N=N, basis=basis)
         loop = assemble_closed_loop(plant, ctl, basis, M)
         z0 = np.linspace(1.0, -0.5, M * m).reshape(M, m)
         traj = integrate(loop, z0, 0.2, 0.2 / 100)
@@ -446,7 +444,7 @@ class TestBlockIntegrator:
 
     def test_norm_matches_coefficients(self, demo_plant, demo_initial,
                                        demo_closed_loop):
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         basis, A = self._demo_system(demo_plant, ctl, 30)
         traj = integrate(A, project_initial(demo_initial, basis, 30), 1.0, 1.0 / 400.0)
         recomputed = np.array([np.linalg.norm(z) for z in traj.modal])
@@ -623,7 +621,7 @@ class TestEstimateDecay:
     def test_pure_tail_mode_decay(self, demo_plant, demo_basis, demo_closed_loop):
         # data only in mode 4: z^N stays zero, feedback never acts, and the
         # decay matches the open tail block -lambda_4 D + Q.
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         A = assemble_closed_loop(demo_plant, ctl, demo_basis, 10)
         z0 = np.zeros((10, 3))
         z0[3] = [1.0, -0.5, 0.25]
@@ -658,10 +656,11 @@ class TestEstimateDecay:
 class TestTargetResidual:
     def test_demo_target_dynamics(self, demo_plant, demo_basis, demo_initial,
                                   demo_closed_loop):
-        family, ctl, _cert = demo_closed_loop
+        maps, ctl, _cert = demo_closed_loop
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
-        res = target_residual(traj, demo_plant, ctl, family, demo_basis)
+        A_RR = assemble_closed_loop(demo_plant, ctl, demo_basis, 3).A_RR
+        res = target_residual(traj, maps, A_RR)
         assert res <= 1e-6
 
     def test_identity_family_matches_plain_residual(self, rng):
@@ -669,39 +668,41 @@ class TestTargetResidual:
 
         plant = random_plant(rng, m=3, force_sigma=1)
         basis = build_basis(math.pi, 1.0, 0.0, 20)
-        family = solve_transform_family(plant)
-        ctl = build_controller(plant, 1.5, basis=basis, family=family)
+        ctl, maps = build_controller(plant, 1.5, basis=basis)
         if ctl.N == 0:
             pytest.skip("plant already stable at this rate")
         cfg = SimConfig(M_modes=12, t_final=0.5)
         z0 = [(lambda c: (lambda x: np.cos(c * x) + 0.5))(i + 1) for i in range(3)]
         traj = run_closed_loop(plant, ctl, basis, z0, cfg)
-        res = target_residual(traj, plant, ctl, family, basis)
+        A_RR = assemble_closed_loop(plant, ctl, basis, ctl.N).A_RR
+        res = target_residual(traj, maps, A_RR)
         assert res <= 1e-8
 
     def test_perturbed_gain_breaks_identity(self, demo_plant, demo_basis,
                                             demo_initial, demo_closed_loop):
-        family, ctl, _cert = demo_closed_loop
+        maps, ctl, _cert = demo_closed_loop
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
-        clean = target_residual(traj, demo_plant, ctl, family, demo_basis)
+        A_RR = assemble_closed_loop(demo_plant, ctl, demo_basis, 3).A_RR
+        clean = target_residual(traj, maps, A_RR)
         bad = Controller(delta=ctl.delta, N=ctl.N, N_min=ctl.N_min, K_Q=ctl.K_Q,
                          P=ctl.P, Kbar=ctl.Kbar * 1.1, Bmat=ctl.Bmat,
                          cond_B=ctl.cond_B, K=ctl.K)
-        dirty = target_residual(traj, demo_plant, bad, family, demo_basis)
+        A_RR = assemble_closed_loop(demo_plant, bad, demo_basis, 3).A_RR
+        dirty = target_residual(traj, maps, A_RR)
         assert dirty > max(clean * 10.0, 1e-4)
 
     def test_matches_per_sample_loop(self, demo_plant, demo_basis, demo_initial,
                                      demo_closed_loop):
         # Reference: the defect and the scale taken one sample at a time.
-        family, ctl, _cert = demo_closed_loop
+        maps, ctl, _cert = demo_closed_loop
         bad = Controller(delta=ctl.delta, N=ctl.N, N_min=ctl.N_min, K_Q=ctl.K_Q,
                          P=ctl.P, Kbar=ctl.Kbar * 1.1, Bmat=ctl.Bmat,
                          cond_B=ctl.cond_B, K=ctl.K)
         cfg = SimConfig(M_modes=30, t_final=1.0)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         lams = demo_basis.lam[:3]
-        T = scipy.linalg.block_diag(*mode_transform(family, lams)[0])
+        T = scipy.linalg.block_diag(*maps.T)
         H = scipy.linalg.block_diag(*closed_blocks(demo_plant, bad.K_Q, lams))
         blocks = []
         for n, lam in enumerate(lams):
@@ -711,7 +712,8 @@ class TestTargetResidual:
         defect = T @ scipy.linalg.block_diag(*blocks) - H @ T
         worst = max(np.linalg.norm(defect @ z[:3].reshape(-1)) for z in traj.modal)
         scale = max(np.linalg.norm(H @ (T @ z[:3].reshape(-1))) for z in traj.modal)
-        res = target_residual(traj, demo_plant, bad, family, demo_basis)
+        A_RR = assemble_closed_loop(demo_plant, bad, demo_basis, 3).A_RR
+        res = target_residual(traj, maps, A_RR)
         assert res == pytest.approx(worst / scale, rel=1e-12)
 
 
@@ -792,7 +794,7 @@ class TestReconstructField:
 class TestTruncationAndOpenLoop:
     def test_truncation_robustness(self, demo_plant, demo_basis, demo_initial,
                                    demo_closed_loop):
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         fits = []
         for M in (30, 60):
             basis = build_basis(demo_plant.L, 1.0, 0.0, M)
@@ -803,7 +805,7 @@ class TestTruncationAndOpenLoop:
 
     def test_open_loop_instability(self, demo_plant, demo_basis, demo_initial,
                                    demo_closed_loop):
-        _family, ctl, _cert = demo_closed_loop
+        _maps, ctl, _cert = demo_closed_loop
         block = -demo_basis.lam[0] * np.diag(demo_plant.D) + demo_plant.Q
         assert np.max(np.linalg.eigvals(block).real) > 0.0
         cfg = SimConfig(M_modes=30, t_final=1.0)
@@ -815,7 +817,7 @@ class TestTruncationAndOpenLoop:
 class TestCsvExport:
     def test_export_files(self, tmp_path, demo_plant, demo_basis, demo_initial,
                           demo_closed_loop):
-        _family, ctl, cert = demo_closed_loop
+        _maps, ctl, cert = demo_closed_loop
         cfg = SimConfig(M_modes=5, t_final=0.1, dt_out=0.05)
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         modal_path = tmp_path / "modal.csv"

@@ -1,6 +1,5 @@
 import json
 import math
-import pickle
 
 import mpmath
 import numpy as np
@@ -26,6 +25,7 @@ from cascade_stab.synthesis import (
     gains_to_dict,
     input_matrix,
     modal_gains,
+    retained_maps,
     select_mode_count,
     selection_margins,
     stabilize_coupling,
@@ -211,7 +211,7 @@ class TestModalGains:
         family = solve_transform_family(plant)
         K_Q = np.array([-5.0, -7.0])
         lambdas = [0.25, 2.25, 6.25]
-        rows = modal_gains(plant, family, lambdas, K_Q, 3)
+        rows = modal_gains(plant, lambdas, K_Q, mode_transform(family, lambdas)[0])
         for n, lam in enumerate(lambdas):
             np.testing.assert_allclose(
                 rows[n], K_Q + np.array([lam * (2.0 - 1.0), 0.0]), atol=1e-12
@@ -221,7 +221,8 @@ class TestModalGains:
         plant = random_plant(rng, m=4, force_sigma=1)
         family = solve_transform_family(plant)
         K_Q = rng.uniform(-3.0, 3.0, 4)
-        rows = modal_gains(plant, family, [0.25, 2.25, 6.25], K_Q, 3)
+        lambdas = [0.25, 2.25, 6.25]
+        rows = modal_gains(plant, lambdas, K_Q, mode_transform(family, lambdas)[0])
         for row in rows:
             np.testing.assert_allclose(row, K_Q, atol=1e-13)
 
@@ -230,7 +231,7 @@ class TestModalGains:
         # published row gain for the coupling matrix as input.
         family = solve_transform_family(demo_plant)
         K_Q = np.array([-67.5, -3059.0, -5823.0])
-        rows = modal_gains(demo_plant, family, [0.25], K_Q, 1)
+        rows = modal_gains(demo_plant, [0.25], K_Q, mode_transform(family, [0.25])[0])
         np.testing.assert_allclose(
             rows[0], [-68.25, -3075.9375, -5823.5], atol=1e-12
         )
@@ -240,19 +241,14 @@ class TestModalGains:
         M = (Q - 1.5 * np.eye(3)) @ T1 + T1 @ (0.25 * D - Q)
         np.testing.assert_allclose(rows[0], M[0, :] + K_Q @ T1, atol=1e-12)
 
-    def test_too_few_eigenvalues_rejected(self, demo_plant):
-        family = solve_transform_family(demo_plant)
-        with pytest.raises(ValueError):
-            modal_gains(demo_plant, family, [0.25, 2.25], np.zeros(3), 3)
-
     def test_gain_route_equality_random(self, rng):
         lambdas = [0.25, 2.25, 6.25, 12.25]
         for _ in range(100):
             plant = random_plant(rng)
             family = solve_transform_family(plant)
             K_Q = rng.uniform(-2.0, 2.0, plant.m)
-            rows = modal_gains(plant, family, lambdas, K_Q, len(lambdas))
             T, T_inv = mode_transform(family, lambdas)
+            rows = modal_gains(plant, lambdas, K_Q, T)
             G = coupling_row(plant, lambdas, T, T_inv)
             for n in range(len(lambdas)):
                 other = (K_Q - G[n]) @ T[n]
@@ -287,7 +283,7 @@ class TestInputMatrix:
 
 class TestBuildController:
     def test_demo_controller(self, demo_plant, demo_basis):
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis)
+        ctl, _ = build_controller(demo_plant, 9.0, N=3, basis=demo_basis)
         assert ctl.N == 3
         assert ctl.N_min == 2
         assert ctl.K.shape == (3, 9)
@@ -302,7 +298,7 @@ class TestBuildController:
         assert np.max(np.abs(recon - target)) / scale <= 1e-9
 
     def test_minimal_N_when_omitted(self, demo_plant, demo_basis):
-        ctl = build_controller(demo_plant, 9.0, basis=demo_basis)
+        ctl, _ = build_controller(demo_plant, 9.0, basis=demo_basis)
         assert ctl.N == 2
 
     def test_user_N_below_minimum_rejected(self, demo_plant, demo_basis):
@@ -311,7 +307,7 @@ class TestBuildController:
 
     def test_stable_plant_empty_controller(self):
         plant = simple_plant([1.0], [[-5.0]])
-        ctl = build_controller(plant, 0.01)
+        ctl, _ = build_controller(plant, 0.01)
         assert ctl.N == 0
         assert ctl.K.size == 0
 
@@ -319,24 +315,23 @@ class TestBuildController:
         plant = random_plant(rng, m=3, force_sigma=1)
         basis = build_basis(math.pi, 1.0, 0.0, 20)
         delta = 2.0
-        ctl = build_controller(plant, delta, basis=basis)
+        ctl, _ = build_controller(plant, delta, basis=basis)
         if ctl.N == 0:
             pytest.skip("plant already stable at this rate")
         for row in ctl.Kbar:
             np.testing.assert_allclose(row, ctl.K_Q, atol=1e-11)
 
-    def test_retained_maps_travel_with_the_controller(self, demo_plant, demo_basis):
-        """The maps are an attribute, not a field: the record, a pickled copy
-        and the gains file keep the controller's fields; `_replace` drops them."""
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis)
-        T, _ = mode_transform(solve_transform_family(demo_plant), demo_basis.lam[:3])
-        assert ctl.retained.T.tobytes() == T.tobytes()
-        assert ctl.retained.factorization[0].name == "gain factorization"
-        copy = pickle.loads(pickle.dumps(ctl))
-        assert copy.retained.H.tobytes() == ctl.retained.H.tobytes()
-        assert copy.K.tobytes() == ctl.K.tobytes()
+    def test_returns_a_plain_controller_and_its_maps(self, demo_plant, demo_basis):
+        """The maps come beside the controller, bit for bit those of
+        `retained_maps`; the gains file holds the controller's fields alone."""
+        family = solve_transform_family(demo_plant)
+        ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
+        assert type(ctl) is Controller
+        again = retained_maps(demo_plant, family, ctl.K_Q, demo_basis.lam[:3])
+        for name in ("lam", "T", "T_inv", "H"):
+            assert getattr(maps, name).tobytes() == getattr(again, name).tobytes(), name
+        assert maps.factorization[0].name == "gain factorization"
         assert list(gains_to_dict(ctl)) == list(Controller._fields)
-        assert not hasattr(ctl._replace(N=3), "retained")
 
     def test_too_few_shapes_raises(self, demo_basis):
         plant = simple_plant([4.0, 5.0, 6.0],
@@ -349,8 +344,8 @@ class TestBuildController:
 class TestCertificate:
     def test_demo_certificate(self, demo_plant, demo_basis):
         family = solve_transform_family(demo_plant)
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
-        cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
+        ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
+        cert = certificate(demo_plant, ctl, maps, demo_basis, M_modes=30)
         assert cert.rho > 0.0
         assert cert.rho_bar == 4.0
         assert all(g < 0.0 for g in cert.gamma_margins)
@@ -366,17 +361,17 @@ class TestCertificate:
         plant = random_plant(rng, m=3, force_sigma=1)
         basis = build_basis(math.pi, 1.0, 0.0, 20)
         family = solve_transform_family(plant)
-        ctl = build_controller(plant, 1.5, basis=basis, family=family)
+        ctl, maps = build_controller(plant, 1.5, basis=basis, family=family)
         if ctl.N == 0:
             pytest.skip("plant already stable at this rate")
-        cert = certificate(plant, ctl, family, basis, M_modes=15)
+        cert = certificate(plant, ctl, maps, basis, M_modes=15)
         assert cert.c_lower == 1.0
         assert cert.c_upper == 1.0
 
     def test_beta_matches_definition(self, demo_plant, demo_basis):
         family = solve_transform_family(demo_plant)
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
-        cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
+        ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
+        cert = certificate(demo_plant, ctl, maps, demo_basis, M_modes=30)
         _T, T_inv = mode_transform(family, demo_basis.lam[:3])
         infl = max(np.linalg.norm(inverse, 2) ** 2 for inverse in T_inv)
         total = sum(s.l2_norm_sq(demo_plant.L) for s in demo_plant.shapes)
@@ -423,8 +418,8 @@ class TestBlockDiagonal:
 class TestGainsSerialization:
     def test_round_trip(self, demo_plant, demo_basis):
         family = solve_transform_family(demo_plant)
-        ctl = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
-        cert = certificate(demo_plant, ctl, family, demo_basis, M_modes=30)
+        ctl, maps = build_controller(demo_plant, 9.0, N=3, basis=demo_basis, family=family)
+        cert = certificate(demo_plant, ctl, maps, demo_basis, M_modes=30)
         blob = json.dumps(gains_to_dict(ctl, cert), default=np.ndarray.tolist)
         obj = json.loads(blob)
         ctl2 = controller_from_dict(obj)
@@ -437,7 +432,7 @@ class TestGainsSerialization:
 
     def test_empty_controller_round_trip(self):
         plant = simple_plant([1.0], [[-5.0]])
-        ctl = build_controller(plant, 0.01)
+        ctl, _ = build_controller(plant, 0.01)
         obj = json.loads(json.dumps(gains_to_dict(ctl), default=np.ndarray.tolist))
         ctl2 = controller_from_dict(obj)
         assert ctl2.N == 0

@@ -5,7 +5,9 @@ A code line holds at least one token that is not a comment, and is not
 part of a docstring (the first statement of a module, class or function,
 when it is a string).  Blank lines, comment lines and docstring lines are
 left out; a line that mixes code and a comment counts as code.  Prints one
-row per module and a total row:
+row per module and a total row, then the sizes of the integer and float
+literal pools that Hypothesis draws from for the package's source (computed
+from the text, without importing it or writing a `.hypothesis` cache):
 
     python3 tools/src_lines.py
     python3 tools/src_lines.py /path/to/other/src/cascade_stab
@@ -45,6 +47,20 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
+def literal_pools(sources: list[str]) -> str:
+    """The sizes of Hypothesis's int and float literal pools of the sources."""
+    try:
+        from hypothesis.internal.constants_ast import _constants_from_source
+    except ImportError:
+        return "hypothesis literal pools: hypothesis is not installed"
+    ints, floats = set(), set()
+    for source in sources:
+        constants = _constants_from_source(source, limit=True)
+        ints |= constants.integers
+        floats |= constants.floats
+    return f"hypothesis literal pools: {len(ints)} ints, {len(floats)} floats"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("package", nargs="?", default=ROOT / "src" / "cascade_stab",
@@ -53,12 +69,14 @@ def main() -> None:
     paths = sorted(args.package.glob("*.py"))
     if not paths:
         parser.error(f"no .py files in {args.package}")
-    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in paths]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    rows = [(path.name, *count(source)) for path, source in zip(paths, sources)]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(name) for name, _, _ in rows)
     print(f"{'module':<{width}}  {'total':>6}  {'code':>6}")
     for name, total, code in rows:
         print(f"{name:<{width}}  {total:>6}  {code:>6}")
+    print(literal_pools(sources))
 
 
 if __name__ == "__main__":
