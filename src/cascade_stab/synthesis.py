@@ -264,9 +264,12 @@ def modal_gains(plant: ValidatedPlant, lambdas, K_Q: np.ndarray,
                 T: np.ndarray) -> np.ndarray:
     """Row gains Kbar_n, one per eigenvalue lambda_n: shape (len(lambdas), m).
 
-    T is the stack of `mode_transform(family, lambdas)`.
+    T is the stack of `mode_transform(family, lambdas)`; a T with a different
+    number of slices is a ValueError, since a single eigenvalue would broadcast.
     """
     lam = np.asarray(lambdas, dtype=float)
+    if lam.size != len(T):
+        raise ValueError(f"{lam.size} eigenvalues for {len(T)} transforms")
     return sylvester_map(plant, lam, T)[:, 0, :] + np.matmul(K_Q, T)
 
 

@@ -241,6 +241,13 @@ class TestModalGains:
         M = (Q - 1.5 * np.eye(3)) @ T1 + T1 @ (0.25 * D - Q)
         np.testing.assert_allclose(rows[0], M[0, :] + K_Q @ T1, atol=1e-12)
 
+    def test_too_few_eigenvalues_rejected(self, demo_plant):
+        family = solve_transform_family(demo_plant)
+        T = mode_transform(family, [0.25, 2.25, 6.25])[0]
+        for lambdas in ([0.25, 2.25], [0.25]):
+            with pytest.raises(ValueError):
+                modal_gains(demo_plant, lambdas, np.zeros(3), T)
+
     def test_gain_route_equality_random(self, rng):
         lambdas = [0.25, 2.25, 6.25, 12.25]
         for _ in range(100):
