@@ -34,8 +34,8 @@ rows, against 100 once balanced); unbalanced, wide-actuation's come out
 with relative errors near 2e-7.  Each slice is first scaled to D^-1 A D
 with D a diagonal of powers of two (Parlett and Reinsch, Numer. Math. 13,
 1969, as LAPACK's gebal does with job 'S'), which adds no rounding.  From
-exact 1-norms of A^4 and A^6, and of A^8 and A^10 where bounds on them do
-not settle the choice, each slice takes the least Pade degree m in
+exact 1-norms of A^4 and A^6, and of A^8 and A^10 for the slices that
+degrees 3 and 5 do not serve, each slice takes the least Pade degree m in
 {3, 5, 7, 9, 13} whose backward error bound holds, or m = 13 with s
 squarings; the bound's correction ell needs the 1-norm of |A|^(2m+1) only
 where ||A||^(2m+1) does not already settle it, and every degree reads it
@@ -319,8 +319,6 @@ def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             best = np.minimum(best, norm)
             k += step
     keep = norm < original
-    if not keep.any():
-        return np.ones_like(k), original
     d = np.exp2(np.where(keep[:, None], k, 0.0))
     A *= d[:, None, :]
     A /= d[:, :, None]
@@ -369,7 +367,7 @@ class _AbsPowers:
         return self.log2[p, j]
 
 
-def _ell(A, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
+def _ell(powers: _AbsPowers, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
     """Extra squarings ell(2^-s A, m) of Al-Mohy and Higham for slices i of A.
 
     ell = max(0, ceil(log2(alpha / u) / 2m)) with u = 2^-53 and
@@ -377,9 +375,9 @@ def _ell(A, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
     e_m = _PADE_ERROR_COEFF[m]: the squarings that the degree-m backward
     error bound needs beyond the norm-based choice.  As
     ||abs(B)^(2m+1)||_1 <= ||B||_1^(2m+1), ell = 0 wherever
-    ||B||_1^2m <= u e_m; elsewhere the power's norm is read from A's
-    `_AbsPowers`, which A may already be, so that the degrees share one
-    sequence.  norm holds the 1-norms of all slices of A.
+    ||B||_1^2m <= u e_m; elsewhere the power's norm is read from
+    `powers`, A's `_AbsPowers`, so that the degrees share one sequence.
+    norm holds the 1-norms of all slices of A.
     """
     with np.errstate(divide="ignore"):
         log2_bound = (2 * m * (np.log2(norm[i]) - s)
@@ -387,7 +385,6 @@ def _ell(A, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
     ell = np.zeros(len(i), dtype=int)
     need = np.flatnonzero(log2_bound > 0.0)
     if need.size:
-        powers = A if isinstance(A, _AbsPowers) else _AbsPowers(A, norm)
         log2_ratio = powers.log2_ratio(i[need], 2 * m + 1)
         extra = np.ceil((log2_ratio + log2_bound[need]) / (2 * m))
         ell[need] = np.maximum(np.nan_to_num(extra, nan=0.0, neginf=0.0), 0.0)
@@ -401,14 +398,13 @@ def _squarings(eta: np.ndarray) -> np.ndarray:
     return np.where(eta > 0.0, np.maximum(s, 0.0), 0.0).astype(int)
 
 
-def _choose(A, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
+def _choose(powers: _AbsPowers, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
     """Pade degree m in (7, 9, 13) and squarings s for slices i of A.
 
-    A is a stack or its `_AbsPowers`.  For slices that degrees 3 and 5 do
-    not serve (Al-Mohy and Higham):
-    d_p = ||A^p||_1^(1/p), m the least of 7 and 9 with eta = max(d6, d8)
-    below theta_m and ell 0; else m = 13 with s from eta_13 = min(eta,
-    max(d8, d10)), plus ell.  Both m and s grow with d8 and d10.
+    powers is A's `_AbsPowers`.  For slices that degrees 3 and 5 do not
+    serve (Al-Mohy and Higham): d_p = ||A^p||_1^(1/p), m the least of 7
+    and 9 with eta = max(d6, d8) below theta_m and ell 0; else m = 13 with
+    s from eta_13 = min(eta, max(d8, d10)), plus ell.
     """
     eta = np.maximum(d6, d8)
     deg = np.full(len(i), 13)
@@ -416,11 +412,11 @@ def _choose(A, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
     for m in (7, 9):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(A, i[cand], norm, m, 0) == 0]] = m
+            deg[cand[_ell(powers, i[cand], norm, m, 0) == 0]] = m
     big = np.flatnonzero(deg == 13)
     if big.size:
         s13 = _squarings(np.minimum(eta[big], np.maximum(d8[big], d10[big])))
-        s[big] = s13 + _ell(A, i[big], norm, 13, s13)
+        s[big] = s13 + _ell(powers, i[big], norm, 13, s13)
     return deg, s
 
 
@@ -431,7 +427,8 @@ def _scaling(A: np.ndarray) -> tuple:
     balanced as D^-1 A D (`_balance`) and their A^2, A^4 and A^6; `work` is
     scratch of A's shape.  (m, s) per slice follows Al-Mohy and Higham:
     degree 3 or 5 where eta = max(d4, d6), d_p = ||A^p||_1^(1/p), is below
-    theta_m and ell is 0, else `_choose` from d6, d8 and d10.
+    theta_m and ell is 0, else `_choose` from d6 and the d8 and d10 of
+    A^6 A^2 and A^4 A^6.
     """
     P = np.empty((4,) + A.shape)
     work = np.empty(A.shape)
@@ -441,10 +438,11 @@ def _scaling(A: np.ndarray) -> tuple:
     np.matmul(P[1], P[1], out=P[2])
     np.matmul(P[2], P[1], out=P[3])
     ones = np.ones(A.shape[-1])
-    col4 = ones @ np.abs(P[2], out=work)  # column sums
-    norm4, norm6 = col4.max(axis=1), (ones @ np.abs(P[3], out=work)).max(axis=1)
-    d4, d6 = norm4 ** (1 / 4), norm6 ** (1 / 6)
 
+    def d_p(X, p):
+        return (ones @ np.abs(X)).max(axis=1) ** (1 / p)  # from the column sums
+
+    d4, d6 = d_p(P[2], 4), d_p(P[3], 6)
     deg = np.full(len(norm), 13)
     s = np.zeros(len(norm), dtype=int)
     eta = np.maximum(d4, d6)
@@ -455,26 +453,9 @@ def _scaling(A: np.ndarray) -> tuple:
             deg[cand[_ell(powers, cand, norm, m, 0) == 0]] = m
     i = np.flatnonzero(deg == 13)
     if i.size:
-        # ||A^8|| and ||A^10|| lie between ||A^8 x|| and ||A^4||^2, and
-        # between ||A^10 x|| and ||A^4|| ||A^6||, for x = A^4 e_j the largest
-        # column of A^4.  Where (m, s) is the same at both ends, it is what
-        # the exact norms give; the powers are formed only for the other
-        # slices.
-        e = np.zeros((i.size, A.shape[-1]))
-        e[np.arange(i.size), col4[i].argmax(axis=1)] = 1.0
-        x = P[2][i] @ e[:, :, None]
-        low8 = np.abs(P[2][i] @ x)[:, :, 0].sum(axis=1) ** (1 / 8)
-        low10 = np.abs(P[3][i] @ x)[:, :, 0].sum(axis=1) ** (1 / 10)
-        low = _choose(powers, i, norm, d6[i], low8, low10)
-        high = _choose(powers, i, norm, d6[i], d4[i], (norm4[i] * norm6[i]) ** (1 / 10))
-        deg[i], s[i] = low
-        i = i[(low[0] != high[0]) | (low[1] != high[1])]
-        if i.size:
-            def d_p(X, p):
-                return (ones @ np.abs(X, out=work[i])).max(axis=1) ** (1 / p)
-            d8 = d_p(np.matmul(P[3][i], P[1][i]), 8)
-            d10 = d_p(np.matmul(P[2][i], P[3][i]), 10)
-            deg[i], s[i] = _choose(powers, i, norm, d6[i], d8, d10)
+        d8 = d_p(P[3][i] @ P[1][i], 8)
+        d10 = d_p(P[2][i] @ P[3][i], 10)
+        deg[i], s[i] = _choose(powers, i, norm, d6[i], d8, d10)
     return P, work, d, deg, s
 
 
@@ -593,19 +574,12 @@ def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarra
     # Sorted by degree, then by s, each degree is a contiguous block and
     # the slices still squaring at step j are a suffix.
     order = np.lexsort((s, deg))
-    if (np.diff(order) < 0).any():
-        P, d, s, deg, triangular = (P[:, order], d[order], s[order], deg[order],
-                                    triangular[order])
-    else:
-        order = None
+    P, d, s, deg, triangular = P[:, order], d[order], s[order], deg[order], triangular[order]
     tri = np.flatnonzero(triangular)
     T = P[0, tri]  # a copy: the degree-13 Pade step scales P in place
-    if deg[0] == deg[-1]:
-        X = _pade(int(deg[0]), P, s, work)
-    else:
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(deg)) + 1, [g]))
-        X = np.concatenate([_pade(int(deg[a]), P[:, a:b], s[a:b], work[a:b])
-                            for a, b in zip(cuts[:-1], cuts[1:])])
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(deg)) + 1, [g]))
+    X = np.concatenate([_pade(int(deg[a]), P[:, a:b], s[a:b], work[a:b])
+                        for a, b in zip(cuts[:-1], cuts[1:])])
     for j in range(s[-1] + 1):
         if j:
             a = int(np.searchsorted(s, j - 1, side="right"))
@@ -619,11 +593,9 @@ def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarra
             band = X[tri[fix]]
             _exact_band(band, T[fix], np.exp2(j - s[tri[fix]]))
             X[tri[fix]] = band
-    if (d != 1.0).any():
-        X *= d[:, :, None]
-        X /= d[:, None, :]
-    if order is not None:
-        X[order] = X.copy()
+    X *= d[:, :, None]
+    X /= d[:, None, :]
+    X[order] = X.copy()
     if flip.any():
         X[flip] = X[flip].transpose(0, 2, 1)
     return X
