@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 input problem, 2 hypothesis-(H) violation,
 Each handler imports the submodules it runs when it is called, so a
 command loads only its own code: `synthesize` never loads `simulator`.
 Calls go through the module (`synthesis.build_controller`), so a function
-replaced on its module is the one called.  Every bound lives in `checks`.
+replaced on its module is the one called.  Every bound that `verify`
+prints is defined in `checks`, or is `transform.RESIDUAL_TOL`.
 """
 
 from __future__ import annotations

@@ -222,8 +222,7 @@ def validate_plant(spec: PlantSpec) -> ValidatedPlant:
     for name in ("L", "gamma1", "gamma2"):
         if not math.isfinite(getattr(spec, name)):
             raise PlantInputError(f"{name} must be finite")
-    if np.any(D <= 0.0):
-        raise NonPositiveDiffusion("all diffusion coefficients must be positive")
+    indices = diffusion_indices(D)
     if not (float(spec.L) > 0.0):
         raise PlantInputError("domain length L must be positive")
     if spec.gamma1 == 0.0 and spec.gamma2 == 0.0:
@@ -257,7 +256,7 @@ def validate_plant(spec: PlantSpec) -> ValidatedPlant:
         gamma1=float(spec.gamma1),
         gamma2=float(spec.gamma2),
         shapes=tuple(spec.shapes),
-        indices=diffusion_indices(D),
+        indices=indices,
     )
 
 

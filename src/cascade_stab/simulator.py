@@ -39,11 +39,12 @@ degrees 3 and 5 do not serve, each slice takes the least Pade degree m in
 {3, 5, 7, 9, 13} whose backward error bound holds, or m = 13 with s
 squarings; the bound's correction ell needs the 1-norm of |A|^(2m+1) only
 where ||A||^(2m+1) does not already settle it, and every degree reads it
-from one sequence of powers per stack (`_AbsPowers`).  Each degree's
-approximants come from one stacked solve, the squarings run on the slices
-that still need them, and the result is scaled back by D.  The Pade step reaches the
-matrices only through an operations object, `_Stack` for a stack or
-`_Blocks` for the block form.
+from one sequence of |A|^p over the whole stack (`_Ell`), begun the first
+time any slice needs it.  Each degree's approximants come from one stacked
+solve, the squarings run on the slices that still need them, and the
+result is scaled back by D.  The Pade step reaches the matrices only
+through an operations object, `_Stack` for a stack or `_Blocks` for the
+block form.
 """
 
 from __future__ import annotations
@@ -193,8 +194,6 @@ _PADE_COMBOS = {
     else np.array([b[9::2], b[8::2], b[3:9:2], b[2:8:2]])
     for m, b in _PADE_COEFFS.items()
 }
-# The powers p = 2m + 1 of abs(A) whose norms the degrees' ell read.
-_ELL_POWERS = frozenset(2 * m + 1 for m in _PADE_ERROR_COEFF)
 # Balancing stops at the first sweep that lowers no slice's 1-norm by 1%;
 # the cap is only a guard.
 _BALANCE_GAIN = 0.99
@@ -325,70 +324,51 @@ def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, np.where(keep, norm, original)
 
 
-class _AbsPowers:
-    """log2 of ||abs(A)^p||_1 / ||A||_1^p for slices of a stack, grown as degrees ask.
-
-    The power is formed as the largest entry of 1^T abs(A)^p, with abs(A)
-    scaled to 1-norm one and the vector renormalized at every step so that
-    nothing overflows.  A slice's sequence starts when a degree first asks
-    for it and grows to the highest p asked, one step per p, so every value
-    has the bits of a fresh loop up to that p.  norm holds the 1-norms of
-    all slices of A.
-    """
-
-    def __init__(self, A: np.ndarray, norm: np.ndarray):
-        self.A, self.norm = A, norm
-        self.v = np.ones(A.shape[:2])
-        # Row p holds the values after p steps, kept for p = 2m + 1 of each
-        # Pade degree m, the powers that `_ell` asks for.
-        self.log2 = np.zeros((2 * max(_PADE_ERROR_COEFF) + 2, len(A)))
-        self.steps = np.zeros(len(A), dtype=int)
-
-    def log2_ratio(self, j: np.ndarray, p: int) -> np.ndarray:
-        """The values at power p = 2m + 1 of the slices j."""
-        behind = j[self.steps[j] < p]
-        if behind.size:
-            start = self.steps[behind]
-            k0 = int(start.max())
-            if start.min() < k0:  # first bring the slices that lag to step k0
-                self.log2_ratio(behind[start < k0], k0)
-            absA = np.abs(self.A[behind])
-            absA /= self.norm[behind, None, None]
-            v, value = self.v[behind], self.log2[k0, behind]
-            with np.errstate(divide="ignore"):
-                for k in range(k0, p):
-                    v = (v[:, None, :] @ absA)[:, 0]
-                    top = v.max(axis=1)
-                    value += np.log2(top)
-                    v /= np.where(top > 0.0, top, 1.0)[:, None]
-                    if k + 1 in _ELL_POWERS:
-                        self.log2[k + 1, behind] = value
-            self.v[behind], self.steps[behind] = v, p
-        return self.log2[p, j]
-
-
-def _ell(powers: _AbsPowers, i: np.ndarray, norm: np.ndarray, m: int, s) -> np.ndarray:
-    """Extra squarings ell(2^-s A, m) of Al-Mohy and Higham for slices i of A.
+class _Ell:
+    """Extra squarings ell(2^-s A, m) of Al-Mohy and Higham, by slice and degree.
 
     ell = max(0, ceil(log2(alpha / u) / 2m)) with u = 2^-53 and
     alpha = ||abs(B)^(2m+1)||_1 / (e_m ||B||_1), B = 2^-s A and
     e_m = _PADE_ERROR_COEFF[m]: the squarings that the degree-m backward
     error bound needs beyond the norm-based choice.  As
     ||abs(B)^(2m+1)||_1 <= ||B||_1^(2m+1), ell = 0 wherever
-    ||B||_1^2m <= u e_m; elsewhere the power's norm is read from
-    `powers`, A's `_AbsPowers`, so that the degrees share one sequence.
-    norm holds the 1-norms of all slices of A.
+    ||B||_1^2m <= u e_m; elsewhere the power's norm is read from one
+    sequence over the whole stack, grown as the degrees ask.  Its step p
+    holds log2 of ||abs(A)^p||_1 / ||A||_1^p, formed as the largest entry
+    of 1^T abs(A)^p with abs(A) scaled to 1-norm one and the vector
+    renormalized at every step so that nothing overflows; every slice's
+    value has the bits of a fresh loop up to that p.  norm holds the
+    1-norms of the slices of A; a slice of norm 0 fills its column with
+    NaN, which its bound, -inf, never reads.
     """
-    with np.errstate(divide="ignore"):
-        log2_bound = (2 * m * (np.log2(norm[i]) - s)
-                      - np.log2(_PADE_ERROR_COEFF[m]) + 53.0)
-    ell = np.zeros(len(i), dtype=int)
-    need = np.flatnonzero(log2_bound > 0.0)
-    if need.size:
-        log2_ratio = powers.log2_ratio(i[need], 2 * m + 1)
-        extra = np.ceil((log2_ratio + log2_bound[need]) / (2 * m))
-        ell[need] = np.maximum(np.nan_to_num(extra, nan=0.0, neginf=0.0), 0.0)
-    return ell
+
+    def __init__(self, A: np.ndarray, norm: np.ndarray):
+        self.A, self.norm = A, norm
+        self.steps = 0
+        self.log2 = np.zeros((2 * max(_PADE_ERROR_COEFF) + 2, len(A)))
+
+    def __call__(self, i: np.ndarray, m: int, s) -> np.ndarray:
+        """ell(2^-s A_i, m) for the slices i."""
+        with np.errstate(divide="ignore"):
+            log2_bound = (2 * m * (np.log2(self.norm[i]) - s)
+                          - np.log2(_PADE_ERROR_COEFF[m]) + 53.0)
+        ell = np.zeros(len(i), dtype=int)
+        need = np.flatnonzero(log2_bound > 0.0)
+        if need.size:
+            p = 2 * m + 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if not self.steps:  # the first slice to need ell starts the sequence
+                    self.absA = np.abs(self.A) / self.norm[:, None, None]
+                    self.v = np.ones(self.A.shape[:2])
+                for k in range(self.steps, p):
+                    self.v = (self.v[:, None, :] @ self.absA)[:, 0]
+                    top = self.v.max(axis=1)
+                    self.log2[k + 1] = self.log2[k] + np.log2(top)
+                    self.v /= np.where(top > 0.0, top, 1.0)[:, None]
+            self.steps = max(self.steps, p)
+            extra = np.ceil((self.log2[p, i[need]] + log2_bound[need]) / (2 * m))
+            ell[need] = np.maximum(np.nan_to_num(extra, nan=0.0, neginf=0.0), 0.0)
+        return ell
 
 
 def _squarings(eta: np.ndarray) -> np.ndarray:
@@ -398,13 +378,13 @@ def _squarings(eta: np.ndarray) -> np.ndarray:
     return np.where(eta > 0.0, np.maximum(s, 0.0), 0.0).astype(int)
 
 
-def _choose(powers: _AbsPowers, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
+def _choose(ell: _Ell, i: np.ndarray, d6, d8, d10):
     """Pade degree m in (7, 9, 13) and squarings s for slices i of A.
 
-    powers is A's `_AbsPowers`.  For slices that degrees 3 and 5 do not
-    serve (Al-Mohy and Higham): d_p = ||A^p||_1^(1/p), m the least of 7
-    and 9 with eta = max(d6, d8) below theta_m and ell 0; else m = 13 with
-    s from eta_13 = min(eta, max(d8, d10)), plus ell.
+    ell is A's `_Ell`.  For slices that degrees 3 and 5 do not serve
+    (Al-Mohy and Higham): d_p = ||A^p||_1^(1/p), m the least of 7 and 9
+    with eta = max(d6, d8) below theta_m and ell 0; else m = 13 with s from
+    eta_13 = min(eta, max(d8, d10)), plus ell.
     """
     eta = np.maximum(d6, d8)
     deg = np.full(len(i), 13)
@@ -412,11 +392,11 @@ def _choose(powers: _AbsPowers, i: np.ndarray, norm: np.ndarray, d6, d8, d10):
     for m in (7, 9):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(powers, i[cand], norm, m, 0) == 0]] = m
+            deg[cand[ell(i[cand], m, 0) == 0]] = m
     big = np.flatnonzero(deg == 13)
     if big.size:
         s13 = _squarings(np.minimum(eta[big], np.maximum(d8[big], d10[big])))
-        s[big] = s13 + _ell(powers, i[big], norm, 13, s13)
+        s[big] = s13 + ell(i[big], 13, s13)
     return deg, s
 
 
@@ -428,7 +408,8 @@ def _scaling(A: np.ndarray) -> tuple:
     scratch of A's shape.  (m, s) per slice follows Al-Mohy and Higham:
     degree 3 or 5 where eta = max(d4, d6), d_p = ||A^p||_1^(1/p), is below
     theta_m and ell is 0, else `_choose` from d6 and the d8 and d10 of
-    A^6 A^2 and A^4 A^6.
+    A^6 A^2 and A^4 A^6.  Every degree's ell comes from one `_Ell` of the
+    balanced stack.
     """
     P = np.empty((4,) + A.shape)
     work = np.empty(A.shape)
@@ -446,16 +427,16 @@ def _scaling(A: np.ndarray) -> tuple:
     deg = np.full(len(norm), 13)
     s = np.zeros(len(norm), dtype=int)
     eta = np.maximum(d4, d6)
-    powers = _AbsPowers(P[0], norm)  # one |A|^p sequence for every degree's ell
+    ell = _Ell(P[0], norm)
     for m in (3, 5):
         cand = np.flatnonzero((deg == 13) & (eta < _PADE_THETA[m]))
         if cand.size:
-            deg[cand[_ell(powers, cand, norm, m, 0) == 0]] = m
+            deg[cand[ell(cand, m, 0) == 0]] = m
     i = np.flatnonzero(deg == 13)
     if i.size:
         d8 = d_p(P[3][i] @ P[1][i], 8)
         d10 = d_p(P[2][i] @ P[3][i], 10)
-        deg[i], s[i] = _choose(powers, i, norm, d6[i], d8, d10)
+        deg[i], s[i] = _choose(ell, i, d6[i], d8, d10)
     return P, work, d, deg, s
 
 
@@ -561,11 +542,9 @@ def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarra
     triangular = flip = np.zeros(g, dtype=bool)
     if s.any():
         nonzero = P[0] != 0.0
-        row = np.arange(n)
-        empty_row = ~nonzero.any(axis=2)
-        upper = (empty_row | (nonzero.argmax(axis=2) >= row)).all(axis=1)
-        last = n - 1 - nonzero[:, :, ::-1].argmax(axis=2)
-        flip = ~upper & (empty_row | (last <= row)).all(axis=1) & (s > 0)
+        below = np.tri(n, k=-1, dtype=bool)  # the strictly lower triangle
+        upper = ~(nonzero & below).any((1, 2))
+        flip = ~upper & ~(nonzero & below.T).any((1, 2)) & (s > 0)
         triangular = (upper & (s > 0)) | flip
         if flip.any():
             P[:, flip] = P[:, flip].transpose(0, 1, 3, 2)

@@ -445,7 +445,13 @@ def certificate(plant: ValidatedPlant, controller: Controller, retained: Retaine
 
 
 def _omega_margins(plant, basis, rho, delta, N, M_modes):
-    """Residual-mode margins at the rate delta + 1/(2 rho), modes N+1..M_modes."""
+    """Residual-mode margins at the rate delta + 1/(2 rho), modes N+1..M_modes.
+
+    With c that rate, -lambda D + Sym(Q) + c I decreases in lambda in the
+    Loewner order, as D > 0, so the margin at lambda_(N+1) bounds that of
+    every later mode, beyond M_modes too; the later entries add no
+    statement.
+    """
     lam = basis.lam[N:M_modes]
     return tuple(selection_margins(plant, lam, delta + 1.0 / (2.0 * rho)).tolist())
 
@@ -540,7 +546,8 @@ def controller_from_dict(obj: dict) -> Controller:
     m = len(obj["K_Q"])
 
     def grid(key, *shape):
-        value = np.asarray(obj[key], dtype=float) if N or key == "K_Q" else np.zeros(shape)
+        value = (np.asarray(obj[key], dtype=float) if N or key in ("K_Q", "P")
+                 else np.zeros(shape))
         if value.shape != shape:
             raise ValueError(f"{key} has shape {value.shape}, expected {shape} for N={N}")
         return value
@@ -550,7 +557,7 @@ def controller_from_dict(obj: dict) -> Controller:
         N=N,
         N_min=int(obj.get("N_min", N)),
         K_Q=grid("K_Q", m),
-        P=np.asarray(obj["P"], dtype=float),
+        P=grid("P", m, m),
         Kbar=grid("Kbar", N, m),
         Bmat=grid("Bmat", N, N),
         cond_B=float(obj.get("cond_B", np.nan)),

@@ -421,7 +421,8 @@ class TestSimulate:
         ("K_Q", [[1.0, 2.0, 3.0]], "(1, 3), expected (1,)"),
         ("Kbar", list(range(9)), "(9,), expected (3, 3)"),
         ("Bmat", [[1.0, 0.0], [0.0, 1.0]], "(2, 2), expected (3, 3)"),
-        ("K", [[0.0] * 3] * 9, "(9, 3), expected (3, 9)")])
+        ("K", [[0.0] * 3] * 9, "(9, 3), expected (3, 9)"),
+        ("P", [[1.0]], "(1, 1), expected (3, 3)")])
     def test_gains_of_the_wrong_shape(self, tmp_path, plant_file, initial_file,
                                       demo_gains, capsys, key, value, shape):
         with open(demo_gains) as fh:
@@ -434,6 +435,16 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: malformed gains file: {key} has shape {shape}")
+        assert not (tmp_path / "sim").exists()
+
+    def test_open_loop_gains_keep_and_check_p(self):
+        """At N = 0 the gains file's P is read, not replaced by zeros: the zero
+        controller's eye(m) round-trips, and a P of the wrong shape is refused."""
+        gains = model.record_to_dict(synthesis.zero_controller(9.0, 2, 3))
+        np.testing.assert_array_equal(synthesis.controller_from_dict(gains).P, np.eye(3))
+        gains["P"] = [[1.0]]
+        with pytest.raises(ValueError, match=r"^P has shape \(1, 1\), expected \(3, 3\) for N=0$"):
+            synthesis.controller_from_dict(gains)
 
     def test_gains_that_miss_the_factorization_bound(self, tmp_path, plant_file,
                                                      initial_file, demo_gains, capsys):

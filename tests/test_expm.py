@@ -222,14 +222,14 @@ def test_bounded_choice_matches_exact_norms(monkeypatch, demo_plant, demo_basis,
 
     def choice(A, norm, A4, A6, d8, d10):
         """Al-Mohy and Higham's (m, s) from the given d8 and d10."""
-        powers = simulator._AbsPowers(A, norm)
+        ell = simulator._Ell(A, norm)
         deg, s = np.full(len(A), 13), np.zeros(len(A), dtype=int)
         eta = np.maximum(d(A4, 4), d(A6, 6))
         for m in (3, 5):
             cand = np.flatnonzero((deg == 13) & (eta < simulator._PADE_THETA[m]))
-            deg[cand[simulator._ell(powers, cand, norm, m, 0) == 0]] = m
+            deg[cand[ell(cand, m, 0) == 0]] = m
         i = np.flatnonzero(deg == 13)
-        deg[i], s[i] = simulator._choose(powers, i, norm, d(A6, 6)[i], d8[i], d10[i])
+        deg[i], s[i] = simulator._choose(ell, i, d(A6, 6)[i], d8[i], d10[i])
         return deg, s
 
     for stack in (demo, scaled, upper, large):
@@ -278,21 +278,24 @@ def fresh_ell(A, i, norm, m, s):
     return ell
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_shared_powers_give_fresh_ell():
-    """One `_AbsPowers` serves every degree's ell: slice subsets asked in any
-    order, with degrees up and down, give what a fresh loop per degree gives."""
+    """One `_Ell` serves every degree's ell: slice subsets asked in any order,
+    with degrees up and down, give what a fresh loop per degree gives, and
+    an all-zero slice in the stack raises no warning."""
     rng = np.random.default_rng(11)
     A = rng.standard_normal((40, 5, 5)) * np.exp2(rng.integers(-4, 8, (40, 1, 1)))
     A[:4] = np.triu(A[:4], 1)  # nilpotent slices: powers of abs(A) reach zero
+    A[4] = 0.0
     _, norm = simulator._balance(A, np.empty_like(A))
-    powers = simulator._AbsPowers(A, norm)
+    ell_of = simulator._Ell(A, norm)
     requests = [(m, np.sort(rng.choice(40, size, replace=False)))
                 for m in (3, 5, 7, 9, 13) for size in (1, 7, 25, 40)]
     needed = 0
     for r in rng.permutation(len(requests)):
         m, i = requests[r]
         s = rng.integers(0, 3, len(i)) if m == 13 else 0
-        ell = simulator._ell(powers, i, norm, m, s)
+        ell = ell_of(i, m, s)
         assert np.array_equal(ell, fresh_ell(A, i, norm, m, s))
         needed += np.count_nonzero(ell)
     assert needed > 0

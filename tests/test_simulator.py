@@ -359,6 +359,33 @@ class TestBlockIntegrator:
         traj = integrate(loop, z0, 0.5, 0.5 / 200.0)
         assert worst_relative_gap(traj, dense_integrate(loop, z0, 0.5, 0.5 / 200.0)) <= 1e-10
 
+    def test_pure_cascade_takes_the_exact_band(self, monkeypatch, demo_plant,
+                                               demo_initial):
+        """A lower bidiagonal Q makes every open-loop block lower triangular,
+        so the tail's expm keeps the exact band of the squarings
+        (`_exact_band`); the run matches per-mode scipy exponentials."""
+        from cascade_stab import simulator
+
+        plant = validate_plant(PlantSpec(
+            m=3, D=demo_plant.D, Q=[[10.0, 0.0, 0.0], [1.0, 10.0, 0.0], [0.0, 1.0, 20.0]],
+            L=demo_plant.L, gamma1=demo_plant.gamma1, gamma2=demo_plant.gamma2,
+            shapes=demo_plant.shapes))
+        basis = build_basis(plant.L, plant.gamma1, plant.gamma2, 30)
+        loop = assemble_closed_loop(plant, zero_controller(9.0, 0, 3), basis, 30)
+        z0 = project_initial(demo_initial, basis, 30)
+        slices = []
+        band = simulator._exact_band
+        monkeypatch.setattr(simulator, "_exact_band", lambda X, T, scale: (
+            slices.append(len(X)), band(X, T, scale))[1])
+        traj = integrate(loop, z0, 1.0, 1.0 / 400.0)
+        assert slices == [13, 13, 6]
+        F = np.array([scipy.linalg.expm(A / 400.0) for A in loop.A_TT])
+        states = [z0]
+        for _ in range(400):
+            states.append(np.einsum("nij,nj->ni", F, states[-1]))
+        reference = np.array(states).reshape(401, -1)
+        assert worst_relative_gap(traj, reference) <= 1e-12
+
     def test_five_retained_seven_tail(self, demo_plant):
         shapes = tuple(ShapeFunction.indicator(0.1 * j, 0.1 * j + 0.1)
                        for j in range(1, 6))

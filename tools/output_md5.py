@@ -3,10 +3,13 @@
 
 Runs `synthesize`, `simulate --gains` and `verify` in-process through
 `cascade_stab.cli.main`, with the argv that `perfbench/workloads.py` gives
-each workload, on inputs drawn from one seed, and then `synthesize
---dump-basis --dump-transform` (command `synthesize-dumps`) into a directory
-of its own, so that every file the JSON writer makes is hashed.  Prints one
-line per command and one per file it wrote:
+each workload, on inputs drawn from one seed.  Then it runs `synthesize
+--dump-basis --dump-transform` (command `synthesize-dumps`), so that every
+file the JSON writer makes is hashed, and the same `simulate` with
+`--open-loop` (command `simulate-open-loop`), the only command whose tail
+takes the per-slice `expm` (N = 0), each into a directory of its own.
+Prints one line per command and one per file that it wrote and that the
+command before it did not write with the same bytes:
 
     <workload> <command> exit+stdout <md5>
     <workload> <command> <file> <md5>
@@ -53,13 +56,17 @@ def _files(directory: str) -> dict:
 def workload_lines(name: str, seed: int) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out, \
-            tempfile.TemporaryDirectory() as dumps:
+            tempfile.TemporaryDirectory() as open_loop, tempfile.TemporaryDirectory() as dumps:
         plant, initial = write_inputs(WORKLOADS[name], seed, inputs)
-        runs = [(command, argv, out) for command, argv
-                in WORKLOADS[name].cli_args(plant, initial, out).items()]
+        argvs = WORKLOADS[name].cli_args(plant, initial, out)
+        runs = [(command, argv, out) for command, argv in argvs.items()]
         synthesize = WORKLOADS[name].cli_args(plant, initial, dumps)["synthesize"]
         runs.append(("synthesize-dumps", [*synthesize, "--dump-basis", "--dump-transform"],
                      dumps))
+        simulate = argvs["simulate"]
+        at = simulate.index("--out-dir") + 1
+        runs.append(("simulate-open-loop",
+                     [*simulate[:at], open_loop, *simulate[at + 1:], "--open-loop"], open_loop))
         before = {}
         for command, argv, directory in runs:
             stdout = io.StringIO()
