@@ -15,12 +15,13 @@ alone (Brow_n Bmat^-1 = e_n): A_n = -lambda_n D + Q + B Kbar_n for n <= N.
 `assemble_closed_loop` builds these blocks (a `ClosedLoop`) and `integrate`
 propagates them exactly on the output grid.  The step matrix exp(dt A) has
 the same shape, and scaling and squaring keeps it: every power, Pade
-approximant and square of such a matrix is one, with
+approximant and square of such a matrix is one.  With X_D the stack of its
+diagonal blocks, the retained ones first, and X_TR its coupling, products are
 
-    RR = X_RR @ Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR blockdiag(Y_RR) + X_TT @ Y_TR
+    D = X_D @ Y_D,  TR = X_TR blockdiag(Y_D[:N]) + X_D[N:] @ Y_TR
 
-for its product (Van Loan, IEEE Trans. Automat. Control 23(3), 1978).
-`_expm_blocks` gives all three blocks of the step in one call.  It balances
+(Van Loan, IEEE Trans. Automat. Control 23(3), 1978).  `_expm_blocks`
+gives all three blocks of the step in one call.  It balances
 and scales the stacks of retained and of tail blocks once each; F_RR is the
 retained stack's own exponential.  The coupling enters exp linearly, so F_TT
 and F_TR take their balancing and their Pade degree and squarings from the
@@ -207,80 +208,74 @@ class _Stack:
     solve = staticmethod(np.linalg.solve)
 
     @staticmethod
-    def diags(X: np.ndarray) -> tuple:
-        """Writable views of the diagonals, (g, n)."""
-        return (np.einsum("gii->gi", X),)
+    def diag(X: np.ndarray) -> np.ndarray:
+        """A writable view of the diagonals, (g, n)."""
+        return np.einsum("gii->gi", X)
 
 
 class _Blocks:
-    """Block lower triangular matrices [[blockdiag(X_RR), 0], [X_TR, blockdiag(X_TT)]].
+    """Block lower triangular matrices [[blockdiag(X_D[:N]), 0], [X_TR, blockdiag(X_D[N:])]].
 
-    X_RR and X_TT are the (N, m, m) and (tail, m, m) stacks of diagonal
-    blocks and X_TR the (tail, m, mN) coupling.  A matrix is one row of
-    `size` floats holding X_RR, X_TT and X_TR in turn, so sums and multiples
-    of matrices are those of rows; operands carry a leading axis of one, as
-    one slice of a stack.  Products keep the shape:
-
-        RR = X_RR @ Y_RR,  TT = X_TT @ Y_TT,  TR = X_TR blockdiag(Y_RR) + X_TT @ Y_TR.
+    X_D is the (N + tail, m, m) stack of diagonal blocks, the N retained
+    ones first, and X_TR the (tail, m, mN) coupling.  A matrix is one row of
+    `size` floats holding X_D and X_TR in turn, so sums and multiples of
+    matrices are those of rows; operands carry a leading axis of one, as one
+    slice of a stack.  Products keep the shape (see the module docstring),
+    and only the solve treats the retained and the tail blocks apart.
     """
 
     def __init__(self, N: int, tail: int, m: int):
         self.N, self.tail, self.m = N, tail, m
-        self.cuts = (N * m * m, (N + tail) * m * m)
-        self.size = self.cuts[1] + tail * m * m * N
+        self.cut = (N + tail) * m * m
+        self.size = self.cut + tail * m * m * N
 
     def split(self, X: np.ndarray) -> tuple:
-        """Views X_RR, X_TT and X_TR of the matrix X."""
-        a, b = self.cuts
+        """Views X_D and X_TR of the matrix X."""
         X = X.reshape(-1)
-        return (X[:a].reshape(self.N, self.m, self.m),
-                X[a:b].reshape(self.tail, self.m, self.m),
-                X[b:].reshape(self.tail, self.m, self.m * self.N))
+        return (X[:self.cut].reshape(-1, self.m, self.m),
+                X[self.cut:].reshape(self.tail, self.m, self.m * self.N))
 
-    def diags(self, X: np.ndarray) -> tuple:
-        RR, TT, _ = self.split(X)
-        return np.einsum("nii->ni", RR), np.einsum("tii->ti", TT)
+    def diag(self, X: np.ndarray) -> np.ndarray:
+        """A writable view of the diagonal, (N + tail, m)."""
+        return _Stack.diag(self.split(X)[0])
 
-    def unbalance(self, X: np.ndarray, d_R: np.ndarray, d_T: np.ndarray) -> None:
-        """X <- D X D^-1 in place, with D = diag(d_R, d_T), d_R (N, m) and d_T (tail, m)."""
-        RR, TT, TR = self.split(X)
-        d_R, d_T = d_R[:, :, None], d_T[:, :, None]
-        for B, rows, cols in ((RR, d_R, d_R.transpose(0, 2, 1)),
-                              (TT, d_T, d_T.transpose(0, 2, 1)), (TR, d_T, d_R.reshape(-1))):
-            B *= rows
-            B /= cols
+    def unbalance(self, X: np.ndarray, d: np.ndarray) -> None:
+        """X <- D X D^-1 in place, with D = diag(d) and d of shape (N + tail, m)."""
+        XD, TR = self.split(X)
+        XD *= d[:, :, None]
+        XD /= d[:, None, :]
+        TR *= d[self.N:, :, None]
+        TR /= d[:self.N].reshape(-1)
 
-    def _by_retained(self, C: np.ndarray, Y_RR: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """C blockdiag(Y_RR) into out, for C and out of X_TR's shape."""
+    def _by_retained(self, C: np.ndarray, Y_D: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """C blockdiag(Y_D[:N]) into out, for C and out of X_TR's shape."""
         C_n, out_n = (X.reshape(-1, self.N, self.m).transpose(1, 0, 2) for X in (C, out))
-        np.matmul(C_n, Y_RR, out=out_n)
+        np.matmul(C_n, Y_D[:self.N], out=out_n)
         return out
 
     def mul(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(X) if out is None else out
-        (XR, XT, _), (YR, YT, _), (OR, OT, _) = map(self.split, (X, Y, out))
-        np.matmul(XR, YR, out=OR)
-        np.matmul(XT, YT, out=OT)
+        np.matmul(self.split(X)[0], self.split(Y)[0], out=self.split(out)[0])
         self.couple(X, Y, out)
         return out
 
     def couple(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> None:
-        """Write only the coupling X_TR Y_RR + X_TT @ Y_TR of X Y into out's."""
-        (_, XT, XC), (YR, _, YC), (_, _, OC) = map(self.split, (X, Y, out))
-        self._by_retained(XC, YR, OC)
-        OC += XT @ YC
+        """Write only X Y's coupling, X_TR blockdiag(Y_D[:N]) + X_D[N:] @ Y_TR, into out's."""
+        (XD, XC), (YD, YC), (_, OC) = map(self.split, (X, Y, out))
+        self._by_retained(XC, YD, OC)
+        OC += XD[self.N:] @ YC
 
     def solve(self, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Q^-1 V: the stacked X_RR and X_TT, then X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
-        (QR, QT, QC), (VR, VT, VC) = self.split(Q), self.split(V)
+        """Q^-1 V: the retained blocks, then X_D[N:] and X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
+        N, (QD, QC), (VD, VC) = self.N, self.split(Q), self.split(V)
         X = np.empty_like(V)
-        XR, XT, XC = self.split(X)
-        XR[:] = np.linalg.solve(QR, VR)
-        # One factorization of each Q_TT block serves X_TT and X_TR.
-        rhs = np.concatenate([VT, VC - self._by_retained(QC, XR, np.empty_like(QC))],
+        XD, XC = self.split(X)
+        XD[:N] = np.linalg.solve(QD[:N], VD[:N])
+        # One factorization of each tail block serves X_D[N:] and X_TR.
+        rhs = np.concatenate([VD[N:], VC - self._by_retained(QC, XD, np.empty_like(QC))],
                              axis=2)
-        sol = np.linalg.solve(QT, rhs)
-        XT[:], XC[:] = sol[:, :, :self.m], sol[:, :, self.m:]
+        sol = np.linalg.solve(QD[N:], rhs)
+        XD[N:], XC[:] = sol[:, :, :self.m], sol[:, :, self.m:]
         return X
 
 
@@ -446,7 +441,8 @@ def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
 
     P holds A, A^2, A^4, A^6 of the g slices, shape (4, g, ...), and `work`
     is scratch of shape (g, ...); the products land in these buffers, so
-    both are overwritten.
+    both are overwritten.  ops is `_Stack`, or `_Blocks` for one block
+    matrix, the row (1, size); the identity is added through its `diag`.
     """
     b = _PADE_COEFFS[m]
     h = min(m // 2, 3)
@@ -463,24 +459,20 @@ def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
             out.reshape(-1)[:] += coeffs[3] * A8
         return out
 
-    def add_eye(X: np.ndarray, c: float) -> None:
-        for v in ops.diags(X):
-            v += c
-
     if m == 13:
         # U = A (A^6 W_0 + W_2 + b_1 I), V = A^6 W_1 + W_3 + b_0 I.
         inner = ops.mul(P[3], combo(0, work))
         inner += combo(2, work)
-        add_eye(inner, b[1])
+        ops.diag(inner)[:] += b[1]
         U = ops.mul(P[0], inner, out=work)
         V = ops.mul(P[3], combo(1, inner), out=P[0])
         V += combo(3, inner)
     else:
         # U = A (W_0 + b_1 I), V = W_1 + b_0 I.
-        add_eye(combo(0, work), b[1])
+        ops.diag(combo(0, work))[:] += b[1]
         U = ops.mul(P[0], work)
         V = combo(1, work)
-    add_eye(V, b[0])
+    ops.diag(V)[:] += b[0]
     Q = np.subtract(V, U, out=P[1])
     V += U
     return ops.solve(Q, V)
@@ -586,26 +578,26 @@ def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
     The blocks are those of a `ClosedLoop`; returns F_RR, F_TT and F_TR of
     the same shapes.  `_scaling` balances and scales the two stacks once
     each, and F_RR is the retained stack's exponential, as `expm` computes
-    it.  The coupling enters the exponential linearly, so
-    the whole matrix takes its balancing D = (d_R, d_T) and its (m, s) from
-    the diagonal blocks alone, as Al-Mohy and Higham scale the block matrix
-    of the Frechet derivative (SIAM J. Matrix Anal. Appl. 30(4), 2009): S is
-    the largest s of any block, with degree 13, or the largest block degree
-    where S = 0.  One structured Pade step and S structured squarings then
-    give F_TT and F_TR.
+    it.  Their powers fill X_D of the `_Blocks` row.  The coupling enters
+    the exponential linearly, so the whole matrix takes its balancing
+    d = (d_R, d_T) and its (m, s) from the diagonal blocks alone, as Al-Mohy
+    and Higham scale the block matrix of the Frechet derivative (SIAM J.
+    Matrix Anal. Appl. 30(4), 2009): S is the largest s of any block, with
+    degree 13, or the largest block degree where S = 0.  One structured Pade
+    step and S structured squarings then give X_D[N:] = F_TT and X_TR = F_TR.
     """
     tail, m, _ = A_TR.shape
-    ops = _Blocks(len(A_RR), tail, m)
+    N = len(A_RR)
+    ops = _Blocks(N, tail, m)
     P_R, work_R, d_R, deg_R, s_R = _scaling(A_RR)
     P_T, _, d_T, deg_T, s_T = _scaling(A_TT)
     # A, A^2, A^4 and A^6 of the balanced matrix: the blocks' own powers on
     # the diagonal, and only the coupling parts formed here.
     P = np.empty((4, 1, ops.size))
-    for k in range(4):
-        RR, TT, _ = ops.split(P[k])
-        RR[:], TT[:] = P_R[k], P_T[k]
+    D = P[:, 0, :ops.cut].reshape(4, N + tail, m, m)  # a view of each power's X_D
+    D[:, :N], D[:, N:] = P_R, P_T
     F_RR = _exponentiate(P_R, work_R, d_R, deg_R, s_R)
-    TR = ops.split(P[0])[2]
+    TR = ops.split(P[0])[1]
     np.multiply(A_TR, d_R.reshape(-1), out=TR)
     TR /= d_T[:, :, None]
     ops.couple(P[0], P[0], P[1])
@@ -617,9 +609,9 @@ def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
     X = _pade(deg, P, np.array([S]), work, ops)
     for _ in range(S):
         X, work = ops.mul(X, X, out=work), X
-    ops.unbalance(X, d_R, d_T)
-    _, F_TT, F_TR = ops.split(X)
-    return F_RR, F_TT, F_TR
+    ops.unbalance(X, np.concatenate([d_R, d_T]))
+    F_D, F_TR = ops.split(X)
+    return F_RR, F_D[N:], F_TR
 
 
 def _output_steps(t_final: float, dt_out: float) -> int:

@@ -156,8 +156,7 @@ def select_mode_count(plant: ValidatedPlant, basis: SpectralBasis, delta: float)
 def _controllability_matrix(Q: np.ndarray) -> np.ndarray:
     m = Q.shape[0]
     C = np.empty((m, m))
-    v = np.zeros(m)
-    v[0] = 1.0
+    v = np.eye(m)[0]
     for k in range(m):
         C[:, k] = v
         v = Q @ v
@@ -197,26 +196,36 @@ def stabilize_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
             f"subdiagonal entry Q[{k + 1},{k}] = {float(Q[k, k - 1])!r} leaves (Q, B) "
             f"numerically uncontrollable: the product of the subdiagonal entries "
             f"through it underflows to zero")
-    char = np.poly(poles)  # monic, real
-    pQ = np.eye(m)
-    for coeff in char[1:]:
-        pQ = pQ @ Q + coeff * np.eye(m)
-    em = np.zeros(m)
-    em[-1] = 1.0
     try:
-        last_row = np.linalg.solve(C.T, em)
+        last_row = np.linalg.solve(C.T, np.eye(m)[-1])
     except np.linalg.LinAlgError as exc:  # cannot occur for validated plants
         raise PolePlacementSingular(str(exc)) from exc
-    K_Q = -(last_row @ pQ)
+    # np.poly overflows for many fast poles; K_Q is then refused, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        char = np.poly(poles)  # monic, real
+        pQ = np.eye(m)
+        for coeff in char[1:]:
+            pQ = pQ @ Q + coeff * np.eye(m)
+        K_Q = -(last_row @ pQ)
+    where = f"at m = {m}, delta = {delta!r}"
+    if not np.isfinite(K_Q).all():
+        raise CertificateAtRoundingLevel(f"coupling gain K_Q overflows double precision {where}")
 
-    Abar = Q + np.outer(_e1(m), K_Q) + shift * np.eye(m)
-    P = _solve_lyapunov_identity(Abar)
+    closed = Q + np.outer(np.eye(m)[0], K_Q)
+    Abar = closed + shift * np.eye(m)
+    try:
+        P = _solve_lyapunov_identity(Abar)
+    except np.linalg.LinAlgError:
+        P = None
+    if P is None or not np.isfinite(P).all():
+        raise CertificateAtRoundingLevel(
+            f"Lyapunov solve for P is singular or not finite {where}")
     # P grows like the square of the gain scale, so the residual is judged
     # relative to it; an absolute bound is unattainable in double precision.
     residual = np.max(np.abs(Abar.T @ P + P @ Abar + np.eye(m)))
-    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(P)))):
+    if not residual <= LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(P)))):
         raise InternalError(f"Lyapunov residual {residual:.3e} exceeds tolerance")
-    if np.max(np.linalg.eigvals(Q + np.outer(_e1(m), K_Q)).real) > -shift:
+    if np.max(np.linalg.eigvals(closed).real) > -shift:
         raise InternalError("pole placement failed to reach the required abscissa")
     return K_Q, P
 
@@ -235,7 +244,7 @@ def check_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
     """
     m = plant.m
     shift = delta - lambda1 * plant.d_last
-    lmi = sym(P @ (plant.Q + np.outer(_e1(m), K_Q))) + shift * P
+    lmi = sym(P @ (plant.Q + np.outer(np.eye(m)[0], K_Q))) + shift * P
     p_eig = np.linalg.eigvalsh(P)
     floor = m * np.finfo(float).eps * float(np.max(np.abs(p_eig)))
     p_min = float(p_eig[0])
@@ -244,12 +253,6 @@ def check_coupling(plant: ValidatedPlant, delta: float, lambda1: float,
         raise CertificateAtRoundingLevel(
             f"coupling certificate at rounding level: lambda_min(P) = {p_min:.3e}, "
             f"LMI max eigenvalue = {lmi_max:.3e}, rounding floor {floor:.3e}")
-
-
-def _e1(m: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[0] = 1.0
-    return e
 
 
 def _solve_lyapunov_identity(Abar: np.ndarray) -> np.ndarray:
@@ -301,7 +304,7 @@ def closed_blocks(plant: ValidatedPlant, K_Q: np.ndarray, lambdas) -> np.ndarray
     lam = np.asarray(lambdas, dtype=float)
     m = plant.m
     return (-lam[:, None, None] * plant.d_last * np.eye(m) + plant.Q
-            + np.outer(_e1(m), K_Q))
+            + np.outer(np.eye(m)[0], K_Q))
 
 
 def zero_controller(delta: float, N_min: int, m: int) -> Controller:
@@ -381,7 +384,10 @@ def certificate_margins(plant: ValidatedPlant, controller: Controller,
     normalization Abar^T P + P Abar = -I.  H is the stack of target blocks
     H_n of the retained modes (`closed_blocks`); the gamma margins are those
     of Sym(P H_n) + I / rho_bar + delta P, and the omega margins those of the
-    residual modes N+1..M_modes.
+    residual modes N+1..M_modes.  Both signs follow from the synthesis: the
+    first omega margin is -mu/2 up to rounding, and by the Lyapunov identity
+    G_n = -I/4 - (lambda_n - lambda_1) d_m P, so no gamma margin exceeds
+    -1/4 beyond the Lyapunov residual.
     """
     N = controller.N
     delta = controller.delta
@@ -459,8 +465,8 @@ def _omega_margins(plant, basis, rho, delta, N, M_modes):
 def _check_margins(cert: Margins | Certificate) -> None:
     """Refuse margins that fail `certificate_signs`, naming each bad margin."""
     if not all(check.ok for check in certificate_signs(cert)):
-        bad_gamma = [g for g in cert.gamma_margins if g >= 0.0]
-        bad_omega = [w for w in cert.omega_margins if w >= 0.0]
+        bad_gamma = [g for g in cert.gamma_margins if not g < 0.0]
+        bad_omega = [w for w in cert.omega_margins if not w < 0.0]
         raise CertificateViolation(
             f"certificate sign conditions failed: gamma={bad_gamma}, omega={bad_omega}"
         )

@@ -740,6 +740,11 @@ class TestRefusalsReadChecks:
         assert omega.ok
         with pytest.raises(CertificateViolation, match=r"gamma=\[0\.0\], omega=\[\]"):
             synthesis._check_margins(bad)
+        # A NaN margin fails the sign row and is named, as `not g < 0` lists it.
+        nan = cert._replace(gamma_margins=(math.nan, *cert.gamma_margins[1:]))
+        assert not checks.certificate_signs(nan)[0].ok
+        with pytest.raises(CertificateViolation, match=r"gamma=\[nan\], omega=\[\]"):
+            synthesis._check_margins(nan)
 
 
 class TestBench:
@@ -1161,6 +1166,29 @@ class TestNumericalRefusals:
                      "--dump-transform", "--out-dir", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
             "internal error: masked Sylvester residual nan at family index 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m, message", [
+        (14, "Lyapunov solve for P is singular or not finite at m = 14, "
+             "delta = 1000000000000000.0"),
+        (20, "coupling gain K_Q overflows double precision at m = 20, "
+             "delta = 1000000000000000.0")])
+    def test_coupling_design_overflows(self, tmp_path, capsys, m, message):
+        """A fast decay over many equations: at m = 14 the characteristic
+        polynomial reaches 2.9e215 and the Lyapunov system is singular; at
+        m = 20 it overflows, and K_Q is not finite."""
+        L = 1e-7
+        Q = np.eye(m, k=-1)
+        Q[0] = 1.0
+        obj = dict(m=m, D=list(range(1, m + 1)), Q=Q.tolist(), L=L, gamma1=1.0, gamma2=0.0,
+                   shapes=[{"kind": "indicator", "params": [L * j / 11, L * (j + 1) / 11]}
+                           for j in range(10)])
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--plant", str(path), "--delta", "1e15",
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == f"internal error: {message}\n"
         assert not out.exists()
 
 

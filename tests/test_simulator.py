@@ -331,6 +331,38 @@ def random_closed_loops(draw):
     return assemble_closed_loop(plant, ctl, basis, M), N, M, m
 
 
+class TestBlockOps:
+    """The block operations of the Pade step (`simulator._Blocks`) against
+    the dense matrices of their rows."""
+
+    @pytest.mark.parametrize("N, tail, m", [(1, 1, 1), (3, 4, 1), (1, 3, 2), (2, 5, 3),
+                                            (4, 2, 4)])
+    def test_mul_solve_and_unbalance_match_dense(self, N, tail, m):
+        from cascade_stab import simulator
+
+        ops = simulator._Blocks(N, tail, m)
+        rng = np.random.default_rng(100 * N + 10 * tail + m)
+
+        def dense(X):
+            X_D, X_TR = ops.split(X)
+            assert X_D.shape == (N + tail, m, m) and X_TR.shape == (tail, m, m * N)
+            return dense_closed_loop(ClosedLoop(A_RR=X_D[:N], A_TT=X_D[N:], A_TR=X_TR))
+
+        def assert_close(got, want):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        X, Y, Q = rng.standard_normal((3, 1, ops.size))
+        before = dense(Q)
+        ops.diag(Q)[:] += 2.0 * m  # through the view, leaving Q well conditioned
+        np.testing.assert_array_equal(dense(Q), before + 2.0 * m * np.eye(m * (N + tail)))
+        assert_close(dense(ops.mul(X, Y)), dense(X) @ dense(Y))
+        assert_close(dense(ops.solve(Q, Y)), np.linalg.solve(dense(Q), dense(Y)))
+        d = np.exp2(rng.integers(-4, 5, (N + tail, m)).astype(float))
+        balanced = X.copy()
+        ops.unbalance(balanced, d)
+        assert_close(dense(balanced), d.reshape(-1, 1) * dense(X) / d.reshape(1, -1))
+
+
 class TestBlockIntegrator:
     """Block propagation against the dense oracle, per sample."""
 

@@ -16,9 +16,12 @@ command before it did not write with the same bytes:
 
 The first md5 is of the exit code, a newline and the command's stdout.  Two
 trees whose lines are equal wrote the same bytes.  The BLAS thread count is
-the caller's, so set it in the environment:
+the caller's, so set it in the environment.  `--src` runs the package of
+another tree with this tree's tool, so that two trees are hashed on the
+same commands:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/output_md5.py --seed 3
+    OPENBLAS_NUM_THREADS=1 python3 tools/output_md5.py --seed 3 --src /path/to/other/src
 """
 
 from __future__ import annotations
@@ -33,11 +36,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave perfbench/ as it is
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from cascade_stab import cli  # noqa: E402
-from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 
 def _md5(data: bytes) -> str:
@@ -54,6 +52,9 @@ def _files(directory: str) -> dict:
 
 
 def workload_lines(name: str, seed: int) -> list[str]:
+    from cascade_stab import cli
+    from workloads import WORKLOADS, write_inputs
+
     lines = []
     with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out, \
             tempfile.TemporaryDirectory() as open_loop, tempfile.TemporaryDirectory() as dumps:
@@ -84,7 +85,13 @@ def workload_lines(name: str, seed: int) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory of the tree to hash (default: this tree's)")
     args = parser.parse_args()
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path[:0] = [str(args.src), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+
     for name in WORKLOADS:
         sys.stdout.write("".join(f"{line}\n" for line in workload_lines(name, args.seed)))
     return 0
