@@ -7,16 +7,16 @@ One function per identity returns a list of `Check` rows:
   cancellation, and the gain route Kbar_n = (K_Q - G_n) T_n, from the
   stacks that the synthesis evaluated;
 - `factorization`: Bmat K = block-rows(Kbar);
-- `certificate_signs`: the largest gamma and omega margins are negative.
+- `certificate_signs`: every gamma and every omega margin is negative.
 
 `verify` prints the rows, and the refusals read the same rows, so each
-bound is defined once: `build_controller` and `cli.load_gains` refuse gains
-that fail `factorization`, and `synthesis.certificate_margins` margins that
-fail `certificate_signs`; `verify` prints the factorization row that
-`build_controller` refused on.  The Sylvester bound is `transform.RESIDUAL_TOL`,
-by which the transform solver refuses a family too.  `block_diagonal`
-assembles block-rows(Kbar), the right side that `build_controller` solves
-for K.
+bound and sign rule is defined once: `build_controller` and `cli.load_gains`
+refuse gains that fail `factorization`, and `synthesis.certificate` margins
+that fail `certificate_signs`, naming their `failing_margins`; `verify`
+prints failing sign rows as FAIL.  A refused factorization or Sylvester row
+(bound `transform.RESIDUAL_TOL`) is never printed, as its refusal exits
+first.  `block_diagonal` assembles block-rows(Kbar), the right side that
+`build_controller` solves for K.
 """
 
 from __future__ import annotations
@@ -109,10 +109,19 @@ def factorization(controller) -> list[Check]:
     return [at_most("gain factorization", value, FACTORIZATION_TOL)]
 
 
+def failing_margins(margins) -> list:
+    """The margins that are not negative, NaN included."""
+    return [g for g in margins if not g < 0.0]
+
+
 def certificate_signs(cert) -> list[Check]:
-    """The largest gamma and omega margins of a certificate or of its
-    `synthesis.Margins` are negative (-inf when there are none)."""
-    gmax = max(cert.gamma_margins) if cert.gamma_margins else -math.inf
-    wmax = max(cert.omega_margins) if cert.omega_margins else -math.inf
-    return [Check("certificate gamma < 0", gmax, 0.0, gmax < 0.0),
-            Check("certificate omega < 0", wmax, 0.0, wmax < 0.0)]
+    """The gamma and omega rows of a certificate or `synthesis.Margins`: each
+    passes unless a margin is failing, and reads the largest margin (NaN if
+    any is NaN, -inf if there are none)."""
+    rows = []
+    for name, margins in (("gamma", cert.gamma_margins), ("omega", cert.omega_margins)):
+        bad = failing_margins(margins)
+        # Python's max skips a NaN that does not come first.
+        value = math.nan if any(map(math.isnan, bad)) else max(margins, default=-math.inf)
+        rows.append(Check(f"certificate {name} < 0", value, 0.0, not bad))
+    return rows

@@ -14,7 +14,9 @@ Each handler imports the submodules it runs when it is called, so a
 command loads only its own code: `synthesize` never loads `simulator`.
 Calls go through the module (`synthesis.build_controller`), so a function
 replaced on its module is the one called.  Every bound that `verify`
-prints is defined in `checks`, or is `transform.RESIDUAL_TOL`.
+prints is defined in `checks`, or is `transform.RESIDUAL_TOL`.  A
+certificate whose sign rows fail is refused by `synthesize` and `simulate`
+(exit 3) and printed as FAIL by `verify` (exit 4).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import model
 from .errors import (
+    BadShape,
     CascadeStabError,
     FactorizationAtRoundingLevel,
     HypothesisHViolated,
@@ -49,26 +52,42 @@ def _load_validated(args) -> model.ValidatedPlant:
     return model.validate_plant(model.load_plant(args.plant))
 
 
-def _profile_from_dict(obj: dict):
-    """Initial-condition profile: shape kinds plus cosine(amplitude, freq, offset)."""
+def _profile_from_dict(obj: dict, L: float):
+    """Initial-condition profile: shape kinds plus cosine(amplitude, freq, offset).
+
+    A shape must pass `ShapeFunction.validate` on [0, L], as a plant's
+    shapes do, and the cosine parameters must be finite.
+    """
     kind = obj["kind"]
     if kind == "cosine":
-        amp, freq, off = (float(v) for v in obj["params"])
+        amp, freq, off = params = tuple(float(v) for v in obj["params"])
+        if not all(map(math.isfinite, params)):
+            raise BadShape("cosine shape parameters must be finite")
         return lambda x: amp * np.cos(freq * np.asarray(x, dtype=float)) + off
-    return model.shape_from_dict(obj)
+    shape = model.shape_from_dict(obj)
+    shape.validate(L)
+    return shape
 
 
-def load_initial(path: str, m: int):
+def load_initial(path: str, m: int, L: float):
+    """The m profiles of an initial-condition file, on the domain [0, L].
+
+    A profile that is malformed or invalid is an input error naming its
+    position (1..m) in the file.
+    """
     try:
         data = model.read_json(path)
     except json.JSONDecodeError as exc:
         raise PlantInputError(f"initial-condition file is not valid JSON: {exc}")
     if not isinstance(data, list) or len(data) != m:
         raise PlantInputError(f"initial-condition file must list exactly m={m} profiles")
-    try:
-        return [_profile_from_dict(entry) for entry in data]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlantInputError(f"malformed initial-condition profile: {exc}")
+    profiles = []
+    for i, entry in enumerate(data, start=1):
+        try:
+            profiles.append(_profile_from_dict(entry, L))
+        except (BadShape, KeyError, TypeError, ValueError) as exc:
+            raise PlantInputError(f"malformed initial-condition profile {i}: {exc}")
+    return profiles
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +113,12 @@ def _synthesize_pipeline(plant, delta, N, pole_offsets, M_modes):
 
 
 def _report_text(plant, controller, cert, H) -> str:
-    """The synthesis report; H is the stack of the retained target blocks."""
+    """The synthesis report; H is the stack of the retained target blocks.
+
+    The max margin lines print the values of the `checks.certificate_signs` rows.
+    """
+    from . import checks
+
     idx = plant.indices
     lines = [
         "controller synthesis report",
@@ -117,10 +141,11 @@ def _report_text(plant, controller, cert, H) -> str:
         f"  certificate c_upper  : {cert.c_upper!r}",
         f"  overshoot M          : {cert.M!r}",
     ]
+    gamma, omega = checks.certificate_signs(cert)
     if cert.gamma_margins:
-        lines.append(f"  max gamma margin     : {max(cert.gamma_margins):.6e}")
+        lines.append(f"  max gamma margin     : {gamma.value:.6e}")
     if cert.omega_margins:
-        lines.append(f"  max omega margin     : {max(cert.omega_margins):.6e}")
+        lines.append(f"  max omega margin     : {omega.value:.6e}")
     return "\n".join(lines) + "\n"
 
 
@@ -194,7 +219,7 @@ def cmd_simulate(args) -> int:
             plant, args.delta, args.N, None, args.M_modes
         )
         cert = synthesis.certificate(plant, controller, retained, basis, args.M_modes)
-    z0_funcs = load_initial(args.initial, plant.m)
+    z0_funcs = load_initial(args.initial, plant.m, plant.L)
     config = simulator.SimConfig(M_modes=args.M_modes, t_final=args.t_final,
                                  dt_out=args.dt_out)
     applied = controller
@@ -222,6 +247,13 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    """Print one PASS/FAIL line per `checks` row; exit 4 if any row fails.
+
+    The certificate's sign rows come from `synthesis.certificate_margins`,
+    which does not judge them, so failing margins print FAIL here.  The
+    Sylvester and factorization rows read PASS whenever they are printed:
+    the transform solver and `build_controller` refuse (exit 3) first.
+    """
     from . import checks, simulator, synthesis
 
     plant = _load_validated(args)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import block_diagonal, certificate_signs, factorization
+from .checks import block_diagonal, certificate_signs, factorization, failing_margins
 from .errors import (
     CertificateAtRoundingLevel,
     CertificateViolation,
@@ -375,11 +375,12 @@ def build_controller(plant: ValidatedPlant, delta: float, N: int | None = None,
 def certificate_margins(plant: ValidatedPlant, controller: Controller,
                         basis: SpectralBasis, H: np.ndarray,
                         M_modes: int = 30) -> Margins:
-    """The certificate's sign conditions, refused unless every margin is negative.
+    """The certificate's sign conditions: rho and the gamma and omega margins.
 
-    rho is 1/mu with mu the definiteness margin of the residual-mode
-    inequality at lambda_{N+1} (factor-2 slack over the Schur-complement
-    minimum 1/(2 mu)).  rho_bar = 4 leaves the same factor-2 slack in the
+    Only mu <= 0 is refused, as rho = 1/mu must be positive; `certificate`
+    refuses the signs.  rho is 1/mu with mu the definiteness margin of the
+    residual-mode inequality at lambda_{N+1} (factor-2 slack over the
+    Schur-complement minimum 1/(2 mu)).  rho_bar = 4 leaves the same factor-2 slack in the
     retained-mode inequality, whose Schur minimum is 2 under the
     normalization Abar^T P + P Abar = -I.  H is the stack of target blocks
     H_n of the retained modes (`closed_blocks`); the gamma margins are those
@@ -401,18 +402,17 @@ def certificate_margins(plant: ValidatedPlant, controller: Controller,
     if N:
         G = sym(controller.P @ H) + np.eye(plant.m) / RHO_BAR + delta * controller.P
         gamma_margins = tuple(np.linalg.eigvalsh(G)[:, -1].tolist())
-    margins = Margins(rho=rho, gamma_margins=gamma_margins,
-                      omega_margins=_omega_margins(plant, basis, rho, delta, N, M_modes))
-    _check_margins(margins)
-    return margins
+    return Margins(rho=rho, gamma_margins=gamma_margins,
+                   omega_margins=_omega_margins(plant, basis, rho, delta, N, M_modes))
 
 
 def certificate(plant: ValidatedPlant, controller: Controller, retained: Retained,
                 basis: SpectralBasis, M_modes: int = 30) -> Certificate:
     """The sign conditions (`certificate_margins`), then the certificate's constants.
 
-    retained holds the maps of the retained modes, as `build_controller`
-    returns them.  The overshoot constant is
+    Margins that fail a `checks.certificate_signs` row are refused
+    (CertificateViolation).  retained holds the maps of the retained modes,
+    as `build_controller` returns them.  The overshoot constant is
 
         M = sqrt(c_upper * max(eig_max P, rho0) /
                  (c_lower * min(eig_min P, rho0))).
@@ -422,6 +422,10 @@ def certificate(plant: ValidatedPlant, controller: Controller, retained: Retaine
     """
     N = controller.N
     margins = certificate_margins(plant, controller, basis, retained.H, M_modes)
+    if not all(row.ok for row in certificate_signs(margins)):
+        gamma, omega = map(failing_margins, (margins.gamma_margins, margins.omega_margins))
+        raise CertificateViolation(
+            f"certificate sign conditions failed: gamma={gamma}, omega={omega}")
     if N == 0:
         # No retained modes: V = sum |z_n|^2 decays at rate delta directly.
         return Certificate(rho=margins.rho, rho_bar=RHO_BAR, beta=0.0, rho0=1.0,
@@ -460,16 +464,6 @@ def _omega_margins(plant, basis, rho, delta, N, M_modes):
     """
     lam = basis.lam[N:M_modes]
     return tuple(selection_margins(plant, lam, delta + 1.0 / (2.0 * rho)).tolist())
-
-
-def _check_margins(cert: Margins | Certificate) -> None:
-    """Refuse margins that fail `certificate_signs`, naming each bad margin."""
-    if not all(check.ok for check in certificate_signs(cert)):
-        bad_gamma = [g for g in cert.gamma_margins if not g < 0.0]
-        bad_omega = [w for w in cert.omega_margins if not w < 0.0]
-        raise CertificateViolation(
-            f"certificate sign conditions failed: gamma={bad_gamma}, omega={bad_omega}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +515,9 @@ def direct_baseline(plant: ValidatedPlant, basis: SpectralBasis, delta: float,
 # Gains file (JSON)
 
 def certificate_from_dict(obj: dict) -> Certificate:
-    return Certificate(
-        rho=float(obj["rho"]),
-        rho_bar=float(obj["rho_bar"]),
-        beta=float(obj["beta"]),
-        rho0=float(obj["rho0"]),
-        c_lower=float(obj["c_lower"]),
-        c_upper=float(obj["c_upper"]),
-        M=float(obj["M"]),
-        gamma_margins=tuple(obj.get("gamma_margins", ())),
-        omega_margins=tuple(obj.get("omega_margins", ())),
-    )
+    """The constants as floats, in field order, and the margins (empty if absent)."""
+    return Certificate(*(tuple(obj.get(k, ())) if k.endswith("_margins") else float(obj[k])
+                         for k in Certificate._fields))
 
 
 def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> dict:

@@ -288,6 +288,32 @@ class TestSimulate:
         last = float(norms[-1].split(",")[1])
         assert last > first
 
+    @pytest.mark.parametrize("profile, message", [
+        ({"kind": "indicator", "params": [2.0, 1.0]},
+         "indicator bounds (2.0, 1.0) must satisfy 0 <= a < b <= L"),
+        ({"kind": "indicator", "params": [0.0, 10.0]},
+         "indicator bounds (0.0, 10.0) must satisfy 0 <= a < b <= L"),
+        ({"kind": "samples", "params": [[0.0, 1.0], [1.0, 1.0]]},
+         "samples grid must cover [0, L]"),
+        ({"kind": "triangle", "params": [1.0]}, "unknown shape kind 'triangle'"),
+        ({"kind": "cosine", "params": [math.nan, 1.0, 1.0]},
+         "cosine shape parameters must be finite")])
+    def test_invalid_initial_profile_is_named(self, tmp_path, plant_file, capsys,
+                                              profile, message):
+        """Initial profiles are validated like plant shapes on [0, L]; the NaN
+        amplitude is read through `read_json`'s json fallback."""
+        cosine = {"kind": "cosine", "params": [1.0, 1.0, 1.0]}
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps([cosine, profile, cosine]))
+        sim = tmp_path / "sim"
+        rc = main(["simulate", "--plant", plant_file, "--delta", "9",
+                   "--initial", str(init), "--out-dir", str(sim)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"input error: malformed initial-condition profile 2: {message}\n"
+        assert captured.out == ""
+        assert not (sim / "modal.csv").exists()
+
     def test_zero_initial_data(self, tmp_path, plant_file, capsys):
         profiles = [{"kind": "polynomial", "params": [0.0]} for _ in range(3)]
         init = tmp_path / "zero.json"
@@ -528,8 +554,10 @@ class TestSimulate:
         rc = main(["simulate", "--plant", plant_file, "--delta", "9", "--N", "3",
                    "--initial", str(init), "--t-final", "0.2",
                    "--out-dir", str(tmp_path / "sim")])
-        assert rc == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err == ("input error: malformed initial-condition "
+                                           "profile 1: cosine shape parameters must be finite\n")
+        assert not (tmp_path / "sim").exists()
 
 
 class TestManyRetainedModes:
@@ -726,25 +754,88 @@ class TestRefusalsReadChecks:
         assert str(exc_info.value) == (f"gains file's K does not factor its Kbar: residual "
                                        f"{bad.value:.3e} exceeds the bound 1e-09")
 
-    def test_certificate_with_a_non_negative_gamma_margin(self, demo_plant, demo_basis):
+    @pytest.fixture()
+    def demo_design(self, demo_plant, demo_basis):
         family = transform.solve_transform_family(demo_plant)
         controller, maps = synthesis.build_controller(demo_plant, 9.0, N=3,
                                                       basis=demo_basis, family=family)
-        cert = synthesis.certificate(demo_plant, controller, maps, demo_basis)
+        return demo_plant, controller, maps, demo_basis
+
+    def test_certificate_with_a_non_negative_gamma_margin(self, demo_design, monkeypatch):
+        cert = synthesis.certificate(*demo_design)
         assert all(row.ok for row in checks.certificate_signs(cert))
-        synthesis._check_margins(cert)
-        bad = cert._replace(gamma_margins=(*cert.gamma_margins[:-1], 0.0))
+        plant, controller, maps, basis = demo_design
+        margins = synthesis.certificate_margins(plant, controller, basis, maps.H)
+        bad = margins._replace(gamma_margins=(*margins.gamma_margins[:-1], 0.0))
         gamma, omega = checks.certificate_signs(bad)
         assert (gamma.name, gamma.value, gamma.bound, gamma.ok) == (
             "certificate gamma < 0", 0.0, 0.0, False)
         assert omega.ok
-        with pytest.raises(CertificateViolation, match=r"gamma=\[0\.0\], omega=\[\]"):
-            synthesis._check_margins(bad)
-        # A NaN margin fails the sign row and is named, as `not g < 0` lists it.
-        nan = cert._replace(gamma_margins=(math.nan, *cert.gamma_margins[1:]))
-        assert not checks.certificate_signs(nan)[0].ok
-        with pytest.raises(CertificateViolation, match=r"gamma=\[nan\], omega=\[\]"):
-            synthesis._check_margins(nan)
+        monkeypatch.setattr(synthesis, "certificate_margins", lambda *args: bad)
+        with pytest.raises(CertificateViolation, match=r"gamma=\[0\.0\], omega=\[\]$"):
+            synthesis.certificate(*demo_design)
+
+    @pytest.mark.parametrize("field", ["gamma", "omega"])
+    @pytest.mark.parametrize("position", [0, 1, -1])
+    def test_a_nan_margin_fails_its_row_in_any_position(self, demo_design, monkeypatch,
+                                                        field, position):
+        """Python's `max` skips a NaN that does not come first; the row does not."""
+        plant, controller, maps, basis = demo_design
+        real = synthesis.certificate_margins(plant, controller, basis, maps.H)
+        margins = list(getattr(real, f"{field}_margins"))
+        margins[position] = math.nan
+        forced = real._replace(**{f"{field}_margins": tuple(margins)})
+        rows = {row.name: row for row in checks.certificate_signs(forced)}
+        row = rows.pop(f"certificate {field} < 0")
+        assert not row.ok and math.isnan(row.value)
+        [other] = rows.values()
+        assert other.ok and other.value < 0.0
+        monkeypatch.setattr(synthesis, "certificate_margins", lambda *args: forced)
+        named = {"gamma": "[]", "omega": "[]", field: "[nan]"}
+        with pytest.raises(CertificateViolation) as exc_info:
+            synthesis.certificate(*demo_design)
+        assert str(exc_info.value) == ("certificate sign conditions failed: "
+                                       f"gamma={named['gamma']}, omega={named['omega']}")
+
+
+class TestFailingCertificateRows:
+    """Margins forced to fail: `verify` prints the two sign rows as FAIL and
+    exits 4; the commands that ship a certificate refuse it (exit 3) with
+    the message of the parent code and write nothing."""
+
+    @pytest.fixture()
+    def forced(self, monkeypatch):
+        real = synthesis.certificate_margins
+
+        def margins(*args):
+            out = real(*args)
+            return out._replace(gamma_margins=(*out.gamma_margins[:-1], 0.0),
+                                omega_margins=(*out.omega_margins[:-1], math.nan))
+        monkeypatch.setattr(synthesis, "certificate_margins", margins)
+
+    def test_verify_prints_both_fail_rows(self, plant_file, capsys, forced):
+        rc = main(["verify", "--plant", plant_file, "--delta", "9", "--N", "3"])
+        out = capsys.readouterr().out
+        failed = [line.rsplit(None, 2) for line in out.splitlines()
+                  if line.endswith("FAIL")]
+        assert failed == [["certificate gamma < 0", "0.000e+00", "FAIL"],
+                          ["certificate omega < 0", "nan", "FAIL"]]
+        assert out.endswith("verification FAILED\n")
+        assert rc == 4
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_shipping_commands_refuse(self, tmp_path, plant_file, initial_file, capsys,
+                                      forced, command):
+        out = tmp_path / "out"
+        extra = ["--initial", initial_file] if command == "simulate" else []
+        rc = main([command, "--plant", plant_file, "--delta", "9", "--N", "3", *extra,
+                   "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == ("internal error: certificate sign conditions failed: "
+                                "gamma=[0.0], omega=[nan]\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestBench:
