@@ -11,11 +11,11 @@ One function per identity returns a list of `Check` rows:
 
 `verify` prints the rows, and the refusals read the same rows, so each
 bound and sign rule is defined once: `build_controller` and `cli.load_gains`
-refuse gains that fail `factorization`, and `synthesis.certificate` margins
-that fail `certificate_signs`, naming their `failing_margins`; `verify`
-prints failing sign rows as FAIL.  A refused factorization or Sylvester row
-(bound `transform.RESIDUAL_TOL`) is never printed, as its refusal exits
-first.  `block_diagonal` assembles block-rows(Kbar), the right side that
+refuse gains that fail `factorization`, and `synthesis.certificate` and
+`cli.load_gains` margins that fail `certificate_signs`, naming their
+`failing_margins` (`refuse_failing_signs`); `verify` prints failing sign
+rows as FAIL.  A refused factorization or Sylvester row (bound
+`transform.RESIDUAL_TOL`) is never printed, as its refusal exits first.  `block_diagonal` assembles block-rows(Kbar), the right side that
 `build_controller` solves for K.
 """
 
@@ -125,3 +125,11 @@ def certificate_signs(cert) -> list[Check]:
         value = math.nan if any(map(math.isnan, bad)) else max(margins, default=-math.inf)
         rows.append(Check(f"certificate {name} < 0", value, 0.0, not bad))
     return rows
+
+
+def refuse_failing_signs(cert, error, what: str) -> None:
+    """Raise error(what, then the failing margins) unless both
+    `certificate_signs` rows pass."""
+    if not all(row.ok for row in certificate_signs(cert)):
+        gamma, omega = map(failing_margins, (cert.gamma_margins, cert.omega_margins))
+        raise error(f"{what}: gamma={gamma}, omega={omega}")

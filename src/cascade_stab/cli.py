@@ -179,7 +179,8 @@ def load_gains(path: str):
     `model.read_json` parses a non-finite float (an overflowed certificate
     constant M, say) to the value that `synthesize` held, so
     `simulate --gains` runs what `simulate` without it would.  Gains that
-    fail `checks.factorization` are refused.
+    fail `checks.factorization`, and stored margins that fail
+    `checks.certificate_signs`, are refused.
     """
     from . import checks, synthesis
 
@@ -193,6 +194,8 @@ def load_gains(path: str):
         if not check.ok:
             raise PlantInputError(f"gains file's K does not factor its Kbar: residual "
                                   f"{check.value:.3e} exceeds the bound {check.bound:.0e}")
+    checks.refuse_failing_signs(cert, PlantInputError,
+                                "gains file's certificate fails its sign conditions")
     return controller, cert
 
 
@@ -268,17 +271,17 @@ def cmd_verify(args) -> int:
             *retained.factorization,
             *checks.certificate_signs(margins)]
 
-    # Target-coordinate residual along a short deterministic run.  It reads
-    # z^N only, and the retained modes never depend on the tail, so only
-    # they are simulated; --M-modes bounds the certificate's mode range.
+    # Target-coordinate residual along a short deterministic run, from 1/n
+    # in every component of mode n.  It reads z^N only, and the retained
+    # modes never depend on the tail, so only they are simulated (none at
+    # N = 0, where the residual reads 0); --M-modes bounds the
+    # certificate's mode range.
     config = simulator.SimConfig(M_modes=args.M_modes, t_final=args.t_final)
     config.validate(N)
-    tres = 0.0  # by definition when no mode is retained
-    if N > 0:
-        loop = simulator.assemble_closed_loop(plant, controller, basis, N)
-        z0 = np.array([[1.0 / n] * plant.m for n in range(1, N + 1)])
-        traj = simulator.integrate(loop, z0, config.t_final, config.resolved_dt())
-        tres = simulator.target_residual(traj, retained, loop.A_RR)
+    loop = simulator.assemble_closed_loop(plant, controller, basis, N)
+    z0 = np.ones((N, plant.m)) / np.arange(1, N + 1)[:, None]
+    traj = simulator.integrate(loop, z0, config.t_final, config.resolved_dt())
+    tres = simulator.target_residual(traj, retained, loop.A_RR)
     rows.append(checks.at_most("target-coordinate residual", tres, checks.TARGET_RESIDUAL_TOL))
 
     width = max(len(row.name) for row in rows)

@@ -694,7 +694,8 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
 
     z0 holds the (M, m) modal coefficients; the trajectory records every
     dt_out from 0 up to the last grid point at or before t_final
-    (`_output_steps`).
+    (`_output_steps`).  A loop with no modes (M = 0) gives a modal of shape
+    (steps + 1, 0, m) and zero norms.
 
     The step matrix exp(dt_out A) keeps the block form of `loop`: F_RR is
     the stacked `expm` of the retained blocks, and F_TT and F_TR come from
@@ -725,7 +726,7 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     # any block.
     flat = modal.reshape(steps + 1, -1)
     norms = np.empty(steps + 1)
-    rows = max(_CHUNK_BYTES // flat[0].nbytes, 1)
+    rows = max(_CHUNK_BYTES // max(flat[0].nbytes, 1), 1)
     for i in range(0, steps + 1, rows):
         norms[i:i + rows] = np.linalg.norm(flat[i:i + rows], axis=1)
     times = np.arange(steps + 1) * dt_out
@@ -772,12 +773,11 @@ def target_residual(traj: Trajectory, retained: Retained, A_RR: np.ndarray) -> f
     The derivative is evaluated through A_RR, the exact closed-loop
     generator of the retained block (`ClosedLoop.A_RR`), so the residual
     isolates the transform identity rather than finite differencing error.
-    T_n and H_n are the stacks of `retained`.
+    T_n and H_n are the stacks of `retained`.  With no retained mode the
+    stacks are empty and the residual reads 0.0.
     """
     T, H = retained.T, retained.H
     N = len(T)
-    if N == 0:
-        return 0.0
 
     # Block n of every product acts on z_n alone: (N, m, samples) stacks.
     Z = traj.modal[:, :N, :].transpose(1, 2, 0)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import block_diagonal, certificate_signs, factorization, failing_margins
+from .checks import block_diagonal, factorization, refuse_failing_signs
 from .errors import (
     CertificateAtRoundingLevel,
     CertificateViolation,
@@ -384,11 +384,12 @@ def certificate_margins(plant: ValidatedPlant, controller: Controller,
     retained-mode inequality, whose Schur minimum is 2 under the
     normalization Abar^T P + P Abar = -I.  H is the stack of target blocks
     H_n of the retained modes (`closed_blocks`); the gamma margins are those
-    of Sym(P H_n) + I / rho_bar + delta P, and the omega margins those of the
-    residual modes N+1..M_modes.  Both signs follow from the synthesis: the
-    first omega margin is -mu/2 up to rounding, and by the Lyapunov identity
-    G_n = -I/4 - (lambda_n - lambda_1) d_m P, so no gamma margin exceeds
-    -1/4 beyond the Lyapunov residual.
+    of Sym(P H_n) + I / rho_bar + delta P, none when H is empty (N = 0), and
+    the omega margins those of the residual modes N+1..M_modes.  Both signs
+    follow from the synthesis: the first omega margin is -mu/2 up to
+    rounding, and by the Lyapunov identity G_n = -I/4 - (lambda_n -
+    lambda_1) d_m P, so no gamma margin exceeds -1/4 beyond the Lyapunov
+    residual.
     """
     N = controller.N
     delta = controller.delta
@@ -398,10 +399,8 @@ def certificate_margins(plant: ValidatedPlant, controller: Controller,
     if mu <= 0.0:
         raise CertificateViolation("residual-mode inequality fails at lambda_{N+1}")
     rho = 1.0 / mu
-    gamma_margins = ()
-    if N:
-        G = sym(controller.P @ H) + np.eye(plant.m) / RHO_BAR + delta * controller.P
-        gamma_margins = tuple(np.linalg.eigvalsh(G)[:, -1].tolist())
+    G = sym(controller.P @ H) + np.eye(plant.m) / RHO_BAR + delta * controller.P
+    gamma_margins = tuple(np.linalg.eigvalsh(G)[:, -1].tolist())
     return Margins(rho=rho, gamma_margins=gamma_margins,
                    omega_margins=_omega_margins(plant, basis, rho, delta, N, M_modes))
 
@@ -422,10 +421,7 @@ def certificate(plant: ValidatedPlant, controller: Controller, retained: Retaine
     """
     N = controller.N
     margins = certificate_margins(plant, controller, basis, retained.H, M_modes)
-    if not all(row.ok for row in certificate_signs(margins)):
-        gamma, omega = map(failing_margins, (margins.gamma_margins, margins.omega_margins))
-        raise CertificateViolation(
-            f"certificate sign conditions failed: gamma={gamma}, omega={omega}")
+    refuse_failing_signs(margins, CertificateViolation, "certificate sign conditions failed")
     if N == 0:
         # No retained modes: V = sum |z_n|^2 decays at rate delta directly.
         return Certificate(rho=margins.rho, rho_bar=RHO_BAR, beta=0.0, rho0=1.0,
@@ -515,8 +511,8 @@ def direct_baseline(plant: ValidatedPlant, basis: SpectralBasis, delta: float,
 # Gains file (JSON)
 
 def certificate_from_dict(obj: dict) -> Certificate:
-    """The constants as floats, in field order, and the margins (empty if absent)."""
-    return Certificate(*(tuple(obj.get(k, ())) if k.endswith("_margins") else float(obj[k])
+    """The constants as floats and the margins as tuples, in field order."""
+    return Certificate(*(tuple(obj[k]) if k.endswith("_margins") else float(obj[k])
                          for k in Certificate._fields))
 
 
@@ -533,13 +529,18 @@ def gains_to_dict(controller: Controller, cert: Certificate | None = None) -> di
 
 
 def controller_from_dict(obj: dict) -> Controller:
-    """Inverse of `gains_to_dict`; an array of the wrong shape is a ValueError."""
+    """Inverse of `gains_to_dict`; an array of the wrong shape is a ValueError.
+
+    JSON writes an empty array as [], so an empty array stands for the
+    empty arrays of an N = 0 controller.
+    """
     N = int(obj["N"])
     m = len(obj["K_Q"])
 
     def grid(key, *shape):
-        value = (np.asarray(obj[key], dtype=float) if N or key in ("K_Q", "P")
-                 else np.zeros(shape))
+        value = np.asarray(obj[key], dtype=float)
+        if not value.size and 0 in shape:
+            value = value.reshape(shape)
         if value.shape != shape:
             raise ValueError(f"{key} has shape {value.shape}, expected {shape} for N={N}")
         return value

@@ -19,6 +19,9 @@ from cascade_stab.model import example_plant_dict, save_plant, write_json
 
 from conftest import corrupt_family, failing_exchange, helper_formats_first, random_plant
 
+# Q of a plant that `example_plant_dict()` makes stable: it retains no mode at delta = 1.
+STABLE_Q = [[-1.0, 0.5, 0.0], [1.0, -1.0, 0.5], [0.0, 1.0, -1.0]]
+
 
 @pytest.fixture()
 def plant_file(tmp_path):
@@ -472,6 +475,29 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"^P has shape \(1, 1\), expected \(3, 3\) for N=0$"):
             synthesis.controller_from_dict(gains)
 
+    @pytest.mark.parametrize("key, value, shape", [
+        ("K", [[1.0]], "(1, 1), expected (0, 0)"),
+        ("Kbar", [[5.0, 6.0]], "(1, 2), expected (0, 3)")])
+    def test_zero_controller_file_with_gains_is_refused(self, tmp_path, initial_file, capsys,
+                                                       key, value, shape):
+        """At N = 0 Kbar, Bmat and K are read too, and only empty ones pass."""
+        plant = tmp_path / "stable.json"
+        plant.write_text(json.dumps({**example_plant_dict(), "Q": STABLE_Q}))
+        assert main(["synthesize", "--plant", str(plant), "--delta", "1",
+                     "--out-dir", str(tmp_path / "syn")]) == 0
+        gains = json.loads((tmp_path / "syn" / "gains.json").read_text())
+        assert gains["N"] == 0 and gains[key] == []
+        gains[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(gains))
+        capsys.readouterr()
+        rc = main(["simulate", "--plant", str(plant), "--gains", str(bad),
+                   "--initial", initial_file, "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"input error: malformed gains file: {key} has "
+                                           f"shape {shape} for N=0\n")
+        assert not (tmp_path / "sim").exists()
+
     def test_gains_that_miss_the_factorization_bound(self, tmp_path, plant_file,
                                                      initial_file, demo_gains, capsys):
         """The retained modes take Kbar and the tail modes K, so the two must
@@ -490,6 +516,29 @@ class TestSimulate:
         assert err.endswith(" exceeds the bound 1e-09\n")
         with pytest.raises(PlantInputError, match="residual"):
             cli.load_gains(str(bad))
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(omega_margins=[5.0, -1.0]),
+         "gains file's certificate fails its sign conditions: gamma=[], omega=[5.0]"),
+        (dict(gamma_margins=[1.0, math.nan]),
+         "gains file's certificate fails its sign conditions: gamma=[1.0, nan], omega=[]"),
+        (dict(gamma_margins=None, omega_margins=None),  # None deletes the list
+         "malformed gains file: 'gamma_margins'")])
+    def test_gains_whose_stored_margins_fail(self, tmp_path, plant_file, initial_file,
+                                             demo_gains, capsys, edit, message):
+        """The stored margins are read by the `checks.certificate_signs` rows
+        and the failing ones named; absent lists do not pass vacuously."""
+        with open(demo_gains) as fh:
+            gains = json.load(fh)
+        cert = {**gains["certificate"], **edit}
+        gains["certificate"] = {k: v for k, v in cert.items() if v is not None}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(gains))
+        rc = main(["simulate", "--plant", plant_file, "--gains", str(bad),
+                   "--initial", initial_file, "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
         assert not (tmp_path / "sim").exists()
 
     def test_gains_reader_gives_json_values(self, demo_gains):
@@ -711,10 +760,8 @@ class TestVerify:
             "error: unrecognized arguments: --inject-corrupt-transform\n")
 
     def test_stable_plant_retains_no_modes(self, tmp_path, capsys):
-        obj = example_plant_dict()
-        obj["Q"] = [[-1.0, 0.5, 0.0], [1.0, -1.0, 0.5], [0.0, 1.0, -1.0]]
         path = tmp_path / "stable.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps({**example_plant_dict(), "Q": STABLE_Q}))
         rc = main(["verify", "--plant", str(path), "--delta", "1"])
         assert rc == 0
         out = capsys.readouterr().out

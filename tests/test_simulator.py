@@ -46,6 +46,7 @@ from cascade_stab.spectral import (
 )
 from cascade_stab.synthesis import (
     Controller,
+    Retained,
     build_controller,
     certificate,
     closed_blocks,
@@ -220,10 +221,26 @@ class TestAssembleClosedLoop:
         assert loop.A_TR.tobytes() == drive.tobytes()
 
 
+@pytest.fixture()
+def zero_mode_run(demo_plant, demo_basis):
+    """`verify`'s run at N = 0: a loop with no modes, and empty retained maps."""
+    loop = assemble_closed_loop(demo_plant, zero_controller(9.0, 0, 3), demo_basis, 0)
+    empty = np.zeros((0, 3, 3))
+    retained = Retained(lam=demo_basis.lam[:0], T=empty, T_inv=empty, H=empty,
+                        factorization=[])
+    return loop, retained, integrate(loop, np.zeros((0, 3)), 0.5, 0.5 / 400)
+
+
 class TestIntegrate:
     def test_scalar_exponential(self):
         traj = integrate(DECAY, np.array([[1.0]]), 1.0, 0.01)
         assert traj.l2_norm[-1] == pytest.approx(math.exp(-1.0), abs=1e-10)
+
+    def test_loop_with_no_modes(self, zero_mode_run):
+        _loop, _retained, traj = zero_mode_run
+        assert traj.modal.shape == (401, 0, 3)
+        assert traj.times.tobytes() == (np.arange(401) * (0.5 / 400)).tobytes()
+        assert traj.l2_norm.tobytes() == np.zeros(401).tobytes()
 
     def test_nilpotent_polynomial_flow(self):
         loop = retained_only(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
@@ -721,6 +738,10 @@ class TestTargetResidual:
         A_RR = assemble_closed_loop(demo_plant, ctl, demo_basis, 3).A_RR
         res = target_residual(traj, maps, A_RR)
         assert res <= 1e-6
+
+    def test_no_retained_mode_reads_zero(self, zero_mode_run):
+        loop, retained, traj = zero_mode_run
+        assert target_residual(traj, retained, loop.A_RR) == 0.0
 
     def test_identity_family_matches_plain_residual(self, rng):
         from conftest import random_plant

@@ -17,6 +17,7 @@ from cascade_stab.synthesis import (
     Controller,
     build_controller,
     certificate,
+    certificate_margins,
     certificate_from_dict,
     check_coupling,
     closed_blocks,
@@ -317,6 +318,18 @@ class TestBuildController:
         ctl, _ = build_controller(plant, 0.01)
         assert ctl.N == 0
         assert ctl.K.size == 0
+
+    @pytest.mark.parametrize("D, Q, delta", [
+        ([1.0], [[-5.0]], 0.01),
+        ([4.0, 5.0, 6.0], [[-1.0, 0.5, 0.0], [1.0, -1.0, 0.5], [0.0, 1.0, -1.0]], 1.0)])
+    def test_stable_plant_has_no_gamma_margins(self, D, Q, delta):
+        """At N = 0 the empty stack of target blocks gives no gamma margin."""
+        plant = simple_plant(D, Q)
+        basis = build_basis(math.pi, 1.0, 0.0, 8)
+        ctl, maps = build_controller(plant, delta, basis=basis)
+        assert ctl.N == 0 and maps.H.shape == (0, len(D), len(D))
+        assert certificate_margins(plant, ctl, basis, maps.H).gamma_margins == ()
+        assert certificate(plant, ctl, maps, basis).gamma_margins == ()
 
     def test_equal_diffusions_controller_repeats_K_Q(self, rng):
         plant = random_plant(rng, m=3, force_sigma=1)

@@ -8,8 +8,12 @@ each workload, on inputs drawn from one seed.  Then it runs `synthesize
 file the JSON writer makes is hashed, and the same `simulate` with
 `--open-loop` (command `simulate-open-loop`), the only command whose tail
 takes the per-slice `expm` (N = 0), each into a directory of its own.
-Prints one line per command and one per file that it wrote and that the
-command before it did not write with the same bytes:
+Last it runs `synthesize`, `simulate --gains` and `verify` at `--delta 1`
+on a stable plant that retains no mode (`stable-n0`: `example_plant_dict()`
+with the Q of `STABLE_Q`, and demo-cosine's initial profiles for the
+seed), so that the N = 0 path of every command is hashed too.  Prints one
+line per command and one per file that it wrote and that the command
+before it did not write with the same bytes, 53 lines in all:
 
     <workload> <command> exit+stdout <md5>
     <workload> <command> <file> <md5>
@@ -30,12 +34,16 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Q of the `stable-n0` plant: -lambda_1 D + Sym(Q) + I is negative
+# definite, so `synthesize` retains no mode at delta = 1.
+STABLE_Q = [[-1.0, 0.5, 0.0], [1.0, -1.0, 0.5], [0.0, 1.0, -1.0]]
 
 
 def _md5(data: bytes) -> str:
@@ -51,11 +59,27 @@ def _files(directory: str) -> dict:
     return out
 
 
-def workload_lines(name: str, seed: int) -> list[str]:
+def _run_lines(name: str, runs) -> list[str]:
+    """The lines of each (command, argv, directory) run, in order."""
     from cascade_stab import cli
+
+    lines, before = [], {}
+    for command, argv, directory in runs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv)
+        digest = _md5(f"{rc}\n{stdout.getvalue()}".encode())
+        lines.append(f"{name} {command} exit+stdout {digest}")
+        after = _files(directory)
+        lines += [f"{name} {command} {file} {digest}"
+                  for file, digest in after.items() if before.get(file) != digest]
+        before = after
+    return lines
+
+
+def workload_lines(name: str, seed: int) -> list[str]:
     from workloads import WORKLOADS, write_inputs
 
-    lines = []
     with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out, \
             tempfile.TemporaryDirectory() as open_loop, tempfile.TemporaryDirectory() as dumps:
         plant, initial = write_inputs(WORKLOADS[name], seed, inputs)
@@ -68,18 +92,26 @@ def workload_lines(name: str, seed: int) -> list[str]:
         at = simulate.index("--out-dir") + 1
         runs.append(("simulate-open-loop",
                      [*simulate[:at], open_loop, *simulate[at + 1:], "--open-loop"], open_loop))
-        before = {}
-        for command, argv, directory in runs:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                rc = cli.main(argv)
-            digest = _md5(f"{rc}\n{stdout.getvalue()}".encode())
-            lines.append(f"{name} {command} exit+stdout {digest}")
-            after = _files(directory)
-            lines += [f"{name} {command} {file} {digest}"
-                      for file, digest in after.items() if before.get(file) != digest]
-            before = after
-    return lines
+        return _run_lines(name, runs)
+
+
+def stable_lines(seed: int) -> list[str]:
+    """The `stable-n0` lines: a plant that retains no mode at delta = 1."""
+    from cascade_stab import model
+    from workloads import WORKLOADS
+
+    with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out:
+        plant, initial = os.path.join(inputs, "plant.json"), os.path.join(inputs, "initial.json")
+        with open(plant, "w", encoding="utf-8") as fh:
+            json.dump({**model.example_plant_dict(), "Q": STABLE_Q}, fh)
+        with open(initial, "w", encoding="utf-8") as fh:
+            json.dump(WORKLOADS["demo-cosine"].initial_profiles(seed), fh)
+        runs = [("synthesize", ["synthesize", "--plant", plant, "--delta", "1",
+                                "--out-dir", out], out),
+                ("simulate", ["simulate", "--plant", plant, "--gains", f"{out}/gains.json",
+                              "--initial", initial, "--out-dir", out], out),
+                ("verify", ["verify", "--plant", plant, "--delta", "1"], out)]
+        return _run_lines("stable-n0", runs)
 
 
 def main() -> int:
@@ -92,8 +124,8 @@ def main() -> int:
     sys.path[:0] = [str(args.src), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
-    for name in WORKLOADS:
-        sys.stdout.write("".join(f"{line}\n" for line in workload_lines(name, args.seed)))
+    lines = [line for name in WORKLOADS for line in workload_lines(name, args.seed)]
+    sys.stdout.write("".join(f"{line}\n" for line in [*lines, *stable_lines(args.seed)]))
     return 0
 
 
