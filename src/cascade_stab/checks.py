@@ -15,7 +15,8 @@ refuse gains that fail `factorization`, and `synthesis.certificate` and
 `cli.load_gains` margins that fail `certificate_signs`, naming their
 `failing_margins` (`refuse_failing_signs`); `verify` prints failing sign
 rows as FAIL.  A refused factorization or Sylvester row (bound
-`transform.RESIDUAL_TOL`) is never printed, as its refusal exits first.  `block_diagonal` assembles block-rows(Kbar), the right side that
+`transform.RESIDUAL_TOL`) is never printed, as its refusal exits first.
+`block_diagonal` assembles block-rows(Kbar), the right side that
 `build_controller` solves for K.
 """
 

@@ -511,8 +511,8 @@ def direct_baseline(plant: ValidatedPlant, basis: SpectralBasis, delta: float,
 # Gains file (JSON)
 
 def certificate_from_dict(obj: dict) -> Certificate:
-    """The constants as floats and the margins as tuples, in field order."""
-    return Certificate(*(tuple(obj[k]) if k.endswith("_margins") else float(obj[k])
+    """The constants as floats and the margins as tuples of floats, in field order."""
+    return Certificate(*(tuple(map(float, obj[k])) if k.endswith("_margins") else float(obj[k])
                          for k in Certificate._fields))
 
 

@@ -524,7 +524,9 @@ class TestSimulate:
         (dict(gamma_margins=[1.0, math.nan]),
          "gains file's certificate fails its sign conditions: gamma=[1.0, nan], omega=[]"),
         (dict(gamma_margins=None, omega_margins=None),  # None deletes the list
-         "malformed gains file: 'gamma_margins'")])
+         "malformed gains file: 'gamma_margins'"),
+        (dict(omega_margins=["a"]),
+         "malformed gains file: could not convert string to float: 'a'")])
     def test_gains_whose_stored_margins_fail(self, tmp_path, plant_file, initial_file,
                                              demo_gains, capsys, edit, message):
         """The stored margins are read by the `checks.certificate_signs` rows
