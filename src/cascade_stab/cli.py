@@ -179,8 +179,9 @@ def load_gains(path: str):
     `model.read_json` parses a non-finite float (an overflowed certificate
     constant M, say) to the value that `synthesize` held, so
     `simulate --gains` runs what `simulate` without it would.  Gains that
-    fail `checks.factorization`, and stored margins that fail
-    `checks.certificate_signs`, are refused.
+    fail `checks.factorization`, stored margins that fail
+    `checks.certificate_signs`, and a gamma list that does not hold one
+    margin per retained mode, are refused; the omega list may be empty.
     """
     from . import checks, synthesis
 
@@ -196,6 +197,9 @@ def load_gains(path: str):
                                   f"{check.value:.3e} exceeds the bound {check.bound:.0e}")
     checks.refuse_failing_signs(cert, PlantInputError,
                                 "gains file's certificate fails its sign conditions")
+    if len(cert.gamma_margins) != controller.N:
+        raise PlantInputError(f"malformed gains file: gamma_margins holds "
+                              f"{len(cert.gamma_margins)} values for N={controller.N}")
     return controller, cert
 
 

@@ -50,10 +50,12 @@ block form.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
 import struct
+import sys
 from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
@@ -825,21 +827,29 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # and the helper's memfd are written in binary.
 #
 # `write_csvs` formats on two CPUs: the parent from the front of each table,
-# one forked `_Helper` from the back.  The claims live in a mapping shared
-# across the fork and change only under an fcntl lock on the memfd, which
-# the kernel drops if the holder dies.  The parent forks before it fills
-# the tables that have a `shape`, then lets the helper on to them with one
-# byte down a pipe.  Before that byte the helper reads only arrays that
-# existed before the fork; a read that ends without the byte means the
+# one forked `_Helper` from the back.  The helper runs on the allowed CPUs
+# but the one the parent was on at the fork (`_helper_cpus`): left to the
+# kernel, it stayed on the parent's CPU and each side took twice as long.
+# The parent's own affinity is never changed.  Where the CPU cannot be read
+# or the pin is refused, the helper runs unpinned.  The claims live in a
+# mapping shared across the fork and change only under an fcntl lock on the
+# memfd, which the kernel drops if the holder dies.  The parent forks before
+# it fills the tables that have a `shape`, then lets the helper on to them
+# with one byte down a pipe.  Before that byte the helper reads only arrays
+# that existed before the fork; a read that ends without the byte means the
 # parent died.  The helper only slices, stacks and formats: it computes
 # nothing through BLAS, whose threads do not survive a fork.  It leaves
 # only by os._exit, and the parent always reaps it, after killing it if the
 # parent stopped early; a helper that stops early is a CsvHelperFailed.
 #
 # Formatting a block takes about as long as the fork, so the helper is
-# forked only where the tables hold at least two blocks' worth of values.
-# Below that, or where the platform has no fork or memfd_create, or they
-# fail, the parent fills and formats every block alone.
+# forked only where the tables hold at least two blocks' worth of values,
+# and only where the process may run on two CPUs or more: on one CPU, a
+# helper made demo-cosine `simulate` slower than the parent alone (40-44
+# against 26-30 ms in the benchmark).
+# Otherwise, or where the platform has no fork, memfd_create or
+# sched_getaffinity, or they fail, the parent fills and formats every
+# block alone.
 
 _VALUES_PER_BLOCK = 8192
 
@@ -889,10 +899,39 @@ def _shared_empty(shape) -> np.ndarray:
     return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
 
 
+def _libc_sched_getcpu():
+    """libc's sched_getcpu, or None where it is missing or the platform is not Linux."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        fn = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = (), ctypes.c_int
+    return fn
+
+
+_SCHED_GETCPU = _libc_sched_getcpu()
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on now, or None where it cannot be read."""
+    cpu = -1 if _SCHED_GETCPU is None else _SCHED_GETCPU()
+    return cpu if cpu >= 0 else None
+
+
+def _helper_cpus(allowed, parent_cpu: int | None) -> set | None:
+    """The CPUs for the CSV helper: those `allowed` but the parent's.  None,
+    unpinned, where the parent's CPU is unknown or no other is allowed."""
+    others = set(allowed) - {parent_cpu}
+    return others if parent_cpu is not None and others else None
+
+
 class _Helper:
     """The forked process that formats blocks from the back of the tables,
     and what it shares with the parent: each table's claims, the memfd that
-    holds its blocks and whose lock guards the claims, and two pipes."""
+    holds its blocks and whose lock guards the claims, and two pipes.  It
+    runs on `cpus`, or unpinned where that is None."""
 
     def __init__(self, tables: list):
         """Every block of `tables` unclaimed; no process is forked yet."""
@@ -900,6 +939,7 @@ class _Helper:
         import mmap
 
         self.tables, self.pid, self.pipe, self.go = tables, None, None, None
+        self.cpus = None
         self.lockf, self.lock_ex, self.lock_un = fcntl.lockf, fcntl.LOCK_EX, fcntl.LOCK_UN
         self.map = mmap.mmap(-1, _PAIR.size * len(tables))
         for i, table in enumerate(tables):
@@ -908,12 +948,14 @@ class _Helper:
 
     @classmethod
     def fork(cls, tables) -> _Helper | None:
-        """A helper sharing the blocks of `tables`; None where none starts."""
+        """A helper sharing the blocks of `tables`, on the allowed CPUs but
+        the parent's; None where none starts."""
         fds = []
         try:
             helper = cls(tables)
             fds.append(helper.memfd)
             fds += os.pipe() + os.pipe()
+            helper.cpus = _helper_cpus(os.sched_getaffinity(0), _current_cpu())
             pid = os.fork()
         except OSError:
             for fd in fds:
@@ -946,6 +988,11 @@ class _Helper:
         """The helper's whole life: claim, format, report each block, _exit."""
         status = 1
         try:
+            if self.cpus is not None:
+                try:
+                    os.sched_setaffinity(0, self.cpus)
+                except OSError:
+                    pass  # unpinned, as the kernel places it
             os.close(self.pipe)
             os.close(self.go)
             tables = self.tables
@@ -1037,7 +1084,8 @@ def write_csvs(tables) -> None:
     """
     tables, fills = list(tables), []
     forks = (sum(table.steps * table.width for table in tables) >= 2 * _VALUES_PER_BLOCK
-             and hasattr(os, "fork") and hasattr(os, "memfd_create"))
+             and hasattr(os, "fork") and hasattr(os, "memfd_create")
+             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
     empty = _shared_empty if forks else np.empty
     for i, table in enumerate(tables):
         if table.shape is not None:

@@ -29,6 +29,15 @@ def base_seed() -> int:
     return int(os.environ.get("CASCADE_STAB_SEED", "20240817"))
 
 
+@pytest.fixture(autouse=True)
+def _csv_helper_on_any_host(monkeypatch):
+    """The CSV writer forks its helper only where two CPUs are allowed, so on
+    a one-CPU host the tests see two: the helper is still forked, its pin is
+    refused, and it runs unpinned.  Elsewhere nothing is patched."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(base_seed())

@@ -526,11 +526,20 @@ class TestSimulate:
         (dict(gamma_margins=None, omega_margins=None),  # None deletes the list
          "malformed gains file: 'gamma_margins'"),
         (dict(omega_margins=["a"]),
-         "malformed gains file: could not convert string to float: 'a'")])
+         "malformed gains file: could not convert string to float: 'a'"),
+        (dict(gamma_margins=[]),
+         "malformed gains file: gamma_margins holds 0 values for N=3"),
+        (dict(gamma_margins=[], omega_margins=[]),
+         "malformed gains file: gamma_margins holds 0 values for N=3"),
+        (dict(gamma_margins=[-0.25, -0.25]),
+         "malformed gains file: gamma_margins holds 2 values for N=3"),
+        (dict(gamma_margins=[-0.25] * 4),
+         "malformed gains file: gamma_margins holds 4 values for N=3")])
     def test_gains_whose_stored_margins_fail(self, tmp_path, plant_file, initial_file,
                                              demo_gains, capsys, edit, message):
         """The stored margins are read by the `checks.certificate_signs` rows
-        and the failing ones named; absent lists do not pass vacuously."""
+        and the failing ones named; absent lists, and a gamma list without one
+        margin per retained mode, do not pass vacuously."""
         with open(demo_gains) as fh:
             gains = json.load(fh)
         cert = {**gains["certificate"], **edit}

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import pathlib
@@ -1192,6 +1193,108 @@ class TestCsvHelper:
         assert sorted(os.listdir(directory)) == sorted(f"{k}.csv" for k in range(len(tables)))
         cls._assert_no_child()
         return {int(fields[3]) for fields in logged}
+
+    @staticmethod
+    def _small_tables(directory):
+        """The three tables of a random 203-step run: 2 blocks of modal.csv,
+        6 of field.csv and 1 of norms.csv."""
+        from cascade_stab.simulator import Trajectory
+
+        gen = np.random.default_rng(7)
+        steps, M, m = 203, 20, 3
+        traj = Trajectory(times=np.arange(steps) * 0.0123,
+                          modal=gen.standard_normal((steps, M, m)),
+                          l2_norm=np.abs(gen.standard_normal(steps)))
+        basis, grid = build_basis(math.pi, 1.0, 0.0, M), np.linspace(0.0, math.pi, 40)
+        directory.mkdir()
+        return TestCsvHelper._tables(traj, basis, grid, directory)
+
+    @staticmethod
+    def _assert_same_files(a, b):
+        for name in ("modal.csv", "field.csv", "norms.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b)) == [
+            "field.csv", "modal.csv", "norms.csv"]
+
+    @pytest.mark.parametrize("allowed, parent, cpus", [
+        ({0, 1}, 0, {1}), ({0, 1}, 1, {0}), ({0, 1, 2, 3}, 2, {0, 1, 3}),
+        ({0}, 0, None), ({0, 1}, None, None), (set(), None, None)])
+    def test_helper_cpus(self, allowed, parent, cpus):
+        """The helper's CPUs are the allowed ones but the parent's; None,
+        unpinned, where the parent's is unknown or the only one."""
+        from cascade_stab.simulator import _helper_cpus
+
+        assert _helper_cpus(allowed, parent) == cpus
+
+    def test_helper_pinned_off_the_parents_cpu(self, tmp_path, monkeypatch):
+        """The helper, and only the helper, sets its affinity: to the allowed
+        CPUs but the one the parent ran on at the fork.  The parent's
+        affinity is the same after write_csvs."""
+        from cascade_stab import simulator
+
+        assert simulator._current_cpu() in os.sched_getaffinity(0)
+        before = os.sched_getaffinity(0)
+        log, real_set = tmp_path / "affinity", os.sched_setaffinity
+
+        def set_affinity(pid, cpus):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {pid} {sorted(cpus)}\n")
+            real_set(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+        monkeypatch.setattr(simulator, "_current_cpu", lambda: min(before))
+        forks = self._count_forks(monkeypatch)
+        write_csvs(self._small_tables(tmp_path / "out"))
+        assert len(forks) == 1
+        pid, target, cpus = log.read_text().rstrip("\n").split(" ", 2)
+        assert int(pid) != os.getpid() and target == "0"
+        assert cpus == str(sorted(before - {min(before)}))
+        assert os.sched_getaffinity(0) == before
+        self._assert_no_child()
+
+    @pytest.mark.parametrize("fallback", ["cpu unknown", "pin refused"])
+    def test_unpinned_helper_gives_the_same_bytes(self, tmp_path, monkeypatch, fallback):
+        """Where the parent's CPU cannot be read, the helper is not pinned;
+        where the pin raises OSError, it runs unpinned.  Either way it is
+        forked and the files are the pinned helper's."""
+        from cascade_stab import simulator
+
+        before = os.sched_getaffinity(0)
+        write_csvs(self._small_tables(tmp_path / "pinned"))
+        tried = tmp_path / "tried"
+
+        def refuse(pid, cpus):
+            tried.touch()
+            raise OSError(errno.EINVAL, "refused")
+
+        if fallback == "cpu unknown":
+            monkeypatch.setattr(simulator, "_SCHED_GETCPU", None)
+            assert simulator._current_cpu() is None
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        forks = self._count_forks(monkeypatch)
+        write_csvs(self._small_tables(tmp_path / "unpinned"))
+        assert len(forks) == 1
+        assert tried.exists() == (fallback == "pin refused")
+        self._assert_same_files(tmp_path / "pinned", tmp_path / "unpinned")
+        assert os.sched_getaffinity(0) == before
+        self._assert_no_child()
+
+    def test_one_allowed_cpu_does_not_fork(self, tmp_path, monkeypatch):
+        """A process allowed one CPU formats every block itself: no helper
+        is forked, and the files are the two-process writer's bytes."""
+        from unittest import mock
+
+        from cascade_stab import simulator
+
+        forks = self._count_forks(monkeypatch)
+        write_csvs(self._small_tables(tmp_path / "shared"))
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with mock.patch.object(simulator._Helper, "fork") as fork:
+            write_csvs(self._small_tables(tmp_path / "alone"))
+        fork.assert_not_called()
+        assert len(forks) == 1
+        self._assert_same_files(tmp_path / "shared", tmp_path / "alone")
 
     # The fields of the non-finite rows come out NaN.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
