@@ -844,9 +844,9 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 #
 # Formatting a block takes about as long as the fork, so the helper is
 # forked only where the tables hold at least two blocks' worth of values,
-# and only where the process may run on two CPUs or more: on one CPU, a
-# helper made demo-cosine `simulate` slower than the parent alone (40-44
-# against 26-30 ms in the benchmark).
+# and only where the process may run on two CPUs or more: confined to one
+# CPU of a 2-CPU host, a helper made demo-cosine `simulate` slower than the
+# parent alone (40-44 against 26-30 ms in the benchmark).
 # Otherwise, or where the platform has no fork, memfd_create or
 # sched_getaffinity, or they fail, the parent fills and formats every
 # block alone.
