@@ -51,7 +51,6 @@ block form.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
 import struct
@@ -64,6 +63,7 @@ from .errors import CsvHelperFailed, ZeroNorm
 from .model import ShapeFunction, ValidatedPlant, _csv_lines, atomic_write
 from .spectral import (
     SpectralBasis,
+    eigenfunctions,
     expand,
     extend_basis,
     project_callable,
@@ -792,10 +792,9 @@ def target_residual(traj: Trajectory, retained: Retained, A_RR: np.ndarray) -> f
     return worst / scale
 
 
-def reconstruct_field(traj: Trajectory, basis: SpectralBasis, grid, out=None) -> np.ndarray:
-    """Partial-sum fields z_i(t, x), shape (T, m, len(grid)), written into
-    `out` where given."""
-    return expand(traj.modal, basis, grid, out=out)
+def reconstruct_field(traj: Trajectory, basis: SpectralBasis, grid) -> np.ndarray:
+    """Partial-sum fields z_i(t, x), shape (T, m, len(grid))."""
+    return expand(traj.modal, basis, grid)
 
 
 def run_closed_loop(plant: ValidatedPlant, controller: Controller,
@@ -833,14 +832,20 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # The parent's own affinity is never changed.  Where the CPU cannot be read
 # or the pin is refused, the helper runs unpinned.  The claims live in a
 # mapping shared across the fork and change only under an fcntl lock on the
-# memfd, which the kernel drops if the holder dies.  The parent forks before
-# it fills the tables that have a `shape`, then lets the helper on to them
-# with one byte down a pipe.  Before that byte the helper reads only arrays
-# that existed before the fork; a read that ends without the byte means the
-# parent died.  The helper only slices, stacks and formats: it computes
-# nothing through BLAS, whose threads do not survive a fork.  It leaves
-# only by os._exit, and the parent always reaps it, after killing it if the
-# parent stopped early; a helper that stops early is a CsvHelperFailed.
+# memfd, which the kernel drops if the holder dies.  Whoever claims a block
+# computes its rows from arrays that existed before the fork: field.csv's
+# rows multiply out the block's own steps against the eigenfunction matrix
+# that `field_table` builds, so the field's memory is one block per
+# process, never the whole (steps, m, grid) field (a 147 MB field.csv took
+# 36.4 MiB of peak RSS, against 72.9 MiB with the whole field held).  The
+# helper's GEMMs run after the fork: numpy's bundled OpenBLAS is a pthreads
+# build that re-creates its thread pool in a forked child (it registers an
+# atfork handler), so a child's matmul does not wait on the parent's
+# threads.  The helper leaves only by os._exit, and the parent always reaps
+# it, after killing it if the parent stopped early.  A helper that stops
+# with a claimed block unwritten is a CsvHelperFailed; one that fails
+# before it claims a block exits 0 silently, and the parent formats every
+# block.
 #
 # Formatting a block takes about as long as the fork, so the helper is
 # forked only where the tables hold at least two blocks' worth of values,
@@ -848,8 +853,7 @@ def run_closed_loop(plant: ValidatedPlant, controller: Controller,
 # CPU of a 2-CPU host, a helper made demo-cosine `simulate` slower than the
 # parent alone (40-44 against 26-30 ms in the benchmark).
 # Otherwise, or where the platform has no fork, memfd_create or
-# sched_getaffinity, or they fail, the parent fills and formats every
-# block alone.
+# sched_getaffinity, or they fail, the parent formats every block alone.
 
 _VALUES_PER_BLOCK = 8192
 
@@ -858,19 +862,14 @@ class CsvTable(NamedTuple):
     """A CSV file: the header line, then the rows of steps 0..steps-1.
 
     rows(start, stop) is the 2-D float table of steps start..stop-1, with
-    `width` values per step.  A table that formats an array computed for it
-    gives the array's `shape` and fill(out), which computes it into `out`,
-    a float array that `write_csvs` allocates; its rows read that array as
-    rows(start, stop, out=out), with `out` bound by `write_csvs`.
+    `width` values per step, computed in the process that formats them.
     """
 
     path: str
     header: str
     steps: int
     width: int
-    rows: Callable[..., np.ndarray]
-    shape: tuple | None = None
-    fill: Callable[[np.ndarray], object] | None = None
+    rows: Callable[[int, int], np.ndarray]
 
     @property
     def block(self) -> int:
@@ -889,14 +888,6 @@ class CsvTable(NamedTuple):
 
 _PAIR = struct.Struct("2q")     # a table's (front, back): blocks front..back-1 are unclaimed
 _MESSAGE = struct.Struct("4q")  # the helper's (table, block, start, stop)
-
-
-def _shared_empty(shape) -> np.ndarray:
-    """An uninitialised float array in an anonymous mapping, which a forked
-    helper shares."""
-    import mmap
-
-    return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
 
 
 def _libc_sched_getcpu():
@@ -930,15 +921,15 @@ def _helper_cpus(allowed, parent_cpu: int | None) -> set | None:
 class _Helper:
     """The forked process that formats blocks from the back of the tables,
     and what it shares with the parent: each table's claims, the memfd that
-    holds its blocks and whose lock guards the claims, and two pipes.  It
-    runs on `cpus`, or unpinned where that is None."""
+    holds its blocks and whose lock guards the claims, and the pipe of its
+    reports.  It runs on `cpus`, or unpinned where that is None."""
 
     def __init__(self, tables: list):
         """Every block of `tables` unclaimed; no process is forked yet."""
         import fcntl
         import mmap
 
-        self.tables, self.pid, self.pipe, self.go = tables, None, None, None
+        self.tables, self.pid, self.pipe = tables, None, None
         self.cpus = None
         self.lockf, self.lock_ex, self.lock_un = fcntl.lockf, fcntl.LOCK_EX, fcntl.LOCK_UN
         self.map = mmap.mmap(-1, _PAIR.size * len(tables))
@@ -954,18 +945,17 @@ class _Helper:
         try:
             helper = cls(tables)
             fds.append(helper.memfd)
-            fds += os.pipe() + os.pipe()
+            fds += os.pipe()
             helper.cpus = _helper_cpus(os.sched_getaffinity(0), _current_cpu())
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
             return None
-        _, helper.pipe, end, wait, helper.go = fds
+        _, helper.pipe, end = fds
         if pid == 0:
-            helper._serve(end, wait)
+            helper._serve(end)
         os.close(end)
-        os.close(wait)
         helper.pid = pid
         return helper
 
@@ -984,9 +974,9 @@ class _Helper:
         finally:
             self.lockf(self.memfd, self.lock_un)
 
-    def _serve(self, end: int, wait: int) -> NoReturn:
+    def _serve(self, end: int) -> NoReturn:
         """The helper's whole life: claim, format, report each block, _exit."""
-        status = 1
+        status, claimed = 0, False
         try:
             if self.cpus is not None:
                 try:
@@ -994,23 +984,11 @@ class _Helper:
                 except OSError:
                     pass  # unpinned, as the kernel places it
             os.close(self.pipe)
-            os.close(self.go)
             tables = self.tables
-            # Tables from the first filled one on are claimed after the signal.
-            ready = next((i for i, table in enumerate(tables) if table.shape is not None),
-                         len(tables))
             with open(self.memfd, "wb", closefd=False) as out:
                 start = 0
-                while True:
-                    claim = self.claim(range(ready), front=False)
-                    if claim is None:
-                        if ready == len(tables):
-                            status = 0
-                            break
-                        if not os.read(wait, 1):
-                            break  # the parent died before its signal
-                        ready = len(tables)
-                        continue
+                while (claim := self.claim(range(len(tables)), front=False)) is not None:
+                    claimed = True
                     i, k = claim
                     lines = tables[i].lines(k)
                     out.write(lines)
@@ -1019,19 +997,17 @@ class _Helper:
                     os.write(end, _MESSAGE.pack(i, k, start, stop))
                     start = stop
         except BaseException:
-            import traceback  # to the inherited stderr; the parent raises on the status
-            traceback.print_exc()
-            raise
+            # Before its first claim the helper has lost nothing, and the
+            # parent formats every block.  After it, a claimed block may be
+            # unwritten, which the parent reports as a CsvHelperFailed; the
+            # traceback goes to the inherited stderr.
+            if claimed:
+                import traceback
+
+                status = 1
+                traceback.print_exc()
         finally:
             os._exit(status)
-
-    def start(self) -> None:
-        """Let the helper on to the filled tables.  A helper that has exited
-        already is reported where its blocks are read, by append_to."""
-        try:
-            os.write(self.go, b"\1")
-        except BrokenPipeError:
-            pass
 
     def append_to(self, fd: int, i: int, first: int, table: CsvTable) -> None:
         """Append the helper's blocks first.. of table i, in order, to the file fd."""
@@ -1072,7 +1048,7 @@ class _Helper:
                 self._reap()
         finally:
             self.map.close()
-            for fd in (self.pipe, self.go, self.memfd):
+            for fd in (self.pipe, self.memfd):
                 os.close(fd)
 
 
@@ -1082,23 +1058,13 @@ def write_csvs(tables) -> None:
     The files are written in order, each replacing its target only when
     complete; see the comment above for how the blocks are shared.
     """
-    tables, fills = list(tables), []
+    tables = list(tables)
     forks = (sum(table.steps * table.width for table in tables) >= 2 * _VALUES_PER_BLOCK
              and hasattr(os, "fork") and hasattr(os, "memfd_create")
              and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
-    empty = _shared_empty if forks else np.empty
-    for i, table in enumerate(tables):
-        if table.shape is not None:
-            out = empty(table.shape)
-            fills.append(functools.partial(table.fill, out))
-            tables[i] = table._replace(rows=functools.partial(table.rows, out=out))
     helper = _Helper.fork(tables) if forks else None
     finished = False
     try:
-        for fill in fills:
-            fill()
-        if helper is not None and fills:
-            helper.start()
         for i, table in enumerate(tables):
             with atomic_write(table.path) as fh:
                 fh.write(table.header.encode() + b"\n")
@@ -1126,17 +1092,18 @@ def modal_table(traj: Trajectory, path: str) -> CsvTable:
 
 
 def field_table(traj: Trajectory, basis: SpectralBasis, grid, path: str) -> CsvTable:
-    """Long format: t, x, z1..zm, of the fields `reconstruct_field` fills."""
-    t = traj.times
+    """Long format: t, x, z1..zm, of the fields of `reconstruct_field`, whose
+    rows expand only their own steps, with the bits of the whole field."""
+    t, Z = traj.times, np.swapaxes(traj.modal, 1, 2)
     x = np.asarray(grid, dtype=float)
+    phi = eigenfunctions(basis, traj.n_modes, x)
 
-    def rows(a, b, out):
+    def rows(a, b):
         return np.column_stack([np.repeat(t[a:b], x.size), np.tile(x, b - a),
-                                out[a:b].transpose(0, 2, 1).reshape(-1, traj.m)])
+                                np.matmul(Z[a:b], phi).transpose(0, 2, 1).reshape(-1, traj.m)])
 
     header = "t,x," + ",".join(f"z{i + 1}" for i in range(traj.m))
-    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows,
-                    (len(t), traj.m, x.size), lambda out: reconstruct_field(traj, basis, x, out))
+    return CsvTable(path, header, len(t), x.size * (2 + traj.m), rows)
 
 
 def norms_table(traj: Trajectory, M_cert: float, delta: float, path: str) -> CsvTable:

@@ -496,22 +496,26 @@ def input_projection_row(shapes, basis: SpectralBasis, n: int) -> np.ndarray:
     return _shape_columns(shapes, basis.L, basis.s[n - 1:n], basis.c[n - 1:n])[0]
 
 
-def expand(coeffs, basis: SpectralBasis, grid, out=None) -> np.ndarray:
+def eigenfunctions(basis: SpectralBasis, n_modes: int, grid) -> np.ndarray:
+    """The (n_modes, len(grid)) matrix phi[n, p] = phi_{n+1}(x_p)."""
+    x = np.asarray(grid, dtype=float)
+    if n_modes > basis.size:
+        raise ValueError("more coefficient rows than basis functions")
+    return basis.c[:n_modes, None] * np.cos(basis.s[:n_modes, None] * x[None, :])
+
+
+def expand(coeffs, basis: SpectralBasis, grid) -> np.ndarray:
     """Partial eigenfunction sum on a spatial grid.
 
     coeffs has one m-vector per mode (shape n_modes x m), optionally stacked
     (shape ... x n_modes x m); the result has shape ... x m x len(grid),
-    component i evaluated as sum_n coeffs[..., n, i] phi_n(x).  It is
-    written into `out` where given, a C-contiguous array of that shape.
+    component i evaluated as sum_n coeffs[..., n, i] phi_n(x).  np.matmul
+    makes one GEMM call per element of a stack, so expanding any run of a
+    stack gives the same bits as expanding the whole stack.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    x = np.asarray(grid, dtype=float)
-    n_modes = coeffs.shape[-2]
-    if n_modes > basis.size:
-        raise ValueError("more coefficient rows than basis functions")
-    # phi_matrix[n, p] = phi_{n+1}(x_p)
-    phi_matrix = basis.c[:n_modes, None] * np.cos(basis.s[:n_modes, None] * x[None, :])
-    return np.matmul(np.swapaxes(coeffs, -1, -2), phi_matrix, out=out)
+    return np.matmul(np.swapaxes(coeffs, -1, -2),
+                     eigenfunctions(basis, coeffs.shape[-2], grid))
 
 
 def basis_to_dict(basis: SpectralBasis) -> dict:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1001,38 +1002,13 @@ class TestCsvHelperProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_helper_exited_before_the_signal(self, tmp_path, plant_file, initial_file,
-                                             monkeypatch, capsys):
-        """The helper exits at its first block, and the fill waits until it
-        has: the byte that lets it on to field.csv meets a closed pipe, and
-        the command still reports the helper's status, exit 3."""
-        from cascade_stab import simulator
 
-        wrapped = helper_formats_first(monkeypatch, str(tmp_path / "helper-started"),
-                                       lambda: os._exit(7))
-        real_expand, fills = simulator.expand, []
-
-        def expand(*args, **kwargs):
-            fills.append(os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT).si_status)
-            return real_expand(*args, **kwargs)
-
-        monkeypatch.setattr(simulator, "expand", expand)
-        assert self._simulate(tmp_path, plant_file, initial_file) == 3
-        assert fills == [7] and wrapped
-        err = capsys.readouterr().err
-        assert err.startswith("internal error: the CSV helper process exited with status 7 "
-                              "with 1 claimed block(s) of modal.csv unwritten")
-        assert os.listdir(tmp_path / "out") == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-class TestFieldFillOverlap:
-    """simulate forks the CSV helper before it expands the field, and lets
-    the helper on to field.csv with one byte once the field is filled.
-    Small M and many grid points give modal.csv one block and field.csv
-    51; the fill waits until the helper has formatted modal.csv and is
-    waiting for the byte, so that the helper reaches field.csv first."""
+class TestFieldRowsOnBothSides:
+    """Whoever claims a block of field.csv computes its fields, from the
+    eigenfunction matrix built before the fork.  Small M and many grid
+    points give modal.csv one block and field.csv 51; the parent's first
+    field rows wait until the helper has begun computing its own, so that
+    both sides compute field blocks."""
 
     NAMES = ("modal.csv", "field.csv", "norms.csv")
 
@@ -1043,31 +1019,37 @@ class TestFieldFillOverlap:
                      "--t-final", "0.2", "--out-dir", str(out)])
 
     @staticmethod
-    def _late_fill(monkeypatch, marker, then=None):
-        """The helper creates `marker` as it starts waiting for the byte; the
-        fill waits for `marker` (at most 30 s), calls then() if given, and
-        expands.  Returns the list of the fill's calls."""
+    def _field_rows(monkeypatch, log, in_helper=None, in_parent=None):
+        """Wrap field.csv's rows to append "pid start stop" to the file `log`.
+        In the helper they create `log`.started, then call in_helper() if
+        given; in the parent they wait for `log`.started (at most 30 s), then
+        call in_parent() if given.  Returns the list of the parent's calls."""
         from cascade_stab import simulator
 
-        parent, calls = os.getpid(), []
-        real_read, real_expand = os.read, simulator.expand
+        parent, calls, started = os.getpid(), [], f"{log}.started"
+        real_table = simulator.field_table
 
-        def read(fd, n):
-            if os.getpid() != parent and n == 1:
-                open(marker, "a").close()
-            return real_read(fd, n)
+        def field_table(*args):
+            table = real_table(*args)
 
-        def expand(*args, **kwargs):
-            calls.append(os.getpid())
-            deadline = time.monotonic() + 30.0
-            while not os.path.exists(marker) and time.monotonic() < deadline:
-                time.sleep(0.001)
-            if then is not None:
-                then()
-            return real_expand(*args, **kwargs)
+            def rows(a, b):
+                if os.getpid() == parent:
+                    calls.append((a, b))
+                    deadline = time.monotonic() + 30.0
+                    while not os.path.exists(started) and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    if in_parent is not None:
+                        in_parent()
+                else:
+                    open(started, "a").close()
+                    if in_helper is not None:
+                        in_helper()
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {a} {b}\n")
+                return table.rows(a, b)
+            return table._replace(rows=rows)
 
-        monkeypatch.setattr(os, "read", read)
-        monkeypatch.setattr(simulator, "expand", expand)
+        monkeypatch.setattr(simulator, "field_table", field_table)
         return calls
 
     @staticmethod
@@ -1089,61 +1071,84 @@ class TestFieldFillOverlap:
             assert self._simulate(tmp_path / "alone", plant_file, initial_file) == 0
         return {name: (tmp_path / "alone" / name).read_bytes() for name in self.NAMES}
 
-    def test_helper_reaches_field_first(self, tmp_path, plant_file, initial_file,
-                                        monkeypatch, capsys):
-        from cascade_stab import simulator
+    def _old_files(self, out):
+        out.mkdir()
+        for name in self.NAMES:
+            (out / name).write_text(f"old {name}\n")
 
+    def _assert_old_files(self, out):
+        """modal.csv, written before field.csv, is new; field.csv and
+        norms.csv keep their old content, and no temp file is left."""
+        assert sorted(os.listdir(out)) == sorted(self.NAMES)
+        assert (out / "modal.csv").read_text().startswith("t,z_1_1,")
+        for name in ("field.csv", "norms.csv"):
+            assert (out / name).read_text() == f"old {name}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_computes_field_blocks(self, tmp_path, plant_file, initial_file,
+                                          monkeypatch, capsys):
+        """The pid log shows field blocks computed on both sides, each step
+        once, and the files are the serial path's bytes at the default BLAS
+        thread count."""
         alone = self._single_process(tmp_path, plant_file, initial_file, monkeypatch)
-        log = tmp_path / "blocks"
-        real_lines = simulator.CsvTable.lines
-
-        def lines(table, k):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {os.path.basename(table.path)} {k}\n")
-            return real_lines(table, k)
-
-        monkeypatch.setattr(simulator.CsvTable, "lines", lines)
-        marker = tmp_path / "helper-waits"
-        fills = self._late_fill(monkeypatch, str(marker))
+        log = tmp_path / "rows"
+        calls = self._field_rows(monkeypatch, str(log))
         statuses = self._reaped(monkeypatch)
         out = tmp_path / "out"
         assert self._simulate(out, plant_file, initial_file) == 0
-        assert fills == [os.getpid()] and marker.exists() and statuses == [0]
+        assert calls and statuses == [0]
         for name in self.NAMES:
             assert (out / name).read_bytes() == alone[name]
-        blocks = [line.split() for line in log.read_text().splitlines()]
-        helper = {(name, int(k)) for pid, name, k in blocks if int(pid) != os.getpid()}
-        assert ("modal.csv", 0) in helper  # formatted before the byte
-        assert {name for name, _ in helper} >= {"modal.csv", "field.csv"}
+        rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert {pid for pid, _, _ in rows} - {os.getpid()}, "the helper computed no field block"
+        assert os.getpid() in {pid for pid, _, _ in rows}
+        steps = sorted(step for _, a, b in rows for step in range(a, b))
+        assert steps == list(range(max(steps) + 1))
         assert sorted(os.listdir(out)) == sorted(self.NAMES)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failed_fill_kills_the_waiting_helper(self, tmp_path, plant_file,
-                                                  initial_file, monkeypatch, capsys):
-        import signal
+    def test_field_rows_failing_in_the_helper(self, tmp_path, plant_file, initial_file,
+                                              monkeypatch, capsys):
+        """Field rows that raise in the helper leave a claimed block
+        unwritten: a CsvHelperFailed naming the status and field.csv, exit
+        3, and field.csv and the files after it keep their old content."""
+        def fail():
+            raise RuntimeError("helper rows failed")
 
         out = tmp_path / "out"
-        out.mkdir()
-        for name in self.NAMES:
-            (out / name).write_text(f"old {name}\n")
-        marker = tmp_path / "helper-waits"
+        self._old_files(out)
+        calls = self._field_rows(monkeypatch, str(tmp_path / "rows"), in_helper=fail)
+        statuses = self._reaped(monkeypatch)
+        assert self._simulate(out, plant_file, initial_file) == 3
+        assert calls and [os.waitstatus_to_exitcode(s) for s in statuses] == [1]
+        err = capsys.readouterr().err
+        assert re.match(r"internal error: the CSV helper process exited with status 1 with "
+                        r"\d+ claimed block\(s\) of field\.csv unwritten", err)
+        self._assert_old_files(out)
+
+    def test_field_rows_failing_in_the_parent(self, tmp_path, plant_file, initial_file,
+                                              monkeypatch, capsys):
+        """Field rows that raise in the parent propagate the error; the helper,
+        busy in its own field rows, is killed and reaped, and field.csv and
+        the files after it keep their old content."""
+        import signal
 
         def fail():
-            raise RuntimeError("the fill failed")
+            raise RuntimeError("parent rows failed")
 
-        fills = self._late_fill(monkeypatch, str(marker), fail)
+        out = tmp_path / "out"
+        self._old_files(out)
+        calls = self._field_rows(monkeypatch, str(tmp_path / "rows"),
+                                 in_helper=lambda: time.sleep(30), in_parent=fail)
         statuses = self._reaped(monkeypatch)
-        with pytest.raises(RuntimeError, match="the fill failed"):
+        with pytest.raises(RuntimeError, match="parent rows failed"):
             self._simulate(out, plant_file, initial_file)
-        assert fills and marker.exists()
+        assert calls and (tmp_path / "rows.started").exists()
         assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
         assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
-        assert sorted(os.listdir(out)) == sorted(self.NAMES)  # no *.tmp.* file
-        for name in self.NAMES:
-            assert (out / name).read_text() == f"old {name}\n"
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        self._assert_old_files(out)
 
     @pytest.mark.parametrize("missing", ["fork", "memfd_create"])
     def test_without_a_helper_the_same_bytes(self, tmp_path, plant_file, initial_file,
@@ -1158,6 +1163,49 @@ class TestFieldFillOverlap:
         for name in self.NAMES:
             assert ((tmp_path / "alone" / name).read_bytes()
                     == (tmp_path / "shared" / name).read_bytes())
+
+
+class TestBlasAfterFork:
+    """The CSV helper calls BLAS after the fork, for its field rows.  A BLAS
+    whose thread pool does not survive a fork would hang the helper or
+    change its bits: simulate runs in a fresh interpreter, with a timeout,
+    at two BLAS threads after a large matmul has started the pool.  Its
+    files must be those of the same run in one process, and those of a run
+    at one thread.  The last holds for this case on numpy's bundled
+    OpenBLAS 0.3.31, not for every size: a (3 x 400) by (400 x 1001)
+    product rounds differently at two threads."""
+
+    CODE = """
+        import os, sys
+        import numpy as np
+        a = np.random.default_rng(0).standard_normal((800, 800))
+        a @ a  # starts the BLAS thread pool before simulate forks its helper
+        from cascade_stab.cli import main
+        if sys.argv.pop(1) == "one process":
+            os.sched_getaffinity = lambda pid: {0}  # write_csvs forks no helper
+        forks, real_fork = [], os.fork
+        os.fork = lambda: forks.append(1) or real_fork()
+        assert main(sys.argv[1:]) == 0
+        print(len(forks), len(os.sched_getaffinity(0)))
+    """
+
+    def test_two_threads_give_the_one_process_files(self, tmp_path, plant_file,
+                                                    initial_file):
+        files = {}
+        for threads, way in (("2", "two processes"), ("2", "one process"),
+                             ("1", "two processes")):
+            out = tmp_path / f"{threads}-{way}"
+            done = _run_fresh(self.CODE, way, "simulate", "--plant", plant_file,
+                              "--delta", "9", "--N", "3", "--M-modes", "200",
+                              "--grid-points", "1001", "--initial", initial_file,
+                              "--t-final", "0.2", "--out-dir", str(out),
+                              env={"OPENBLAS_NUM_THREADS": threads}, timeout=120)
+            forks, cpus = map(int, done.split()[-2:])
+            assert forks == (cpus >= 2) and (way == "two processes") >= forks
+            files[threads, way] = {name: (out / name).read_bytes()
+                                   for name in ("modal.csv", "field.csv", "norms.csv")}
+        assert files["2", "two processes"] == files["2", "one process"]
+        assert files["2", "two processes"] == files["1", "two processes"]
 
 
 class TestUnwritableOutput:
@@ -1341,12 +1389,14 @@ class TestNumericalRefusals:
         assert not out.exists()
 
 
-def _run_fresh(code: str, *args: str) -> str:
-    """Run `code` in a fresh interpreter that imports this package; its stdout."""
+def _run_fresh(code: str, *args: str, env=None, timeout=None) -> str:
+    """Run `code` in a fresh interpreter that imports this package, with
+    `env` added to the environment; its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cascade_stab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **(env or {}))
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=timeout)
     return done.stdout
 
 

@@ -829,30 +829,27 @@ class TestReconstructField:
         grid = np.linspace(0.0, math.pi, 101)
         per_sample = np.stack([expand(z, demo_basis, grid) for z in modal])
         assert np.array_equal(reconstruct_field(traj, demo_basis, grid), per_sample)
-        out = np.full_like(per_sample, np.nan)
-        assert reconstruct_field(traj, demo_basis, grid, out) is out
-        assert np.array_equal(out, per_sample)
 
-    def test_field_table_fills_through_reconstruct_field(self, tmp_path, demo_basis,
-                                                          monkeypatch):
-        """field.csv's fields are filled by one reconstruct_field call, into
-        the array that write_csvs allocates, so that the call is seen where
-        reconstruct_field is traced."""
-        from cascade_stab import simulator
+    @pytest.mark.parametrize("spans", [[(0, 41)], [(0, 1), (1, 2), (40, 41)],
+                                       [(0, 13), (13, 26), (26, 41)], [(5, 5)]])
+    def test_field_rows_have_the_whole_fields_bits(self, tmp_path, demo_basis, spans):
+        """field_table's rows of any run of steps, one step or many, hold the
+        bits of reconstruct_field's whole field on those steps, and
+        field.csv is the serial oracle's."""
         from cascade_stab.simulator import Trajectory
 
         modal = np.random.default_rng(43).standard_normal((41, 40, 3))
         traj = Trajectory(times=np.arange(41) * 0.025, modal=modal, l2_norm=np.ones(41))
         grid = np.linspace(0.0, math.pi, 101)
-        calls, real = [], simulator.reconstruct_field
-
-        def traced(*args):
-            calls.append(args[3].shape)
-            return real(*args)
-
-        monkeypatch.setattr(simulator, "reconstruct_field", traced)
-        write_csvs([field_table(traj, demo_basis, grid, str(tmp_path / "field.csv"))])
-        assert calls == [(41, 3, 101)]
+        whole = reconstruct_field(traj, demo_basis, grid)
+        table = field_table(traj, demo_basis, grid, str(tmp_path / "field.csv"))
+        for a, b in spans:
+            rows = table.rows(a, b)
+            assert rows.shape == ((b - a) * grid.size, 5)
+            assert np.array_equal(rows[:, 0], np.repeat(traj.times[a:b], grid.size))
+            assert np.array_equal(rows[:, 1], np.tile(grid, b - a))
+            assert np.array_equal(rows[:, 2:], whole[a:b].transpose(0, 2, 1).reshape(-1, 3))
+        write_csvs([table])
         _assert_same_text((tmp_path / "field.csv").read_text(),
                           _serial_field(traj, demo_basis, grid))
 
@@ -1417,34 +1414,27 @@ class TestCsvHelper:
 
     def test_claim_rule(self, tmp_path):
         """The claims in one process, no fork: tables of 3, 0 and 5 one-step
-        blocks, the last one filled, so the helper is gated at ready = 1.
-        Parent front claims and helper back claims interleave; each block is
-        claimed exactly once, the empty table is skipped, the helper claims
-        nothing of table 2 until it is released, and the claims of a table
-        stop where its front meets its back."""
+        blocks.  Parent front claims and helper back claims interleave; each
+        block is claimed exactly once, the empty table is skipped, and the
+        claims of a table stop where its front meets its back."""
         from cascade_stab import simulator
 
-        def table(k, steps, shape=None):
-            return CsvTable(str(tmp_path / f"{k}.csv"), "h", steps, _VALUES_PER_BLOCK,
-                            lambda a, b, out=None: None, shape)
-
-        tables = [table(0, 3), table(1, 0), table(2, 5, (5, 1))]
+        tables = [CsvTable(str(tmp_path / f"{k}.csv"), "h", steps, _VALUES_PER_BLOCK,
+                           lambda a, b: None) for k, steps in enumerate((3, 0, 5))]
         assert [t.blocks() for t in tables] == [3, 0, 5]
         helper = simulator._Helper(tables)
         try:
             def parent(i):
                 return helper.claim((i,), front=True)
 
-            def helper_claim(ready):
-                return helper.claim(range(ready), front=False)
+            def helper_claim():
+                return helper.claim(range(3), front=False)
 
-            gated = [parent(0), helper_claim(1), helper_claim(1), parent(0), helper_claim(1)]
-            assert gated == [(0, 0), (0, 2), (0, 1), None, None]
-            assert simulator._PAIR.unpack_from(helper.map, 2 * simulator._PAIR.size) == (0, 5)
-            assert parent(1) is None
-            released = [helper_claim(3) if turn % 2 == 0 else parent(2) for turn in range(7)]
-            assert released == [(2, 4), (2, 0), (2, 3), (2, 1), (2, 2), None, None]
-            claims = [claim for claim in gated + released if claim is not None]
+            first = [parent(0), helper_claim(), helper_claim(), parent(0), parent(1)]
+            assert first == [(0, 0), (0, 2), (0, 1), None, None]
+            then = [helper_claim() if turn % 2 == 0 else parent(2) for turn in range(7)]
+            assert then == [(2, 4), (2, 0), (2, 3), (2, 1), (2, 2), None, None]
+            claims = [claim for claim in first + then if claim is not None]
             assert sorted(claims) == [(0, 0), (0, 1), (0, 2)] + [(2, k) for k in range(5)]
             assert [simulator._PAIR.unpack_from(helper.map, simulator._PAIR.size * i)
                     for i in range(3)] == [(1, 1), (0, 0), (2, 2)]
@@ -1525,30 +1515,74 @@ class TestCsvHelper:
         assert sorted(os.listdir(directory)) == ["0.csv", "1.csv"]
         self._assert_no_child()
 
-    def test_helper_exits_when_the_parent_never_signals(self, tmp_path, capfd):
-        """The blocks of a filled table wait for the parent's byte.  Where the
-        parent's end of that pipe closes without it, as when the parent
-        dies, the helper exits with status 1, silently, and claims none."""
-        from cascade_stab import simulator
+    @pytest.mark.parametrize("processes", ["two", "one"])
+    def test_field_memory_is_a_few_blocks(self, tmp_path, monkeypatch, processes):
+        """field.csv of a trajectory whose whole field takes 10.1 MB (420
+        steps, m = 3, 1001 grid points, one step a block) is built and
+        written by a parent whose traced allocations never exceed a fifth of
+        that: each block's rows are computed when it is formatted, and no
+        (steps, m, grid) field is allocated.  (A field in a shared mapping
+        would escape tracemalloc; the one-process case has none.)"""
+        import tracemalloc
 
-        values = np.arange(4.0 * _VALUES_PER_BLOCK).reshape(-1, 8)
-        table = CsvTable(str(tmp_path / "t.csv"), "h", len(values), 8,
-                         lambda a, b, out: out[a:b], values.shape, values.__array__)
-        helper = simulator._Helper.fork([table])
-        assert helper is not None
-        go, helper.go = helper.go, os.open(os.devnull, os.O_WRONLY)
-        os.close(go)
-        assert helper._reap() == 1
-        assert simulator._PAIR.unpack_from(helper.map) == (0, table.blocks())
-        helper.close(kill=False)
-        assert capfd.readouterr().err == ""
+        from cascade_stab.simulator import Trajectory
+
+        steps, M, m, G = 420, 20, 3, 1001
+        gen = np.random.default_rng(29)
+        traj = Trajectory(times=np.arange(steps) * 0.01,
+                          modal=gen.standard_normal((steps, M, m)), l2_norm=np.ones(steps))
+        basis, grid = build_basis(math.pi, 1.0, 0.0, M), np.linspace(0.0, math.pi, G)
+        whole = 8 * steps * m * G
+        assert whole >= 10_000_000
+        forks = self._count_forks(monkeypatch)
+        if processes == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        tracemalloc.start()
+        try:
+            table = field_table(traj, basis, grid, str(tmp_path / "field.csv"))
+            write_csvs([table])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.block == 1
+        assert len(forks) == (processes == "two")
+        assert peak < whole / 5
+        with open(tmp_path / "field.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + steps * G
         self._assert_no_child()
 
+    def test_helper_failing_before_its_first_claim(self, tmp_path, monkeypatch, capfd):
+        """A helper that fails before it claims a block has lost nothing: it
+        exits 0 silently, the parent formats every block, and the files are
+        the serial writer's."""
+        from cascade_stab import simulator
+
+        def refuse(pid, cpus):
+            raise RuntimeError("no affinity here")
+
+        monkeypatch.setattr(simulator, "_current_cpu", lambda: min(os.sched_getaffinity(0)))
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        statuses, real_waitpid = [], os.waitpid
+
+        def waitpid(pid, options):
+            done = real_waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        forks = self._count_forks(monkeypatch)
+        directory, log = tmp_path / "out", str(tmp_path / "log")
+        directory.mkdir()
+        tables, values = self._logged_tables(directory, [(40, 1000), (40, 1000)], log)
+        write_csvs(tables)
+        assert len(forks) == 1 and statuses == [0]
+        assert self._check_logged(directory, tables, values, log) == {os.getpid()}
+        assert capfd.readouterr().err == ""
+
     def test_helper_done_before_the_parent_resumes(self, tmp_path, monkeypatch):
-        """Tables without a fill: a helper that has claimed every block and
-        exited before the parent returns from the fork leaves the parent
-        only the helper's blocks to append.  No byte is sent to the exited
-        helper, which would raise BrokenPipeError."""
+        """A helper that has claimed every block and exited before the parent
+        returns from the fork leaves the parent only the helper's blocks to
+        append."""
         real_fork = os.fork
 
         def fork():

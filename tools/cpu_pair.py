@@ -51,21 +51,27 @@ def _pair(cpus, n: int) -> list:
     return times
 
 
+def readings(repeats: int = 9, loop: int = 300_000) -> dict:
+    """The median wall time, in s, of each way to run the loop, by name:
+    alone, two unpinned, and two pinned where two CPUs are allowed."""
+    allowed = sorted(os.sched_getaffinity(0))
+    ways = {"alone": [None], "two unpinned": [None, None]}
+    if len(allowed) >= 2:
+        ways[f"two pinned to CPUs {allowed[0]} and {allowed[1]}"] = allowed[:2]
+    return {way: statistics.median(t for _ in range(repeats) for t in _pair(cpus, loop))
+            for way, cpus in ways.items()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--loop", type=int, default=300_000, help="iterations")
     args = parser.parse_args()
-    allowed = sorted(os.sched_getaffinity(0))
-    ways = {"alone": [None], "two unpinned": [None, None]}
-    if len(allowed) >= 2:
-        ways[f"two pinned to CPUs {allowed[0]} and {allowed[1]}"] = allowed[:2]
-    print(f"{len(allowed)} allowed CPUs, loop of {args.loop}, {args.repeats} repeats: medians")
-    medians = {}
-    for way, cpus in ways.items():
-        times = [t for _ in range(args.repeats) for t in _pair(cpus, args.loop)]
-        medians[way] = statistics.median(times)
-        print(f"  {way:30s} {medians[way]:.3f} s  {medians[way] / medians['alone']:.2f}x alone")
+    print(f"{len(os.sched_getaffinity(0))} allowed CPUs, loop of {args.loop}, "
+          f"{args.repeats} repeats: medians")
+    medians = readings(args.repeats, args.loop)
+    for way, median in medians.items():
+        print(f"  {way:30s} {median:.3f} s  {median / medians['alone']:.2f}x alone")
 
 
 if __name__ == "__main__":

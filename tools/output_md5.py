@@ -7,13 +7,15 @@ each workload, on inputs drawn from one seed.  Then it runs `synthesize
 --dump-basis --dump-transform` (command `synthesize-dumps`), so that every
 file the JSON writer makes is hashed, and the same `simulate` with
 `--open-loop` (command `simulate-open-loop`), the only command whose tail
-takes the per-slice `expm` (N = 0), each into a directory of its own.
-Last it runs `synthesize`, `simulate --gains` and `verify` at `--delta 1`
-on a stable plant that retains no mode (`stable-n0`: `example_plant_dict()`
-with the Q of `STABLE_Q`, and demo-cosine's initial profiles for the
-seed), so that the N = 0 path of every command is hashed too.  Prints one
+takes the per-slice `expm` (N = 0), and the same `simulate` with
+`--grid-points 1001` (command `simulate-fine-grid`), where each block of
+`field.csv` is one step, each into a directory of its own.  Last it runs
+`synthesize`, `simulate --gains` and `verify` at `--delta 1` on a stable
+plant that retains no mode (`stable-n0`: `example_plant_dict()` with the
+Q of `STABLE_Q`, and demo-cosine's initial profiles for the seed), so
+that the N = 0 path of every command is hashed too.  Prints one
 line per command and one per file that it wrote and that the command
-before it did not write with the same bytes, 53 lines in all:
+before it did not write with the same bytes, 65 lines in all:
 
     <workload> <command> exit+stdout <md5>
     <workload> <command> <file> <md5>
@@ -81,7 +83,8 @@ def workload_lines(name: str, seed: int) -> list[str]:
     from workloads import WORKLOADS, write_inputs
 
     with tempfile.TemporaryDirectory() as inputs, tempfile.TemporaryDirectory() as out, \
-            tempfile.TemporaryDirectory() as open_loop, tempfile.TemporaryDirectory() as dumps:
+            tempfile.TemporaryDirectory() as open_loop, tempfile.TemporaryDirectory() as dumps, \
+            tempfile.TemporaryDirectory() as fine:
         plant, initial = write_inputs(WORKLOADS[name], seed, inputs)
         argvs = WORKLOADS[name].cli_args(plant, initial, out)
         runs = [(command, argv, out) for command, argv in argvs.items()]
@@ -92,6 +95,9 @@ def workload_lines(name: str, seed: int) -> list[str]:
         at = simulate.index("--out-dir") + 1
         runs.append(("simulate-open-loop",
                      [*simulate[:at], open_loop, *simulate[at + 1:], "--open-loop"], open_loop))
+        grid = simulate.index("--grid-points") + 1
+        fine_grid = [*simulate[:grid], "1001", *simulate[grid + 1:]]
+        runs.append(("simulate-fine-grid", [*fine_grid[:at], fine, *fine_grid[at + 1:]], fine))
         return _run_lines(name, runs)
 
 

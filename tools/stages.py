@@ -21,7 +21,10 @@ simulate (default workload fine-mesh, 60 calls, 3 warm-up):
 
     simulate            the whole command
     integrate           simulator.integrate
-    field fill          simulator.expand, the field expansion
+    field rows          the parent's field.csv rows: the fields of its blocks,
+                        multiplied out from the eigenfunction matrix, with t
+                        and x (a tree that expands the whole field before it
+                        formats shows only the slicing here)
     fork to last        from the fork of the CSV helper to the end of write_csvs
     own formatting      the parent's _csv_lines calls
     helper wait         the parent in the helper's append_to and close: waiting
@@ -49,8 +52,12 @@ verify (default workload wide-actuation, 100 calls, 5 warm-up):
 
 The stages are timed by wrapping those functions, in the parent process
 only, so the tree under test needs no change, and `--src` times the
-package of another tree.  Unless the environment sets it, OpenBLAS gets one
-thread, as in the benchmark:
+package of another tree.  The helper's share of the work shows only as its
+block count, and in-process the kernel may place the helper otherwise than
+in the benchmark's pipeline, so `simulate` also prints the three readings
+of `tools/cpu_pair.py` under its table: an unpinned pair near 2x alone
+means the kernel keeps a fresh child on its parent's CPU.  Unless the
+environment sets it, OpenBLAS gets one thread, as in the benchmark:
 
     python3 tools/stages.py synthesize --workload wide-actuation --seed 3 --calls 200
     python3 tools/stages.py simulate --workload fine-mesh --seed 3 --calls 40
@@ -94,8 +101,10 @@ class Recorder:
 
     def time(self, owner, name: str, stage: str, count: str | None = None) -> None:
         """Add the parent's time in owner.name to `stage`, and its calls to `count`."""
-        real = getattr(owner, name)
+        setattr(owner, name, self.wrap(getattr(owner, name), stage, count))
 
+    def wrap(self, real, stage: str, count: str | None = None):
+        """`real`, adding the parent's time in it to `stage` and its calls to `count`."""
         def timed(*args, **kwargs):
             if os.getpid() != self.parent:
                 return real(*args, **kwargs)
@@ -107,7 +116,7 @@ class Recorder:
                 self.add(stage, self.ended[stage] - start)
                 if count:
                     self.add(count, 1)
-        setattr(owner, name, timed)
+        return timed
 
     def run(self, command: str, argv: list) -> tuple:
         """Call the command once; return its stage times and its start and end."""
@@ -145,7 +154,13 @@ def simulate_stages(recorder: Recorder) -> tuple:
     from cascade_stab import simulator
 
     recorder.time(simulator, "integrate", "integrate")
-    recorder.time(simulator, "expand", "field fill")
+    real_field_table = simulator.field_table
+
+    def field_table(*args):
+        table = real_field_table(*args)
+        return table._replace(rows=recorder.wrap(table.rows, "field rows"))
+
+    simulator.field_table = field_table
     recorder.time(simulator._Helper, "append_to", "helper wait")
     recorder.time(simulator._Helper, "close", "helper wait")
     recorder.time(simulator, "_csv_lines", "own formatting", count="parent blocks")
@@ -169,7 +184,7 @@ def simulate_stages(recorder: Recorder) -> tuple:
         # Every block is formatted once: the helper did the ones the parent did not.
         call["helper blocks"] -= call.get("parent blocks", 0)
         return call
-    return ("simulate", "integrate", "field fill", "fork to last", "own formatting",
+    return ("simulate", "integrate", "field rows", "fork to last", "own formatting",
             "helper wait", "parent blocks", "helper blocks"), finish
 
 
@@ -241,6 +256,13 @@ def main() -> int:
         median = statistics.median(call.get(stage, 0.0) for call in runs)
         shown = f"{median:g}" if stage.endswith("blocks") else f"{1e3 * median:.3f} ms"
         print(f"  {stage:<{width}} {shown}")
+    if args.command == "simulate":
+        from cpu_pair import readings
+
+        medians = readings()
+        print("tools/cpu_pair.py: " + ", ".join(
+            f"{way} {median:.3f} s ({median / medians['alone']:.2f}x)"
+            for way, median in medians.items()))
     return 0
 
 
