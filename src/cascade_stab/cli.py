@@ -189,7 +189,7 @@ def load_gains(path: str):
         obj = model.read_json(path)
         controller = synthesis.controller_from_dict(obj)
         cert = synthesis.certificate_from_dict(obj["certificate"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise PlantInputError(f"malformed gains file: {exc}")
     for check in checks.factorization(controller):
         if not check.ok:

@@ -307,7 +307,7 @@ def plant_from_dict(obj: dict) -> PlantSpec:
             gamma2=float(obj["gamma2"]),
             shapes=tuple(shape_from_dict(s) for s in obj.get("shapes", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise PlantInputError(f"malformed plant file: {exc}") from exc
 
 

@@ -80,6 +80,9 @@ _FIT_WINDOW = (0.2, 1.0)
 # of trajectory, and takes the norms in row blocks of the same size, so its
 # scratch stays in cache and small next to the trajectory.
 _CHUNK_BYTES = 1 << 18
+# The block step forms its coupling products in a scratch of at most this
+# many bytes (`_Blocks.couple`).
+_COUPLE_BYTES = 1 << 16
 
 
 class SimConfig(NamedTuple):
@@ -207,7 +210,11 @@ class _Stack:
     """The operations of the Pade step on a (g, n, n) stack."""
 
     mul = staticmethod(np.matmul)
-    solve = staticmethod(np.linalg.solve)
+
+    @staticmethod
+    def solve(Q: np.ndarray, V: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """Q^-1 V, a new stack; `spare` is not used."""
+        return np.linalg.solve(Q, V)
 
     @staticmethod
     def diag(X: np.ndarray) -> np.ndarray:
@@ -230,6 +237,9 @@ class _Blocks:
         self.N, self.tail, self.m = N, tail, m
         self.cut = (N + tail) * m * m
         self.size = self.cut + tail * m * m * N
+        # `couple`'s scratch for the products of a run of tail slices.
+        self.run = max(_COUPLE_BYTES // (m * m * N * 8), 1)
+        self.scratch = np.empty((min(self.run, tail), m, m * N))
 
     def split(self, X: np.ndarray) -> tuple:
         """Views X_D and X_TR of the matrix X."""
@@ -262,23 +272,34 @@ class _Blocks:
         return out
 
     def couple(self, X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> None:
-        """Write only X Y's coupling, X_TR blockdiag(Y_D[:N]) + X_D[N:] @ Y_TR, into out's."""
+        """Write only X Y's coupling, X_TR blockdiag(Y_D[:N]) + X_D[N:] @ Y_TR, into out's.
+
+        X_D[N:] @ Y_TR is formed `run` tail slices at a time in `scratch`,
+        one product per slice as in a single stacked call.
+        """
         (XD, XC), (YD, YC), (_, OC) = map(self.split, (X, Y, out))
         self._by_retained(XC, YD, OC)
-        OC += XD[self.N:] @ YC
+        for a in range(0, self.tail, self.run):
+            b = min(a + self.run, self.tail)
+            OC[a:b] += np.matmul(XD[self.N + a:self.N + b], YC[a:b], out=self.scratch[:b - a])
 
-    def solve(self, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Q^-1 V: the retained blocks, then X_D[N:] and X_TR = Q_TT^-1 (V_TR - Q_TR X_RR)."""
-        N, (QD, QC), (VD, VC) = self.N, self.split(Q), self.split(V)
-        X = np.empty_like(V)
-        XD, XC = self.split(X)
-        XD[:N] = np.linalg.solve(QD[:N], VD[:N])
-        # One factorization of each tail block serves X_D[N:] and X_TR.
-        rhs = np.concatenate([VD[N:], VC - self._by_retained(QC, XD, np.empty_like(QC))],
-                             axis=2)
+    def solve(self, Q: np.ndarray, V: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """Q^-1 V, written into `spare`, a matrix whose values are not needed; V is kept.
+
+        The retained blocks first, then X_D[N:] and X_TR = Q_TT^-1 (V_TR -
+        Q_TR X_RR): one factorization of each tail block serves both, from
+        a right-hand side [V_D[N:], V_TR - Q_TR X_RR] built in spare's head.
+        """
+        N, m, (QD, QC), (VD, VC) = self.N, self.m, self.split(Q), self.split(V)
+        X_RR = np.linalg.solve(QD[:N], VD[:N])
+        rhs = spare.reshape(-1)[:self.tail * m * (m + m * N)].reshape(self.tail, m, -1)
+        rhs[:, :, :m] = VD[N:]
+        C = self._by_retained(QC, X_RR, rhs[:, :, m:])
+        np.subtract(VC, C, out=C)
         sol = np.linalg.solve(QD[N:], rhs)
-        XD[N:], XC[:] = sol[:, :, :self.m], sol[:, :, self.m:]
-        return X
+        XD, XC = self.split(spare)
+        XD[:N], XD[N:], XC[:] = X_RR, sol[:, :, :m], sol[:, :, m:]
+        return spare
 
 
 def _balance(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,8 +464,9 @@ def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
 
     P holds A, A^2, A^4, A^6 of the g slices, shape (4, g, ...), and `work`
     is scratch of shape (g, ...); the products land in these buffers, so
-    both are overwritten.  ops is `_Stack`, or `_Blocks` for one block
-    matrix, the row (1, size); the identity is added through its `diag`.
+    both are overwritten, but the result is never a view into P.  ops is
+    `_Stack`, or `_Blocks` for one block matrix, the row (1, size); the
+    identity is added through its `diag`.
     """
     b = _PADE_COEFFS[m]
     h = min(m // 2, 3)
@@ -469,6 +491,7 @@ def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
         U = ops.mul(P[0], inner, out=work)
         V = ops.mul(P[3], combo(1, inner), out=P[0])
         V += combo(3, inner)
+        del inner
     else:
         # U = A (W_0 + b_1 I), V = W_1 + b_0 I.
         ops.diag(combo(0, work))[:] += b[1]
@@ -477,7 +500,7 @@ def _pade(m: int, P: np.ndarray, s: np.ndarray, work: np.ndarray,
     ops.diag(V)[:] += b[0]
     Q = np.subtract(V, U, out=P[1])
     V += U
-    return ops.solve(Q, V)
+    return ops.solve(Q, V, U)
 
 
 def _exact_band(X: np.ndarray, T: np.ndarray, scale: np.ndarray) -> None:
@@ -574,11 +597,13 @@ def _exponentiate(P: np.ndarray, work: np.ndarray, d: np.ndarray, deg: np.ndarra
     return X
 
 
-def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
-    """exp of the block lower triangular [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]].
+def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray,
+                 dt: float = 1.0) -> tuple:
+    """exp of dt times the block lower triangular [[blockdiag(A_RR), 0], [A_TR, blockdiag(A_TT)]].
 
     The blocks are those of a `ClosedLoop`; returns F_RR, F_TT and F_TR of
-    the same shapes.  `_scaling` balances and scales the two stacks once
+    the same shapes.  A_TR is scaled by dt only as it is copied into the
+    step's first power.  `_scaling` balances and scales the two stacks once
     each, and F_RR is the retained stack's exponential, as `expm` computes
     it.  Their powers fill X_D of the `_Blocks` row.  The coupling enters
     the exponential linearly, so the whole matrix takes its balancing
@@ -587,12 +612,17 @@ def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
     Matrix Anal. Appl. 30(4), 2009): S is the largest s of any block, with
     degree 13, or the largest block degree where S = 0.  One structured Pade
     step and S structured squarings then give X_D[N:] = F_TT and X_TR = F_TR.
+
+    At degree 13 the working set is P's four powers, the Pade step's
+    scratch matrix and one more, its inner sum and then its tail solve;
+    the coupling products pass through `_Blocks`' small scratch.  P is
+    freed before the squarings, which alternate between two matrices.
     """
     tail, m, _ = A_TR.shape
     N = len(A_RR)
     ops = _Blocks(N, tail, m)
-    P_R, work_R, d_R, deg_R, s_R = _scaling(A_RR)
-    P_T, _, d_T, deg_T, s_T = _scaling(A_TT)
+    P_R, work_R, d_R, deg_R, s_R = _scaling(A_RR * dt)
+    P_T, _, d_T, deg_T, s_T = _scaling(A_TT * dt)
     # A, A^2, A^4 and A^6 of the balanced matrix: the blocks' own powers on
     # the diagonal, and only the coupling parts formed here.
     P = np.empty((4, 1, ops.size))
@@ -600,17 +630,19 @@ def _expm_blocks(A_RR: np.ndarray, A_TT: np.ndarray, A_TR: np.ndarray) -> tuple:
     D[:, :N], D[:, N:] = P_R, P_T
     F_RR = _exponentiate(P_R, work_R, d_R, deg_R, s_R)
     TR = ops.split(P[0])[1]
-    np.multiply(A_TR, d_R.reshape(-1), out=TR)
+    np.multiply(A_TR, dt, out=TR)
+    TR *= d_R.reshape(-1)
     TR /= d_T[:, :, None]
     ops.couple(P[0], P[0], P[1])
     ops.couple(P[1], P[1], P[2])
     ops.couple(P[2], P[1], P[3])
     S = int(max(s_R.max(), s_T.max()))
     deg = 13 if S else int(max(deg_R.max(), deg_T.max()))
-    work = np.empty((1, ops.size))
-    X = _pade(deg, P, np.array([S]), work, ops)
+    X = _pade(deg, P, np.array([S]), np.empty((1, ops.size)), ops)
+    del P, D, TR
+    spare = np.empty_like(X) if S else None
     for _ in range(S):
-        X, work = ops.mul(X, X, out=work), X
+        X, spare = ops.mul(X, X, out=spare), X
     ops.unbalance(X, np.concatenate([d_R, d_T]))
     F_D, F_TR = ops.split(X)
     return F_RR, F_D[N:], F_TR
@@ -713,11 +745,10 @@ def integrate(loop: ClosedLoop, z0: np.ndarray, t_final: float,
     R = len(loop.A_RR)
     tail = M - R
     steps = _output_steps(t_final, dt_out)
-    A_RR = loop.A_RR * dt_out
     if R and tail:
-        F_RR, F_TT, F_TR = _expm_blocks(A_RR, loop.A_TT * dt_out, loop.A_TR * dt_out)
+        F_RR, F_TT, F_TR = _expm_blocks(loop.A_RR, loop.A_TT, loop.A_TR, dt_out)
     else:
-        F_RR = expm(A_RR)
+        F_RR = expm(loop.A_RR * dt_out)
         F_TT, F_TR = expm(loop.A_TT * dt_out), np.zeros((tail, m, R * m))
 
     modal = np.empty((steps + 1, M, m))

@@ -224,12 +224,19 @@ def _check_boundary_residuals(basis: SpectralBasis) -> None:
 
     The residual is judged against the size of its two terms,
     (|gamma1| + |gamma2| s_n) c_n: an accurate root leaves a residual that
-    grows with s_n, so an absolute bound rejects valid high modes.
+    grows with s_n, so an absolute bound rejects valid high modes.  Where
+    the residual or its scale overflows, as for gamma2 near 1e308, inf <=
+    inf would pass, so that is refused as an input out of range.
     """
     sL = basis.s * basis.L
-    res = np.abs(basis.c * (basis.gamma1 * np.cos(sL)
-                            - basis.gamma2 * basis.s * np.sin(sL)))
-    scale = (abs(basis.gamma1) + abs(basis.gamma2) * basis.s) * basis.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.abs(basis.c * (basis.gamma1 * np.cos(sL)
+                                - basis.gamma2 * basis.s * np.sin(sL)))
+        scale = (abs(basis.gamma1) + abs(basis.gamma2) * basis.s) * basis.c
+    if not (np.isfinite(res).all() and np.isfinite(scale).all()):
+        raise PlantInputError(
+            f"boundary coefficients gamma1={basis.gamma1!r}, gamma2={basis.gamma2!r} "
+            f"are too large: the x=L boundary residual overflows")
     bad = np.flatnonzero(~(res <= _BOUNDARY_RESIDUAL_TOL * scale))  # NaN fails too
     if bad.size:
         n = int(bad[0])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,35 @@ class TestSynthesize:
             "input error: domain length L=1e-160 is too small for 30 modes: "
             "the eigenvalues lambda_n = s_n**2 overflow\n")
         assert not (tmp_path / "out" / "gains.json").exists()
+
+    def test_overflowing_boundary_residual_exit_code(self, tmp_path, capsys):
+        # At gamma2 = 1e308 the x=L residual and its scale both overflow;
+        # inf <= inf must not pass the check.
+        obj = example_plant_dict()
+        obj["gamma2"] = 1e308
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: boundary coefficients gamma1=1.0, gamma2=1e+308 are too "
+            "large: the x=L boundary residual overflows\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_mode_count_exit_code(self, tmp_path, capsys):
+        obj = example_plant_dict()
+        obj["m"] = math.inf
+        path = tmp_path / "inf_m.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["synthesize", "--plant", str(path), "--delta", "9",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: malformed plant file: cannot convert float infinity to integer\n")
+        assert not (tmp_path / "out").exists()
 
     def test_domain_needing_too_many_modes_exit_code(self, tmp_path, capsys):
         # At L = 1e200 the residual-mode inequality first holds near mode
@@ -551,6 +581,21 @@ class TestSimulate:
                    "--initial", initial_file, "--out-dir", str(tmp_path / "sim")])
         assert rc == 1
         assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("key", ["N", "N_min"])
+    def test_infinite_mode_count_in_gains_file(self, tmp_path, plant_file, initial_file,
+                                               demo_gains, capsys, key):
+        with open(demo_gains) as fh:
+            gains = json.load(fh)
+        gains[key] = math.inf
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(gains))
+        rc = main(["simulate", "--plant", plant_file, "--gains", str(bad),
+                   "--initial", initial_file, "--out-dir", str(tmp_path / "sim")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: malformed gains file: cannot convert float infinity to integer\n")
         assert not (tmp_path / "sim").exists()
 
     def test_gains_reader_gives_json_values(self, demo_gains):

@@ -9,6 +9,7 @@ exponential of the whole generator.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -434,3 +435,46 @@ class TestStructuredStep:
             np.arange(4, 10), :, np.arange(4, 10), :], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(F_TR.reshape(6 * m, 4 * m), dense[4 * m:, :4 * m],
                                    rtol=1e-10, atol=1e-12 * np.abs(dense).max())
+
+    @staticmethod
+    def _wide_loop(dt: float):
+        """A synthetic loop of wide-actuation's size: N = tail = 60, m = 3, the
+        demo's D and Q, random feedback rows and coupling."""
+        rng = np.random.default_rng(60)
+        lam = np.arange(1.0, 121.0) ** 2
+        A = -lam[:, None, None] * np.diag([4.0, 5.0, 6.0]) + np.array(
+            [[10.0, 4.0, 8.0], [1.0, 10.0, 2.0], [0.0, 1.0, 20.0]])
+        A[:60, 0] += 50.0 * rng.standard_normal((60, 3))
+        return A[:60] * dt, A[60:] * dt, 30.0 * dt * rng.standard_normal((60, 3, 180))
+
+    def test_step_argument_scales_every_block(self):
+        """exp(dt A) from the unscaled blocks has the bits of exp of the
+        scaled ones: the coupling is scaled as it is copied in."""
+        A_RR, A_TT, A_TR = self._wide_loop(1.0)
+        dt = 1.0 / 400
+        got = simulator._expm_blocks(A_RR, A_TT, A_TR, dt)
+        want = simulator._expm_blocks(A_RR * dt, A_TT * dt, A_TR * dt)
+        for mine, theirs in zip(got, want):
+            assert mine.tobytes() == theirs.tobytes()
+
+    # S = 6 and 9 squarings (degree 13), and S = 0 at degree 5.
+    @pytest.mark.parametrize("dt, peak_matrices", [(1.0 / 400, 7), (1.0 / 40, 7), (1e-6, 8)])
+    def test_working_set(self, dt, peak_matrices):
+        """The step holds P's four powers, one scratch matrix and one more at
+        a time, and frees P before the squarings: its traced peak above the
+        inputs stays below seven block matrices at degree 13, and below
+        eight at degree 5.  What stays traced after the call is the
+        returned blocks: F_RR and the one matrix that F_TT and F_TR are
+        views of, plus at most one `couple` scratch."""
+        A_RR, A_TT, A_TR = self._wide_loop(dt)
+        matrix = simulator._Blocks(60, 60, 3).size * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            F_RR, F_TT, F_TR = simulator._expm_blocks(A_RR, A_TT, A_TR)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < peak_matrices * matrix
+        assert F_TT.base is F_TR.base and F_TR.base.nbytes == matrix
+        assert after - before <= F_RR.nbytes + matrix + simulator._COUPLE_BYTES

@@ -297,6 +297,40 @@ class TestIntegrate:
         traj = run_closed_loop(demo_plant, ctl, demo_basis, demo_initial, cfg)
         assert certificate_bound_holds(traj, cert.M, 9.0) is True
 
+    def test_bound_fails_where_the_norm_outgrows_it(self):
+        """||z(t)|| = e^{5t} against 10 e^{-t} ||z(0)||: it holds up to
+        t = ln(10) / 6 and fails from there; one sample above the bound by
+        more than the rounding slack fails, one within it holds."""
+        from cascade_stab.simulator import Trajectory
+
+        times = np.linspace(0.0, 1.0, 101)
+
+        def holds(norms):
+            traj = Trajectory(times=times[:len(norms)], modal=np.zeros((len(norms), 1, 1)),
+                              l2_norm=norms)
+            return certificate_bound_holds(traj, 10.0, 1.0)
+
+        growing = np.exp(5.0 * times)
+        assert holds(growing[:38]) is True   # t <= 0.37 < ln(10) / 6
+        assert holds(growing) is False
+        on_bound = 10.0 * np.exp(-times)
+        on_bound[0] = 1.0
+        for factor, expected in ((1.0 + 1e-10, True), (1.0 + 1e-8, False)):
+            norms = on_bound.copy()
+            norms[60] *= factor
+            assert holds(norms) is expected
+
+    def test_open_loop_breaks_the_demo_certificate(self, demo_plant, demo_basis,
+                                                   demo_initial, demo_closed_loop):
+        """The demo plant without feedback against the demo certificate
+        (M = 1.1e14, delta = 9): its norm crosses the bound at t = 1.26."""
+        _maps, _ctl, cert = demo_closed_loop
+        runs = {t_final: run_closed_loop(demo_plant, zero_controller(9.0, 0, 3), demo_basis,
+                                         demo_initial, SimConfig(M_modes=30, t_final=t_final))
+                for t_final in (1.0, 2.0)}
+        assert certificate_bound_holds(runs[1.0], cert.M, 9.0) is True
+        assert certificate_bound_holds(runs[2.0], cert.M, 9.0) is False
+
 
 def scalar_loop(dense: np.ndarray, R: int) -> ClosedLoop:
     """The m = 1 closed loop of `dense`, whose first R modes are decoupled
@@ -374,7 +408,11 @@ class TestBlockOps:
         ops.diag(Q)[:] += 2.0 * m  # through the view, leaving Q well conditioned
         np.testing.assert_array_equal(dense(Q), before + 2.0 * m * np.eye(m * (N + tail)))
         assert_close(dense(ops.mul(X, Y)), dense(X) @ dense(Y))
-        assert_close(dense(ops.solve(Q, Y)), np.linalg.solve(dense(Q), dense(Y)))
+        spare, kept = np.full_like(Y, np.nan), Y.copy()
+        solved = ops.solve(Q, Y, spare)
+        assert solved is spare
+        np.testing.assert_array_equal(Y, kept)
+        assert_close(dense(solved), np.linalg.solve(dense(Q), dense(Y)))
         d = np.exp2(rng.integers(-4, 5, (N + tail, m)).astype(float))
         balanced = X.copy()
         ops.unbalance(balanced, d)
